@@ -6,13 +6,13 @@ no floating point is used anywhere.  The package
 * enumerates torus-fixed points of moduli spaces of slope-stable rank 2/3/4
   equivariant sheaves on the projective plane and on Hirzebruch surfaces,
 * computes descendent integrals over those moduli spaces by torus
-  localization, with factored denominators and exact clearing, and
+  localization, over one common denominator with exact clearing, and
 * checks the weighted Virasoro sum rules those integrals satisfy.
 
 Subpackage map:
 
 ``exactalg``      sparse Laurent polynomials, truncated exponentials,
-                  exact division, factored localized fractions
+                  exact division, common denominators of fixed-point sums
 ``surfaces``      toric surface data (fans, fixed points, tangent and
                   divisor weights, intersection theory)
 ``klyachko``      flagged filtration data for equivariant sheaves and their

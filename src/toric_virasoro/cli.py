@@ -293,22 +293,17 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
-def _verify_bundled(case_id: str) -> dict:
-    """Recompute one bundled reference case; returns a JSON-able summary."""
-    gold = golden.load_case(case_id)
-    sheaves = fixed_locus_cached(gold.surface, gold.rank, gold.delta, gold.c2, gold.H)
-    case = make_case(gold.surface, gold.rank, gold.delta, gold.c2, gold.H, sheaves=sheaves)
-    report = golden.verify_case(gold, case)
+def _summarize(case, sheaves, config: str, report: golden.CaseReport) -> dict:
+    """Run the zero-sum sweep on a case; returns a JSON-able summary."""
     sweep = verify_conjecture(case)
     nonzero = [f"k={row.k} D={row.label}: sum {row.total}" for row in sweep if row.total]
-    locally_free = sum(1 for sh in sheaves if sh.is_locally_free)
     return {
-        "case": case_id,
-        "config": f"{gold.surface} r={gold.rank} delta={gold.delta} c2={gold.c2} H={gold.H}",
+        "case": report.case_id,
+        "config": config,
         "dim": case.vdim,
         "dim_ok": report.dim_ok,
         "fixed_points": case.n_points,
-        "locally_free": locally_free,
+        "locally_free": sum(1 for sh in sheaves if sh.is_locally_free),
         "k_rows": report.k_status,
         "k_messages": list(report.k_messages),
         "golden_rows": report.integral_count,
@@ -320,30 +315,24 @@ def _verify_bundled(case_id: str) -> dict:
     }
 
 
+def _verify_bundled(case_id: str) -> dict:
+    """Recompute one bundled reference case and check its recorded tables."""
+    gold = golden.load_case(case_id)
+    sheaves = fixed_locus_cached(gold.surface, gold.rank, gold.delta, gold.c2, gold.H)
+    case = make_case(gold.surface, gold.rank, gold.delta, gold.c2, gold.H, sheaves=sheaves)
+    report = golden.verify_case(gold, case)
+    config = f"{gold.surface} r={gold.rank} delta={gold.delta} c2={gold.c2} H={gold.H}"
+    return _summarize(case, sheaves, config, report)
+
+
 def _verify_config(cfg_fields: tuple, H: tuple[int, ...], cap: int | None) -> dict:
     surface, rank, delta, c2 = cfg_fields
     sheaves = fixed_locus_cached(surface, rank, delta, c2, H)
     case = make_case(surface, rank, delta, c2, H, sheaves=sheaves)
     if cap is not None:
         case.cap = cap
-    sweep = verify_conjecture(case)
-    nonzero = [f"k={row.k} D={row.label}: sum {row.total}" for row in sweep if row.total]
-    return {
-        "case": f"{surface} r={rank} delta={delta} c2={c2} H={H}",
-        "config": f"{surface} r={rank} delta={delta} c2={c2} H={H}",
-        "dim": case.vdim,
-        "dim_ok": True,
-        "fixed_points": case.n_points,
-        "locally_free": sum(1 for sh in sheaves if sh.is_locally_free),
-        "k_rows": "no recorded rows",
-        "k_messages": [],
-        "golden_rows": 0,
-        "golden_failures": [],
-        "checks": len(sweep),
-        "nonzero": nonzero,
-        "certified_clearings": case.certified_clearings,
-        "ok": not nonzero,
-    }
+    config = f"{surface} r={rank} delta={delta} c2={c2} H={H}"
+    return _summarize(case, sheaves, config, golden.CaseReport(config, k_status="no recorded rows"))
 
 
 def _render_case_summary(summary: dict, fmt: str) -> str:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import Rat
+from .exactalg import Rat, _as_rat
 from .surfaces import Surface
 
 # a formal symbol ch_i(gamma): (i, basis class name)
@@ -49,14 +49,6 @@ _ONE = Fraction(1)
 
 class NegativeDegreeInput(ValueError):
     """A plus-operator was applied outside the nonnegative-degree subalgebra."""
-
-
-def _as_rat(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected exact rational, got {type(c).__name__}")
 
 
 class DescPoly:
@@ -463,14 +455,6 @@ def monomial_basis(surface: Surface, degree: int) -> list[Monomial]:
 # ---------------------------------------------------------------------------
 # rendering and parsing (table notation)
 # ---------------------------------------------------------------------------
-
-_CLASS_RANK = {"1": 0, "p": 99}
-
-
-def _class_sort_key(surface_names: tuple[str, ...], name: str):
-    if name in _CLASS_RANK:
-        return (_CLASS_RANK[name], name)
-    return (1 + (surface_names.index(name) if name in surface_names else 0), name)
 
 
 def render_monomial(mono: Monomial) -> str:

@@ -9,17 +9,20 @@ integer (possibly negative) exponents.  The same type serves two roles:
   generators of a fixed-point chart, so a monomial ``s^a t^b`` has complex
   degree ``a + b`` (and only ``a, b >= 0`` occurs).
 
-Division is exact or it fails loudly: :func:`exact_div_linform` divides by a
-linear form ``A*s + B*t`` and :func:`exact_div_kfactor` by ``1 - s^a t^b``,
-both raising :class:`NotDivisible` when the quotient does not exist in
-Laurent polynomials.  Sums of fractions with factored denominators are
-handled by :class:`LocalizedFraction`, which only ever clears denominator
-factors by exact division — there is no floating point and no expansion of
-denominator products.
+Every number the package certifies is a torus-localization sum
+``sum_q v_q / e_q`` that must clear exactly to a Laurent polynomial.
+:class:`CommonDenominator` is the one routine that clears such sums: it
+forms the multiset LCM of the denominators' irreducible factors (never
+their product) and the cofactors ``LCM / e_q``, and :func:`exact_div`
+divides the LCM out one factor at a time, raising :class:`NotDivisible`
+when a quotient does not exist.  :func:`linform_denominator` builds one from
+linear-form weights, making each form's sign canonical first.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping
@@ -394,19 +397,25 @@ def char_to_chern(char: LaurentPoly, cap: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact division
+# exact division and common denominators
 # ---------------------------------------------------------------------------
 
 
-def _exact_div_shifted(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
-    """Divide num by div exactly, where div has 1 or 2 terms.
+def linform(v: tuple[int, int]) -> LaurentPoly:
+    """The degree-1 cohomology class a*s + b*t."""
+    return LaurentPoly({(1, 0): Fraction(v[0]), (0, 1): Fraction(v[1])})
+
+
+def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
+    """Divide num by a one- or two-term factor exactly.
 
     Both inputs may be Laurent.  Factor each as (monomial) * (polynomial with
     componentwise-minimal exponent 0); for such a divisor d (not divisible by
     s or t), a Laurent quotient exists iff an ordinary polynomial quotient
     exists, and lexicographic division finds it with zero remainder.  Any
     monomial that would go to the remainder therefore proves indivisibility,
-    so the division aborts there.
+    so the division aborts there with :class:`NotDivisible`.  A monomial
+    divisor (e.g. the weight ``s``) is a Laurent unit and always divides.
     """
     if not div:
         raise ZeroDivisionError("division by zero polynomial")
@@ -431,7 +440,8 @@ def _exact_div_shifted(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
         qa, qb = k[0] - dk[0], k[1] - dk[1]
         if qa < 0 or qb < 0:
             raise NotDivisible(
-                f"remainder at s^{k[0] + na}*t^{k[1] + nb} dividing by {div.render()}"
+                f"{num.render()} not divisible by {div.render()}"
+                f" (remainder at s^{k[0] + na}*t^{k[1] + nb})"
             )
         qc = work.pop(k) / dc
         q[(qa, qb)] = q.get((qa, qb), ZERO) + qc
@@ -445,227 +455,85 @@ def _exact_div_shifted(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(q).shift(na - da, nb - db)
 
 
-def exact_div_linform(num: LaurentPoly, A: int, B: int) -> LaurentPoly:
-    """Exact division of a cohomology class by the linear form A*s + B*t."""
-    if A == 0 and B == 0:
-        raise ZeroDivisionError("division by zero linear form")
-    div = LaurentPoly({(1, 0): Fraction(A), (0, 1): Fraction(B)})
-    if len(div) == 1:
-        ((a, b), c), = div.coeffs.items()
-        # monomial division: always exact in Laurent polynomials
-        return num.shift(-a, -b) * (ONE / c)
-    try:
-        return _exact_div_shifted(num, div)
-    except NotDivisible as e:
-        raise NotDivisible(f"{num.render()} not divisible by {div.render()}") from e
+def _product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for f in factors:
+        out = out * f
+    return out
 
 
-def exact_div_kfactor(num: LaurentPoly, a: int, b: int) -> LaurentPoly:
-    """Exact division of a K-theory character by ``1 - s^a t^b``."""
-    if a == 0 and b == 0:
-        raise ZeroDivisionError("division by 1 - 1 = 0")
-    div = LaurentPoly({(0, 0): ONE, (a, b): -ONE})
-    try:
-        return _exact_div_shifted(num, div)
-    except NotDivisible as e:
-        raise NotDivisible(
-            f"{num.render()} not divisible by 1 - {LaurentPoly.monomial(a,b).render()}"
-        ) from e
+class CommonDenominator:
+    """The least common denominator of fixed-point sums ``sum_q v_q / e_q``.
 
+    ``dens[q]`` lists the irreducible one- or two-term factors of ``e_q``,
+    with repeats, and ``signs[q]`` (default 1) a sign, so that
+    ``e_q = signs[q] * prod(dens[q])``.  The instance holds
 
-# ---------------------------------------------------------------------------
-# factored fractions
-# ---------------------------------------------------------------------------
+    * ``factors``: the multiset LCM of the factor lists, in a fixed sorted
+      order (never the product of all denominators);
+    * ``poly``: their product;
+    * ``cofactors``: ``cofactors[q] = poly / e_q``, expanded.
 
-
-def _canon_linfactor(f: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Canonical sign for a linear form a*s + b*t: make (a, b) lex-positive.
-
-    Returns (canonical factor, sign flip in {+1, -1}).
-    """
-    a, b = f
-    if a < 0 or (a == 0 and b < 0):
-        return (-a, -b), -1
-    return (a, b), 1
-
-
-class LocalizedFraction:
-    """numerator / product of irreducible factors, kept factored.
-
-    ``kind`` selects the factor alphabet:
-
-    * ``"coh"``: factors are linear forms ``(a, b)`` meaning ``a*s + b*t``,
-      sign-canonicalized so (a, b) is lexicographically positive (unit -1
-      absorbed into the numerator);
-    * ``"k"``: factors are ``(a, b)`` meaning ``1 - s^a t^b``, no sign
-      normalization (the factors as produced by fixed-point tangent data).
-
-    Denominators are multisets stored as sorted tuples.  Addition brings both
-    summands onto the multiset max (LCM) of the denominators — never the
-    product — by multiplying numerators out, which keeps everything exact and
-    small.
+    Then ``sum_q v_q / e_q == numerator(values) / poly`` exactly, and
+    :meth:`clear` divides ``poly`` out factor by factor.  A sum over a
+    complete fixed locus is a Laurent polynomial, so a :class:`NotDivisible`
+    from :meth:`clear` certifies inconsistent fixed-point data.
     """
 
-    __slots__ = ("num", "den", "kind")
+    __slots__ = ("factors", "poly", "cofactors")
 
-    def __init__(
-        self,
-        num: LaurentPoly,
-        den: Iterable[tuple[int, int]] = (),
-        kind: str = "coh",
-    ):
-        if kind not in ("coh", "k"):
-            raise ValueError(f"unknown kind {kind!r}")
-        factors: list[tuple[int, int]] = []
-        for f in den:
-            a, b = int(f[0]), int(f[1])
-            if kind == "coh":
-                (a, b), flip = _canon_linfactor((a, b))
-                if flip < 0:
-                    num = num * -1
-            if (a, b) == (0, 0):
-                raise ZeroDivisionError("zero factor in denominator")
-            factors.append((a, b))
-        self.num = num
-        self.den = tuple(sorted(factors))
-        self.kind = kind
+    def __init__(self, dens: Iterable[Iterable[LaurentPoly]], signs: Iterable[int] | None = None):
+        counts = [Counter(d) for d in dens]
+        lcm: Counter = Counter()
+        for c in counts:
+            lcm |= c
+        if any(not f for f in lcm):
+            raise ZeroDivisionError("zero factor in a denominator")
+        order = sorted(lcm, key=lambda f: sorted(f.coeffs.items(), reverse=True))
+        self.factors = tuple(f for f in order for _ in range(lcm[f]))
+        self.poly = _product(self.factors)
+        signs = [1] * len(counts) if signs is None else list(signs)
+        self.cofactors = [
+            _product(f for f in order for _ in range(lcm[f] - c[f])) * sign
+            for c, sign in zip(counts, signs, strict=True)
+        ]
 
-    @staticmethod
-    def from_poly(p: LaurentPoly, kind: str = "coh") -> "LocalizedFraction":
-        return LocalizedFraction(p, (), kind)
-
-    def _factor_poly(self, f: tuple[int, int]) -> LaurentPoly:
-        a, b = f
-        if self.kind == "coh":
-            return LaurentPoly({(1, 0): Fraction(a), (0, 1): Fraction(b)})
-        return LaurentPoly({(0, 0): ONE, (a, b): -ONE})
-
-    def _div_factor(self, p: LaurentPoly, f: tuple[int, int]) -> LaurentPoly:
-        if self.kind == "coh":
-            return exact_div_linform(p, f[0], f[1])
-        return exact_div_kfactor(p, f[0], f[1])
-
-    def simplify(self) -> "LocalizedFraction":
-        """Cancel denominator factors that divide the numerator exactly."""
-        num = self.num
-        keep: list[tuple[int, int]] = []
-        for f in self.den:
-            if not num:
-                continue
-            try:
-                num = self._div_factor(num, f)
-            except NotDivisible:
-                keep.append(f)
-        if not num:
-            keep = []
-        out = LocalizedFraction.__new__(LocalizedFraction)
-        out.num = num
-        out.den = tuple(sorted(keep))
-        out.kind = self.kind
-        return out
-
-    def __mul__(self, other) -> "LocalizedFraction":
-        if isinstance(other, (int, Fraction)):
-            out = LocalizedFraction.__new__(LocalizedFraction)
-            out.num = self.num * other
-            out.den = self.den if other else ()
-            out.kind = self.kind
-            return out
-        if isinstance(other, LaurentPoly):
-            out = LocalizedFraction.__new__(LocalizedFraction)
-            out.num = self.num * other
-            out.den = self.den
-            out.kind = self.kind
-            return out
-        if isinstance(other, LocalizedFraction):
-            if other.kind != self.kind:
-                raise ValueError("mixed fraction kinds")
-            out = LocalizedFraction.__new__(LocalizedFraction)
-            out.num = self.num * other.num
-            out.den = tuple(sorted(self.den + other.den))
-            out.kind = self.kind
-            return out
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other) -> "LocalizedFraction":
-        if not isinstance(other, LocalizedFraction):
-            return NotImplemented
-        if other.kind != self.kind:
-            raise ValueError("mixed fraction kinds")
-        from collections import Counter
-
-        c1, c2 = Counter(self.den), Counter(other.den)
-        lcm = c1 | c2  # multiset max
-        n1 = self.num
-        for f, mult in (lcm - c1).items():
-            fp = self._factor_poly(f)
-            for _ in range(mult):
-                n1 = n1 * fp
-        n2 = other.num
-        for f, mult in (lcm - c2).items():
-            fp = self._factor_poly(f)
-            for _ in range(mult):
-                n2 = n2 * fp
-        out = LocalizedFraction.__new__(LocalizedFraction)
-        out.num = n1 + n2
-        out.den = tuple(sorted(lcm.elements()))
-        out.kind = self.kind
-        return out
-
-    def __neg__(self) -> "LocalizedFraction":
-        out = LocalizedFraction.__new__(LocalizedFraction)
-        out.num = -self.num
-        out.den = self.den
-        out.kind = self.kind
-        return out
-
-    def __sub__(self, other) -> "LocalizedFraction":
-        if not isinstance(other, LocalizedFraction):
-            return NotImplemented
-        return self + (-other)
-
-    def clear(self) -> LaurentPoly:
-        """Divide out every denominator factor exactly; NotDivisible on failure."""
-        num = self.num
-        for f in self.den:
-            num = self._div_factor(num, f)
+    def numerator(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        """``sum_q values[q] * cofactors[q]``; zero values are skipped."""
+        num = LaurentPoly.zero()
+        for v, co in zip(values, self.cofactors, strict=True):
+            if v:
+                num = num + v * co
         return num
 
-    def __repr__(self) -> str:
-        if not self.den:
-            return f"LocalizedFraction({self.num.render()})"
-        dens = ", ".join(
-            self._factor_poly(f).render() for f in self.den
-        )
-        return f"LocalizedFraction(({self.num.render()}) / [{dens}])"
+    def clear(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        """``sum_q values[q] / e_q`` as a Laurent polynomial, or NotDivisible."""
+        num = self.numerator(values)
+        for f in self.factors:
+            num = exact_div(num, f)
+        return num
 
 
-def sum_fractions(fracs: Iterable[LocalizedFraction]) -> LocalizedFraction:
-    """Sum many factored fractions (balanced reduction keeps numerators small)."""
-    items = list(fracs)
-    if not items:
-        raise ValueError("empty sum (kind unknown)")
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(items[i] + items[i + 1])
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+def linform_denominator(weights: Iterable[Iterable[tuple[int, int]]]) -> CommonDenominator:
+    """Common denominator of terms whose ``e_q`` are products of linear forms.
 
-
-def clear_and_evaluate(fracs: Iterable[LocalizedFraction]) -> LaurentPoly:
-    """Sum fractions and clear the denominator exactly.
-
-    This is the localization step: the sum over fixed points is a polynomial,
-    so every denominator factor must divide out.  A NotDivisible here means
-    the fixed-point data is inconsistent.
+    ``weights[q]`` lists the ``(a, b)`` of the forms ``a*s + b*t`` whose
+    product is ``e_q``, with repeats.  Each form is made lexicographically
+    positive and its sign moved into ``signs[q]``, so ``s - t`` at one point
+    and ``t - s`` at another are one LCM factor.  Cleared values do not
+    depend on this, but without it the LCM carries both forms and every
+    cofactor, numerator and division grows with it.
     """
-    total = sum_fractions(fracs)
-    return total.clear()
+    dens, signs = [], []
+    for ws in weights:
+        forms, sign = [], 1
+        for a, b in ws:
+            if a < 0 or (a == 0 and b < 0):
+                a, b, sign = -a, -b, -sign
+            forms.append(linform((a, b)))
+        dens.append(forms)
+        signs.append(sign)
+    return CommonDenominator(dens, signs)
 
 
 def as_constant(p: LaurentPoly) -> Fraction:

@@ -33,15 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactalg import (
-    LaurentPoly,
-    LocalizedFraction,
-    NotDivisible,
-    Rat,
-    as_constant,
-    char_to_chern,
-    clear_and_evaluate,
-)
+from .exactalg import LaurentPoly, Rat, as_constant, char_to_chern
 from .surfaces import FixedPoint, Surface, char_monomial
 
 # ---------------------------------------------------------------------------
@@ -338,11 +330,9 @@ def bundle_from_flags(surface: Surface, rank: int, flags: Sequence[Flag], config
 
 def _surface_integral(surface: Surface, numerators: Sequence[LaurentPoly]) -> Rat:
     """Sum num_p / e(T_p) over fixed points; numerators truncated at degree 2."""
-    fracs = [
-        LocalizedFraction(num.truncate(2), p.tangent_weights)
-        for num, p in zip(numerators, surface.points)
-    ]
-    return as_constant(clear_and_evaluate(fracs))
+    return as_constant(
+        surface.tangent_denominator.clear([num.truncate(2) for num in numerators])
+    )
 
 
 def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:

@@ -2,21 +2,22 @@
 
 A :class:`Case` bundles a toric surface, topological invariants, a
 polarization and the finite list of torus-fixed stable sheaves with those
-invariants.  Every computation is exact:
+invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``
+cleared by an :class:`~toric_virasoro.exactalg.CommonDenominator`: the two
+surface ones are built once per :class:`~toric_virasoro.surfaces.Surface`,
+the moduli one once per case.
 
 * ``tangent_representation`` computes the torus character of the tangent
   space at a fixed point from the K-theoretic Euler characteristic
-  ``chi(E, E)``, cleared of its ``(1 - chi)`` denominators by exact
-  division, and certifies isolation (no trivial weight) and the expected
-  dimension;
+  ``chi(E, E)``, a sum over the surface's ``character_denominator``, and
+  certifies isolation (no trivial weight) and the expected dimension;
 * ``realize_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
   moduli fixed point as a genuine polynomial in the torus parameters
-  ``s, t``, by summing normalized Chern character slices of the sheaf's
-  chart restrictions over the surface fixed points and clearing the surface
-  Euler classes exactly;
-* ``integrate`` divides by the moduli tangent Euler classes, clears the sum
-  exactly (certifying that it is polynomial — the localization consistency
-  check), and evaluates at the origin.
+  ``s, t``: normalized Chern character slices of the sheaf's chart
+  restrictions, summed over the surface's ``tangent_denominator``;
+* ``integrate`` sums over the case's ``tangent_denominator`` (the LCM of the
+  moduli tangent Euler classes), certifies that the sum clears (the
+  localization consistency check), and evaluates at the origin.
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
 ``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .descendents import (
@@ -41,15 +43,16 @@ from .descendents import (
 )
 from .enumeration import fixed_locus_cached
 from .exactalg import (
+    CommonDenominator,
     LaurentPoly,
-    LocalizedFraction,
     NotDivisible,
     Rat,
-    clear_and_evaluate,
-    exact_div_linform,
+    exact_div,
+    linform,
+    linform_denominator,
     truncated_exp_rat,
 )
-from .surfaces import Surface, linform, surface_by_name
+from .surfaces import Surface, surface_by_name
 
 _ZERO = Fraction(0)
 
@@ -74,12 +77,7 @@ def sheaf_euler_pairing(restrictions: Sequence[LaurentPoly], surface: Surface) -
     ``u, v`` are the inverse tangent characters (= the chart characters); the
     sum over points clears to a finite character sum.
     """
-    fracs = []
-    for poly, point in zip(restrictions, surface.points):
-        fracs.append(
-            LocalizedFraction(poly.dual() * poly, point.duals, kind="k")
-        )
-    return clear_and_evaluate(fracs)
+    return surface.character_denominator.clear([poly.dual() * poly for poly in restrictions])
 
 
 def tangent_representation(
@@ -140,7 +138,6 @@ class Case:
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
         self.cap = self.vdim + 2
         self._tangents: list[LaurentPoly] | None = None
-        self._scaffold = None
         self._series: dict[tuple[int, int], LaurentPoly] = {}
         self._symbols: dict[tuple[int, str], tuple[LaurentPoly, ...]] = {}
         self._integrals: dict[Monomial, Fraction] = {}
@@ -163,57 +160,23 @@ class Case:
     def euler_classes(self) -> list[LaurentPoly]:
         return [euler_class(t) for t in self.tangents()]
 
-    # -- the common-denominator scaffold for moduli integrals ---------------
+    # -- the common denominator of moduli integrals ------------------------
 
-    def _denominators(self):
-        """Per-point Euler factors as sign-canonical linear forms."""
-        dens = []
-        for tangent in self.tangents():
-            factors: list[tuple[int, int]] = []
-            sign = 1
-            for (a, b), c in tangent:
-                if a < 0 or (a == 0 and b < 0):
-                    a, b = -a, -b
-                    sign = -sign if int(c) % 2 else sign
-                factors.extend([(a, b)] * int(c))
-            dens.append((tuple(sorted(factors)), sign))
-        return dens
+    @cached_property
+    def tangent_denominator(self) -> CommonDenominator:
+        """LCM and cofactors of the tangent Euler classes, one term per point."""
+        return linform_denominator(
+            [w for w, c in tangent for _ in range(int(c))] for tangent in self.tangents()
+        )
 
     def scaffold(self):
-        """Shared clearing data: LCM of the Euler denominators and cofactors.
+        """``(lcm_poly, lcm_factors, cofactors)`` of :attr:`tangent_denominator`.
 
-        Returns ``(lcm_poly, lcm_factors, cofactors)`` where ``cofactors[q]``
-        is the expanded polynomial ``sign_q * LCM / e_q``; then any
-        fixed-point sum ``sum_q v_q / e_q`` equals
+        Any fixed-point sum ``sum_q v_q / e_q`` equals
         ``(sum_q v_q * cofactors[q]) / lcm_poly`` exactly.
         """
-        if self._scaffold is None:
-            dens = self._denominators()
-            lcm: dict[tuple[int, int], int] = {}
-            for factors, _sign in dens:
-                counts: dict[tuple[int, int], int] = {}
-                for f in factors:
-                    counts[f] = counts.get(f, 0) + 1
-                for f, c in counts.items():
-                    lcm[f] = max(lcm.get(f, 0), c)
-            lcm_factors = tuple(
-                sorted(f for f, c in lcm.items() for _ in range(c))
-            )
-            lcm_poly = LaurentPoly.one()
-            for f in lcm_factors:
-                lcm_poly = lcm_poly * linform(f)
-            cofactors = []
-            for factors, sign in dens:
-                missing = dict(lcm)
-                for f in factors:
-                    missing[f] -= 1
-                co = LaurentPoly.const(sign)
-                for f, c in missing.items():
-                    if c:
-                        co = co * linform(f) ** c
-                cofactors.append(co)
-            self._scaffold = (lcm_poly, lcm_factors, cofactors)
-        return self._scaffold
+        den = self.tangent_denominator
+        return den.poly, den.factors, den.cofactors
 
     # -- realized symbols ----------------------------------------------------
 
@@ -252,17 +215,15 @@ class Case:
             surface = self.surface
             sdeg = i + surface.class_degree(name) - 2
             lifts = [surface.class_lift(name, p) for p in surface.points]
+            zero = LaurentPoly.zero()
             values = []
             for q in range(self.n_points):
-                fracs = []
-                for pidx, point in enumerate(surface.points):
-                    if not lifts[pidx]:
-                        continue
-                    num = lifts[pidx] * self._chern_series(q, pidx).homogeneous_part(i)
-                    fracs.append(
-                        LocalizedFraction(num, point.tangent_weights, kind="coh")
-                    )
-                value = clear_and_evaluate(fracs)
+                # points where the class lift vanishes contribute nothing
+                nums = [
+                    lift * self._chern_series(q, pidx).homogeneous_part(i) if lift else zero
+                    for pidx, lift in enumerate(lifts)
+                ]
+                value = surface.tangent_denominator.clear(nums)
                 if value and not value.is_homogeneous(sdeg):
                     raise NotDivisible(
                         f"realized ch_{i}({name}) at point {q} is not homogeneous"
@@ -295,11 +256,9 @@ class Case:
         return result
 
     def _integrate_values(self, values: Sequence[LaurentPoly], deg: int) -> Fraction:
-        lcm_poly, lcm_factors, cofactors = self.scaffold()
-        num = LaurentPoly.zero()
-        for v, co in zip(values, cofactors):
-            if v:
-                num = num + v * co
+        den = self.tangent_denominator
+        lcm_poly = den.poly
+        num = den.numerator(values)
         if not num:
             return _ZERO
         if deg < self.vdim:
@@ -320,8 +279,8 @@ class Case:
             self.certified_clearings += 1
             return c
         # degree above vdim: divide out every factor, then evaluate at 0
-        for a, b in lcm_factors:
-            num = exact_div_linform(num, a, b)
+        for factor in den.factors:
+            num = exact_div(num, factor)
         self.certified_clearings += 1
         for (a, b) in num.coeffs:
             if a < 0 or b < 0:

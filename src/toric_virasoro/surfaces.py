@@ -37,23 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import LaurentPoly, Rat
+from .exactalg import CommonDenominator, LaurentPoly, Rat, linform, linform_denominator
 
 Vec = tuple[int, int]
-
-
-def linform(v: Vec) -> LaurentPoly:
-    """The degree-1 cohomology class a*s + b*t."""
-    return LaurentPoly({(1, 0): Fraction(v[0]), (0, 1): Fraction(v[1])})
 
 
 def char_monomial(v: Vec, coeff=1) -> LaurentPoly:
     """The K-theory character chi^v as a Laurent monomial."""
     return LaurentPoly.monomial(v[0], v[1], coeff)
-
-
-def _dot(m: Vec, v: Vec) -> int:
-    return m[0] * v[0] + m[1] * v[1]
 
 
 @dataclass(frozen=True)
@@ -70,18 +61,10 @@ class FixedPoint:
         (a1, b1), (a2, b2) = self.duals
         return ((-a1, -b1), (-a2, -b2))
 
-    def tangent_char(self) -> LaurentPoly:
-        w1, w2 = self.tangent_weights
-        return char_monomial(w1) + char_monomial(w2)
-
     def char_from_pair(self, n1: int, n2: int) -> Vec:
         """Lattice character n1*w1 + n2*w2 of the chart."""
         (a1, b1), (a2, b2) = self.duals
         return (n1 * a1 + n2 * a2, n1 * b1 + n2 * b2)
-
-    def decompose_char(self, m: Vec) -> tuple[int, int]:
-        """Coordinates (n1, n2) of m in the dual basis: n_k = <m, v_k>."""
-        return (_dot(m, self.rays[0]), _dot(m, self.rays[1]))
 
 
 def _dual_pair(vi: Vec, vj: Vec) -> tuple[Vec, Vec]:
@@ -121,6 +104,15 @@ class Surface:
             )
             for k, (i, j) in enumerate(self.cones)
         ]
+        # the two fixed-point sums on the surface, one term per point:
+        # cohomology over the tangent Euler classes, K-theory over
+        # prod(1 - chi^w) for the chart characters w
+        self.tangent_denominator = linform_denominator(
+            p.tangent_weights for p in self.points
+        )
+        self.character_denominator = CommonDenominator(
+            [LaurentPoly.one() - char_monomial(w) for w in p.duals] for p in self.points
+        )
         self.divisor_names = list(divisor_names)
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
@@ -214,13 +206,6 @@ class Surface:
         if name in self.divisor_names:
             return linform(self.divisor_lift(name, point))
         raise KeyError(name)
-
-    def class_coeffs(self, name: str) -> tuple:
-        """A named divisor class as coefficients in the divisor basis."""
-        return tuple(1 if n == name else 0 for n in self.divisor_names)
-
-    def euler_char(self) -> int:
-        return self.n_points
 
     def c1_coeffs(self) -> tuple:
         """First Chern class of the surface (anticanonical), in the basis."""

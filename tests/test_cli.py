@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +169,26 @@ class TestDumpGolden:
         code, out = run(capsys, "dump-golden", "--case", "p2-r4-c2-3")
         assert code == 0
         assert "recorded in source as" in out
+
+
+TRANSCRIPT_DIR = Path(__file__).parent / "data" / "cli"
+_VERIFY = ("verify", "--case", "f0-FZ-c2-2-H2F5Z")
+_F0_R2 = ("--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2")
+_P2_R2 = ("--surface", "p2", "--r", "2", "--delta", "1", "--c2", "2")
+# recorded stdout file -> the command line that printed it
+TRANSCRIPTS = {
+    "verify-f0-FZ-c2-2-H2F5Z.txt": _VERIFY,
+    "verify-f0-FZ-c2-2-H2F5Z.json.txt": (*_VERIFY, "--format", "json"),
+    "verify-f0-FZ-c2-2-H2F5Z.md.txt": (*_VERIFY, "--format", "markdown"),
+    "enumerate-f0-r2-all-chambers.txt": ("enumerate", *_F0_R2, "--H", "all-chambers"),
+    "enumerate-p2-r2-c2-2.md.txt": ("enumerate", *_P2_R2, "--format", "markdown"),
+    "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),
+}
+
+
+@pytest.mark.parametrize("transcript", sorted(TRANSCRIPTS))
+def test_output_matches_recorded_transcript(capsys, transcript):
+    # the recorded stdout is the contract: any change to it must be deliberate
+    code, out = run(capsys, *TRANSCRIPTS[transcript])
+    assert code == 0
+    assert out == (TRANSCRIPT_DIR / transcript).read_text()

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: Laurent polynomials, exact division, fractions."""
+"""Exact-arithmetic core: Laurent polynomials, exact division, common denominators."""
 
 from fractions import Fraction
 from math import factorial
@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_virasoro.exactalg import (
+    CommonDenominator,
     LaurentPoly,
-    LocalizedFraction,
     NotDivisible,
     as_constant,
     assert_polynomial,
     char_to_chern,
-    clear_and_evaluate,
-    exact_div_kfactor,
-    exact_div_linform,
+    exact_div,
+    linform,
+    linform_denominator,
     parse_laurent,
-    sum_fractions,
     truncated_exp,
     truncated_exp_rat,
 )
@@ -27,6 +26,22 @@ coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 lpolys = st.dictionaries(exponents, coeffs, max_size=5).map(LaurentPoly)
 nonzero_lpolys = lpolys.filter(bool)
+weights = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v != (0, 0))
+two_term_weights = st.tuples(
+    st.integers(-2, 2).filter(bool), st.integers(-2, 2).filter(bool)
+)
+
+
+def kfactor(w) -> LaurentPoly:
+    """The K-theory denominator factor 1 - s^a t^b."""
+    return LaurentPoly.one() - LaurentPoly.monomial(*w)
+
+
+def product(factors) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for f in factors:
+        out = out * f
+    return out
 
 
 class TestRing:
@@ -117,75 +132,107 @@ class TestTruncatedExp:
 
 class TestExactDivision:
     @settings(deadline=None)
-    @given(lpolys, st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v != (0, 0)))
+    @given(lpolys, weights)
     def test_multiply_then_divide_linform(self, p, form):
-        A, B = form
-        lin = LaurentPoly({(1, 0): Fraction(A), (0, 1): Fraction(B)})
-        assert exact_div_linform(p * lin, A, B) == p
+        lin = linform(form)
+        assert exact_div(p * lin, lin) == p
 
     @settings(deadline=None)
-    @given(lpolys, st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v != (0, 0)))
+    @given(lpolys, weights)
     def test_multiply_then_divide_kfactor(self, p, form):
-        a, b = form
-        kf = LaurentPoly.one() - LaurentPoly.monomial(a, b)
-        assert exact_div_kfactor(p * kf, a, b) == p
+        kf = kfactor(form)
+        assert exact_div(p * kf, kf) == p
 
     def test_monomial_linform_is_a_laurent_unit(self):
         # dividing by the weight s alone only shifts exponents; negative
         # exponents are rejected later, by assert_polynomial
-        assert exact_div_linform(LaurentPoly.one(), 1, 0) == parse_laurent("s^-1")
+        assert exact_div(LaurentPoly.one(), linform((1, 0))) == parse_laurent("s^-1")
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
-            exact_div_linform(parse_laurent("s + 1"), 1, 1)
+            exact_div(parse_laurent("s + 1"), linform((1, 1)))
         with pytest.raises(NotDivisible):
-            exact_div_linform(parse_laurent("s^2 + t^2"), 1, -1)
+            exact_div(parse_laurent("s^2 + t^2"), linform((1, -1)))
         with pytest.raises(NotDivisible):
-            exact_div_kfactor(parse_laurent("s"), 0, 1)
+            exact_div(parse_laurent("s"), kfactor((0, 1)))
 
 
-class TestLocalizedFractions:
+class TestCommonDenominator:
     def test_projective_line_euler_characteristic(self):
         # chi(O) on P^1 by K-theoretic localization: two fixed points with
         # dual tangent characters s and s^-1.
+        den = CommonDenominator([[kfactor((-1, 0))], [kfactor((1, 0))]])
         one = LaurentPoly.one()
-        total = clear_and_evaluate(
-            [
-                LocalizedFraction(one, [(-1, 0)], kind="k"),
-                LocalizedFraction(one, [(1, 0)], kind="k"),
-            ]
-        )
-        assert total == LaurentPoly.one()
+        assert den.clear([one, one]) == one
 
     def test_cohomological_cancellation(self):
+        # 1/(s - t) + 1/(t - s): the sign-flipped forms share one LCM factor
+        den = linform_denominator([[(1, -1)], [(-1, 1)]])
+        assert den.factors == (linform((1, -1)),)
+        assert den.cofactors == [LaurentPoly.one(), -LaurentPoly.one()]
         one = LaurentPoly.one()
-        total = clear_and_evaluate(
-            [
-                LocalizedFraction(one, [(1, 0)]),
-                LocalizedFraction(-one, [(1, 0)]),
-            ]
-        )
-        assert total == LaurentPoly.zero()
+        assert den.clear([one, one]) == LaurentPoly.zero()
+        # 1/(s - t) - 1/(t - s) = 2/(s - t) is no Laurent polynomial
+        with pytest.raises(NotDivisible):
+            den.clear([one, -one])
 
     def test_sum_and_clear_by_hand(self):
-        # t/(s(s+t)) + s/(t(s+t)) + (-1)/(st) = ... = 0? No:
-        # t^2/(st(s+t)) + s^2/(st(s+t)) vs (s+t)/(st): check instead the
-        # exact identity t/(s(s+t)) + s/(t(s+t)) = (s^2+t^2)/(st(s+t)).
-        t_num = LaurentPoly.monomial(0, 1)
-        s_num = LaurentPoly.monomial(1, 0)
-        f = sum_fractions(
-            [
-                LocalizedFraction(t_num, [(1, 0), (1, 1)]),
-                LocalizedFraction(s_num, [(0, 1), (1, 1)]),
-            ]
-        )
-        lhs = LocalizedFraction(parse_laurent("s^2 + t^2"), [(1, 0), (0, 1), (1, 1)])
-        diff = f - lhs
-        assert diff.clear() == LaurentPoly.zero()
+        # t/(s(s+t)) + s/(t(s+t)) - (s^2+t^2)/(st(s+t)) = 0; the LCM is
+        # st(s+t), not the product of the three denominators
+        den = linform_denominator([[(1, 0), (1, 1)], [(0, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)]])
+        assert den.poly == parse_laurent("s^2*t + s*t^2")
+        assert len(den.factors) == 3
+        values = [parse_laurent("t"), parse_laurent("s"), parse_laurent("-s^2 - t^2")]
+        assert den.numerator(values) == LaurentPoly.zero()
+        assert den.clear(values) == LaurentPoly.zero()
 
-    def test_sum_fractions_empty_raises(self):
-        with pytest.raises(ValueError):
-            sum_fractions([])
+    def test_empty_sum_clears_to_zero(self):
+        den = CommonDenominator([])
+        assert den.factors == ()
+        assert den.poly == LaurentPoly.one()
+        assert den.clear([]) == LaurentPoly.zero()
+
+    def test_factor_order_is_sorted_not_input_order(self):
+        forward = linform_denominator([[(1, 1), (0, 1)], [(1, -1), (1, 0)]])
+        backward = linform_denominator([[(1, 0), (1, -1)], [(0, 1), (1, 1)]])
+        assert forward.factors == backward.factors
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            CommonDenominator([[LaurentPoly.zero()]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nonzero_lpolys,
+        st.lists(st.lists(weights, max_size=3), min_size=1, max_size=4),
+        two_term_weights,
+        st.sampled_from(["linear", "character"]),
+    )
+    def test_clears_sum_of_polynomial_terms(self, P, raw, g, kind):
+        # every term v_q / e_q equals P, with e_q built from the raw
+        # (sign-flipped, repeated) factors, so the sum clears to n * P; a
+        # cancelling pair P + 1/g and -1/g rides along on top
+        factor = linform if kind == "linear" else kfactor
+        raw = [list(ws) for ws in raw]
+        raw[0].append(g)
+        raw.append([g])
+        if kind == "linear":
+            den = linform_denominator(raw)
+        else:
+            den = CommonDenominator([[kfactor(w) for w in ws] for ws in raw])
+        es = [product(factor(w) for w in ws) for ws in raw]
+        assert den.poly == product(den.factors)
+        for e, co in zip(es, den.cofactors):
+            assert e * co == den.poly
+        n = len(raw) - 1
+        values = [P * e for e in es[:-1]] + [LaurentPoly.const(-1)]
+        values[0] = values[0] + exact_div(es[0], factor(g))
+        assert den.clear(values) == P * n
+        for drop in (0, n):
+            broken = list(values)
+            broken[drop] = LaurentPoly.zero()
+            with pytest.raises(NotDivisible):
+                den.clear(broken)
 
     def test_as_constant(self):
         assert as_constant(LaurentPoly.const(Fraction(7, 3))) == Fraction(7, 3)
