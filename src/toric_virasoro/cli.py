@@ -17,9 +17,9 @@ failed; 2 the configuration is invalid (unsupported surface/rank, bad
 determinant pairing, polarization on a wall); 3 internal inconsistency
 (a localization sum failed to clear to a polynomial).
 
-The environment variable ``TORIC_VIRASORO_JOBS`` (or ``--jobs``) sets the
-number of worker processes for multi-case verification; reports are merged
-in case order, so the output is byte-identical for any job count.
+The environment variable ``TORIC_VIRASORO_JOBS`` (or ``verify --jobs``) sets
+the number of worker processes for ``verify --case``/``--all``; reports are
+merged in case order, so the output is byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -76,15 +76,17 @@ class CaseConfig:
     delta: tuple[int, ...]
     c2: int
     H: tuple[int, ...] | str | None = None
-    cap: int | None = None
-    jobs: int = 1
     fmt: str = "plain"
 
     def __post_init__(self):
+        if not isinstance(self.surface, str):
+            raise ConfigError(f"surface must be a name, got {self.surface!r}")
         self.surface = self.surface.lower()
-        self.delta = tuple(int(x) for x in self.delta)
+        self.rank = _as_int(self.rank, "rank")
+        self.c2 = _as_int(self.c2, "c2")
+        self.delta = _as_ints(self.delta, "delta")
         if isinstance(self.H, (list, tuple)):
-            self.H = tuple(int(x) for x in self.H)
+            self.H = _as_ints(self.H, "H")
 
     def validate(self) -> None:
         if self.surface not in _SUPPORTED:
@@ -134,7 +136,7 @@ class CaseConfig:
                         f"H = {hf}F+{hz}Z lies on a wall (slope {slope}); "
                         "pick a polarization in the interior of a chamber"
                     )
-        pairing = int(srf.pair(self.delta, H))
+        pairing = srf.pair(self.delta, H)
         if gcd(self.rank, pairing) != 1:
             raise ConfigError(
                 f"gcd(rank, delta.H) = gcd({self.rank}, {pairing}) != 1; "
@@ -166,6 +168,22 @@ class CaseConfig:
         return f"{self.surface} r={self.rank} delta=({delta}) c2={self.c2} H=({hh})"
 
 
+def _as_int(value, what: str) -> int:
+    """An integer configuration value; a bool or a non-integral number is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_as_int(x, f"{what} entry") for x in values)
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -174,31 +192,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args) -> CaseConfig:
+    merged = dict.fromkeys(("surface", "rank", "delta", "c2", "H"))
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        merged = {
-            "surface": raw.get("surface"),
-            "rank": raw.get("rank", raw.get("r")),
-            "delta": raw.get("delta"),
-            "c2": raw.get("c2"),
-            "H": raw.get("H"),
-            "cap": raw.get("cap"),
-        }
-    else:
-        merged = {"surface": None, "rank": None, "delta": None, "c2": None, "H": None, "cap": None}
-    if args.surface is not None:
-        merged["surface"] = args.surface
-    if args.r is not None:
-        merged["rank"] = args.r
-    if args.delta is not None:
-        merged["delta"] = _parse_ints(args.delta)
-    if args.c2 is not None:
-        merged["c2"] = args.c2
-    if getattr(args, "H", None) is not None:
-        merged["H"] = args.H if args.H == "all-chambers" else _parse_ints(args.H)
-    if getattr(args, "cap", None) is not None:
-        merged["cap"] = args.cap
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
+        merged.update({key: raw.get(key) for key in merged}, rank=raw.get("rank", raw.get("r")))
+    flags = dict(surface=args.surface, rank=args.r, delta=args.delta, c2=args.c2, H=args.H)
+    merged.update({key: value for key, value in flags.items() if value is not None})
     missing = [key for key in ("surface", "rank", "delta", "c2") if merged[key] is None]
     if missing:
         raise ConfigError(f"missing required configuration fields: {', '.join(missing)}")
@@ -208,20 +210,18 @@ def _config_from_args(args) -> CaseConfig:
         merged["H"] = _parse_ints(merged["H"])
     cfg = CaseConfig(
         surface=merged["surface"],
-        rank=int(merged["rank"]),
-        delta=tuple(merged["delta"]),
-        c2=int(merged["c2"]),
+        rank=merged["rank"],
+        delta=merged["delta"],
+        c2=merged["c2"],
         H=merged["H"],
-        cap=merged["cap"],
-        jobs=_resolve_jobs(args),
-        fmt=getattr(args, "format", "plain"),
+        fmt=args.format,
     )
     cfg.validate()
     return cfg
 
 
 def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
+    jobs = args.jobs
     if jobs is None:
         jobs = os.environ.get("TORIC_VIRASORO_JOBS", "1")
     try:
@@ -325,12 +325,10 @@ def _verify_bundled(case_id: str) -> dict:
     return _summarize(case, sheaves, config, report)
 
 
-def _verify_config(cfg_fields: tuple, H: tuple[int, ...], cap: int | None) -> dict:
+def _verify_config(cfg_fields: tuple, H: tuple[int, ...]) -> dict:
     surface, rank, delta, c2 = cfg_fields
     sheaves = fixed_locus_cached(surface, rank, delta, c2, H)
     case = make_case(surface, rank, delta, c2, H, sheaves=sheaves)
-    if cap is not None:
-        case.cap = cap
     config = f"{surface} r={rank} delta={delta} c2={c2} H={H}"
     return _summarize(case, sheaves, config, golden.CaseReport(config, k_status="no recorded rows"))
 
@@ -384,7 +382,7 @@ def cmd_verify(args) -> int:
         cfg = _config_from_args(args)
         fmt = cfg.fmt
         summaries = [
-            _verify_config((cfg.surface, cfg.rank, cfg.delta, cfg.c2), H, cfg.cap)
+            _verify_config((cfg.surface, cfg.rank, cfg.delta, cfg.c2), H)
             for H in cfg.polarizations()
         ]
     summaries.sort(key=lambda s: s["case"])
@@ -529,16 +527,13 @@ def cmd_dump_golden(args) -> int:
 # entry point
 
 
-def _add_config_flags(sub, with_h=True):
+def _add_config_flags(sub):
     sub.add_argument("--surface", help="p2, f0, f1 or f2")
     sub.add_argument("--r", type=int, help="sheaf rank")
     sub.add_argument("--delta", help="determinant coefficients, e.g. 1 or 1,1")
     sub.add_argument("--c2", type=int, help="second Chern number")
-    if with_h:
-        sub.add_argument("--H", help="polarization coefficients, or all-chambers")
-    sub.add_argument("--cap", type=int, help="series truncation override")
+    sub.add_argument("--H", help="polarization coefficients, or all-chambers")
     sub.add_argument("--config", help="JSON file with the same fields")
-    sub.add_argument("--jobs", type=int, help="worker processes (default $TORIC_VIRASORO_JOBS or 1)")
     sub.add_argument(
         "--format", choices=("plain", "json", "markdown"), default="plain", help="output format"
     )
@@ -558,6 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="verify zero sums and recorded tables")
     ver.add_argument("--case", help="bundled case id (see dump-golden)")
     ver.add_argument("--all", action="store_true", help="verify every bundled case")
+    ver.add_argument(
+        "--jobs", type=int, help="processes for --case/--all (default $TORIC_VIRASORO_JOBS or 1)"
+    )
     _add_config_flags(ver)
     ver.set_defaults(func=cmd_verify)
 

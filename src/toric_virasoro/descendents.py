@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import Rat, _as_rat
+from .exactalg import _as_rat
 from .surfaces import Surface
 
 # a formal symbol ch_i(gamma): (i, basis class name)
@@ -187,10 +187,6 @@ def poly_degree(poly: DescPoly, surface: Surface) -> int:
     return degs.pop()
 
 
-def is_homogeneous(poly: DescPoly, surface: Surface) -> bool:
-    return len({monomial_degree(m, surface) for m in poly.terms}) <= 1
-
-
 # ---------------------------------------------------------------------------
 # the derivation R_k (and its h-basis variant)
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def apply_R(k: int, D: DescPoly, surface: Surface, plus: bool = False) -> DescPo
 def structure_sheaf_euler(surface: Surface) -> int:
     """chi(O) of the surface, from Noether's formula (K^2 + chi_top)/12."""
     c1 = surface.c1_coeffs()
-    val = Fraction(int(surface.pair(c1, c1)) + surface.n_points, 12)
+    val = Fraction(surface.pair(c1, c1) + surface.n_points, 12)
     if val.denominator != 1:
         raise ValueError(f"non-integral chi(O) = {val}")
     return int(val)

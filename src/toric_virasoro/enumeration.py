@@ -420,7 +420,7 @@ def _r2_pair_correction(surface: Surface, classes: tuple, deltas: tuple) -> int:
     return corr
 
 
-def _r2_closed_c2(surface: Surface, deltas: tuple, tops: tuple, classes: tuple) -> Fraction:
+def _r2_closed_c2(surface: Surface, deltas: tuple, tops: tuple, classes: tuple) -> int:
     """c2 = alpha.beta + (sum over cones of window products) - corrections."""
     nr = len(surface.rays)
     alpha = tuple(
@@ -455,7 +455,7 @@ def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusShe
 
     a = int(surface.name[1:])
     f, z = c1
-    K = 4 * c2 - int(surface.pair(c1, c1))
+    K = 4 * c2 - surface.pair(c1, c1)
     if K <= 0:
         return []
 
@@ -748,12 +748,8 @@ def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple)
 
 
 def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:
-    c1sq = surface.pair(c1, c1)
-    floor = (rank - 1) * c1sq / (2 * rank)
-    out = 0
-    while Fraction(out) < floor:
-        out += 1
-    return out
+    """Smallest c2 >= 0 with c2 >= (r-1) c1^2 / (2r) (Bogomolov)."""
+    return max(0, -(-(rank - 1) * surface.pair(c1, c1) // (2 * rank)))
 
 
 def fixed_locus(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
@@ -811,7 +807,7 @@ def wall_slopes(surface: Surface, rank: int, c1: tuple, c2: int) -> list[Fractio
     if rank != 2:
         raise EnumerationError("walls are computed for rank 2 only")
     a = int(surface.name[1:])
-    K = 4 * c2 - int(surface.pair(c1, c1))
+    K = 4 * c2 - surface.pair(c1, c1)
     if K <= 0:
         return []
     slopes = set()
@@ -861,7 +857,7 @@ def _interior_polarization(surface, rank, c1, lo: Fraction, hi: Fraction) -> tup
         p = lo * q + 1 if (lo * q).denominator == 1 else -(-lo * q // 1)
         while p < hi * q:
             H = (int(p), q)
-            if gcd(int(p), q) == 1 and gcd(rank, int(surface.pair(c1, H))) == 1:
+            if gcd(int(p), q) == 1 and gcd(rank, surface.pair(c1, H)) == 1:
                 return H
             p += 1
         q += 1

@@ -15,16 +15,18 @@ Every number the package certifies is a torus-localization sum
 forms the multiset LCM of the denominators' irreducible factors (never
 their product) and the cofactors ``LCM / e_q``, and :func:`exact_div`
 divides the LCM out one factor at a time, raising :class:`NotDivisible`
-when a quotient does not exist.  :func:`linform_denominator` builds one from
-linear-form weights, making each form's sign canonical first.  There is no
-floating point anywhere.
+when a quotient does not exist.  Denominator factors count only up to
+units (a rational times a monomial): each is replaced by one canonical
+associate, and the unit stays with its term inside the cofactor, so
+``s - t`` and ``t - s`` share one LCM factor.  There is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
@@ -243,49 +245,29 @@ class LaurentPoly:
         Monomials are ordered by complex degree descending, then lexicographic
         descending on (a, b), which matches the bundled reference tables.
         """
-        if not self.coeffs:
-            return "0"
-        keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k), reverse=True)
-        parts: list[str] = []
-        for a, b in keys:
-            c = self.coeffs[(a, b)]
-            vars_ = []
-            if a:
-                vars_.append("s" if a == 1 else f"s^{a}")
-            if b:
-                vars_.append("t" if b == 1 else f"t^{b}")
-            body = "*".join(vars_)
-            if not body:
-                mag = str(abs(c))
-            elif abs(c) == 1:
-                mag = body
-            else:
-                mag = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(mag if c > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(parts)
+        return self._render("{}^{}", "*")
 
     def render_tex(self) -> str:
         """TeX form of :meth:`render`, e.g. ``-s^{2}t + 2st^{-1} + 1``."""
+        return self._render("{}^{{{}}}", "")
+
+    def _render(self, power: str, times: str) -> str:
         if not self.coeffs:
             return "0"
         keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k), reverse=True)
         parts: list[str] = []
         for a, b in keys:
             c = self.coeffs[(a, b)]
-            body = ""
-            if a:
-                body += "s" if a == 1 else f"s^{{{a}}}"
-            if b:
-                body += "t" if b == 1 else f"t^{{{b}}}"
+            vars_ = [
+                var if e == 1 else power.format(var, e) for var, e in (("s", a), ("t", b)) if e
+            ]
+            body = times.join(vars_)
             if not body:
                 mag = str(abs(c))
             elif abs(c) == 1:
                 mag = body
             else:
-                mag = f"{abs(c)}{body}"
+                mag = f"{abs(c)}{times}{body}"
             if not parts:
                 parts.append(mag if c > 0 else f"-{mag}")
             else:
@@ -462,17 +444,42 @@ def _product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
     return out
 
 
+def _associate(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Split a nonzero factor as ``f == unit * g``, ``unit`` a rational monomial.
+
+    ``g`` is the canonical associate: coprime integer coefficients, a
+    positive lex-leading coefficient and, when ``f`` has two or more terms,
+    componentwise-minimal exponent 0.  A one-term factor keeps its monomial
+    (``t`` is no unit in cohomology), so ``2*t`` becomes ``t`` with unit 2.
+    """
+    coeffs = f.coeffs
+    if not coeffs:
+        raise ZeroDivisionError("zero factor in a denominator")
+    a = b = 0
+    if len(coeffs) > 1:
+        a = min(x for x, _y in coeffs)
+        b = min(y for _x, y in coeffs)
+    values = coeffs.values()
+    c = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
+    if coeffs[max(coeffs)] < 0:
+        c = -c
+    return f.shift(-a, -b) * (ONE / c), LaurentPoly.monomial(a, b, c)
+
+
 class CommonDenominator:
     """The least common denominator of fixed-point sums ``sum_q v_q / e_q``.
 
     ``dens[q]`` lists the irreducible one- or two-term factors of ``e_q``,
-    with repeats, and ``signs[q]`` (default 1) a sign, so that
-    ``e_q = signs[q] * prod(dens[q])``.  The instance holds
+    with repeats.  Factors count up to units: each is replaced by its
+    canonical associate (see :func:`_associate`), and the unit, a rational
+    times a monomial, stays with its term.  So ``s - t`` and ``t - s``,
+    ``t`` and ``2*t``, and ``1 - s`` and ``1 - s^-1`` are one LCM factor
+    each.  The instance holds
 
-    * ``factors``: the multiset LCM of the factor lists, in a fixed sorted
-      order (never the product of all denominators);
+    * ``factors``: the multiset LCM of the canonical factor lists, in a
+      fixed sorted order (never the product of all denominators);
     * ``poly``: their product;
-    * ``cofactors``: ``cofactors[q] = poly / e_q``, expanded.
+    * ``cofactors``: ``cofactors[q] = poly / e_q``, expanded, units included.
 
     Then ``sum_q v_q / e_q == numerator(values) / poly`` exactly, and
     :meth:`clear` divides ``poly`` out factor by factor.  A sum over a
@@ -482,20 +489,25 @@ class CommonDenominator:
 
     __slots__ = ("factors", "poly", "cofactors")
 
-    def __init__(self, dens: Iterable[Iterable[LaurentPoly]], signs: Iterable[int] | None = None):
-        counts = [Counter(d) for d in dens]
-        lcm: Counter = Counter()
+    def __init__(self, dens: Iterable[Iterable[LaurentPoly]]):
+        counts, units = [], []
+        for d in dens:
+            count, unit = Counter(), LaurentPoly.one()
+            for f in d:
+                g, u = _associate(f)
+                count[g] += 1
+                unit = unit * u
+            counts.append(count)
+            units.append(unit)
+        lcm_counts: Counter = Counter()
         for c in counts:
-            lcm |= c
-        if any(not f for f in lcm):
-            raise ZeroDivisionError("zero factor in a denominator")
-        order = sorted(lcm, key=lambda f: sorted(f.coeffs.items(), reverse=True))
-        self.factors = tuple(f for f in order for _ in range(lcm[f]))
+            lcm_counts |= c
+        order = sorted(lcm_counts, key=lambda f: sorted(f.coeffs.items(), reverse=True))
+        self.factors = tuple(f for f in order for _ in range(lcm_counts[f]))
         self.poly = _product(self.factors)
-        signs = [1] * len(counts) if signs is None else list(signs)
         self.cofactors = [
-            _product(f for f in order for _ in range(lcm[f] - c[f])) * sign
-            for c, sign in zip(counts, signs, strict=True)
+            _product(f for f in order for _ in range(lcm_counts[f] - c[f])) * unit**-1
+            for c, unit in zip(counts, units)
         ]
 
     def numerator(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -512,28 +524,6 @@ class CommonDenominator:
         for f in self.factors:
             num = exact_div(num, f)
         return num
-
-
-def linform_denominator(weights: Iterable[Iterable[tuple[int, int]]]) -> CommonDenominator:
-    """Common denominator of terms whose ``e_q`` are products of linear forms.
-
-    ``weights[q]`` lists the ``(a, b)`` of the forms ``a*s + b*t`` whose
-    product is ``e_q``, with repeats.  Each form is made lexicographically
-    positive and its sign moved into ``signs[q]``, so ``s - t`` at one point
-    and ``t - s`` at another are one LCM factor.  Cleared values do not
-    depend on this, but without it the LCM carries both forms and every
-    cofactor, numerator and division grows with it.
-    """
-    dens, signs = [], []
-    for ws in weights:
-        forms, sign = [], 1
-        for a, b in ws:
-            if a < 0 or (a == 0 and b < 0):
-                a, b, sign = -a, -b, -sign
-            forms.append(linform((a, b)))
-        dens.append(forms)
-        signs.append(sign)
-    return CommonDenominator(dens, signs)
 
 
 def as_constant(p: LaurentPoly) -> Fraction:

@@ -27,9 +27,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .descendents import Monomial, monomial_degree, parse_monomial
-from .exactalg import LaurentPoly, Rat, parse_laurent
+from .exactalg import LaurentPoly, parse_laurent
 from .localization import Case, make_case
-from .surfaces import surface_by_name
 
 __all__ = [
     "GoldenCase",
@@ -75,7 +74,6 @@ class GoldenCase:
     c2: int
     H: tuple[int, ...]
     dim: int
-    h_printed: bool
     k_rows: tuple[GoldenKRow, ...]
     k_rows_reliable: bool
     integrals: tuple[GoldenIntegralRow, ...]
@@ -132,7 +130,6 @@ def load_case(case_id: str) -> GoldenCase:
         c2=raw["c2"],
         H=tuple(raw["H"]),
         dim=raw["dim"],
-        h_printed=bool(raw.get("h_printed", True)),
         k_rows=k_rows,
         k_rows_reliable=bool(raw.get("k_rows_reliable", True)),
         integrals=tuple(integrals),

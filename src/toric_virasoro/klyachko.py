@@ -17,7 +17,8 @@ From this data the module computes
   the surface, not by per-case closed formulas,
 * slope (in)stability against a polarization, tested on a finite list of
   intersection-dimension *patterns* standing for the destabilizing subspace
-  candidates, and
+  candidates; slopes are compared as integers (``rank * H``-degree against
+  ``dim W * H``-degree), never as fractions, and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactalg import LaurentPoly, Rat, as_constant, char_to_chern
@@ -217,15 +217,6 @@ class Flag:
     def last_position(self) -> int:
         return self.steps[-1][0]
 
-    def jump_sum(self) -> int:
-        """Sum of jump positions counted with dimension multiplicity."""
-        total = 0
-        prev = 0
-        for pos, space in self.steps:
-            total += pos * (space.dim - prev)
-            prev = space.dim
-        return total
-
     def shifted(self, delta: int) -> "Flag":
         return Flag(self.rank, tuple((p + delta, s) for p, s in self.steps))
 
@@ -360,7 +351,7 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     ]
     c1 = _solve_divisor_class(S, dots)
     ch2 = _surface_integral(S, [ch.homogeneous_part(2) for ch in chern])
-    c2 = S.pair(c1, c1) / 2 - ch2
+    c2 = Fraction(S.pair(c1, c1), 2) - ch2
     if c2.denominator != 1:
         raise ValueError(f"non-integral c2 = {c2}")
     return rank, c1, int(c2)
@@ -414,13 +405,13 @@ def _weighted_jump_sum(flag: Flag, dims: Sequence[int]) -> int:
 
 def slope_times_rank(
     sheaf: TorusSheaf, polarization: tuple, dims_per_ray: Sequence[Sequence[int]] | None = None
-) -> Rat:
+) -> int:
     """H-degree of the subsheaf cut out by a dimension pattern (or of E itself).
 
     The degree is minus the weighted sum of jump positions, weighted by the
     H-degrees of the corresponding boundary divisors.
     """
-    total = Fraction(0)
+    total = 0
     for i, flag in enumerate(sheaf.flags):
         deg = sheaf.surface.ray_degree(i, polarization)
         if dims_per_ray is None:

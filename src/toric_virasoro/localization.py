@@ -49,7 +49,6 @@ from .exactalg import (
     Rat,
     exact_div,
     linform,
-    linform_denominator,
     truncated_exp_rat,
 )
 from .surfaces import Surface, surface_by_name
@@ -165,8 +164,9 @@ class Case:
     @cached_property
     def tangent_denominator(self) -> CommonDenominator:
         """LCM and cofactors of the tangent Euler classes, one term per point."""
-        return linform_denominator(
-            [w for w, c in tangent for _ in range(int(c))] for tangent in self.tangents()
+        return CommonDenominator(
+            [linform(w) for w, c in tangent for _ in range(int(c))]
+            for tangent in self.tangents()
         )
 
     def scaffold(self):

@@ -25,6 +25,10 @@ Conventions (fixed once, consistently with the bundled reference tables):
 Numerical integrals computed downstream are independent of these lift
 choices; fixing them just makes every intermediate value reproducible.
 
+Divisor classes are integer vectors in the basis and the intersection form
+is integral, so intersection numbers (``pair``, ``ray_degree``, ``vdim``)
+are plain ``int``s.
+
 Fixed points are listed in the column order of the bundled tables:
 on ``P2`` the cones are (ray1, ray2), (ray2, ray3), (ray3, ray1) for rays
 (1,0), (0,1), (-1,-1); on ``F<a>`` the rays are v1=(1,0), v2=(0,-1),
@@ -34,10 +38,9 @@ v3=(-1,a), v4=(0,1) and the cones are (v1,v4), (v1,v2), (v2,v3), (v3,v4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import CommonDenominator, LaurentPoly, Rat, linform, linform_denominator
+from .exactalg import CommonDenominator, LaurentPoly, linform
 
 Vec = tuple[int, int]
 
@@ -107,8 +110,8 @@ class Surface:
         # the two fixed-point sums on the surface, one term per point:
         # cohomology over the tangent Euler classes, K-theory over
         # prod(1 - chi^w) for the chart characters w
-        self.tangent_denominator = linform_denominator(
-            p.tangent_weights for p in self.points
+        self.tangent_denominator = CommonDenominator(
+            [linform(w) for w in p.tangent_weights] for p in self.points
         )
         self.character_denominator = CommonDenominator(
             [LaurentPoly.one() - char_monomial(w) for w in p.duals] for p in self.points
@@ -134,27 +137,20 @@ class Surface:
     def picard_rank(self) -> int:
         return len(self.divisor_names)
 
-    def pair(self, c: tuple, d: tuple) -> Rat:
-        """Intersection number of two divisor classes in the chosen basis."""
-        total = Fraction(0)
-        for i, ci in enumerate(c):
-            for j, dj in enumerate(d):
-                if ci and dj:
-                    total += Fraction(ci) * Fraction(dj) * self.intersection[i][j]
-        return total
+    def pair(self, c: tuple, d: tuple) -> int:
+        """Intersection number of two integral divisor classes in the basis."""
+        return sum(
+            ci * dj * self.intersection[i][j]
+            for i, ci in enumerate(c)
+            for j, dj in enumerate(d)
+        )
 
-    def degree(self, divisor: tuple, polarization: tuple) -> Rat:
-        return self.pair(divisor, polarization)
-
-    def ray_degree(self, ray_index: int, polarization: tuple) -> Rat:
+    def ray_degree(self, ray_index: int, polarization: tuple) -> int:
         return self.pair(self.ray_classes[ray_index], polarization)
 
-    def vdim(self, rank: int, c1: tuple, c2) -> int:
+    def vdim(self, rank: int, c1: tuple, c2: int) -> int:
         """Expected dimension 2*r*c2 - (r-1)*c1^2 - (r^2-1) of the moduli space."""
-        val = 2 * rank * Fraction(c2) - (rank - 1) * self.pair(c1, c1) - (rank**2 - 1)
-        if val.denominator != 1:
-            raise ValueError(f"non-integral expected dimension {val}")
-        return int(val)
+        return 2 * rank * c2 - (rank - 1) * self.pair(c1, c1) - (rank**2 - 1)
 
     # -- equivariant lifts ------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import toric_virasoro
 from toric_virasoro.cli import main
 
 
@@ -114,6 +118,38 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c2", 2.9), ("delta", [1.5, 1]), ("rank", True), ("H", [2, "5x"]),
+         ("delta", 1), ("surface", 0)],
+    )
+    def test_malformed_config_value_is_config_error(self, capsys, tmp_path, field, value):
+        # a truncating int() would quietly run c2 = 2.9 as c2 = 2; a wrong
+        # shape must not crash with a traceback and the "check failed" code
+        raw = {"surface": "f0", "r": 2, "delta": [1, 1], "c2": 2, "H": [2, 5]}
+        raw["r" if field == "rank" else field] = value
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(raw))
+        code, out = run(capsys, "enumerate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", *("--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2"),
+             "--H", "2,5", "--cap", "1"),
+            ("enumerate", *("--surface", "p2", "--r", "2", "--delta", "1", "--c2", "1"),
+             "--jobs", "2"),
+        ],
+    )
+    def test_removed_options_are_rejected(self, capsys, argv):
+        # the series cap is derived (vdim + 2), and enumerate runs in one process
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",
@@ -192,3 +228,19 @@ def test_output_matches_recorded_transcript(capsys, transcript):
     code, out = run(capsys, *TRANSCRIPTS[transcript])
     assert code == 0
     assert out == (TRANSCRIPT_DIR / transcript).read_text()
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+@pytest.mark.parametrize(
+    "transcript", ["enumerate-f0-r2-all-chambers.txt", "walls-f0-r2-c2-2.txt"]
+)
+def test_output_does_not_depend_on_hash_seed(seed, transcript):
+    # set iteration order steers the search, so run in a fresh interpreter
+    src = str(Path(toric_virasoro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_virasoro.cli", *TRANSCRIPTS[transcript]],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == (TRANSCRIPT_DIR / transcript).read_text()

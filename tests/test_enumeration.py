@@ -6,6 +6,7 @@ import pytest
 
 from toric_virasoro.enumeration import (
     EnumerationError,
+    _bogomolov_floor,
     chamber_representatives,
     enumerate_bundles,
     fixed_locus_cached,
@@ -144,3 +145,22 @@ class TestConsistency:
     def test_unsupported_rank_raises(self):
         with pytest.raises(EnumerationError, match="unsupported"):
             enumerate_bundles(surface_by_name("f0"), 3, (1, 0), 2, (2, 5))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize(
+    "surface, c1",
+    [
+        ("p2", (0,)), ("p2", (1,)), ("p2", (2,)), ("p2", (-3,)),
+        ("f0", (1, 0)), ("f0", (1, 1)), ("f0", (3, 2)),
+        ("f1", (0, 1)), ("f1", (1, 1)), ("f1", (0, 3)),
+        ("f2", (0, 1)), ("f2", (3, 1)),
+    ],
+)
+def test_bogomolov_floor_is_smallest_admissible_c2(rank, surface, c1):
+    # smallest c2 >= 0 with 2*r*c2 >= (r-1)*c1^2; c1^2 is negative, zero and
+    # positive across the parameters (f1 with c1 = Z has c1^2 = -1)
+    srf = surface_by_name(surface)
+    c1sq = srf.pair(c1, c1)
+    brute = next(n for n in range(100) if 2 * rank * n >= (rank - 1) * c1sq)
+    assert _bogomolov_floor(srf, rank, c1) == brute

@@ -16,7 +16,6 @@ from toric_virasoro.exactalg import (
     char_to_chern,
     exact_div,
     linform,
-    linform_denominator,
     parse_laurent,
     truncated_exp,
     truncated_exp_rat,
@@ -42,6 +41,23 @@ def product(factors) -> LaurentPoly:
     for f in factors:
         out = out * f
     return out
+
+
+def linforms(weights) -> list[list[LaurentPoly]]:
+    """Denominator factor lists of linear forms a*s + b*t, one list per term."""
+    return [[linform(w) for w in ws] for ws in weights]
+
+
+def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """Whether f == u * g for a unit u: a rational, times a monomial when the
+    factors have two or more terms (a lone ``t`` is no unit in cohomology)."""
+    if len(f) != len(g):
+        return False
+    (fa, fb), fc = max(f.coeffs.items())
+    (ga, gb), gc = max(g.coeffs.items())
+    if len(f) == 1 and (fa, fb) != (ga, gb):
+        return False
+    return f == g.shift(fa - ga, fb - gb) * (fc / gc)
 
 
 class TestRing:
@@ -167,7 +183,7 @@ class TestCommonDenominator:
 
     def test_cohomological_cancellation(self):
         # 1/(s - t) + 1/(t - s): the sign-flipped forms share one LCM factor
-        den = linform_denominator([[(1, -1)], [(-1, 1)]])
+        den = CommonDenominator(linforms([[(1, -1)], [(-1, 1)]]))
         assert den.factors == (linform((1, -1)),)
         assert den.cofactors == [LaurentPoly.one(), -LaurentPoly.one()]
         one = LaurentPoly.one()
@@ -179,7 +195,9 @@ class TestCommonDenominator:
     def test_sum_and_clear_by_hand(self):
         # t/(s(s+t)) + s/(t(s+t)) - (s^2+t^2)/(st(s+t)) = 0; the LCM is
         # st(s+t), not the product of the three denominators
-        den = linform_denominator([[(1, 0), (1, 1)], [(0, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)]])
+        den = CommonDenominator(
+            linforms([[(1, 0), (1, 1)], [(0, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)]])
+        )
         assert den.poly == parse_laurent("s^2*t + s*t^2")
         assert len(den.factors) == 3
         values = [parse_laurent("t"), parse_laurent("s"), parse_laurent("-s^2 - t^2")]
@@ -193,8 +211,8 @@ class TestCommonDenominator:
         assert den.clear([]) == LaurentPoly.zero()
 
     def test_factor_order_is_sorted_not_input_order(self):
-        forward = linform_denominator([[(1, 1), (0, 1)], [(1, -1), (1, 0)]])
-        backward = linform_denominator([[(1, 0), (1, -1)], [(0, 1), (1, 1)]])
+        forward = CommonDenominator(linforms([[(1, 1), (0, 1)], [(1, -1), (1, 0)]]))
+        backward = CommonDenominator(linforms([[(1, 0), (1, -1)], [(0, 1), (1, 1)]]))
         assert forward.factors == backward.factors
 
     def test_zero_factor_rejected(self):
@@ -216,10 +234,7 @@ class TestCommonDenominator:
         raw = [list(ws) for ws in raw]
         raw[0].append(g)
         raw.append([g])
-        if kind == "linear":
-            den = linform_denominator(raw)
-        else:
-            den = CommonDenominator([[kfactor(w) for w in ws] for ws in raw])
+        den = CommonDenominator([[factor(w) for w in ws] for ws in raw])
         es = [product(factor(w) for w in ws) for ws in raw]
         assert den.poly == product(den.factors)
         for e, co in zip(es, den.cofactors):
@@ -233,6 +248,48 @@ class TestCommonDenominator:
             broken[drop] = LaurentPoly.zero()
             with pytest.raises(NotDivisible):
                 den.clear(broken)
+
+    def test_associates_share_one_factor(self):
+        # s - t / t - s, t / 2*t and 1 - s / 1 - s^-1 differ by units only
+        for f, g in (("s - t", "t - s"), ("t", "2*t"), ("1 - s", "1 - s^-1")):
+            f, g = parse_laurent(f), parse_laurent(g)
+            den = CommonDenominator([[f], [g]])
+            assert len(den.factors) == 1
+            assert den.clear([f, g]) == LaurentPoly.const(2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nonzero_lpolys,
+        st.lists(st.lists(weights, max_size=3), min_size=1, max_size=4),
+        st.sampled_from(["linear", "character"]),
+        st.data(),
+    )
+    def test_factors_are_defined_up_to_units(self, P, raw, kind, data):
+        # multiplying every factor by a unit (a sign, a small integer and, for
+        # factors with two or more terms, a monomial) changes neither the LCM
+        # nor the cleared value; the unit moves into the term's cofactor
+        factor = linform if kind == "linear" else kfactor
+        plain = [[factor(w) for w in ws] for ws in raw]
+        units = st.tuples(
+            st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-2, 2), st.integers(-2, 2)
+        )
+
+        def scaled(f):
+            c, a, b = data.draw(units)
+            return f.shift(a, b) * c if len(f) > 1 else f * c
+
+        dressed = [[scaled(f) for f in fs] for fs in plain]
+        den, ref = CommonDenominator(dressed), CommonDenominator(plain)
+        assert den.factors == ref.factors
+        distinct = list(dict.fromkeys(den.factors))
+        for i, f in enumerate(distinct):
+            assert not any(associates(f, g) for g in distinct[i + 1:])
+        es = [product(fs) for fs in dressed]
+        for e, co in zip(es, den.cofactors):
+            assert co * e == den.poly
+        values = [P * e for e in es]
+        assert den.clear(values) == P * len(es)
+        assert den.clear(values) == ref.clear([P * product(fs) for fs in plain])
 
     def test_as_constant(self):
         assert as_constant(LaurentPoly.const(Fraction(7, 3))) == Fraction(7, 3)

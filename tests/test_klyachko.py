@@ -13,6 +13,7 @@ from toric_virasoro.klyachko import (
     degeneration_children,
     degeneration_colength,
     bundle_from_flags,
+    _weighted_jump_sum,
 )
 from toric_virasoro.surfaces import surface_by_name
 
@@ -73,8 +74,9 @@ class TestFlag:
     def test_jump_sum_and_shift(self):
         line = Subspace.span(2, [[1, 0]])
         flag = Flag(2, ((1, line), (4, Subspace.full(2))))
-        assert flag.jump_sum() == 1 + 4
-        assert flag.shifted(2).jump_sum() == 3 + 6
+        own_dims = [1, 2]
+        assert _weighted_jump_sum(flag, own_dims) == 1 + 4
+        assert _weighted_jump_sum(flag.shifted(2), own_dims) == 3 + 6
 
 
 class TestSheaves:

@@ -36,6 +36,15 @@ class TestTangentsAndEuler:
             broken.euler_classes()
 
 
+    def test_tangent_denominator_merges_associate_weights(self, case_of):
+        # t and 2*t (or s - t and t - s) are one LCM factor: 21 factors, not
+        # the 27 that scalar multiples kept apart would give
+        _, case, _ = case_of("p2-r2-c2-3")
+        den = case.tangent_denominator
+        assert len(den.factors) == 21
+        assert sum(len(co) for co in den.cofactors) == 504
+
+
 class TestRealizedSymbols:
     @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
     def test_index_zero_realizes_minus_rank_times_point_count(self, case_of, case_id):

@@ -68,6 +68,25 @@ def test_intersection_pairing():
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_intersection_numbers_are_ints(name):
+    srf = surface_by_name(name)
+    classes = [(1,), (-2,), (0,)] if name == "p2" else [(1, 0), (0, 1), (3, -2), (0, 0)]
+    for c in classes:
+        for d in classes:
+            assert type(srf.pair(c, d)) is int
+        assert type(srf.vdim(2, c, 3)) is int
+    assert all(type(srf.ray_degree(i, classes[0])) is int for i in range(len(srf.rays)))
+
+
+@pytest.mark.parametrize("name, count", [("p2", 3), ("f0", 2), ("f1", 3), ("f2", 3)])
+def test_character_denominator_keeps_one_factor_per_associate_pair(name, count):
+    # 1 - chi^w and 1 - chi^-w are associates, so each chart character's
+    # factor appears once although every character occurs at two points
+    srf = surface_by_name(name)
+    assert len(srf.character_denominator.factors) == count
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_divisor_lifts_reproduce_pairing(name):
     # integral over the surface of a product of two lifted divisor classes,
     # computed by localization, equals the intersection number
