@@ -20,6 +20,10 @@ determinant pairing, polarization on a wall); 3 internal inconsistency
 The environment variable ``TORIC_VIRASORO_JOBS`` (or ``verify --jobs``) sets
 the number of worker processes for ``verify --case``/``--all``; reports are
 merged in case order, so the output is byte-identical for any job count.
+A ``--surface``/``--config`` run is one process: ``verify --jobs`` there is
+a configuration error, and the environment variable is not read.  A
+``--config`` JSON file may hold only the keys ``surface``, ``rank`` (or
+``r``), ``delta``, ``c2`` and ``H``; any other key is a configuration error.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 _SUPPORTED = ("p2", "f0", "f1", "f2")
+_CONFIG_KEYS = ("surface", "rank", "r", "delta", "c2", "H")
 
 
 class ConfigError(ValueError):
@@ -198,6 +203,12 @@ def _config_from_args(args) -> CaseConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))};"
+                f" expected {', '.join(_CONFIG_KEYS)}"
+            )
         merged.update({key: raw.get(key) for key in merged}, rank=raw.get("rank", raw.get("r")))
     flags = dict(surface=args.surface, rank=args.r, delta=args.delta, c2=args.c2, H=args.H)
     merged.update({key: value for key, value in flags.items() if value is not None})
@@ -379,6 +390,10 @@ def cmd_verify(args) -> int:
         else:
             summaries = [_verify_bundled(cid) for cid in ids]
     else:
+        if args.jobs is not None:
+            raise ConfigError(
+                "--jobs applies to --case/--all; a --surface/--config run is one process"
+            )
         cfg = _config_from_args(args)
         fmt = cfg.fmt
         summaries = [
@@ -554,7 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--case", help="bundled case id (see dump-golden)")
     ver.add_argument("--all", action="store_true", help="verify every bundled case")
     ver.add_argument(
-        "--jobs", type=int, help="processes for --case/--all (default $TORIC_VIRASORO_JOBS or 1)"
+        "--jobs",
+        type=int,
+        help="processes for --case/--all (default $TORIC_VIRASORO_JOBS or 1);"
+        " refused with --surface/--config",
     )
     _add_config_flags(ver)
     ver.set_defaults(func=cmd_verify)

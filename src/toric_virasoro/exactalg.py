@@ -18,7 +18,18 @@ divides the LCM out one factor at a time, raising :class:`NotDivisible`
 when a quotient does not exist.  Denominator factors count only up to
 units (a rational times a monomial): each is replaced by one canonical
 associate, and the unit stays with its term inside the cofactor, so
-``s - t`` and ``t - s`` share one LCM factor.  There is no floating point
+``s - t`` and ``t - s`` share one LCM factor.
+
+Fixed-point sums of cohomology classes are homogeneous, so the integration
+kernel keeps them at ``s = 1`` as integer coefficient lists
+(:func:`dehomogenize`, :func:`integer_rows`) and multiplies them by
+Kronecker substitution: :func:`pack` evaluates a list at ``t = 2^W``, one
+bigint product stands for a polynomial product, and :func:`unpack` reads the
+signed ``W``-bit slots back.  Decoding is exact when every coefficient of
+the result is below ``2^(W-1)`` in absolute value, which the caller ensures
+by choosing ``W`` above an l1 bound (``||f||_1`` is the sum of the absolute
+coefficients): every coefficient of ``f g`` is at most ``||f||_1 ||g||_1``
+in absolute value, and norms of sums add.  There is no floating point
 anywhere.
 """
 
@@ -27,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rat = Fraction
 
@@ -524,6 +535,76 @@ class CommonDenominator:
         for f in self.factors:
             num = exact_div(num, f)
         return num
+
+
+# ---------------------------------------------------------------------------
+# homogeneous polynomials over the integers, Kronecker-packed
+# ---------------------------------------------------------------------------
+
+
+def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:
+    """The coefficients of ``p`` at ``s = 1``: ``out[j]`` belongs to ``s^(deg-j) t^j``.
+
+    ``p`` must be a polynomial homogeneous of degree ``deg`` (or zero), so
+    setting ``s = 1`` loses nothing while ``deg`` is kept; a negative
+    exponent or a term of another degree raises :class:`NotDivisible`.
+    """
+    out = [ZERO] * (deg + 1)
+    for (a, b), c in p.coeffs.items():
+        if a < 0 or b < 0 or a + b != deg:
+            raise NotDivisible(
+                f"{p.render()} is not a polynomial homogeneous of degree {deg}"
+            )
+        out[b] = c
+    return out
+
+
+def homogenize(coeffs: Iterable[int], deg: int, scale: int) -> LaurentPoly:
+    """Inverse of :func:`dehomogenize`, with every coefficient divided by ``scale``."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = {(deg - j, j): Fraction(c, scale) for j, c in enumerate(coeffs) if c}
+    return out
+
+
+def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(L, [L * row for row in rows])``, ``L`` the least common denominator."""
+    rows = [list(row) for row in rows]
+    scale = lcm(1, *(c.denominator for row in rows for c in row))
+    return scale, [[int(c * scale) for c in row] for row in rows]
+
+
+def pack(coeffs: Sequence[int], width: int) -> int:
+    """Kronecker substitution: ``sum_j coeffs[j] * 2^(width * j)``.
+
+    Substituting ``t = 2^width`` is a ring map, so the packed value of a
+    product or sum of polynomials is the product or sum of packed values;
+    one bigint multiplication replaces a polynomial product.
+    """
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def unpack(value: int, width: int, count: int) -> list[int]:
+    """The ``count`` signed ``width``-bit slots of a packed polynomial.
+
+    Exact when every coefficient is below ``2^(width-1)`` in absolute value
+    (the l1 bound in the module docstring ensures it).  A value left over
+    after ``count`` slots means the nominal degree was wrong; it raises
+    ``OverflowError``.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        c = value & mask
+        if c >= half:
+            c -= 1 << width
+        out.append(c)
+        value = (value - c) >> width
+    if value:
+        raise OverflowError(f"packed value carries past slot {count}")
+    return out
 
 
 def as_constant(p: LaurentPoly) -> Fraction:

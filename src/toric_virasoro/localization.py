@@ -17,7 +17,17 @@ the moduli one once per case.
   restrictions, summed over the surface's ``tangent_denominator``;
 * ``integrate`` sums over the case's ``tangent_denominator`` (the LCM of the
   moduli tangent Euler classes), certifies that the sum clears (the
-  localization consistency check), and evaluates at the origin.
+  localization consistency check), and evaluates at the origin.  It works
+  over the integers: every realized value, cofactor and the LCM is
+  homogeneous, so each is kept at ``s = 1`` as an integer list with one
+  common scale, and a monomial's cleared numerator
+  ``sum_q cofactor_q * prod_i v_iq`` is one exact bigint sum of
+  Kronecker-packed products (:func:`~toric_virasoro.exactalg.pack`), with a
+  slot width set by an l1 bound so that decoding it is exact.  Below the
+  moduli dimension the numerator must vanish; at it, it must be a constant
+  times the LCM, checked slot by slot; above it (a value that must be 0)
+  the numerator is divided by every LCM factor with
+  :func:`~toric_virasoro.exactalg.exact_div`.
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
 ``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it
@@ -40,6 +50,7 @@ from .descendents import (
     monomial_basis,
     monomial_degree,
     render_monomial,
+    symbol_degree,
 )
 from .enumeration import fixed_locus_cached
 from .exactalg import (
@@ -47,9 +58,14 @@ from .exactalg import (
     LaurentPoly,
     NotDivisible,
     Rat,
+    dehomogenize,
     exact_div,
+    homogenize,
+    integer_rows,
     linform,
+    pack,
     truncated_exp_rat,
+    unpack,
 )
 from .surfaces import Surface, surface_by_name
 
@@ -139,6 +155,8 @@ class Case:
         self._tangents: list[LaurentPoly] | None = None
         self._series: dict[tuple[int, int], LaurentPoly] = {}
         self._symbols: dict[tuple[int, str], tuple[LaurentPoly, ...]] = {}
+        self._int_symbols: dict[tuple[int, str], tuple] = {}
+        self._packs: dict[tuple, tuple[int, ...]] = {}
         self._integrals: dict[Monomial, Fraction] = {}
         self.certified_clearings = 0
 
@@ -213,7 +231,7 @@ class Case:
                 )
                 return self._symbols[key]
             surface = self.surface
-            sdeg = i + surface.class_degree(name) - 2
+            sdeg = symbol_degree(key, surface)
             lifts = [surface.class_lift(name, p) for p in surface.points]
             zero = LaurentPoly.zero()
             values = []
@@ -233,14 +251,36 @@ class Case:
             self._symbols[key] = tuple(values)
         return self._symbols[key]
 
-    def realize_monomial(self, mono: Monomial) -> tuple[LaurentPoly, ...]:
-        values = [LaurentPoly.one()] * self.n_points
-        for i, name in mono:
-            sym = self.realize_symbol(i, name)
-            values = [v * s for v, s in zip(values, sym)]
-        return tuple(values)
-
     # -- exact integration ----------------------------------------------------
+
+    @cached_property
+    def _integer_denominator(self) -> tuple[int, list[list[int]], list[int], list[int]]:
+        """``(L, cofactors, norms, poly)``: :attr:`tangent_denominator` at s = 1 over ZZ.
+
+        ``L`` is the least common denominator of the cofactors and the LCM
+        polynomial, both scaled by it; ``norms`` are the cofactors' l1 norms.
+        """
+        den = self.tangent_denominator
+        n = len(den.factors)
+        scale, rows = integer_rows(
+            [*(dehomogenize(co, n - self.vdim) for co in den.cofactors), dehomogenize(den.poly, n)]
+        )
+        cofactors = rows[:-1]
+        return scale, cofactors, [sum(map(abs, co)) for co in cofactors], rows[-1]
+
+    def _integer_symbol(self, sym: tuple[int, str]) -> tuple[int, list[list[int]], list[int]]:
+        """``(S, values, norms)``: :meth:`realize_symbol` at s = 1, scaled by S to ZZ."""
+        if sym not in self._int_symbols:
+            sdeg = symbol_degree(sym, self.surface)
+            scale, rows = integer_rows(dehomogenize(v, sdeg) for v in self.realize_symbol(*sym))
+            self._int_symbols[sym] = (scale, rows, [sum(map(abs, row)) for row in rows])
+        return self._int_symbols[sym]
+
+    def _packed(self, key, rows: list[list[int]], width: int) -> tuple[int, ...]:
+        """The per-point integer polynomials ``rows`` packed ``width`` bits a slot."""
+        if (key, width) not in self._packs:
+            self._packs[key, width] = tuple(pack(row, width) for row in rows)
+        return self._packs[key, width]
 
     def integrate_monomial(self, mono: Monomial) -> Fraction:
         mono = tuple(sorted(mono))
@@ -249,41 +289,63 @@ class Case:
         if self.n_points == 0:
             result = _ZERO
         else:
-            result = self._integrate_values(
-                self.realize_monomial(mono), monomial_degree(mono, self.surface)
-            )
+            result = self._integrate(mono, monomial_degree(mono, self.surface))
         self._integrals[mono] = result
         return result
 
-    def _integrate_values(self, values: Sequence[LaurentPoly], deg: int) -> Fraction:
-        den = self.tangent_denominator
-        lcm_poly = den.poly
-        num = den.numerator(values)
+    def _integrate(self, mono: Monomial, deg: int) -> Fraction:
+        """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin.
+
+        The cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is formed as
+        one bigint sum of Kronecker-packed products; its slot width is set by
+        the l1 bound ``sum_q ||cofactor_q|| * prod_i ||v_iq||``, which bounds
+        every coefficient, so decoding it is exact.
+        """
+        den_scale, cofactors, co_norms, poly = self._integer_denominator
+        symbols = [self._integer_symbol(sym) for sym in mono]
+        scale, bounds = 1, list(co_norms)
+        for sym_scale, _rows, norms in symbols:
+            bounds = [b * n for b, n in zip(bounds, norms)]
+            scale *= sym_scale
+        width = 64 * (sum(bounds).bit_length() // 64 + 1)  # a sign bit above the bound
+        packed = [self._packed("cofactors", cofactors, width)]
+        packed += [self._packed(sym, rows, width) for sym, (_s, rows, _n) in zip(mono, symbols)]
+        num = 0
+        for q, bound in enumerate(bounds):
+            if bound:  # no value of the monomial vanishes at q
+                term = 1
+                for values in packed:
+                    term *= values[q]
+                num += term
         if not num:
             return _ZERO
+        top = len(poly) - 1 - self.vdim + deg  # nominal degree of the numerator
+        slots = unpack(num, width, top + 1)
+        if deg == self.vdim:
+            # the cleared quotient is a constant c: certify num == c * lcm
+            b0 = next(j for j, c in enumerate(poly) if c)
+            n0, l0 = slots[b0], poly[b0]
+            if any(n * l0 != l * n0 for n, l in zip(slots, poly)):
+                raise NotDivisible(
+                    "fixed-point sum does not clear to a constant; the fixed"
+                    " locus or tangent data is inconsistent"
+                )
+            self.certified_clearings += 1
+            return Fraction(n0, l0 * scale)  # den_scale cancels: poly is scaled too
+        num = homogenize(slots, top, den_scale * scale)
         if deg < self.vdim:
             # degree reasons force the cleared sum to vanish identically
             raise NotDivisible(
                 f"fixed-point sum of a degree-{deg} class on a {self.vdim}-"
                 f"dimensional space failed to cancel: {num.render()}"
             )
-        if deg == self.vdim:
-            # the cleared quotient is a constant c: certify num == c * lcm
-            lead = max(lcm_poly.coeffs)
-            c = num.coeff(*lead) / lcm_poly.coeff(*lead)
-            if num != lcm_poly * c:
-                raise NotDivisible(
-                    "fixed-point sum does not clear to a constant; the fixed"
-                    " locus or tangent data is inconsistent"
-                )
-            self.certified_clearings += 1
-            return c
         # degree above vdim: divide out every factor, then evaluate at 0
-        for factor in den.factors:
+        for factor in self.tangent_denominator.factors:
             num = exact_div(num, factor)
         self.certified_clearings += 1
         for (a, b) in num.coeffs:
             if a < 0 or b < 0:
+                # exact_div by a monomial factor such as t always succeeds
                 raise NotDivisible("cleared sum is not polynomial")
         return num.constant_term()
 

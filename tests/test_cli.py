@@ -150,6 +150,42 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, raw, key",
+        [
+            # a leftover key once printed PASS; a misspelt one silently ran H = (1)
+            ("verify", {"surface": "f0", "r": 2, "delta": [1, 1], "c2": 2, "H": [2, 5],
+                        "cap": 1}, "'cap'"),
+            ("enumerate", {"surface": "p2", "r": 2, "delta": [1], "c2": 1, "h": [3]}, "'h'"),
+        ],
+    )
+    def test_unknown_config_key_is_config_error(self, capsys, tmp_path, command, raw, key):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(raw))
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown key(s) " + key in captured.err
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_jobs_on_a_configured_run_is_config_error(self, capsys, tmp_path, source):
+        # only --case/--all run in a process pool
+        if source == "flags":
+            argv = ["verify", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2",
+                    "--H", "2,5"]
+        else:
+            cfg = tmp_path / "case.json"
+            cfg.write_text(json.dumps(
+                {"surface": "f0", "r": 2, "delta": [1, 1], "c2": 2, "H": [2, 5]}
+            ))
+            argv = ["verify", "--config", str(cfg)]
+        code = main([*argv, "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--jobs applies to --case/--all" in captured.err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",
@@ -216,6 +252,7 @@ TRANSCRIPTS = {
     "verify-f0-FZ-c2-2-H2F5Z.txt": _VERIFY,
     "verify-f0-FZ-c2-2-H2F5Z.json.txt": (*_VERIFY, "--format", "json"),
     "verify-f0-FZ-c2-2-H2F5Z.md.txt": (*_VERIFY, "--format", "markdown"),
+    "verify-p2-r2-c2-3.txt": ("verify", "--case", "p2-r2-c2-3"),
     "enumerate-f0-r2-all-chambers.txt": ("enumerate", *_F0_R2, "--H", "all-chambers"),
     "enumerate-p2-r2-c2-2.md.txt": ("enumerate", *_P2_R2, "--format", "markdown"),
     "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),

@@ -14,11 +14,16 @@ from toric_virasoro.exactalg import (
     as_constant,
     assert_polynomial,
     char_to_chern,
+    dehomogenize,
     exact_div,
+    homogenize,
+    integer_rows,
     linform,
+    pack,
     parse_laurent,
     truncated_exp,
     truncated_exp_rat,
+    unpack,
 )
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -301,3 +306,45 @@ class TestCommonDenominator:
         assert_polynomial(parse_laurent("s*t + 3"))
         with pytest.raises(ValueError):
             assert_polynomial(parse_laurent("s^-1"))
+
+
+class TestKroneckerPacking:
+    @settings(deadline=None)
+    @given(st.sampled_from([64, 128, 192]), st.data())
+    def test_pack_unpack_round_trip_at_the_slot_limit(self, width, data):
+        top = (1 << (width - 1)) - 1
+        slot = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
+        coeffs = data.draw(st.lists(slot, max_size=12))
+        assert unpack(pack(coeffs, width), width, len(coeffs)) == coeffs
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=6), st.lists(st.integers(-50, 50), max_size=6))
+    def test_packed_product_is_the_polynomial_product(self, f, g):
+        width = 64  # |coefficient| <= ||f||_1 * ||g||_1 < 2^63
+        prod = [0] * max(len(f) + len(g) - 1, 0)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        assert unpack(pack(f, width) * pack(g, width), width, len(prod)) == prod
+
+    def test_carry_past_the_last_slot_is_refused(self):
+        with pytest.raises(OverflowError):
+            unpack(pack([1, 2, 3], 64), 64, 2)
+        with pytest.raises(OverflowError):
+            unpack(1 << 63, 64, 1)  # does not fit one signed 64-bit slot
+
+    def test_dehomogenize_round_trip(self):
+        p = parse_laurent("3/2*s^2*t - t^3 + 5*s^3")
+        assert dehomogenize(p, 3) == [5, Fraction(3, 2), 0, -1]
+        assert homogenize([10, 3, 0, -2], 3, 2) == p
+        assert dehomogenize(LaurentPoly.zero(), -2) == []
+
+    @pytest.mark.parametrize("text, deg", [("s^-1*t^2", 1), ("s*t + t", 2), ("s^2", 1)])
+    def test_dehomogenize_refuses_what_is_not_homogeneous_of_the_degree(self, text, deg):
+        with pytest.raises(NotDivisible):
+            dehomogenize(parse_laurent(text), deg)
+
+    def test_integer_rows_share_one_least_common_denominator(self):
+        rows = [[Fraction(1, 4), Fraction(-2, 3)], [], [Fraction(5)]]
+        assert integer_rows(rows) == (12, [[3, -8], [], [60]])
+        assert integer_rows([]) == (1, [])

@@ -3,13 +3,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toric_virasoro.descendents import monomial_basis, parse_monomial
-from toric_virasoro.exactalg import LaurentPoly, NotDivisible, parse_laurent
+from toric_virasoro.descendents import monomial_basis, monomial_degree, parse_monomial
+from toric_virasoro.exactalg import (
+    CommonDenominator,
+    LaurentPoly,
+    NotDivisible,
+    exact_div,
+    linform,
+    parse_laurent,
+)
 from toric_virasoro.localization import Case, TrivialWeight, verify_conjecture
 from toric_virasoro.surfaces import surface_by_name
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class TestTangentsAndEuler:
@@ -120,3 +130,155 @@ class TestCertificates:
         assert dropped.n_points == case.n_points - 1
         with pytest.raises(NotDivisible):
             dropped.integrate_monomial(parse_monomial("ch_2(F)^2"))
+
+
+def oracle_integral(case, mono):
+    """The Fraction reference path: realized products cleared by ``numerator``.
+
+    The integer kernel of ``Case.integrate_monomial`` must agree with it on
+    every value and on every ``NotDivisible`` (with the same message).
+    """
+    den = case.tangent_denominator
+    values = [LaurentPoly.one()] * case.n_points
+    for i, name in mono:
+        values = [v * w for v, w in zip(values, case.realize_symbol(i, name))]
+    deg = monomial_degree(mono, case.surface)
+    num = den.numerator(values)
+    if not num:
+        return ZERO
+    if deg < case.vdim:
+        raise NotDivisible(
+            f"fixed-point sum of a degree-{deg} class on a {case.vdim}-"
+            f"dimensional space failed to cancel: {num.render()}"
+        )
+    if deg == case.vdim:
+        lead = max(den.poly.coeffs)
+        c = num.coeff(*lead) / den.poly.coeff(*lead)
+        if num != den.poly * c:
+            raise NotDivisible(
+                "fixed-point sum does not clear to a constant; the fixed"
+                " locus or tangent data is inconsistent"
+            )
+        return c
+    for factor in den.factors:
+        num = exact_div(num, factor)
+    if any(a < 0 or b < 0 for a, b in num.coeffs):
+        raise NotDivisible("cleared sum is not polynomial")
+    return num.constant_term()
+
+
+def _outcome(integral, case, mono):
+    try:
+        return integral(case, mono)
+    except NotDivisible as exc:
+        return ("NotDivisible", str(exc))
+
+
+def lagrange_case(weights, scalars, perturb):
+    """A case whose fixed points are the distinct linear forms ``w_q``.
+
+    The tangent Euler class at ``q`` is ``prod_{r != q} (w_q - w_r)`` and the
+    symbol ``ch_k(p)`` (of degree k) realizes to ``scalars[k] * w_q^k``, so
+    ``sum_q prod_i c_i w_q^(k_i) / e_q`` is ``prod_i c_i`` times the complete
+    homogeneous polynomial of degree ``sum_i k_i - n + 1`` in the ``w_q``:
+    zero below ``vdim = n - 1``, a constant at it and a polynomial above it.
+    ``perturb = (k, q, delta)`` adds ``delta * (s^k + t^k)`` to one value,
+    which breaks the clearing unless the monomial avoids ``ch_k(p)``; being
+    divisible by neither ``s`` nor ``t``, it also breaks one-term factors.
+    """
+    n = len(weights)
+    forms = [linform(w) for w in weights]
+    case = Case(surface_by_name("p2"), 1, (0,), 0, (1,), ((LaurentPoly.one(),) * 3,) * n)
+    case.vdim = n - 1
+    case.tangent_denominator = CommonDenominator(
+        [forms[q] - forms[r] for r in range(n) if r != q] for q in range(n)
+    )
+    for k, c in enumerate(scalars):
+        values = [form**k * c for form in forms]
+        if perturb and perturb[0] == k:
+            _k, q, delta = perturb
+            bump = LaurentPoly.monomial(k, 0) + LaurentPoly.monomial(0, k)
+            values[q] = values[q] + bump * delta
+        case._symbols[(k, "p")] = tuple(values)
+    return case
+
+
+distinct_weights = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=5, unique=True
+)
+# huge scalars push the l1 bound past 2^63, so the slots get wider than 64 bits
+scalars = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    | st.integers(-(2**80), 2**80).map(Fraction),
+    min_size=6,
+    max_size=6,
+)
+
+
+class TestIntegerKernel:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        distinct_weights,
+        scalars,
+        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        st.none() | st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(-3, 3)),
+    )
+    @example([(3, -2), (0, 0), (1, 0), (1, 1)], [Fraction(-(2**80) + 1)] * 6, [1, 2], None)
+    @example([(1, 2)], [Fraction(2**63)] * 6, [0], None)  # 2^63 needs a sign bit above it
+    @example([(1, 0), (0, 1), (1, 1)], [ONE] * 6, [2], (2, 0, 1))  # not a constant at vdim
+    @example([(3, -2), (0, 0), (1, 0), (1, 1)], [Fraction(2**80)] * 6, [3, 3], (3, 1, 1))
+    def test_agrees_with_the_fraction_oracle(self, weights, cs, ks, perturb):
+        # weights such as (0, 0) give zero values, (1, 0) and (1, 1) an LCM
+        # factor t; the degree sum(ks) falls below, at and above vdim
+        if perturb:
+            perturb = (perturb[0], perturb[1] % len(weights), perturb[2])
+        mono = tuple(sorted((k, "p") for k in ks))
+        kernel = _outcome(Case.integrate_monomial, lagrange_case(weights, cs, perturb), mono)
+        oracle = _outcome(oracle_integral, lagrange_case(weights, cs, perturb), mono)
+        assert kernel == oracle
+
+    def test_lagrange_identity_values(self):
+        # sum_q w_q^2 / e_q is h_0 = 1 and w_q^3 gives h_1, which is 0 at s = t = 0
+        weights = [(1, 0), (0, 1), (1, 1)]
+        for k, want in [(1, ZERO), (2, Fraction(-3, 2)), (3, ZERO)]:
+            case = lagrange_case(weights, [Fraction(-3, 2)] * 6, None)
+            assert case.integrate_monomial(((k, "p"),)) == want
+            assert case.certified_clearings == (k >= 2)
+
+    def test_sum_not_divisible_by_a_monomial_factor_is_refused_above_dim(self):
+        # e = -t and t: dividing by t never fails as a Laurent division, so the
+        # certificate is that no negative exponent survives
+        case = lagrange_case([(1, 0), (1, 1)], [ONE] * 6, (2, 0, 1))
+        with pytest.raises(NotDivisible, match="cleared sum is not polynomial"):
+            case.integrate_monomial(((2, "p"),))
+
+    def test_negative_exponent_in_a_realized_value_is_refused(self):
+        case = lagrange_case([(1, 0), (0, 1)], [ONE] * 6, None)
+        case._symbols[(1, "p")] = (parse_laurent("s^2*t^-1"), parse_laurent("t"))
+        with pytest.raises(NotDivisible):
+            case.integrate_monomial(((1, "p"),))
+
+    @pytest.mark.parametrize(
+        "text, above, value, message",
+        [
+            ("ch_2(F)^3", 0, Fraction(27, 8), "does not clear to a constant"),
+            ("ch_2(F)^4", 1, ZERO, "not divisible by"),
+        ],
+    )
+    def test_dropping_a_point_breaks_the_certificate_at_and_above_dim(
+        self, case_of, text, above, value, message
+    ):
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        mono = parse_monomial(text)
+        assert monomial_degree(mono, case.surface) == case.vdim + above
+        assert case.integrate_monomial(mono) == value
+        with pytest.raises(NotDivisible, match=message):
+            case.drop_point(0).integrate_monomial(mono)
+
+    @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
+    def test_basis_integrals_match_the_oracle(self, case_of, case_id):
+        # the sweep's monomials D of degree vdim - k, k in [-1, vdim]
+        _, case, _ = case_of(case_id)
+        for k in range(-1, case.vdim + 1):
+            for mono in monomial_basis(case.surface, case.vdim - k):
+                assert case.integrate_monomial(mono) == oracle_integral(case, mono)
