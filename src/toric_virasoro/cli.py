@@ -14,8 +14,9 @@ Subcommands
 
 Exit codes: 0 all checks pass; 1 a verification or reference-table check
 failed; 2 the configuration is invalid (unsupported surface/rank, bad
-determinant pairing, polarization on a wall); 3 internal inconsistency
-(a localization sum failed to clear to a polynomial).
+determinant pairing, polarization on a wall, a fixed locus that is not
+isolated); 3 internal inconsistency (a localization sum failed to clear to
+a polynomial).
 
 The environment variable ``TORIC_VIRASORO_JOBS`` (or ``verify --jobs``) sets
 the number of worker processes for ``verify --case``/``--all``; reports are
@@ -23,7 +24,10 @@ merged in case order, so the output is byte-identical for any job count.
 A ``--surface``/``--config`` run is one process: ``verify --jobs`` there is
 a configuration error, and the environment variable is not read.  A
 ``--config`` JSON file may hold only the keys ``surface``, ``rank`` (or
-``r``), ``delta``, ``c2`` and ``H``; any other key is a configuration error.
+``r``, but not both), ``delta``, ``c2`` and ``H``; any other key is a
+configuration error.  ``verify --case``/``--all`` runs the bundled
+configurations, so the case flags (``--surface``, ``--r``, ``--delta``,
+``--c2``, ``--H``, ``--config``) are a configuration error there.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .enumeration import (
 )
 from .exactalg import NotDivisible
 from .golden import canonical_row_key
+from .klyachko import NonIsolated
 from .localization import TrivialWeight, make_case, verify_conjecture
 from .surfaces import surface_by_name
 
@@ -209,6 +214,8 @@ def _config_from_args(args) -> CaseConfig:
                 f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))};"
                 f" expected {', '.join(_CONFIG_KEYS)}"
             )
+        if "rank" in raw and "r" in raw:
+            raise ConfigError(f"{args.config}: give the rank as 'rank' or as 'r', not both")
         merged.update({key: raw.get(key) for key in merged}, rank=raw.get("rank", raw.get("r")))
     flags = dict(surface=args.surface, rank=args.r, delta=args.delta, c2=args.c2, H=args.H)
     merged.update({key: value for key, value in flags.items() if value is not None})
@@ -379,6 +386,13 @@ def _render_case_summary(summary: dict, fmt: str) -> str:
 def cmd_verify(args) -> int:
     fmt = args.format
     if args.case or args.all:
+        flags = ("surface", "r", "delta", "c2", "H", "config")
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(
+                f"{', '.join(given)} cannot be combined with --case/--all;"
+                " a bundled case fixes its own configuration"
+            )
         ids = golden.list_cases() if args.all else [args.case]
         unknown = [cid for cid in ids if cid not in golden.list_cases()]
         if unknown:
@@ -616,6 +630,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except NonIsolated as exc:
+        print(f"configuration error: the fixed locus is not isolated: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NotDivisible, TrivialWeight) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

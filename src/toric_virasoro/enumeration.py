@@ -16,11 +16,24 @@ points, adding colength to c2).  This module enumerates them:
   q*m = 4c2 - c1^2 + 4*(coincidence correction); the remaining loops run
   over finite boxes, and survivors are asserted to stay off the box boundary
   (two shells), with reference row counts certifying completeness downstream.
-* **Every candidate is verified**: chern invariants are recomputed by exact
-  localization on the surface, strict slope stability is tested against the
-  model's candidate subspace patterns (a slope tie raises: the polarization
-  would be on a wall), and isolatedness is certified later by the absence of
-  trivial weights in the moduli tangent character.
+* **Two stages for rank 2.**  The polarization enters the search only
+  through the slope test, and each side of that test is linear in H.  So
+  the first stage, memoized per (surface, c1, c2) for the life of the
+  process, runs the box and divisor searches, builds each candidate bundle
+  once and keeps only its spec, its distinct integer *stability forms* v
+  (``v . H = r*deg_H(W) - dim W*deg_H(E)``) and whether it lies on the box
+  shell.  The second stage, per H, is a sign test: some ``v . H > 0`` means
+  unstable, otherwise some ``v . H == 0`` raises (the polarization would be
+  on a wall).  A chamber sweep therefore builds the candidates once.
+* **Every fixed point is verified**: chern invariants are recomputed by
+  exact localization on the surface (once per process for each stable
+  bundle and each degeneration tree), ranks 3 and 4 use the same stability
+  forms at their single H, and isolatedness is certified later by the
+  absence of trivial weights in the moduli tangent character.
+* **Degenerations do not depend on H.**  Slope stability of a torsion-free
+  sheaf is that of its double dual, so the degenerations of a stable bundle
+  are walked once per process and shared by every chamber where the bundle
+  is stable.
 
 Enumerated configuration kinds cover all coincidences of codimension <= 1
 (single coincident pair for rank 2; concurrent planes, collinear lines, or a
@@ -35,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .klyachko import (
     Flag,
@@ -44,7 +58,8 @@ from .klyachko import (
     chern_invariants,
     degeneration_children,
     degeneration_colength,
-    is_stable,
+    stability_forms,
+    stable_at,
 )
 from .surfaces import Surface, surface_by_name
 
@@ -323,6 +338,9 @@ def _r4_configs() -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+_full_space = lru_cache(maxsize=None)(Subspace.full)
+
+
 def _build_bundle(
     surface: Surface,
     rank: int,
@@ -333,7 +351,7 @@ def _build_bundle(
     """Bundle with per-ray top jump position tops[i] and window lengths
     windows[i] = (w_1, ..., w_{rank-1}) below it (level L jumps at
     tops[i] - sum of windows from L up)."""
-    V = Subspace.full(rank)
+    V = _full_space(rank)
     flags = []
     for i in range(len(surface.rays)):
         steps = [(tops[i], V)]
@@ -347,20 +365,14 @@ def _build_bundle(
     return bundle_from_flags(surface, rank, flags, config=model.key)
 
 
-def _passes_stability(sheaf: TorusSheaf, model: ConfigModel, H: tuple) -> bool:
-    pats = []
+def _patterns(sheaf: TorusSheaf, model: ConfigModel):
+    """The model's candidate patterns, aligned with the sheaf's flag steps."""
     for w, dims in model.candidates:
         dmap = dict(dims)
-        per_ray = []
-        for i, flag in enumerate(sheaf.flags):
-            per_ray.append(
-                tuple(
-                    w if s.dim == sheaf.rank else dmap[(i, s.dim)]
-                    for _pos, s in flag.steps
-                )
-            )
-        pats.append((w, tuple(per_ray)))
-    return is_stable(sheaf, H, pats)
+        yield w, tuple(
+            tuple(w if s.dim == sheaf.rank else dmap[(i, s.dim)] for _pos, s in flag.steps)
+            for i, flag in enumerate(sheaf.flags)
+        )
 
 
 def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
@@ -435,51 +447,79 @@ def _r2_closed_c2(surface: Surface, deltas: tuple, tops: tuple, classes: tuple) 
     return surface.pair(alpha, beta) + boxes - _r2_pair_correction(surface, classes, deltas)
 
 
-def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusSheaf]:
+class _Candidate(NamedTuple):
+    """One H-independent rank-2 candidate of the box search.
+
+    The first four fields are its ``spec``; ``forms`` are the distinct
+    stability forms of its bundle; ``shell`` marks a candidate on the outer
+    shells of the adjacent-pair box.
+    """
+
+    nrays: int
+    classes: tuple
+    tops: tuple
+    deltas: tuple
+    forms: tuple[tuple[int, ...], ...]
+    shell: bool
+
+    @property
+    def spec(self) -> tuple:
+        return self[:4]
+
+
+@lru_cache(maxsize=None)
+def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_Candidate, ...]]:
+    """The adjacent-pair box size B and every rank-2 candidate, in search order.
+
+    This stage does not depend on the polarization: it runs the box and
+    divisor searches with the closed-form c2 filter, builds each surviving
+    bundle once to read off its stability forms, and keeps only the record.
+    """
+    surface = surface_by_name(surface_name)
     out = []
+    shared: dict[tuple, tuple] = {}  # one object per distinct form or tops
+
+    def keep(classes: tuple, tops: tuple, deltas: tuple, shell: bool = False) -> None:
+        model = r2_model(len(classes), classes)
+        sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
+        forms = stability_forms(sheaf, _patterns(sheaf, model))
+        forms = tuple(dict.fromkeys(shared.setdefault(v, v) for v in forms))
+        tops = shared.setdefault(tops, tops)
+        out.append(_Candidate(len(classes), classes, tops, deltas, forms, shell))
+
     if surface.name == "P2":
         # Coincident lines are never stable here: a two-class split of the
         # rays would need both 2*deg(C) < deg(E) and 2*deg(C') < deg(E) with
         # deg(C) + deg(C') = deg(E).  Only the all-distinct configuration
         # survives, and its window equation has a proven box bound.
-        d = c1[0]
         classes = (0, 1, 2)
-        model = r2_model(3, classes)
-        for deltas, tops in _r2_candidates_p2(d, c2):
-            if _r2_closed_c2(surface, deltas, tops, classes) != c2:
-                continue
-            sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
-            if _passes_stability(sheaf, model, H):
-                out.append(_verified(sheaf, 2, c1, c2))
-        return out
+        for deltas, tops in _r2_candidates_p2(c1[0], c2):
+            if _r2_closed_c2(surface, deltas, tops, classes) == c2:
+                keep(classes, tops, deltas)
+        return 0, tuple(out)
 
     a = int(surface.name[1:])
     f, z = c1
     K = 4 * c2 - surface.pair(c1, c1)
     if K <= 0:
-        return []
+        return 0, ()
 
-    def try_candidate(deltas: tuple, classes: tuple) -> bool:
+    def try_candidate(deltas: tuple, classes: tuple, shell: bool = False) -> None:
         d1, d2, d3, d4 = deltas
         p = d1 + a * d2 + d3
         q = d2 + d4
         if q < 1:
-            return False
+            return
         if (p - f) % 2 or (q - z) % 2:
-            return False
+            return
         A1 = (p - f) // 2
         A4 = (q - z) // 2
         tops = (A1, 0, 0, A4)
         if not _pool_assignment(classes, deltas):
-            return False
+            return
         if _r2_closed_c2(surface, deltas, tops, classes) != c2:
-            return False
-        model = r2_model(4, classes)
-        sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
-        if _passes_stability(sheaf, model, H):
-            out.append(_verified(sheaf, 2, c1, c2))
-            return True
-        return False
+            return
+        keep(classes, tops, deltas, shell)
 
     # corr = 0 configurations: exact divisor loop over q*m = K
     zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
@@ -498,10 +538,9 @@ def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusShe
                 for classes in zero_corr:
                     try_candidate((d1, d2, d3, d4), classes)
 
-    # adjacent coincident pairs: bounded box; a *stable* survivor touching the
-    # box boundary means the bound was too small
-    B = 2 * K + 2 * a + 8
-    shell_hits = []
+    # adjacent coincident pairs: bounded box; candidates on its two outer
+    # shells are marked, and a *stable* one means the bound was too small
+    B = _r2_box(K, a)
     for classes in _r2_configs(4):
         pair = _coincident_pair(classes)
         if pair is None or not _adjacent(surface, pair):
@@ -511,8 +550,36 @@ def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusShe
             for dj in range(1, B + 1):
                 for dk in range(0, B + 1):
                     for cand in _fill_deltas(a, K, pair, (di, dj), dk):
-                        if try_candidate(cand, classes) and max(cand) > B - 2:
-                            shell_hits.append(cand)
+                        try_candidate(cand, classes, max(cand) > B - 2)
+    return B, tuple(out)
+
+
+def _r2_box(K: int, a: int) -> int:
+    """Side of the adjacent-pair window box for discriminant K on F_a."""
+    return 2 * K + 2 * a + 8
+
+
+@lru_cache(maxsize=None)
+def _r2_bundle(surface_name: str, c1: tuple, c2: int, spec: tuple) -> TorusSheaf:
+    """The verified bundle of one stable candidate, built once per process."""
+    nrays, classes, tops, deltas = spec
+    sheaf = _build_bundle(
+        surface_by_name(surface_name), 2, r2_model(nrays, classes), tops, tuple((x,) for x in deltas)
+    )
+    return _verified(sheaf, 2, c1, c2)
+
+
+def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusSheaf]:
+    """The stable rank-2 bundles at H: a sign test per candidate's forms."""
+    c1 = tuple(c1)
+    B, candidates = _r2_candidates(surface.name, c1, c2)
+    out = []
+    shell_hits = []
+    for cand in candidates:
+        if stable_at(cand.forms, H):
+            out.append(_r2_bundle(surface.name, c1, c2, cand.spec))
+            if cand.shell:
+                shell_hits.append(cand.deltas)
     if shell_hits:
         raise EnumerationError(
             f"rank-2 search box too small (B={B}); hits: {shell_hits[:3]}"
@@ -648,7 +715,7 @@ def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusShe
                         if double_ch2 != d * d - 2 * c2:
                             continue
                         sheaf = _build_bundle(surface, rank, model, tops, wins)
-                        if _passes_stability(sheaf, model, H):
+                        if stable_at(stability_forms(sheaf, _patterns(sheaf, model)), H):
                             if any(sum(w) > P - 2 for w in wins):
                                 shell.append(wins)
                             found.append(_verified(sheaf, rank, c1, c2))
@@ -754,31 +821,42 @@ def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:
 
 def fixed_locus(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
     """All torus-fixed stable sheaves: bundles + torsion-free degenerations."""
+    c1 = tuple(c1)
     out = []
     for c2p in range(_bogomolov_floor(surface, rank, c1), c2 + 1):
         seeds = enumerate_bundles(surface, rank, c1, c2p, H)
         if c2p == c2:
             out.extend(seeds)
             continue
-        if not seeds:
-            continue
-        want = c2 - c2p
-        seen = set()
-        stack = list(seeds)
-        for s in seeds:
-            seen.add(s.key())
-        while stack:
-            sh = stack.pop()
-            col = degeneration_colength(sh)
-            if col == want:
-                out.append(_verified(sh, rank, tuple(c1), c2))
-                continue
-            for child in degeneration_children(sh, budget=want - col):
-                k = child.key()
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(child)
+        for seed in reversed(seeds):
+            out.extend(_degenerations(seed, c2 - c2p, c1, c2))
     return out
+
+
+@lru_cache(maxsize=None)
+def _degenerations(seed: TorusSheaf, want: int, c1: tuple, c2: int) -> tuple[TorusSheaf, ...]:
+    """The verified degenerations of colength ``want`` of one stable bundle.
+
+    Slope stability of a torsion-free sheaf is that of its double dual, so
+    the tree does not depend on the polarization and is walked once per
+    process (depth first; children keep the seed's flags, so the trees of
+    distinct seeds are disjoint).
+    """
+    out = []
+    seen = {seed.key()}
+    stack = [seed]
+    while stack:
+        sh = stack.pop()
+        col = degeneration_colength(sh)
+        if col == want:
+            out.append(_verified(sh, seed.rank, c1, c2))
+            continue
+        for child in degeneration_children(sh, budget=want - col):
+            k = child.key()
+            if k not in seen:
+                seen.add(k)
+                stack.append(child)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

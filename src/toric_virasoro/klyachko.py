@@ -18,7 +18,10 @@ From this data the module computes
 * slope (in)stability against a polarization, tested on a finite list of
   intersection-dimension *patterns* standing for the destabilizing subspace
   candidates; slopes are compared as integers (``rank * H``-degree against
-  ``dim W * H``-degree), never as fractions, and
+  ``dim W * H``-degree), never as fractions.  Both degrees are linear in H,
+  so each pattern becomes one integer *stability form* v and the test at H
+  is the sign of ``v . H`` (:func:`stability_forms`, :func:`stable_at`),
+  and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import LaurentPoly, Rat, as_constant, char_to_chern
 from .surfaces import FixedPoint, Surface, char_monomial
@@ -427,6 +430,10 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
 
     Raises SlopeTie if some candidate has exactly the slope of the sheaf
     (the polarization lies on a wall for this topological type).
+
+    This is the reference definition: the enumeration decides stability by
+    :func:`stable_at` on :func:`stability_forms`, and the tests check that
+    the two verdicts agree.
     """
     r = sheaf.rank
     deg_e = slope_times_rank(sheaf, polarization)
@@ -439,6 +446,55 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
         if lhs > rhs:
             return False
         if lhs == rhs:
+            tie = True
+    if tie:
+        raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
+    return True
+
+
+def stability_forms(sheaf: TorusSheaf, patterns: Iterable[Pattern]) -> Iterator[tuple[int, ...]]:
+    """One integer form v per pattern, with ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
+
+    Every ray degree is linear in the polarization, so each side of the
+    slope comparison in :func:`is_stable` is too: the pattern destabilizes
+    at H when ``v . H > 0`` and ties when ``v . H == 0``.  The forms are
+    yielded lazily, so a test at one H can stop at the first destabilizing
+    pattern.
+    """
+    S = sheaf.surface
+    n = S.picard_rank
+    ray_forms = [
+        [S.ray_degree(i, tuple(int(k == l) for k in range(n))) for l in range(n)]
+        for i in range(len(sheaf.flags))
+    ]
+
+    def degree(dims_per_ray) -> list[int]:
+        out = [0] * n
+        for flag, g, dims in zip(sheaf.flags, ray_forms, dims_per_ray):
+            jumps = _weighted_jump_sum(flag, dims)
+            for l in range(n):
+                out[l] -= g[l] * jumps
+        return out
+
+    r = sheaf.rank
+    deg_e = degree([[s.dim for _p, s in flag.steps] for flag in sheaf.flags])
+    for w, dims in patterns:
+        if 0 < w < r:
+            yield tuple(r * a - w * b for a, b in zip(degree(dims), deg_e))
+
+
+def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:
+    """The verdict of :func:`is_stable` from the stability forms: sign tests in H.
+
+    Unstable as soon as some ``v . H > 0``; otherwise a ``v . H == 0``
+    raises SlopeTie.
+    """
+    tie = False
+    for v in forms:
+        s = sum(a * h for a, h in zip(v, polarization))
+        if s > 0:
+            return False
+        if s == 0:
             tie = True
     if tie:
         raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")

@@ -186,6 +186,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--jobs applies to --case/--all" in captured.err
 
+    def test_config_with_rank_and_r_is_config_error(self, capsys, tmp_path):
+        # taking one and dropping the other once ran rank 2 for "r": 3
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(
+            {"surface": "f0", "rank": 2, "r": 3, "delta": [1, 1], "c2": 2, "H": [2, 5]}
+        ))
+        code = main(["enumerate", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'rank' or as 'r', not both" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--surface", "f0"), ("--r", "3"), ("--delta", "1,0"), ("--c2", "2"),
+         ("--H", "2,5"), ("--config", "case.json")],
+    )
+    @pytest.mark.parametrize("target", [("--case", "p2-r2-c2-1"), ("--all",)])
+    def test_case_flags_on_a_bundled_run_are_config_error(self, capsys, target, flag, value):
+        # a bundled case fixes its configuration; the flags once were ignored
+        # and the run printed PASS
+        code = main(["verify", *target, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag} cannot be combined with --case/--all" in captured.err
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_non_isolated_locus_is_config_error(self, capsys, command):
+        # f2, c1 = Z, c2 = 3: a degeneration site has a continuum of choices
+        code = main([
+            command, "--surface", "f2", "--r", "2", "--delta", "0,1", "--c2", "3", "--H", "7,3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the fixed locus is not isolated: site" in captured.err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",

@@ -1,20 +1,29 @@
 """Fixed-locus enumeration: counts, walls, chambers, consistency checks."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toric_virasoro import enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
+    _build_bundle,
+    _patterns,
+    _r2_candidates,
     chamber_representatives,
     enumerate_bundles,
+    fixed_locus,
     fixed_locus_cached,
     hirzebruch_ch2_check,
+    r2_model,
     wall_slopes,
 )
 from toric_virasoro.golden import canonical_row_key
-from toric_virasoro.klyachko import chern_invariants
+from toric_virasoro.klyachko import NonIsolated, SlopeTie, chern_invariants, is_stable, stable_at
 from toric_virasoro.surfaces import surface_by_name
 
 
@@ -164,3 +173,119 @@ def test_bogomolov_floor_is_smallest_admissible_c2(rank, surface, c1):
     c1sq = srf.pair(c1, c1)
     brute = next(n for n in range(100) if 2 * rank * n >= (rank - 1) * c1sq)
     assert _bogomolov_floor(srf, rank, c1) == brute
+
+
+# ---------------------------------------------------------------------------
+# the two-stage rank-2 search: H-independent candidates, per-H sign tests
+
+_MEMOS = (
+    fixed_locus_cached,
+    enumeration._r2_candidates,
+    enumeration._r2_bundle,
+    enumeration._degenerations,
+)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """Every per-process enumeration memo empty before and after the test."""
+    _clear_memos()
+    yield
+    _clear_memos()
+
+
+def _verdict(decide):
+    try:
+        return decide()
+    except SlopeTie:
+        return "tie"
+
+
+@lru_cache(maxsize=1)
+def _candidate_sheaves(name, c1, c2):
+    """(candidate, bundle, patterns) for every stage-1 candidate of a case."""
+    surface = surface_by_name(name)
+    out = []
+    for cand in _r2_candidates(surface.name, c1, c2)[1]:
+        nrays, classes, tops, deltas = cand.spec
+        model = r2_model(nrays, classes)
+        sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
+        out.append((cand, sheaf, tuple(_patterns(sheaf, model))))
+    return out
+
+
+def _polarizations(a):
+    """Ample H, and H on the slope of a wall class xi = x*F + y*Z (xi.H = 0)."""
+    ample = st.integers(1, 12).flatmap(
+        lambda hz: st.tuples(st.integers(a * hz + 1, a * hz + 40), st.just(hz))
+    )
+    on_wall = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)).map(
+        lambda xyk: (xyk[2] * (a * xyk[1] + xyk[0]), xyk[2] * xyk[1])
+    )
+    return st.one_of(ample, on_wall)
+
+
+@pytest.mark.parametrize("c2", [1, 2, 3])
+@pytest.mark.parametrize("c1", [(1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("name", ["f0", "f1", "f2"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_form_verdict_matches_is_stable(name, c1, c2, data):
+    # the sign test on the stored forms decides exactly what the reference
+    # slope comparison decides, SlopeTie included, for every candidate
+    H = data.draw(_polarizations(int(name[1:])), label="H")
+    for cand, sheaf, patterns in _candidate_sheaves(name, c1, c2):
+        want = _verdict(lambda: is_stable(sheaf, H, patterns))
+        assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand.spec, H)
+
+
+class TestTwoStageSearch:
+    def test_wall_polarization_raises_slope_tie_cold_and_warm(self, cold):
+        f0 = surface_by_name("f0")
+        with pytest.raises(SlopeTie):
+            fixed_locus(f0, 2, (1, 1), 3, (1, 1))
+        assert len(fixed_locus(f0, 2, (1, 1), 3, (2, 5))) == 40
+        with pytest.raises(SlopeTie):
+            fixed_locus(f0, 2, (1, 1), 3, (1, 1))
+
+    def test_non_isolated_raises_on_every_call(self, cold):
+        # a failed degeneration walk is not memoized
+        f2 = surface_by_name("f2")
+        for _ in range(2):
+            with pytest.raises(NonIsolated):
+                fixed_locus(f2, 2, (0, 1), 3, (7, 3))
+
+    def test_warm_chambers_match_cold_chambers(self, cold):
+        f0 = surface_by_name("f0")
+        reps = chamber_representatives(f0, 2, (1, 1), 3)
+        cold_keys = []
+        for H in reps:
+            _clear_memos()
+            cold_keys.append([sh.key() for sh in fixed_locus(f0, 2, (1, 1), 3, H)])
+        warm_keys = [[sh.key() for sh in fixed_locus(f0, 2, (1, 1), 3, H)] for H in reps]
+        assert warm_keys == cold_keys
+        assert [len(keys) for keys in cold_keys] == [0, 8, 8, 40, 40, 40, 40, 8, 8, 0]
+
+    def test_shell_check_fires_only_where_a_shell_candidate_is_stable(self, cold, monkeypatch):
+        # with a box far too small, shell candidates survive the search; the
+        # check must fire exactly at the polarizations where one is stable
+        monkeypatch.setattr(enumeration, "_r2_box", lambda K, a: 3)
+        f0 = surface_by_name("f0")
+        candidates = _r2_candidates("F0", (1, 1), 3)[1]
+        fired = []
+        for H in chamber_representatives(f0, 2, (1, 1), 3):
+            expected = any(c.shell and stable_at(c.forms, H) for c in candidates)
+            try:
+                enumerate_bundles(f0, 2, (1, 1), 3, H)
+            except EnumerationError as exc:
+                assert "search box too small (B=3)" in str(exc)
+                fired.append(True)
+            else:
+                fired.append(False)
+            assert fired[-1] == expected, H
+        assert any(fired) and not all(fired)
