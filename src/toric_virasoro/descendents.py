@@ -156,9 +156,6 @@ class DescPoly:
 
     # -- inspection -------------------------------------------------------
 
-    def monomials(self):
-        return sorted(self.terms)
-
     def coeff(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), _ZERO)
 

@@ -16,15 +16,21 @@ points, adding colength to c2).  This module enumerates them:
   q*m = 4c2 - c1^2 + 4*(coincidence correction); the remaining loops run
   over finite boxes, and survivors are asserted to stay off the box boundary
   (two shells), with reference row counts certifying completeness downstream.
-* **Two stages for rank 2.**  The polarization enters the search only
-  through the slope test, and each side of that test is linear in H.  So
-  the first stage, memoized per (surface, c1, c2) for the life of the
-  process, runs the box and divisor searches, builds each candidate bundle
-  once and keeps only its spec, its distinct integer *stability forms* v
-  (``v . H = r*deg_H(W) - dim W*deg_H(E)``) and whether it lies on the box
-  shell.  The second stage, per H, is a sign test: some ``v . H > 0`` means
+* **Stability in closed form from the windows.**  Each side of the slope
+  test is linear in H, so each candidate destabilizing subspace W of the
+  model gives one integer *stability form* v with
+  ``v . H = r*deg_H(W) - dim W*deg_H(E)``.  It is read straight off the
+  window lengths: ``v = sum_i g_i sum_m win[i][m]*(r*d[i,m] - w*m)``, with
+  ``g_i`` the degree vector of ray i, ``w = dim W`` and
+  ``d[i,m] = dim(W n F_i^m)`` from the model; the top jump positions
+  cancel (:func:`~.klyachko.stability_forms`).  Some ``v . H > 0`` means
   unstable, otherwise some ``v . H == 0`` raises (the polarization would be
-  on a wall).  A chamber sweep therefore builds the candidates once.
+  on a wall).  A bundle is built only for a stable candidate, in every rank.
+* **Two stages for rank 2.**  The first stage, memoized per (surface, c1,
+  c2) for the life of the process, runs the box and divisor searches and
+  keeps each candidate's spec, its distinct stability forms and whether it
+  lies on the box shell.  The second stage, per H, is the sign test, so a
+  chamber sweep runs the search once.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
   bundle and each degeneration tree), ranks 3 and 4 use the same stability
@@ -114,6 +120,8 @@ def _closure(spaces: list[Subspace], n: int, rounds: int = 3) -> list[Subspace]:
 
 def _make_model(rank: int, key: tuple, level_spaces: dict) -> ConfigModel:
     items = sorted(level_spaces.items())
+    # with this, positive windows make every flag built on the model valid
+    _require(all(s.dim == level for (_ray, level), s in items), "level dimensions")
     flats = [s for _k, s in items]
     lattice = _closure(flats, rank)
     seen = set()
@@ -365,16 +373,6 @@ def _build_bundle(
     return bundle_from_flags(surface, rank, flags, config=model.key)
 
 
-def _patterns(sheaf: TorusSheaf, model: ConfigModel):
-    """The model's candidate patterns, aligned with the sheaf's flag steps."""
-    for w, dims in model.candidates:
-        dmap = dict(dims)
-        yield w, tuple(
-            tuple(w if s.dim == sheaf.rank else dmap[(i, s.dim)] for _pos, s in flag.steps)
-            for i, flag in enumerate(sheaf.flags)
-        )
-
-
 def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
     got = chern_invariants(sheaf)
     if got != (rank, tuple(c1), c2):
@@ -472,8 +470,9 @@ def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_C
     """The adjacent-pair box size B and every rank-2 candidate, in search order.
 
     This stage does not depend on the polarization: it runs the box and
-    divisor searches with the closed-form c2 filter, builds each surviving
-    bundle once to read off its stability forms, and keeps only the record.
+    divisor searches with the closed-form c2 filter and keeps one record per
+    survivor, with the stability forms read off its windows (no bundle is
+    built).
     """
     surface = surface_by_name(surface_name)
     out = []
@@ -481,8 +480,7 @@ def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_C
 
     def keep(classes: tuple, tops: tuple, deltas: tuple, shell: bool = False) -> None:
         model = r2_model(len(classes), classes)
-        sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
-        forms = stability_forms(sheaf, _patterns(sheaf, model))
+        forms = stability_forms(surface, 2, tuple((x,) for x in deltas), model.candidates)
         forms = tuple(dict.fromkeys(shared.setdefault(v, v) for v in forms))
         tops = shared.setdefault(tops, tops)
         out.append(_Candidate(len(classes), classes, tops, deltas, forms, shell))
@@ -714,10 +712,10 @@ def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusShe
                         )
                         if double_ch2 != d * d - 2 * c2:
                             continue
-                        sheaf = _build_bundle(surface, rank, model, tops, wins)
-                        if stable_at(stability_forms(sheaf, _patterns(sheaf, model)), H):
+                        if stable_at(stability_forms(surface, rank, wins, model.candidates), H):
                             if any(sum(w) > P - 2 for w in wins):
                                 shell.append(wins)
+                            sheaf = _build_bundle(surface, rank, model, tops, wins)
                             found.append(_verified(sheaf, rank, c1, c2))
         if not shell:
             out = found

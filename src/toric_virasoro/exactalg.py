@@ -619,11 +619,3 @@ def as_constant(p: LaurentPoly) -> Fraction:
         if (a, b) != (0, 0):
             raise ValueError(f"non-constant term s^{a}*t^{b} survives clearing")
     return p.constant_term()
-
-
-def assert_polynomial(p: LaurentPoly) -> LaurentPoly:
-    """Assert p has no negative exponents (an honest polynomial) and return it."""
-    for (a, b) in p.coeffs:
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent s^{a}*t^{b} survives clearing")
-    return p

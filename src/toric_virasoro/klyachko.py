@@ -15,13 +15,15 @@ From this data the module computes
   second difference of the intersection-dimension grid),
 * rank, first Chern class, and second Chern class — by exact localization on
   the surface, not by per-case closed formulas,
-* slope (in)stability against a polarization, tested on a finite list of
-  intersection-dimension *patterns* standing for the destabilizing subspace
-  candidates; slopes are compared as integers (``rank * H``-degree against
-  ``dim W * H``-degree), never as fractions.  Both degrees are linear in H,
-  so each pattern becomes one integer *stability form* v and the test at H
-  is the sign of ``v . H`` (:func:`stability_forms`, :func:`stable_at`),
-  and
+* slope (in)stability against a polarization, over a finite list of
+  candidate destabilizing subspaces W; slopes are compared as integers
+  (``rank * H``-degree against ``dim W * H``-degree), never as fractions.
+  Both degrees are linear in H, so each W gives one integer *stability
+  form* v and the test at H is the sign of ``v . H`` (:func:`stable_at`).
+  The forms come in closed form from the window lengths between the jumps
+  and the dimensions ``dim(W n F_i^m)`` (:func:`stability_forms`): the top
+  jump positions cancel, so no sheaf is needed.  :func:`is_stable` is the
+  reference, read from a built sheaf's flags, and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
@@ -432,8 +434,8 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
     (the polarization lies on a wall for this topological type).
 
     This is the reference definition: the enumeration decides stability by
-    :func:`stable_at` on :func:`stability_forms`, and the tests check that
-    the two verdicts agree.
+    :func:`stable_at` on the window-level :func:`stability_forms`, and the
+    tests check that the two verdicts agree.
     """
     r = sheaf.rank
     deg_e = slope_times_rank(sheaf, polarization)
@@ -452,35 +454,33 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
     return True
 
 
-def stability_forms(sheaf: TorusSheaf, patterns: Iterable[Pattern]) -> Iterator[tuple[int, ...]]:
-    """One integer form v per pattern, with ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
+def stability_forms(
+    surface: Surface,
+    rank: int,
+    windows: Sequence[Sequence[int]],
+    candidates: Iterable[tuple[int, Iterable[tuple[tuple[int, int], int]]]],
+) -> Iterator[tuple[int, ...]]:
+    """One integer form v per candidate W, with ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
 
-    Every ray degree is linear in the polarization, so each side of the
-    slope comparison in :func:`is_stable` is too: the pattern destabilizes
-    at H when ``v . H > 0`` and ties when ``v . H == 0``.  The forms are
-    yielded lazily, so a test at one H can stop at the first destabilizing
-    pattern.
+    ``windows[i][m - 1]`` is the gap between the jumps to levels m and m + 1
+    along ray i, and each candidate is ``(w, (((i, m), d), ...))`` with
+    ``w = dim W`` and ``d = dim(W n F_i^m)``.  Along ray i the weighted jump
+    sum of W is ``w*top_i - sum_m windows[i][m - 1]*d``, so the top jump
+    positions cancel and
+    ``v = sum_i g_i sum_m windows[i][m - 1]*(r*d - w*m)``, where ``g_i`` is
+    the degree vector of ray i.  W destabilizes at H when ``v . H > 0`` and
+    ties when ``v . H == 0``.  The forms are yielded
+    lazily, so a test at one H can stop at the first destabilizing
+    candidate.
     """
-    S = sheaf.surface
-    n = S.picard_rank
-    ray_forms = [
-        [S.ray_degree(i, tuple(int(k == l) for k in range(n))) for l in range(n)]
-        for i in range(len(sheaf.flags))
-    ]
-
-    def degree(dims_per_ray) -> list[int]:
-        out = [0] * n
-        for flag, g, dims in zip(sheaf.flags, ray_forms, dims_per_ray):
-            jumps = _weighted_jump_sum(flag, dims)
-            for l in range(n):
-                out[l] -= g[l] * jumps
-        return out
-
-    r = sheaf.rank
-    deg_e = degree([[s.dim for _p, s in flag.steps] for flag in sheaf.flags])
-    for w, dims in patterns:
-        if 0 < w < r:
-            yield tuple(r * a - w * b for a, b in zip(degree(dims), deg_e))
+    n = surface.picard_rank
+    for w, dims in candidates:
+        coef = [0] * len(windows)
+        for (i, m), d in dims:
+            coef[i] += windows[i][m - 1] * (rank * d - w * m)
+        # xi = r*c1(W) - w*c1(E) in the divisor basis; v pairs it with the basis
+        xi = [sum(c * cls[k] for c, cls in zip(coef, surface.ray_classes)) for k in range(n)]
+        yield tuple(sum(x * row[l] for x, row in zip(xi, surface.intersection)) for l in range(n))
 
 
 def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:

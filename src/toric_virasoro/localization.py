@@ -67,16 +67,19 @@ from .exactalg import (
     truncated_exp_rat,
     unpack,
 )
+from .klyachko import NonIsolated
 from .surfaces import Surface, surface_by_name
 
 _ZERO = Fraction(0)
 
 
 class TrivialWeight(ValueError):
-    """A tangent representation contains the trivial character.
+    """A tangent character is not an honest representation of dimension vdim.
 
-    The fixed point is then not isolated (or the sheaf not simple/unobstructed)
-    and the isolated-point localization formula does not apply.
+    A multiplicity that is negative or not an integer, or a total dimension
+    other than vdim, means inconsistent fixed-point data (or a sheaf that is
+    not simple or not unobstructed).  A positive multiplicity at the trivial
+    weight is :class:`NonIsolated` instead: the fixed point is not isolated.
     """
 
 
@@ -101,8 +104,9 @@ def tangent_representation(
     """Torus character of the tangent space at a moduli fixed point.
 
     ``T = 1 - chi(E, E)``; the result is certified to be an honest
-    representation: nonnegative integer multiplicities, total dimension
-    ``vdim``, and no trivial weight (isolation + vanishing obstructions).
+    representation: nonnegative integer multiplicities (else
+    :class:`TrivialWeight`), no trivial weight (else :class:`NonIsolated`),
+    and total dimension ``vdim`` (else :class:`TrivialWeight`).
     """
     chi = sheaf_euler_pairing(restrictions, surface)
     tangent = LaurentPoly.one() - chi
@@ -113,9 +117,12 @@ def tangent_representation(
                 f"tangent multiplicity {c} at weight ({a},{b}) is not a"
                 " nonnegative integer"
             )
-        if (a, b) == (0, 0):
-            raise TrivialWeight("tangent representation contains a trivial weight")
         total += int(c)
+    if (0, 0) in tangent.coeffs:
+        raise NonIsolated(
+            f"trivial weight with multiplicity {tangent.coeffs[(0, 0)]}"
+            " in the tangent space at a fixed point"
+        )
     if total != vdim:
         raise TrivialWeight(
             f"tangent dimension {total} differs from expected dimension {vdim}"

@@ -224,6 +224,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert "the fixed locus is not isolated: site" in captured.err
 
+    def test_trivial_tangent_weight_is_config_error(self, capsys):
+        # f1, c1 = F, c2 = 2, H = 4F + 3Z: some fixed points have the trivial
+        # weight in their tangent space, so the locus is not isolated either
+        code = main([
+            "verify", "--surface", "f1", "--r", "2", "--delta", "1,0", "--c2", "2", "--H", "4,3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the fixed locus is not isolated: trivial weight" in captured.err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",

@@ -12,18 +12,29 @@ from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
     _build_bundle,
-    _patterns,
     _r2_candidates,
+    _r3_configs,
+    _r4_configs,
     chamber_representatives,
     enumerate_bundles,
     fixed_locus,
     fixed_locus_cached,
     hirzebruch_ch2_check,
     r2_model,
+    r3_model,
+    r4_model,
     wall_slopes,
 )
 from toric_virasoro.golden import canonical_row_key
-from toric_virasoro.klyachko import NonIsolated, SlopeTie, chern_invariants, is_stable, stable_at
+from toric_virasoro.klyachko import (
+    NonIsolated,
+    SlopeTie,
+    chern_invariants,
+    is_stable,
+    slope_times_rank,
+    stability_forms,
+    stable_at,
+)
 from toric_virasoro.surfaces import surface_by_name
 
 
@@ -206,16 +217,40 @@ def _verdict(decide):
         return "tie"
 
 
+def _patterns(sheaf, model):
+    """The model's candidate patterns, aligned with the sheaf's flag steps."""
+    for w, dims in model.candidates:
+        dmap = dict(dims)
+        yield w, tuple(
+            tuple(w if s.dim == sheaf.rank else dmap[(i, s.dim)] for _pos, s in flag.steps)
+            for i, flag in enumerate(sheaf.flags)
+        )
+
+
+def _reference_forms(sheaf, patterns):
+    """The forms read from a built sheaf: both slope degrees at each basis H."""
+    n = sheaf.surface.picard_rank
+    basis = [tuple(int(k == l) for k in range(n)) for l in range(n)]
+    deg_e = [slope_times_rank(sheaf, e) for e in basis]
+    return [
+        tuple(sheaf.rank * slope_times_rank(sheaf, e, dims) - w * d for e, d in zip(basis, deg_e))
+        for w, dims in patterns
+    ]
+
+
 @lru_cache(maxsize=1)
 def _candidate_sheaves(name, c1, c2):
-    """(candidate, bundle, patterns) for every stage-1 candidate of a case."""
+    """(candidate, bundle, patterns, distinct reference forms) for every
+    stage-1 candidate of a case."""
     surface = surface_by_name(name)
     out = []
     for cand in _r2_candidates(surface.name, c1, c2)[1]:
         nrays, classes, tops, deltas = cand.spec
         model = r2_model(nrays, classes)
         sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
-        out.append((cand, sheaf, tuple(_patterns(sheaf, model))))
+        patterns = tuple(_patterns(sheaf, model))
+        forms = tuple(dict.fromkeys(_reference_forms(sheaf, patterns)))
+        out.append((cand, sheaf, patterns, forms))
     return out
 
 
@@ -230,16 +265,27 @@ def _polarizations(a):
     return st.one_of(ample, on_wall)
 
 
+_P2_POLARIZATIONS = st.integers(1, 12).map(lambda h: (h,))
+
+_R2_CASES = [
+    pytest.param(name, c1, id=f"{name}-c1{k}")
+    for name in ("f0", "f1", "f2")
+    for k, c1 in enumerate([(1, 0), (0, 1), (1, 1)])
+] + [pytest.param("p2", (1,), id="p2-c1H")]
+
+
 @pytest.mark.parametrize("c2", [1, 2, 3])
-@pytest.mark.parametrize("c1", [(1, 0), (0, 1), (1, 1)])
-@pytest.mark.parametrize("name", ["f0", "f1", "f2"])
+@pytest.mark.parametrize("name, c1", _R2_CASES)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_form_verdict_matches_is_stable(name, c1, c2, data):
-    # the sign test on the stored forms decides exactly what the reference
-    # slope comparison decides, SlopeTie included, for every candidate
-    H = data.draw(_polarizations(int(name[1:])), label="H")
-    for cand, sheaf, patterns in _candidate_sheaves(name, c1, c2):
+    # the stored forms are the distinct forms of the built bundle, in order,
+    # and their sign test decides exactly what the reference slope
+    # comparison decides, SlopeTie included, for every candidate
+    strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
+    H = data.draw(strategy, label="H")
+    for cand, sheaf, patterns, forms in _candidate_sheaves(name, c1, c2):
+        assert cand.forms == forms, cand.spec
         want = _verdict(lambda: is_stable(sheaf, H, patterns))
         assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand.spec, H)
 
@@ -289,3 +335,47 @@ class TestTwoStageSearch:
                 fired.append(False)
             assert fired[-1] == expected, H
         assert any(fired) and not all(fired)
+
+
+@pytest.mark.parametrize(
+    "rank, cfg",
+    [
+        pytest.param(rank, cfg, id=f"r{rank}-{cfg[0]}" + ("" if cfg[1] is None else "%d%d" % cfg[1]))
+        for rank, configs in ((3, _r3_configs()), (4, _r4_configs()))
+        for cfg in configs
+    ],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_window_forms_match_the_built_bundle(rank, cfg, data):
+    # the closed form over the windows equals the slope degrees of the
+    # bundle built from the same windows and any tops, and its sign test
+    # gives the reference verdict at every polarization of the plane
+    model = (r3_model if rank == 3 else r4_model)(*cfg)
+    window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
+    wins = data.draw(st.tuples(window, window, window), label="windows")
+    tops = data.draw(st.tuples(*[st.integers(-6, 6)] * 3), label="tops")
+    p2 = surface_by_name("p2")
+    sheaf = _build_bundle(p2, rank, model, tops, wins)
+    patterns = tuple(_patterns(sheaf, model))
+    forms = list(stability_forms(p2, rank, wins, model.candidates))
+    assert forms == _reference_forms(sheaf, patterns)
+    H = data.draw(_P2_POLARIZATIONS, label="H")
+    assert _verdict(lambda: stable_at(forms, H)) == _verdict(lambda: is_stable(sheaf, H, patterns))
+
+
+def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
+    # a cold ten-chamber sweep builds one bundle per distinct stable spec,
+    # which is what the per-process bundle memo holds
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return _build_bundle(*args)
+
+    monkeypatch.setattr(enumeration, "_build_bundle", counting_build)
+    f0 = surface_by_name("f0")
+    for H in chamber_representatives(f0, 2, (1, 1), 3):
+        fixed_locus(f0, 2, (1, 1), 3, H)
+    assert built
+    assert len(built) == enumeration._r2_bundle.cache_info().currsize

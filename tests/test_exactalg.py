@@ -12,7 +12,6 @@ from toric_virasoro.exactalg import (
     LaurentPoly,
     NotDivisible,
     as_constant,
-    assert_polynomial,
     char_to_chern,
     dehomogenize,
     exact_div,
@@ -166,7 +165,8 @@ class TestExactDivision:
 
     def test_monomial_linform_is_a_laurent_unit(self):
         # dividing by the weight s alone only shifts exponents; negative
-        # exponents are rejected later, by assert_polynomial
+        # exponents are rejected later, by the polynomial check that
+        # Case._integrate makes above the virtual dimension
         assert exact_div(LaurentPoly.one(), linform((1, 0))) == parse_laurent("s^-1")
 
     def test_not_divisible(self):
@@ -301,11 +301,6 @@ class TestCommonDenominator:
         assert as_constant(LaurentPoly.zero()) == 0
         with pytest.raises(ValueError):
             as_constant(parse_laurent("s + 1"))
-
-    def test_assert_polynomial(self):
-        assert_polynomial(parse_laurent("s*t + 3"))
-        with pytest.raises(ValueError):
-            assert_polynomial(parse_laurent("s^-1"))
 
 
 class TestKroneckerPacking:
