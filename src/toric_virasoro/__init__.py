@@ -1,7 +1,8 @@
 """Exact verification of Virasoro constraints on moduli of stable sheaves.
 
-Everything here runs over exact rational arithmetic (``fractions.Fraction``);
-no floating point is used anywhere.  The package
+Everything here is exact: integers, ``fractions.Fraction`` and Laurent
+polynomials over them, with the fixed-point sums over the integers at
+``s = 1``; no floating point is used anywhere.  The package
 
 * enumerates torus-fixed points of moduli spaces of slope-stable rank 2/3/4
   equivariant sheaves on the projective plane and on Hirzebruch surfaces,
@@ -11,8 +12,8 @@ no floating point is used anywhere.  The package
 
 Subpackage map:
 
-``exactalg``      sparse Laurent polynomials, truncated exponentials,
-                  exact division, common denominators of fixed-point sums
+``exactalg``      sparse Laurent polynomials, exact division, common
+                  denominators of fixed-point sums, integer polynomials at s = 1
 ``surfaces``      toric surface data (fans, fixed points, tangent and
                   divisor weights, intersection theory)
 ``klyachko``      flagged filtration data for equivariant sheaves and their

@@ -270,6 +270,7 @@ def cmd_enumerate(args) -> int:
     for H in cfg.polarizations():
         cfg._validate_polarization(srf, H)
         case = make_case(cfg.surface, cfg.rank, cfg.delta, cfg.c2, H)
+        case.tangents()  # certifies isolation: NonIsolated exits 2
         rows = _sorted_rows(case)
         sections.append((H, case, rows))
     if cfg.fmt == "json":
@@ -485,7 +486,9 @@ def cmd_walls(args) -> int:
             empty += 1
             rows.append((H, 0, None))
             continue
-        key = tuple(sorted(canonical_row_key(sh.restrictions()) for sh in locus))
+        case = make_case(cfg.surface, cfg.rank, cfg.delta, cfg.c2, H, sheaves=locus)
+        case.tangents()  # certifies isolation: NonIsolated exits 2
+        key = tuple(sorted(canonical_row_key(charts) for charts in case.restrictions))
         variant = variants.setdefault(key, len(variants) + 1)
         rows.append((H, len(locus), variant))
     if cfg.fmt == "json":

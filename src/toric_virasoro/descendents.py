@@ -174,16 +174,6 @@ def monomial_degree(mono: Monomial, surface: Surface) -> int:
     return sum(symbol_degree(s, surface) for s in mono)
 
 
-def poly_degree(poly: DescPoly, surface: Surface) -> int:
-    """The common degree of a homogeneous polynomial (0 for the zero one)."""
-    degs = {monomial_degree(m, surface) for m in poly.terms}
-    if not degs:
-        return 0
-    if len(degs) > 1:
-        raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
-    return degs.pop()
-
-
 # ---------------------------------------------------------------------------
 # the derivation R_k (and its h-basis variant)
 # ---------------------------------------------------------------------------
@@ -384,7 +374,7 @@ def apply_Lplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 
 
 def apply_scriptLplus(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
-    """The h-basis form of the full operator: L+_k + S_k."""
+    """The h-basis form of the full operator: L+_k + S_k (an operator of the paper)."""
     return apply_Lplus(k, D, surface) + apply_S(k, D, surface, r)
 
 

@@ -20,12 +20,16 @@ units (a rational times a monomial): each is replaced by one canonical
 associate, and the unit stays with its term inside the cofactor, so
 ``s - t`` and ``t - s`` share one LCM factor.
 
-Fixed-point sums of cohomology classes are homogeneous, so the integration
-kernel keeps them at ``s = 1`` as integer coefficient lists
-(:func:`dehomogenize`, :func:`integer_rows`) and multiplies them by
-Kronecker substitution: :func:`pack` evaluates a list at ``t = 2^W``, one
-bigint product stands for a polynomial product, and :func:`unpack` reads the
-signed ``W``-bit slots back.  Decoding is exact when every coefficient of
+Fixed-point sums of cohomology classes are homogeneous, so they are kept at
+``s = 1`` as integer coefficient lists (:func:`dehomogenize`,
+:func:`integer_rows`).  A surface sum is cleared there over the integers:
+:func:`divide_linear` divides by one canonical linear factor by a
+recurrence that refuses any remainder (a factor is primitive, so by Gauss's
+lemma an integer quotient exists exactly when a rational one does).  The
+integration kernel multiplies such lists by Kronecker substitution:
+:func:`pack` evaluates a list at ``t = 2^W``, one bigint product stands for
+a polynomial product, and :func:`unpack` reads the signed ``W``-bit slots
+back.  Decoding is exact when every coefficient of
 the result is below ``2^(W-1)`` in absolute value, which the caller ensures
 by choosing ``W`` above an l1 bound (``||f||_1`` is the sum of the absolute
 coefficients): every coefficient of ``f g`` is at most ``||f||_1 ||g||_1``
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rat = Fraction
@@ -199,32 +203,17 @@ class LaurentPoly:
 
     # -- structure ------------------------------------------------------
 
+    def integer_terms(self) -> list[tuple[int, int, int]]:
+        """The terms ``c * s^a t^b`` as ``(a, b, c)``; ValueError unless each c is an integer."""
+        if any(c.denominator != 1 for c in self.coeffs.values()):
+            raise ValueError(f"{self.render()} has a non-integral coefficient")
+        return [(a, b, c.numerator) for (a, b), c in self.coeffs.items()]
+
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0, 0), ZERO)
 
     def coeff(self, a: int, b: int) -> Fraction:
         return self.coeffs.get((a, b), ZERO)
-
-    def degrees(self) -> set[int]:
-        """Set of complex degrees a+b present."""
-        return {a + b for (a, b) in self.coeffs}
-
-    def homogeneous_part(self, deg: int) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {k: c for k, c in self.coeffs.items() if k[0] + k[1] == deg}
-        return out
-
-    def is_homogeneous(self, deg: int | None = None) -> bool:
-        degs = self.degrees()
-        if deg is None:
-            return len(degs) <= 1
-        return degs <= {deg}
-
-    def truncate(self, max_deg: int) -> "LaurentPoly":
-        """Drop all monomials of complex degree > max_deg."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= max_deg}
-        return out
 
     def dual(self) -> "LaurentPoly":
         """K-theory dual: s^a t^b -> s^-a t^-b."""
@@ -237,16 +226,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = {(a + da, b + db): c for (a, b), c in self.coeffs.items()}
         return out
-
-    def substitute_st(self, sval: Fraction, tval: Fraction) -> Fraction:
-        """Evaluate at numeric s, t (used e.g. for rank at s=t=1)."""
-        total = ZERO
-        for (a, b), c in self.coeffs.items():
-            term = c
-            term *= sval ** a if a >= 0 else ONE / (sval ** (-a))
-            term *= tval ** b if b >= 0 else ONE / (tval ** (-b))
-            total += term
-        return total
 
     # -- rendering ------------------------------------------------------
 
@@ -348,44 +327,6 @@ def parse_laurent(text: str) -> LaurentPoly:
             else:
                 b += exp
         out = out + LaurentPoly.monomial(a, b, coeff)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-# ---------------------------------------------------------------------------
-
-
-def truncated_exp(a: int, b: int, cap: int) -> LaurentPoly:
-    """``exp(a*s + b*t)`` as a cohomology class, truncated above degree cap."""
-    return truncated_exp_rat(Fraction(a), Fraction(b), cap)
-
-
-def truncated_exp_rat(a: Fraction, b: Fraction, cap: int) -> LaurentPoly:
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    # degree-n part is (a s + b t)^n / n! = sum_i C(n,i) a^i b^(n-i) s^i t^(n-i) / n!
-    for n in range(cap + 1):
-        fact_n = factorial(n)
-        for i in range(n + 1):
-            c = (
-                Fraction(factorial(n) // (factorial(i) * factorial(n - i)), fact_n)
-                * a**i
-                * b ** (n - i)
-            )
-            if c:
-                coeffs[(i, n - i)] = coeffs.get((i, n - i), ZERO) + c
-    return LaurentPoly({k: c for k, c in coeffs.items() if c})
-
-
-def char_to_chern(char: LaurentPoly, cap: int) -> LaurentPoly:
-    """Chern character of a K-theory class: s^a t^b -> exp(a s + b t).
-
-    Input exponents are torus weights; output is a cohomology class truncated
-    above complex degree ``cap``.
-    """
-    out = LaurentPoly.zero()
-    for (a, b), c in char:
-        out = out + truncated_exp(a, b, cap) * c
     return out
 
 
@@ -573,6 +514,48 @@ def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int
     return scale, [[int(c * scale) for c in row] for row in rows]
 
 
+def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The product of two coefficient lists: the product of the polynomials at s = 1."""
+    out = [0] * (len(f) + len(g) - 1)
+    for j, x in enumerate(f):
+        if x:
+            for k, y in enumerate(g):
+                out[j + k] += x * y
+    return out
+
+
+def power_sum(terms: Sequence[tuple[int, int, int]], i: int) -> list[int]:
+    """``sum c * (a*s + b*t)^i`` over the terms ``(a, b, c)``, at s = 1."""
+    return [comb(i, j) * sum(c * a ** (i - j) * b**j for a, b, c in terms) for j in range(i + 1)]
+
+
+def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
+    """The exact quotient of a homogeneous form by ``a*s + b*t``, both at s = 1.
+
+    ``coeffs[j]`` belongs to ``s^(d-j) t^j`` (``d + 1 >= 1`` entries); the
+    quotient ``q`` has ``d`` of them, with ``coeffs[j] = a*q[j] + b*q[j-1]``.
+    The recurrence solves for ``q`` from the ``s`` end (the ``t`` end when
+    ``a = 0``), and the last equation is the check that nothing is left
+    over.  A remainder at either step raises :class:`NotDivisible`.  For a
+    primitive form (coprime ``a, b``), such as a canonical factor, a
+    rational quotient is integral by Gauss's lemma, so a step that does not
+    divide over ZZ proves that no quotient exists.
+    """
+    if not a:
+        if not b:
+            raise ZeroDivisionError("division by the zero form")
+        return divide_linear(coeffs[::-1], b, a)[::-1]
+    quotient, prev = [], 0
+    for c in coeffs[:-1]:
+        prev, rem = divmod(c - b * prev, a)
+        if rem:
+            raise NotDivisible(f"{list(coeffs)} is not divisible by {linform((a, b)).render()}")
+        quotient.append(prev)
+    if coeffs[-1] != b * prev:
+        raise NotDivisible(f"{list(coeffs)} leaves a remainder by {linform((a, b)).render()}")
+    return quotient
+
+
 def pack(coeffs: Sequence[int], width: int) -> int:
     """Kronecker substitution: ``sum_j coeffs[j] * 2^(width * j)``.
 
@@ -605,17 +588,3 @@ def unpack(value: int, width: int, count: int) -> list[int]:
     if value:
         raise OverflowError(f"packed value carries past slot {count}")
     return out
-
-
-def as_constant(p: LaurentPoly) -> Fraction:
-    """The value of p, asserting p is literally a constant.
-
-    Fixed-point sums of degree-0 homogeneous fractions must clear to honest
-    constants; a surviving monomial like ``s*t^-1`` (degree 0 but not
-    constant) certifies inconsistent fixed-point data, as does a Laurent
-    clearing that sneaks in negative exponents.
-    """
-    for (a, b) in p.coeffs:
-        if (a, b) != (0, 0):
-            raise ValueError(f"non-constant term s^{a}*t^{b} survives clearing")
-    return p.constant_term()

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import LaurentPoly, Rat, as_constant, char_to_chern
+from .exactalg import LaurentPoly, Rat, convolve, power_sum
 from .surfaces import FixedPoint, Surface, char_monomial
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,9 @@ class Subspace:
 
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Subspace({self.n}, {self.rows!r})"
 
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(r) for r in self.rows)
@@ -222,9 +225,6 @@ class Flag:
     def last_position(self) -> int:
         return self.steps[-1][0]
 
-    def shifted(self, delta: int) -> "Flag":
-        return Flag(self.rank, tuple((p + delta, s) for p, s in self.steps))
-
 
 FamilyDict = tuple[tuple[tuple[int, int], Subspace], ...]
 
@@ -324,42 +324,36 @@ def bundle_from_flags(surface: Surface, rank: int, flags: Sequence[Flag], config
 # ---------------------------------------------------------------------------
 
 
-def _surface_integral(surface: Surface, numerators: Sequence[LaurentPoly]) -> Rat:
-    """Sum num_p / e(T_p) over fixed points; numerators truncated at degree 2."""
-    return as_constant(
-        surface.tangent_denominator.clear([num.truncate(2) for num in numerators])
-    )
-
-
 def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
-    """(rank, c1 in the divisor basis, c2), computed exactly by localization."""
+    """(rank, c1 in the divisor basis, c2), computed exactly by localization.
+
+    At a fixed point with chart character ``sum c * chi^(a, b)``, ``ch_k`` is
+    ``power_sum(terms, k) / k!``; the surface integrals of ``ch_2`` and of
+    ``ch_1`` times each basis divisor are degree-0 sums cleared over the
+    integers by :meth:`Surface.clear_rows`.
+    """
     S = sheaf.surface
-    restr = [sheaf.restriction(p) for p in S.points]
-    ranks = {r.substitute_st(Fraction(1), Fraction(1)) for r in restr}
+    terms = [sheaf.restriction(p).integer_terms() for p in S.points]
+    ranks = {power_sum(t, 0)[0] for t in terms}
     if len(ranks) != 1:
         raise ValueError(f"inconsistent ranks at fixed points: {ranks}")
-    rank = next(iter(ranks))
-    if rank.denominator != 1:
-        raise ValueError(f"non-integral rank {rank}")
-    rank = int(rank)
-    chern = [char_to_chern(r, 2) for r in restr]
+
+    def integral(nums) -> Fraction:
+        (cleared,) = S.clear_rows(nums, 0)
+        return Fraction(cleared, S.tangent_scale)
+
+    ch1 = [power_sum(t, 1) for t in terms]
     # pair c1 with each basis divisor, then invert the intersection form
     dots = [
-        _surface_integral(
-            S,
-            [
-                ch.homogeneous_part(1) * S.class_lift(name, p)
-                for ch, p in zip(chern, S.points)
-            ],
-        )
+        integral([convolve(row, S.divisor_lift(name, p)) for row, p in zip(ch1, S.points)])
         for name in S.divisor_names
     ]
     c1 = _solve_divisor_class(S, dots)
-    ch2 = _surface_integral(S, [ch.homogeneous_part(2) for ch in chern])
+    ch2 = integral([power_sum(t, 2) for t in terms]) / 2
     c2 = Fraction(S.pair(c1, c1), 2) - ch2
     if c2.denominator != 1:
         raise ValueError(f"non-integral c2 = {c2}")
-    return rank, c1, int(c2)
+    return ranks.pop(), c1, int(c2)
 
 
 def _solve_divisor_class(surface: Surface, dots: Sequence[Rat]) -> tuple[int, ...]:

@@ -14,7 +14,11 @@ the moduli one once per case.
 * ``realize_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
   moduli fixed point as a genuine polynomial in the torus parameters
   ``s, t``: normalized Chern character slices of the sheaf's chart
-  restrictions, summed over the surface's ``tangent_denominator``;
+  restrictions, summed over the surface points.  This runs over the
+  integers at ``s = 1``: each slice is a sum of powers of integer linear
+  forms (chart weights scaled by r), and :meth:`Surface.clear_rows` clears the
+  sum by exact integer division, one canonical factor at a time, into the
+  ``(scale, rows)`` that the integration kernel reads;
 * ``integrate`` sums over the case's ``tangent_denominator`` (the LCM of the
   moduli tangent Euler classes), certifies that the sum clears (the
   localization consistency check), and evaluates at the origin.  It works
@@ -39,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .descendents import (
@@ -58,13 +63,14 @@ from .exactalg import (
     LaurentPoly,
     NotDivisible,
     Rat,
+    convolve,
     dehomogenize,
     exact_div,
     homogenize,
     integer_rows,
     linform,
     pack,
-    truncated_exp_rat,
+    power_sum,
     unpack,
 )
 from .klyachko import NonIsolated
@@ -154,14 +160,10 @@ class Case:
     H: tuple
     restrictions: tuple[tuple[LaurentPoly, ...], ...]  # per moduli point, per surface point
     vdim: int = field(init=False)
-    cap: int = field(init=False)
 
     def __post_init__(self):
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
-        self.cap = self.vdim + 2
         self._tangents: list[LaurentPoly] | None = None
-        self._series: dict[tuple[int, int], LaurentPoly] = {}
-        self._symbols: dict[tuple[int, str], tuple[LaurentPoly, ...]] = {}
         self._int_symbols: dict[tuple[int, str], tuple] = {}
         self._packs: dict[tuple, tuple[int, ...]] = {}
         self._integrals: dict[Monomial, Fraction] = {}
@@ -182,6 +184,7 @@ class Case:
         return self._tangents
 
     def euler_classes(self) -> list[LaurentPoly]:
+        """The tangent Euler classes, one per fixed point: the tangent data in readable form."""
         return [euler_class(t) for t in self.tangents()]
 
     # -- the common denominator of moduli integrals ------------------------
@@ -205,58 +208,32 @@ class Case:
 
     # -- realized symbols ----------------------------------------------------
 
-    def _chern_series(self, q: int, p: int) -> LaurentPoly:
-        """Truncated ch of -E_p (x) det(E_p)^(-1/r) at moduli point q."""
-        key = (q, p)
-        if key not in self._series:
-            poly = self.restrictions[q][p]
-            A = B = _ZERO
-            for (a, b), c in poly:
-                A += c * a
-                B += c * b
-            r = self.rank
-            series = LaurentPoly.zero()
-            for (a, b), c in poly:
-                series = series + truncated_exp_rat(
-                    Fraction(a) - A / r, Fraction(b) - B / r, self.cap
-                ) * (-c)
-            self._series[key] = series
-        return self._series[key]
+    @cached_property
+    def _chern_forms(self) -> list[list[list[tuple[int, int, int]]]]:
+        """Per moduli and surface point: ``(r*a - A, r*b - B, c)`` per term ``c * chi^(a, b)``.
+
+        ``(A, B)`` is the weight sum, so each form is r times a weight of ``E (x) det(E)^(-1/r)``.
+        """
+        r = self.rank
+        forms = []
+        for per_point in self.restrictions:
+            row = []
+            for poly in per_point:
+                terms = poly.integer_terms()
+                A, B = power_sum(terms, 1)
+                row.append([(r * a - A, r * b - B, c) for a, b, c in terms])
+            forms.append(row)
+        return forms
 
     def realize_symbol(self, i: int, name: str) -> tuple[LaurentPoly, ...]:
         """Per-moduli-point polynomial value of the symbol ch_i(gamma).
 
-        Sums ``gamma_p * [ch part]_i / e(T_X at p)`` over the surface fixed
-        points and clears exactly; each value is homogeneous of the symbol's
-        degree (or zero).
+        The rows of :meth:`_integer_symbol`, homogenized: each value is a
+        polynomial homogeneous of the symbol's degree (or zero).
         """
-        key = (i, name)
-        if key not in self._symbols:
-            if i < 0:
-                self._symbols[key] = tuple(
-                    LaurentPoly.zero() for _ in range(self.n_points)
-                )
-                return self._symbols[key]
-            surface = self.surface
-            sdeg = symbol_degree(key, surface)
-            lifts = [surface.class_lift(name, p) for p in surface.points]
-            zero = LaurentPoly.zero()
-            values = []
-            for q in range(self.n_points):
-                # points where the class lift vanishes contribute nothing
-                nums = [
-                    lift * self._chern_series(q, pidx).homogeneous_part(i) if lift else zero
-                    for pidx, lift in enumerate(lifts)
-                ]
-                value = surface.tangent_denominator.clear(nums)
-                if value and not value.is_homogeneous(sdeg):
-                    raise NotDivisible(
-                        f"realized ch_{i}({name}) at point {q} is not homogeneous"
-                        f" of degree {sdeg}: {value.render()}"
-                    )
-                values.append(value)
-            self._symbols[key] = tuple(values)
-        return self._symbols[key]
+        scale, rows, _norms = self._integer_symbol((i, name))
+        sdeg = symbol_degree((i, name), self.surface)
+        return tuple(homogenize(row, sdeg, scale) for row in rows)
 
     # -- exact integration ----------------------------------------------------
 
@@ -276,11 +253,40 @@ class Case:
         return scale, cofactors, [sum(map(abs, co)) for co in cofactors], rows[-1]
 
     def _integer_symbol(self, sym: tuple[int, str]) -> tuple[int, list[list[int]], list[int]]:
-        """``(S, values, norms)``: :meth:`realize_symbol` at s = 1, scaled by S to ZZ."""
+        """``(S, values, norms)``: ch_i(gamma) at every moduli point, at s = 1, scaled by S to ZZ.
+
+        At a surface point ch_i of ``-E (x) det(E)^(-1/r)`` is
+        ``-power_sum(forms, i) / (i! r^i)`` over the :attr:`_chern_forms`.
+        Times the class lift, it is summed over the surface by
+        :meth:`Surface.clear_rows`, so the scale is
+        ``tangent_scale * i! * r^i`` until the common gcd of the scale and
+        every value is divided out: S is then the least common denominator
+        of the values.
+        """
         if sym not in self._int_symbols:
-            sdeg = symbol_degree(sym, self.surface)
-            scale, rows = integer_rows(dehomogenize(v, sdeg) for v in self.realize_symbol(*sym))
-            self._int_symbols[sym] = (scale, rows, [sum(map(abs, row)) for row in rows])
+            i, name = sym
+            n = self.n_points
+            if i < 0:  # ch_i = 0
+                self._int_symbols[sym] = (1, [[] for _ in range(n)], [0] * n)
+                return self._int_symbols[sym]
+            surface = self.surface
+            ldeg = surface.class_degree(name)
+            lifts = [surface.class_lift(name, p) for p in surface.points]
+            lifts = [[int(c) for c in dehomogenize(v, ldeg)] if v else None for v in lifts]
+            rows = [
+                surface.clear_rows(
+                    [
+                        convolve(power_sum(forms, i), lift) if lift else None
+                        for forms, lift in zip(per_point, lifts)
+                    ],
+                    symbol_degree(sym, surface),
+                )
+                for per_point in self._chern_forms
+            ]
+            scale = surface.tangent_scale * factorial(i) * self.rank**i
+            g = gcd(scale, *(x for row in rows for x in row))
+            rows = [[-x // g for x in row] for row in rows]
+            self._int_symbols[sym] = (scale // g, rows, [sum(map(abs, row)) for row in rows])
         return self._int_symbols[sym]
 
     def _packed(self, key, rows: list[list[int]], width: int) -> tuple[int, ...]:
@@ -374,7 +380,7 @@ class Case:
         )
 
     def twisted(self, weight: tuple[int, int]) -> "Case":
-        """The same case with every chart value multiplied by one character."""
+        """The same case with every chart value multiplied by one character (twist invariance)."""
         rows = tuple(
             tuple(poly.shift(*weight) for poly in per_point)
             for per_point in self.restrictions

@@ -40,7 +40,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactalg import CommonDenominator, LaurentPoly, linform
+from typing import Sequence
+
+from .exactalg import (
+    CommonDenominator,
+    LaurentPoly,
+    NotDivisible,
+    convolve,
+    dehomogenize,
+    divide_linear,
+    integer_rows,
+    linform,
+)
 
 Vec = tuple[int, int]
 
@@ -116,6 +127,13 @@ class Surface:
         self.character_denominator = CommonDenominator(
             [LaurentPoly.one() - char_monomial(w) for w in p.duals] for p in self.points
         )
+        # the cohomological sum at s = 1 over ZZ (see clear_rows): cofactor
+        # rows scaled by one integer, and each canonical factor a*s + b*t
+        den = self.tangent_denominator
+        self.tangent_scale, self._cofactor_rows = integer_rows(
+            dehomogenize(co, len(den.factors) - 2) for co in den.cofactors
+        )
+        self._factor_forms = [(int(f.coeff(1, 0)), int(f.coeff(0, 1))) for f in den.factors]
         self.divisor_names = list(divisor_names)
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
@@ -169,14 +187,6 @@ class Surface:
         """Restriction of the lifted basis divisor (via its toric representative)."""
         return self.ray_divisor_lift(self.basis_reps[name], point)
 
-    def divisor_lift_of_class(self, coeffs: tuple, point: FixedPoint) -> Vec:
-        a = b = 0
-        for name, c in zip(self.divisor_names, coeffs):
-            la, lb = self.divisor_lift(name, point)
-            a += c * la
-            b += c * lb
-        return (a, b)
-
     def point_lift(self, point: FixedPoint) -> LaurentPoly:
         """Restriction of the lifted point class (supported at the first point)."""
         if point.index != 0:
@@ -202,6 +212,31 @@ class Surface:
         if name in self.divisor_names:
             return linform(self.divisor_lift(name, point))
         raise KeyError(name)
+
+    def clear_rows(self, nums: Sequence[Sequence[int] | None], deg: int) -> list[int]:
+        """``tangent_scale * sum_p nums[p] / e_p`` at s = 1, over the integers.
+
+        ``nums[p]`` is an integer form of degree ``deg + 2`` at s = 1 (``None``
+        for zero) and ``e_p`` the tangent Euler class at point p.  The
+        numerators times their cofactor rows are summed and divided by every
+        canonical factor (:func:`divide_linear`, NotDivisible on a remainder):
+        the ``deg + 1`` coefficients left certify a polynomial homogeneous of
+        degree ``deg``.  Below degree 0 the summed numerator must vanish.
+        """
+        total = [0] * (deg + len(self._factor_forms) + 1)
+        for num, co in zip(nums, self._cofactor_rows, strict=True):
+            if num:
+                for j, x in enumerate(convolve(num, co)):
+                    total[j] += x
+        if deg < 0:
+            if any(total):
+                raise NotDivisible(
+                    f"a degree-{deg} sum over the fixed points of {self.name} does not vanish"
+                )
+            return []
+        for a, b in self._factor_forms:
+            total = divide_linear(total, a, b)
+        return total
 
     def c1_coeffs(self) -> tuple:
         """First Chern class of the surface (anticanonical), in the basis."""

@@ -32,5 +32,11 @@ def case_of():
 
 
 @pytest.fixture(scope="session")
+def is_built():
+    """``is_built(case_id)``: whether the session cache already holds the case."""
+    return _CACHE.__contains__
+
+
+@pytest.fixture(scope="session")
 def all_case_ids():
     return golden.list_cases()

@@ -146,16 +146,13 @@ def test_criterion_6_surface_consistency(case_of):
                 checked += 1
     assert checked > 0
 
-    from toric_virasoro.klyachko import _surface_integral
+    from oracles import integer_surface_integral
 
     for name in ("p2", "f0", "f1", "f2"):
         srf = surface_by_name(name)
 
         def class_integral(x, y):
-            lifts = [
-                srf.class_lift(x, p) * srf.class_lift(y, p) for p in srf.points
-            ]
-            return _surface_integral(srf, lifts)
+            return integer_surface_integral(srf, x, y)
 
         names = ("1", *srf.divisor_names, "p")
         for x in names:

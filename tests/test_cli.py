@@ -235,6 +235,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "the fixed locus is not isolated: trivial weight" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--H", "4,3"), ("walls",)],
+        ids=["enumerate", "walls"],
+    )
+    def test_enumerate_and_walls_refuse_a_trivial_tangent_weight(self, capsys, argv):
+        # the locus that verify refuses above: printing it would exit 0
+        command, *flags = argv
+        code = main([
+            command, "--surface", "f1", "--r", "2", "--delta", "1,0", "--c2", "2", *flags,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the fixed locus is not isolated: trivial weight" in captured.err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",

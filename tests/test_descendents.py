@@ -21,7 +21,6 @@ from toric_virasoro.descendents import (
     monomial_basis,
     monomial_degree,
     parse_monomial,
-    poly_degree,
     render_monomial,
     render_poly,
 )
@@ -29,6 +28,16 @@ from toric_virasoro.surfaces import surface_by_name
 
 P2 = surface_by_name("p2")
 F0 = surface_by_name("f0")
+
+
+def poly_degree(poly: DescPoly, surface) -> int:
+    """The common degree of a homogeneous polynomial (0 for the zero one)."""
+    degs = {monomial_degree(m, surface) for m in poly.terms}
+    if not degs:
+        return 0
+    if len(degs) > 1:
+        raise ValueError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
+    return degs.pop()
 
 
 class TestR:

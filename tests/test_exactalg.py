@@ -1,27 +1,36 @@
 """Exact-arithmetic core: Laurent polynomials, exact division, common denominators."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    as_constant,
+    char_to_chern,
+    degrees,
+    homogeneous_part,
+    is_homogeneous,
+    substitute_st,
+    truncate,
+    truncated_exp,
+    truncated_exp_rat,
+)
 from toric_virasoro.exactalg import (
     CommonDenominator,
     LaurentPoly,
     NotDivisible,
-    as_constant,
-    char_to_chern,
+    convolve,
     dehomogenize,
+    divide_linear,
     exact_div,
     homogenize,
     integer_rows,
     linform,
     pack,
     parse_laurent,
-    truncated_exp,
-    truncated_exp_rat,
     unpack,
 )
 
@@ -102,16 +111,16 @@ class TestRing:
 
     def test_substitute(self):
         p = parse_laurent("s^2*t^-1 - 3")
-        assert p.substitute_st(Fraction(2), Fraction(4)) == Fraction(4, 4) - 3
+        assert substitute_st(p, Fraction(2), Fraction(4)) == Fraction(4, 4) - 3
 
     def test_homogeneous_parts(self):
         p = parse_laurent("s^2 + s*t + t^-1 + 5")
-        assert p.homogeneous_part(2) == parse_laurent("s^2 + s*t")
-        assert p.homogeneous_part(0) == parse_laurent("5")
-        assert p.degrees() == {2, 0, -1}
-        assert not p.is_homogeneous()
-        assert p.homogeneous_part(2).is_homogeneous(2)
-        assert p.truncate(0) == parse_laurent("t^-1 + 5")
+        assert homogeneous_part(p, 2) == parse_laurent("s^2 + s*t")
+        assert homogeneous_part(p, 0) == parse_laurent("5")
+        assert degrees(p) == {2, 0, -1}
+        assert not is_homogeneous(p)
+        assert is_homogeneous(homogeneous_part(p, 2), 2)
+        assert truncate(p, 0) == parse_laurent("t^-1 + 5")
 
     def test_render_examples(self):
         assert parse_laurent("s^-1t + t^-1").render() == "s^-1*t + t^-1"
@@ -137,9 +146,9 @@ class TestTruncatedExp:
 
     def test_rational_exponents(self):
         e = truncated_exp_rat(Fraction(1, 2), Fraction(0), 3)
-        assert e.homogeneous_part(0) == LaurentPoly.one()
-        assert e.homogeneous_part(1) == LaurentPoly.monomial(1, 0, Fraction(1, 2))
-        assert e.homogeneous_part(2) == LaurentPoly.monomial(2, 0, Fraction(1, 8))
+        assert homogeneous_part(e, 0) == LaurentPoly.one()
+        assert homogeneous_part(e, 1) == LaurentPoly.monomial(1, 0, Fraction(1, 2))
+        assert homogeneous_part(e, 2) == LaurentPoly.monomial(2, 0, Fraction(1, 8))
 
     def test_char_to_chern_additive(self):
         cap = 6
@@ -301,6 +310,40 @@ class TestCommonDenominator:
         assert as_constant(LaurentPoly.zero()) == 0
         with pytest.raises(ValueError):
             as_constant(parse_laurent("s + 1"))
+
+
+primitive_forms = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
+    lambda form: gcd(*form) == 1
+)
+
+
+class TestDivideLinear:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+        st.sampled_from([(1, 0), (0, 1)]) | primitive_forms,
+        st.data(),
+    )
+    def test_quotient_of_a_product_and_a_perturbed_product(self, f, form, data):
+        a, b = form
+        product = convolve(f, [a, b])
+        assert divide_linear(product, a, b) == f
+        # a monomial is divisible by s (or t) unless it lacks that variable,
+        # so for a one-term form perturb the coefficient without it
+        if not b:
+            j = len(product) - 1
+        elif not a:
+            j = 0
+        else:
+            j = data.draw(st.integers(0, len(product) - 1))
+        product[j] += data.draw(st.integers(-3, 3).filter(bool))
+        with pytest.raises(NotDivisible):
+            divide_linear(product, a, b)
+
+    def test_a_constant_divides_only_when_zero(self):
+        assert divide_linear([0], 2, 3) == []
+        with pytest.raises(NotDivisible):
+            divide_linear([1], 1, 1)
 
 
 class TestKroneckerPacking:

@@ -1,10 +1,17 @@
 """Flagged filtration data: subspaces, flags, sheaves, Chern invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import oracles
 import pytest
 
-from toric_virasoro.enumeration import fixed_locus_cached
+import toric_virasoro
+from toric_virasoro import golden
+from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
 from toric_virasoro.klyachko import (
     Flag,
     Subspace,
@@ -76,7 +83,8 @@ class TestFlag:
         flag = Flag(2, ((1, line), (4, Subspace.full(2))))
         own_dims = [1, 2]
         assert _weighted_jump_sum(flag, own_dims) == 1 + 4
-        assert _weighted_jump_sum(flag.shifted(2), own_dims) == 3 + 6
+        shifted = Flag(flag.rank, tuple((p + 2, s) for p, s in flag.steps))
+        assert _weighted_jump_sum(shifted, own_dims) == 3 + 6
 
 
 class TestSheaves:
@@ -111,9 +119,8 @@ class TestSheaves:
         for sheaf in locus:
             assert sheaf.is_locally_free
             assert chern_invariants(sheaf) == (2, (1, 1), 2)
-            assert sheaf.restriction(sheaf.surface.points[0]).substitute_st(
-                Fraction(1), Fraction(1)
-            ) == 2
+            chart = sheaf.restriction(sheaf.surface.points[0])
+            assert oracles.substitute_st(chart, Fraction(1), Fraction(1)) == 2
 
     def test_degeneration_raises_c2_by_colength(self):
         locus = fixed_locus_cached("f0", 2, (1, 1), 2, (2, 5))
@@ -132,3 +139,37 @@ class TestSheaves:
         locus = fixed_locus_cached("f0", 2, (1, 1), 2, (2, 5))
         keys = {sheaf.key() for sheaf in locus}
         assert len(keys) == len(locus)
+
+    def test_key_repr_does_not_depend_on_hash_seed(self):
+        # a Subspace repr holds its rows, not a memory address
+        script = (
+            "from toric_virasoro.enumeration import fixed_locus_cached\n"
+            "for sheaf in fixed_locus_cached('f0', 2, (1, 0), 2, (3, 5)):\n"
+            "    print(repr(sheaf.key()))\n"
+        )
+        src = str(Path(toric_virasoro.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert "Subspace(2, " in outs[0] and " at 0x" not in outs[0]
+
+    def test_integer_chern_invariants_match_the_fraction_oracle(self, case_of):
+        # every sheaf of the ten f0 chambers (c1 = F + Z, c2 = 3) and of the
+        # bundled rank-2/3 cases
+        sheaves = [
+            sheaf
+            for H in chamber_representatives(surface_by_name("f0"), 2, (1, 1), 3)
+            for sheaf in fixed_locus_cached("f0", 2, (1, 1), 3, H)
+        ]
+        assert len(sheaves) == 192
+        for case_id in golden.list_cases():
+            if golden.load_case(case_id).rank in (2, 3):
+                sheaves += case_of(case_id)[2]
+        for sheaf in sheaves:
+            assert chern_invariants(sheaf) == oracles.chern_invariants(sheaf)

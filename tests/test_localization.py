@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,13 @@ from toric_virasoro.exactalg import (
     CommonDenominator,
     LaurentPoly,
     NotDivisible,
+    dehomogenize,
     exact_div,
+    integer_rows,
     linform,
     parse_laurent,
 )
+from toric_virasoro.klyachko import Flag, Subspace, bundle_from_flags
 from toric_virasoro.localization import Case, TrivialWeight, verify_conjecture
 from toric_virasoro.surfaces import surface_by_name
 
@@ -199,8 +203,14 @@ def lagrange_case(weights, scalars, perturb):
             _k, q, delta = perturb
             bump = LaurentPoly.monomial(k, 0) + LaurentPoly.monomial(0, k)
             values[q] = values[q] + bump * delta
-        case._symbols[(k, "p")] = tuple(values)
+        set_symbol(case, (k, "p"), values)
     return case
+
+
+def set_symbol(case, sym, values):
+    """Make ``case`` realize ``sym`` (of degree ``sym[0]`` here) to ``values``."""
+    scale, rows = integer_rows(dehomogenize(v, sym[0]) for v in values)
+    case._int_symbols[sym] = (scale, rows, [sum(map(abs, row)) for row in rows])
 
 
 distinct_weights = st.lists(
@@ -253,10 +263,13 @@ class TestIntegerKernel:
             case.integrate_monomial(((2, "p"),))
 
     def test_negative_exponent_in_a_realized_value_is_refused(self):
-        case = lagrange_case([(1, 0), (0, 1)], [ONE] * 6, None)
-        case._symbols[(1, "p")] = (parse_laurent("s^2*t^-1"), parse_laurent("t"))
-        with pytest.raises(NotDivisible):
-            case.integrate_monomial(((1, "p"),))
+        # 1 + s at the first point of P2 and 2 elsewhere is no equivariant
+        # class: ch_2(1) sums to -s*t^-1/4, which is no polynomial
+        charts = (parse_laurent("1 + s"), LaurentPoly.const(2), LaurentPoly.const(2))
+        case = Case(surface_by_name("p2"), 2, (0,), 0, (1,), (charts,))
+        assert oracles.realize_symbol(case, 2, "1") == (parse_laurent("-1/4*s*t^-1"),)
+        with pytest.raises(NotDivisible, match="leaves a remainder"):
+            case.realize_symbol(2, "1")
 
     @pytest.mark.parametrize(
         "text, above, value, message",
@@ -282,3 +295,64 @@ class TestIntegerKernel:
         for k in range(-1, case.vdim + 1):
             for mono in monomial_basis(case.surface, case.vdim - k):
                 assert case.integrate_monomial(mono) == oracle_integral(case, mono)
+
+
+def _symbol_outcome(realize, case, sym):
+    try:
+        return realize(case, sym)
+    except NotDivisible:
+        return "NotDivisible"
+
+
+@st.composite
+def chart_cases(draw):
+    """A case built directly from chart characters, one row per moduli point.
+
+    Each chart row is a sum of ``rank`` equivariant line bundles (an honest
+    class, so every symbol clears); a drawn extra character at one point
+    usually breaks that.
+    """
+    srf = surface_by_name(draw(st.sampled_from(["p2", "f0", "f1", "f2"])))
+    rank = draw(st.integers(1, 3))
+    jumps = st.lists(st.integers(-3, 3), min_size=len(srf.rays), max_size=len(srf.rays))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        charts = [LaurentPoly.zero()] * srf.n_points
+        for _ in range(rank):
+            flags = [Flag(1, ((d, Subspace.full(1)),)) for d in draw(jumps)]
+            line = bundle_from_flags(srf, 1, flags)
+            charts = [c + line.restriction(p) for c, p in zip(charts, srf.points)]
+        if draw(st.booleans()):
+            p = draw(st.integers(0, srf.n_points - 1))
+            a, b = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            charts[p] = charts[p] + LaurentPoly.monomial(a, b, draw(st.integers(-2, 2)))
+        rows.append(tuple(charts))
+    zero = (0,) * srf.picard_rank
+    return Case(srf, rank, zero, 0, (1,) * srf.picard_rank, tuple(rows))
+
+
+class TestIntegerRealization:
+    @settings(deadline=None, max_examples=60)
+    @given(chart_cases(), st.integers(-1, 6), st.data())
+    def test_agrees_with_the_fraction_oracle(self, case, i, data):
+        name = data.draw(st.sampled_from(["1", *case.surface.divisor_names, "p"]))
+        assert _symbol_outcome(Case._integer_symbol, case, (i, name)) == _symbol_outcome(
+            oracles.integer_symbol, case, (i, name)
+        )
+
+    def test_every_bundled_symbol_matches_the_oracle(self, case_of, all_case_ids, is_built):
+        # (scale, rows, norms) fix the kernel's slot widths, so they must be
+        # the oracle's exactly; the rank-4 case joins when already built
+        checked = 0
+        for case_id in all_case_ids:
+            if case_id == "p2-r4-c2-3" and not is_built(case_id):
+                continue
+            _, case, _ = case_of(case_id)
+            for i in range(-1, case.vdim + 3):
+                for name in ("1", *case.surface.divisor_names, "p"):
+                    sym = (i, name)
+                    assert case._integer_symbol(sym) == oracles.integer_symbol(case, sym), (
+                        case_id, sym,
+                    )
+                    checked += 1
+        assert checked >= 360

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from toric_virasoro.exactalg import LaurentPoly, parse_laurent
+import oracles
+from toric_virasoro.exactalg import LaurentPoly, convolve, parse_laurent
 from toric_virasoro.golden import list_cases, load_case
-from toric_virasoro.klyachko import _surface_integral
 from toric_virasoro.surfaces import linform, surface_by_name
 
 ALL = ["p2", "f0", "f1", "f2"]
@@ -86,20 +86,34 @@ def test_character_denominator_keeps_one_factor_per_associate_pair(name, count):
     assert len(srf.character_denominator.factors) == count
 
 
+def divisor_lift_of_class(srf, coeffs: tuple, point) -> tuple[int, int]:
+    """Restriction (a, b) at the point of the lifted class sum_i coeffs[i] * D_i."""
+    a = b = 0
+    for name, c in zip(srf.divisor_names, coeffs):
+        la, lb = srf.divisor_lift(name, point)
+        a += c * la
+        b += c * lb
+    return (a, b)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_divisor_lifts_reproduce_pairing(name):
     # integral over the surface of a product of two lifted divisor classes,
-    # computed by localization, equals the intersection number
+    # computed by localization, equals the intersection number: over the
+    # integers at s = 1 and by the Fraction oracle
     srf = surface_by_name(name)
     basis = [tuple(1 if i == j else 0 for j in range(srf.picard_rank)) for i in range(srf.picard_rank)]
     for c in basis:
         for d in basis:
-            nums = []
-            for point in srf.points:
-                lc = linform(srf.divisor_lift_of_class(c, point))
-                ld = linform(srf.divisor_lift_of_class(d, point))
-                nums.append(lc * ld)
-            assert _surface_integral(srf, nums) == srf.pair(c, d)
+            lifts = [
+                (divisor_lift_of_class(srf, c, point), divisor_lift_of_class(srf, d, point))
+                for point in srf.points
+            ]
+            rows = [convolve(lc, ld) for lc, ld in lifts]
+            (cleared,) = srf.clear_rows(rows, 0)
+            assert Fraction(cleared, srf.tangent_scale) == srf.pair(c, d)
+            nums = [linform(lc) * linform(ld) for lc, ld in lifts]
+            assert oracles.surface_integral(srf, nums) == srf.pair(c, d)
 
 
 @pytest.mark.parametrize("name", ALL)
