@@ -439,6 +439,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    # smaller bounds would check no identity and pass vacuously
+    if args.max_k < -1:
+        raise ConfigError(f"max-k must be >= -1, got {args.max_k}")
+    if args.max_degree < 0:
+        raise ConfigError(f"max-degree must be >= 0, got {args.max_degree}")
     names = args.surface or ["p2", "f0"]
     total = 0
     for name in names:

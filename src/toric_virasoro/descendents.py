@@ -546,7 +546,7 @@ def bracket_suite(surface: Surface, max_k: int = 4, max_degree: int = 6, rank: i
     checked = 0
     for mono in monos:
         D = DescPoly.monomial(mono)
-        lk = {k: apply_Lplus(k, D, surface) for k in range(-1, 2 * max_k + 1)}
+        lk = {k: apply_Lplus(k, D, surface) for k in range(-1, max(2 * max_k, -1) + 1)}
         for k in range(-1, max_k + 1):
             for m in range(k, max_k + 1):
                 lhs = apply_Lplus(k, lk[m], surface) - apply_Lplus(m, lk[k], surface)

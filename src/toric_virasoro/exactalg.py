@@ -1,40 +1,37 @@
-"""Exact sparse Laurent-polynomial arithmetic in two variables.
+"""Exact arithmetic in two variables ``s, t``: Laurent polynomials and integer forms.
 
-The two variables are called ``s`` and ``t`` throughout.  A polynomial is a
-sparse mapping ``(a, b) -> Fraction`` meaning ``sum c * s^a * t^b`` with
-integer (possibly negative) exponents.  The same type serves two roles:
-
-* **K-theory characters**: exponents are torus weights, e.g. ``s + s*t^-1``.
-* **Cohomology classes**: ``s`` and ``t`` are the two degree-1 equivariant
-  generators of a fixed-point chart, so a monomial ``s^a t^b`` has complex
-  degree ``a + b`` (and only ``a, b >= 0`` occurs).
+* **K-theory characters** are :class:`LaurentPoly` values, sparse mappings
+  ``(a, b) -> Fraction`` meaning ``sum c * s^a * t^b``; the exponents are
+  torus weights, e.g. ``s + s*t^-1``.  They also give readable views.
+* **Cohomology classes** are homogeneous polynomials in the degree-1
+  generators ``s, t`` of a fixed-point chart, kept at ``s = 1`` as integer
+  coefficient lists: ``f[j]`` belongs to ``s^(d-j) t^j`` in degree ``d``.
 
 Every number the package certifies is a torus-localization sum
-``sum_q v_q / e_q`` that must clear exactly to a Laurent polynomial.
-:class:`CommonDenominator` is the one routine that clears such sums: it
-forms the multiset LCM of the denominators' irreducible factors (never
-their product) and the cofactors ``LCM / e_q``, and :func:`exact_div`
-divides the LCM out one factor at a time, raising :class:`NotDivisible`
-when a quotient does not exist.  Denominator factors count only up to
-units (a rational times a monomial): each is replaced by one canonical
-associate, and the unit stays with its term inside the cofactor, so
-``s - t`` and ``t - s`` share one LCM factor.
+``sum_q v_q / e_q`` that must clear exactly.  Its common denominator is the
+multiset LCM of the denominators' irreducible factors (never their
+product), with the cofactors ``LCM / e_q``.  Factors count only up to units
+(a rational times a monomial): each is replaced by one canonical associate,
+and the unit stays with its term inside the cofactor, so ``s - t`` and
+``t - s`` share one LCM factor.  One type clears each kind of sum:
 
-Fixed-point sums of cohomology classes are homogeneous, so they are kept at
-``s = 1`` as integer coefficient lists (:func:`dehomogenize`,
-:func:`integer_rows`).  A surface sum is cleared there over the integers:
-:func:`divide_linear` divides by one canonical linear factor by a
-recurrence that refuses any remainder (a factor is primitive, so by Gauss's
-lemma an integer quotient exists exactly when a rational one does).  The
-integration kernel multiplies such lists by Kronecker substitution:
+* :class:`CommonDenominator`, over characters: :func:`exact_div` divides
+  the LCM out one factor at a time;
+* :class:`LinearDenominator`, over integer forms, for ``e_q`` products of
+  linear forms: the cofactors and the LCM share one integer scale, and
+  :func:`divide_linear` divides by one canonical (primitive) form by a
+  recurrence that refuses any remainder; by Gauss's lemma an integer
+  quotient exists exactly when a rational one does.
+
+Both raise :class:`NotDivisible` when a quotient does not exist.  The
+integration kernel multiplies integer forms by Kronecker substitution:
 :func:`pack` evaluates a list at ``t = 2^W``, one bigint product stands for
 a polynomial product, and :func:`unpack` reads the signed ``W``-bit slots
-back.  Decoding is exact when every coefficient of
-the result is below ``2^(W-1)`` in absolute value, which the caller ensures
-by choosing ``W`` above an l1 bound (``||f||_1`` is the sum of the absolute
-coefficients): every coefficient of ``f g`` is at most ``||f||_1 ||g||_1``
-in absolute value, and norms of sums add.  There is no floating point
-anywhere.
+back.  Decoding is exact when every coefficient of the result is below
+``2^(W-1)`` in absolute value, which the caller ensures by choosing ``W``
+above an l1 bound (``||f||_1`` is the sum of the absolute coefficients):
+every coefficient of ``f g`` is at most ``||f||_1 ||g||_1`` in absolute
+value, and norms of sums add.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -208,12 +205,6 @@ class LaurentPoly:
         if any(c.denominator != 1 for c in self.coeffs.values()):
             raise ValueError(f"{self.render()} has a non-integral coefficient")
         return [(a, b, c.numerator) for (a, b), c in self.coeffs.items()]
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((0, 0), ZERO)
-
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self.coeffs.get((a, b), ZERO)
 
     def dual(self) -> "LaurentPoly":
         """K-theory dual: s^a t^b -> s^-a t^-b."""
@@ -483,35 +474,11 @@ class CommonDenominator:
 # ---------------------------------------------------------------------------
 
 
-def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:
-    """The coefficients of ``p`` at ``s = 1``: ``out[j]`` belongs to ``s^(deg-j) t^j``.
-
-    ``p`` must be a polynomial homogeneous of degree ``deg`` (or zero), so
-    setting ``s = 1`` loses nothing while ``deg`` is kept; a negative
-    exponent or a term of another degree raises :class:`NotDivisible`.
-    """
-    out = [ZERO] * (deg + 1)
-    for (a, b), c in p.coeffs.items():
-        if a < 0 or b < 0 or a + b != deg:
-            raise NotDivisible(
-                f"{p.render()} is not a polynomial homogeneous of degree {deg}"
-            )
-        out[b] = c
-    return out
-
-
 def homogenize(coeffs: Iterable[int], deg: int, scale: int) -> LaurentPoly:
-    """Inverse of :func:`dehomogenize`, with every coefficient divided by ``scale``."""
+    """The form ``coeffs`` (``coeffs[j]`` at ``s^(deg-j) t^j``) as a polynomial, divided by ``scale``."""
     out = LaurentPoly.__new__(LaurentPoly)
     out.coeffs = {(deg - j, j): Fraction(c, scale) for j, c in enumerate(coeffs) if c}
     return out
-
-
-def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(L, [L * row for row in rows])``, ``L`` the least common denominator."""
-    rows = [list(row) for row in rows]
-    scale = lcm(1, *(c.denominator for row in rows for c in row))
-    return scale, [[int(c * scale) for c in row] for row in rows]
 
 
 def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -541,19 +508,116 @@ def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
     rational quotient is integral by Gauss's lemma, so a step that does not
     divide over ZZ proves that no quotient exists.
     """
+    form, work = (a, b), coeffs
     if not a:
         if not b:
             raise ZeroDivisionError("division by the zero form")
-        return divide_linear(coeffs[::-1], b, a)[::-1]
+        a, b, work = b, a, coeffs[::-1]
     quotient, prev = [], 0
-    for c in coeffs[:-1]:
+    for c in work[:-1]:
         prev, rem = divmod(c - b * prev, a)
         if rem:
-            raise NotDivisible(f"{list(coeffs)} is not divisible by {linform((a, b)).render()}")
+            raise NotDivisible(f"{list(coeffs)} is not divisible by {linform(form).render()}")
         quotient.append(prev)
-    if coeffs[-1] != b * prev:
-        raise NotDivisible(f"{list(coeffs)} leaves a remainder by {linform((a, b)).render()}")
-    return quotient
+    if work[-1] != b * prev:
+        raise NotDivisible(f"{list(coeffs)} leaves a remainder by {linform(form).render()}")
+    return quotient if work is coeffs else quotient[::-1]
+
+
+def _primitive(w: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """``(form, unit)`` with ``w == unit * form``: :func:`_associate` on integer pairs.
+
+    The form is primitive with its first nonzero entry positive.
+    """
+    a, b = w
+    unit = gcd(a, b)
+    if not unit:
+        raise ZeroDivisionError("zero weight in a denominator")
+    if a < 0 or (not a and b < 0):
+        unit = -unit
+    return (a // unit, b // unit), unit
+
+
+def _form_product(forms: Iterable[tuple[int, int]], scale: int) -> list[int]:
+    out = [scale]
+    for form in forms:
+        out = convolve(out, form)
+    return out
+
+
+class LinearDenominator:
+    """:class:`CommonDenominator` over ZZ at s = 1, for products of linear forms.
+
+    ``weights_per_point[q]`` lists the weights ``(a, b)`` whose forms
+    ``a*s + b*t`` multiply to ``e_q``, with repeats.  Each weight is split
+    as a unit times its canonical primitive form (:func:`_primitive`), and
+    the instance holds
+
+    * ``forms``: the multiset LCM of the canonical forms, in the order of
+      :attr:`CommonDenominator.factors` (``t``, then by ``a``; ``s`` before
+      the other forms with ``a = 1``; then by ``b``);
+    * ``scale``: ``L``, the least common multiple of the units ``|u_q|``;
+    * ``cofactors`` and ``poly``: ``L * LCM / e_q`` and ``L * LCM`` at s = 1,
+      integer forms (``out[j]`` at ``s^(d-j) t^j``); a product of primitive
+      forms is primitive, so ``L`` is their least common denominator;
+    * ``norms``: the l1 norms of the cofactors.
+
+    Then ``sum_q v_q / e_q == sum_q v_q * cofactors[q] / poly`` exactly.
+    """
+
+    __slots__ = ("forms", "scale", "cofactors", "poly", "norms")
+
+    def __init__(self, weights_per_point: Iterable[Iterable[tuple[int, int]]]):
+        counts, units = [], []
+        for weights in weights_per_point:
+            count, unit = Counter(), 1
+            for w in weights:
+                form, u = _primitive(w)
+                count[form] += 1
+                unit *= u
+            counts.append(count)
+            units.append(unit)
+        lcm_counts: Counter = Counter()
+        for c in counts:
+            lcm_counts |= c
+        order = sorted(lcm_counts, key=lambda f: (f[0], f[1] != 0, f[1]))
+        self.forms = tuple(f for f in order for _ in range(lcm_counts[f]))
+        self.scale = lcm(1, *units)
+        self.poly = _form_product(self.forms, self.scale)
+        self.cofactors = [
+            _form_product((f for f in order for _ in range(lcm_counts[f] - c[f])), self.scale // u)
+            for c, u in zip(counts, units)
+        ]
+        self.norms = [sum(map(abs, co)) for co in self.cofactors]
+
+    def divide(self, total: Sequence[int], deg: int) -> list[int]:
+        """``total / LCM``, certified to be a form of degree ``deg``: its ``deg + 1`` coefficients.
+
+        Below degree 0 the total must vanish; otherwise it is divided by
+        every form with :func:`divide_linear`.  Either raises
+        :class:`NotDivisible` when no quotient exists.
+        """
+        if deg < 0:
+            if any(total):
+                raise NotDivisible(f"a fixed-point sum of degree {deg} does not vanish")
+            return []
+        for a, b in self.forms:
+            total = divide_linear(total, a, b)
+        return total
+
+    def clear(self, nums: Sequence[Sequence[int] | None], deg: int) -> list[int]:
+        """``scale * sum_q nums[q] / e_q`` at s = 1, over the integers.
+
+        ``nums[q]`` is an integer form of degree ``deg + len(e_q's forms)``
+        (falsy for zero).  The numerators times their cofactors are summed,
+        then :meth:`divide` certifies the degree-``deg`` quotient.
+        """
+        total = [0] * (deg + len(self.forms) + 1)
+        for num, co in zip(nums, self.cofactors, strict=True):
+            if num:
+                for j, x in enumerate(convolve(num, co)):
+                    total[j] += x
+        return self.divide(total, deg)
 
 
 def pack(coeffs: Sequence[int], width: int) -> int:

@@ -28,7 +28,7 @@ from importlib import resources
 
 from .descendents import Monomial, monomial_degree, parse_monomial
 from .exactalg import LaurentPoly, parse_laurent
-from .localization import Case, make_case
+from .localization import Case
 
 __all__ = [
     "GoldenCase",
@@ -179,16 +179,6 @@ class CaseReport:
     def ok(self) -> bool:
         return self.dim_ok and self.k_status != "mismatch" and not self.integral_failures
 
-    def lines(self) -> list[str]:
-        out = [f"case {self.case_id}: {'ok' if self.ok else 'FAILED'}"]
-        if not self.dim_ok:
-            out.append("  moduli dimension disagrees with the recorded value")
-        out.append(f"  fixed locus: {self.k_status}")
-        out.extend("    " + msg for msg in self.k_messages)
-        out.append(f"  integral rows checked: {self.integral_count}")
-        out.extend("    " + msg for msg in self.integral_failures)
-        return out
-
 
 def compare_fixed_locus(golden: GoldenCase, computed_rows) -> tuple[str, tuple[str, ...]]:
     """Match recorded rows against computed restriction rows as multisets.
@@ -256,12 +246,8 @@ def compare_integrals(golden: GoldenCase, case: Case) -> tuple[int, tuple[str, .
     return len(golden.integrals), tuple(failures)
 
 
-def verify_case(golden: GoldenCase | str, case: Case | None = None) -> CaseReport:
-    """Check one recorded case end to end against a fresh computation."""
-    if isinstance(golden, str):
-        golden = load_case(golden)
-    if case is None:
-        case = make_case(golden.surface, golden.rank, golden.delta, golden.c2, golden.H)
+def verify_case(golden: GoldenCase, case: Case) -> CaseReport:
+    """Check one recorded case end to end against the case built for it."""
     report = CaseReport(case_id=golden.id)
     report.dim_ok = case.vdim == golden.dim
     report.k_status, report.k_messages = compare_fixed_locus(golden, case.restrictions)

@@ -330,17 +330,18 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     At a fixed point with chart character ``sum c * chi^(a, b)``, ``ch_k`` is
     ``power_sum(terms, k) / k!``; the surface integrals of ``ch_2`` and of
     ``ch_1`` times each basis divisor are degree-0 sums cleared over the
-    integers by :meth:`Surface.clear_rows`.
+    integers by the surface's ``tangent_denominator``.
     """
     S = sheaf.surface
+    den = S.tangent_denominator
     terms = [sheaf.restriction(p).integer_terms() for p in S.points]
     ranks = {power_sum(t, 0)[0] for t in terms}
     if len(ranks) != 1:
         raise ValueError(f"inconsistent ranks at fixed points: {ranks}")
 
     def integral(nums) -> Fraction:
-        (cleared,) = S.clear_rows(nums, 0)
-        return Fraction(cleared, S.tangent_scale)
+        (cleared,) = den.clear(nums, 0)
+        return Fraction(cleared, den.scale)
 
     ch1 = [power_sum(t, 1) for t in terms]
     # pair c1 with each basis divisor, then invert the intersection form

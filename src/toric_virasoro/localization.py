@@ -2,36 +2,34 @@
 
 A :class:`Case` bundles a toric surface, topological invariants, a
 polarization and the finite list of torus-fixed stable sheaves with those
-invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``
-cleared by an :class:`~toric_virasoro.exactalg.CommonDenominator`: the two
-surface ones are built once per :class:`~toric_virasoro.surfaces.Surface`,
-the moduli one once per case.
+invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``:
+K-theoretic ones are cleared by the surface's ``character_denominator``,
+cohomological ones over the integers at ``s = 1`` by an
+:class:`~toric_virasoro.exactalg.LinearDenominator`, built once per surface
+and once per case.
 
 * ``tangent_representation`` computes the torus character of the tangent
   space at a fixed point from the K-theoretic Euler characteristic
-  ``chi(E, E)``, a sum over the surface's ``character_denominator``, and
-  certifies isolation (no trivial weight) and the expected dimension;
-* ``realize_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
-  moduli fixed point as a genuine polynomial in the torus parameters
-  ``s, t``: normalized Chern character slices of the sheaf's chart
-  restrictions, summed over the surface points.  This runs over the
-  integers at ``s = 1``: each slice is a sum of powers of integer linear
-  forms (chart weights scaled by r), and :meth:`Surface.clear_rows` clears the
-  sum by exact integer division, one canonical factor at a time, into the
-  ``(scale, rows)`` that the integration kernel reads;
+  ``chi(E, E)``, and certifies isolation (no trivial weight) and the
+  expected dimension;
+* ``_integer_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
+  moduli fixed point as a polynomial in the torus parameters ``s, t``:
+  normalized Chern character slices of the sheaf's chart restrictions,
+  summed over the surface points.  Each slice is a sum of powers of integer
+  linear forms (chart weights scaled by r), and the surface's
+  ``tangent_denominator`` clears the sum by exact integer division, one
+  canonical form at a time, into the ``(scale, rows)`` that the
+  integration kernel reads; ``realize_symbol`` is their readable view;
 * ``integrate`` sums over the case's ``tangent_denominator`` (the LCM of the
   moduli tangent Euler classes), certifies that the sum clears (the
-  localization consistency check), and evaluates at the origin.  It works
-  over the integers: every realized value, cofactor and the LCM is
-  homogeneous, so each is kept at ``s = 1`` as an integer list with one
-  common scale, and a monomial's cleared numerator
-  ``sum_q cofactor_q * prod_i v_iq`` is one exact bigint sum of
-  Kronecker-packed products (:func:`~toric_virasoro.exactalg.pack`), with a
-  slot width set by an l1 bound so that decoding it is exact.  Below the
-  moduli dimension the numerator must vanish; at it, it must be a constant
-  times the LCM, checked slot by slot; above it (a value that must be 0)
-  the numerator is divided by every LCM factor with
-  :func:`~toric_virasoro.exactalg.exact_div`.
+  localization consistency check), and evaluates at the origin.  A
+  monomial's cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is one
+  exact bigint sum of Kronecker-packed products
+  (:func:`~toric_virasoro.exactalg.pack`), with a slot width set by an l1
+  bound so that decoding it is exact.  At the moduli dimension it must be a
+  constant times the LCM, checked slot by slot; below it the numerator must
+  vanish, and above it (a value that must be 0) it is divided by every LCM
+  form (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
 ``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it
@@ -59,15 +57,12 @@ from .descendents import (
 )
 from .enumeration import fixed_locus_cached
 from .exactalg import (
-    CommonDenominator,
     LaurentPoly,
+    LinearDenominator,
     NotDivisible,
     Rat,
     convolve,
-    dehomogenize,
-    exact_div,
     homogenize,
-    integer_rows,
     linform,
     pack,
     power_sum,
@@ -190,21 +185,25 @@ class Case:
     # -- the common denominator of moduli integrals ------------------------
 
     @cached_property
-    def tangent_denominator(self) -> CommonDenominator:
+    def tangent_denominator(self) -> LinearDenominator:
         """LCM and cofactors of the tangent Euler classes, one term per point."""
-        return CommonDenominator(
-            [linform(w) for w, c in tangent for _ in range(int(c))]
-            for tangent in self.tangents()
+        return LinearDenominator(
+            [w for w, c in tangent for _ in range(int(c))] for tangent in self.tangents()
         )
 
     def scaffold(self):
-        """``(lcm_poly, lcm_factors, cofactors)`` of :attr:`tangent_denominator`.
+        """``(lcm_poly, lcm_factors, cofactors)`` of :attr:`tangent_denominator`, readable.
 
         Any fixed-point sum ``sum_q v_q / e_q`` equals
         ``(sum_q v_q * cofactors[q]) / lcm_poly`` exactly.
         """
         den = self.tangent_denominator
-        return den.poly, den.factors, den.cofactors
+        n = len(den.forms)
+        return (
+            homogenize(den.poly, n, den.scale),
+            tuple(linform(f) for f in den.forms),
+            [homogenize(co, n - self.vdim, den.scale) for co in den.cofactors],
+        )
 
     # -- realized symbols ----------------------------------------------------
 
@@ -237,29 +236,14 @@ class Case:
 
     # -- exact integration ----------------------------------------------------
 
-    @cached_property
-    def _integer_denominator(self) -> tuple[int, list[list[int]], list[int], list[int]]:
-        """``(L, cofactors, norms, poly)``: :attr:`tangent_denominator` at s = 1 over ZZ.
-
-        ``L`` is the least common denominator of the cofactors and the LCM
-        polynomial, both scaled by it; ``norms`` are the cofactors' l1 norms.
-        """
-        den = self.tangent_denominator
-        n = len(den.factors)
-        scale, rows = integer_rows(
-            [*(dehomogenize(co, n - self.vdim) for co in den.cofactors), dehomogenize(den.poly, n)]
-        )
-        cofactors = rows[:-1]
-        return scale, cofactors, [sum(map(abs, co)) for co in cofactors], rows[-1]
-
     def _integer_symbol(self, sym: tuple[int, str]) -> tuple[int, list[list[int]], list[int]]:
         """``(S, values, norms)``: ch_i(gamma) at every moduli point, at s = 1, scaled by S to ZZ.
 
         At a surface point ch_i of ``-E (x) det(E)^(-1/r)`` is
         ``-power_sum(forms, i) / (i! r^i)`` over the :attr:`_chern_forms`.
-        Times the class lift, it is summed over the surface by
-        :meth:`Surface.clear_rows`, so the scale is
-        ``tangent_scale * i! * r^i`` until the common gcd of the scale and
+        Times the class lift, it is summed over the surface by the surface's
+        ``tangent_denominator``, so the scale is ``L * i! * r^i``, with ``L``
+        that denominator's scale, until the common gcd of the scale and
         every value is divided out: S is then the least common denominator
         of the values.
         """
@@ -270,11 +254,10 @@ class Case:
                 self._int_symbols[sym] = (1, [[] for _ in range(n)], [0] * n)
                 return self._int_symbols[sym]
             surface = self.surface
-            ldeg = surface.class_degree(name)
+            den = surface.tangent_denominator
             lifts = [surface.class_lift(name, p) for p in surface.points]
-            lifts = [[int(c) for c in dehomogenize(v, ldeg)] if v else None for v in lifts]
             rows = [
-                surface.clear_rows(
+                den.clear(
                     [
                         convolve(power_sum(forms, i), lift) if lift else None
                         for forms, lift in zip(per_point, lifts)
@@ -283,7 +266,7 @@ class Case:
                 )
                 for per_point in self._chern_forms
             ]
-            scale = surface.tangent_scale * factorial(i) * self.rank**i
+            scale = den.scale * factorial(i) * self.rank**i
             g = gcd(scale, *(x for row in rows for x in row))
             rows = [[-x // g for x in row] for row in rows]
             self._int_symbols[sym] = (scale // g, rows, [sum(map(abs, row)) for row in rows])
@@ -314,14 +297,14 @@ class Case:
         the l1 bound ``sum_q ||cofactor_q|| * prod_i ||v_iq||``, which bounds
         every coefficient, so decoding it is exact.
         """
-        den_scale, cofactors, co_norms, poly = self._integer_denominator
+        den = self.tangent_denominator
         symbols = [self._integer_symbol(sym) for sym in mono]
-        scale, bounds = 1, list(co_norms)
+        scale, bounds = 1, list(den.norms)
         for sym_scale, _rows, norms in symbols:
             bounds = [b * n for b, n in zip(bounds, norms)]
             scale *= sym_scale
         width = 64 * (sum(bounds).bit_length() // 64 + 1)  # a sign bit above the bound
-        packed = [self._packed("cofactors", cofactors, width)]
+        packed = [self._packed("cofactors", den.cofactors, width)]
         packed += [self._packed(sym, rows, width) for sym, (_s, rows, _n) in zip(mono, symbols)]
         num = 0
         for q, bound in enumerate(bounds):
@@ -332,10 +315,10 @@ class Case:
                 num += term
         if not num:
             return _ZERO
-        top = len(poly) - 1 - self.vdim + deg  # nominal degree of the numerator
-        slots = unpack(num, width, top + 1)
+        slots = unpack(num, width, len(den.poly) - self.vdim + deg)
         if deg == self.vdim:
             # the cleared quotient is a constant c: certify num == c * lcm
+            poly = den.poly
             b0 = next(j for j, c in enumerate(poly) if c)
             n0, l0 = slots[b0], poly[b0]
             if any(n * l0 != l * n0 for n, l in zip(slots, poly)):
@@ -344,23 +327,12 @@ class Case:
                     " locus or tangent data is inconsistent"
                 )
             self.certified_clearings += 1
-            return Fraction(n0, l0 * scale)  # den_scale cancels: poly is scaled too
-        num = homogenize(slots, top, den_scale * scale)
-        if deg < self.vdim:
-            # degree reasons force the cleared sum to vanish identically
-            raise NotDivisible(
-                f"fixed-point sum of a degree-{deg} class on a {self.vdim}-"
-                f"dimensional space failed to cancel: {num.render()}"
-            )
-        # degree above vdim: divide out every factor, then evaluate at 0
-        for factor in self.tangent_denominator.factors:
-            num = exact_div(num, factor)
+            return Fraction(n0, l0 * scale)  # den.scale cancels: poly is scaled too
+        # below vdim the numerator must vanish; above it the cleared sum is a
+        # polynomial of positive degree, so its value at the origin is 0
+        den.divide(slots, deg - self.vdim)
         self.certified_clearings += 1
-        for (a, b) in num.coeffs:
-            if a < 0 or b < 0:
-                # exact_div by a monomial factor such as t always succeeds
-                raise NotDivisible("cleared sum is not polynomial")
-        return num.constant_term()
+        return _ZERO
 
     def integrate(self, D: DescPoly) -> Fraction:
         total = _ZERO

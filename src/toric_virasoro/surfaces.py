@@ -25,6 +25,12 @@ Conventions (fixed once, consistently with the bundled reference tables):
 Numerical integrals computed downstream are independent of these lift
 choices; fixing them just makes every intermediate value reproducible.
 
+Lifted classes are integer forms at ``s = 1`` (``class_lift``), and a
+surface integral is a fixed-point sum over the tangent Euler classes,
+cleared over the integers by ``tangent_denominator`` (an
+:class:`~toric_virasoro.exactalg.LinearDenominator`).  K-theoretic sums
+are cleared by ``character_denominator``.
+
 Divisor classes are integer vectors in the basis and the intersection form
 is integral, so intersection numbers (``pair``, ``ray_degree``, ``vdim``)
 are plain ``int``s.
@@ -40,18 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from typing import Sequence
-
-from .exactalg import (
-    CommonDenominator,
-    LaurentPoly,
-    NotDivisible,
-    convolve,
-    dehomogenize,
-    divide_linear,
-    integer_rows,
-    linform,
-)
+from .exactalg import CommonDenominator, LaurentPoly, LinearDenominator, convolve
 
 Vec = tuple[int, int]
 
@@ -119,21 +114,12 @@ class Surface:
             for k, (i, j) in enumerate(self.cones)
         ]
         # the two fixed-point sums on the surface, one term per point:
-        # cohomology over the tangent Euler classes, K-theory over
-        # prod(1 - chi^w) for the chart characters w
-        self.tangent_denominator = CommonDenominator(
-            [linform(w) for w in p.tangent_weights] for p in self.points
-        )
+        # cohomology over the tangent Euler classes (over ZZ at s = 1),
+        # K-theory over prod(1 - chi^w) for the chart characters w
+        self.tangent_denominator = LinearDenominator(p.tangent_weights for p in self.points)
         self.character_denominator = CommonDenominator(
             [LaurentPoly.one() - char_monomial(w) for w in p.duals] for p in self.points
         )
-        # the cohomological sum at s = 1 over ZZ (see clear_rows): cofactor
-        # rows scaled by one integer, and each canonical factor a*s + b*t
-        den = self.tangent_denominator
-        self.tangent_scale, self._cofactor_rows = integer_rows(
-            dehomogenize(co, len(den.factors) - 2) for co in den.cofactors
-        )
-        self._factor_forms = [(int(f.coeff(1, 0)), int(f.coeff(0, 1))) for f in den.factors]
         self.divisor_names = list(divisor_names)
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
@@ -187,12 +173,12 @@ class Surface:
         """Restriction of the lifted basis divisor (via its toric representative)."""
         return self.ray_divisor_lift(self.basis_reps[name], point)
 
-    def point_lift(self, point: FixedPoint) -> LaurentPoly:
-        """Restriction of the lifted point class (supported at the first point)."""
+    def point_lift(self, point: FixedPoint) -> list[int]:
+        """Restriction of the lifted point class at s = 1 (supported at the first point)."""
         if point.index != 0:
-            return LaurentPoly.zero()
+            return []
         w1, w2 = self.points[0].tangent_weights
-        return linform(w1) * linform(w2)
+        return convolve(w1, w2)
 
     def class_degree(self, name: str) -> int:
         if name == "1":
@@ -203,40 +189,20 @@ class Surface:
             return 1
         raise KeyError(name)
 
-    def class_lift(self, name: str, point: FixedPoint) -> LaurentPoly:
-        """Equivariant restriction of a named basis class at a fixed point."""
+    def class_lift(self, name: str, point: FixedPoint) -> list[int]:
+        """Equivariant restriction of a named basis class at a fixed point.
+
+        An integer form at s = 1: ``out[j]`` belongs to ``s^(d-j) t^j`` with
+        ``d = class_degree(name)``, and ``[]`` stands for zero.
+        """
         if name == "1":
-            return LaurentPoly.one()
+            return [1]
         if name == "p":
             return self.point_lift(point)
         if name in self.divisor_names:
-            return linform(self.divisor_lift(name, point))
+            lift = self.divisor_lift(name, point)
+            return list(lift) if any(lift) else []
         raise KeyError(name)
-
-    def clear_rows(self, nums: Sequence[Sequence[int] | None], deg: int) -> list[int]:
-        """``tangent_scale * sum_p nums[p] / e_p`` at s = 1, over the integers.
-
-        ``nums[p]`` is an integer form of degree ``deg + 2`` at s = 1 (``None``
-        for zero) and ``e_p`` the tangent Euler class at point p.  The
-        numerators times their cofactor rows are summed and divided by every
-        canonical factor (:func:`divide_linear`, NotDivisible on a remainder):
-        the ``deg + 1`` coefficients left certify a polynomial homogeneous of
-        degree ``deg``.  Below degree 0 the summed numerator must vanish.
-        """
-        total = [0] * (deg + len(self._factor_forms) + 1)
-        for num, co in zip(nums, self._cofactor_rows, strict=True):
-            if num:
-                for j, x in enumerate(convolve(num, co)):
-                    total[j] += x
-        if deg < 0:
-            if any(total):
-                raise NotDivisible(
-                    f"a degree-{deg} sum over the fixed points of {self.name} does not vanish"
-                )
-            return []
-        for a, b in self._factor_forms:
-            total = divide_linear(total, a, b)
-        return total
 
     def c1_coeffs(self) -> tuple:
         """First Chern class of the surface (anticanonical), in the basis."""

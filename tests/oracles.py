@@ -1,29 +1,93 @@
 """Reference paths over ``Fraction`` Laurent polynomials, kept for the tests.
 
-The package realizes descendent symbols and Chern invariants over the
-integers at s = 1 (``Surface.clear_rows``).  The functions here are the
-``Fraction`` paths they replaced: truncated exponential Chern characters,
-cleared by ``Surface.tangent_denominator.clear`` with the degree checked on
-the result.  The tests require the integer path to agree with them.
+The package clears every cohomological fixed-point sum over the integers at
+s = 1, with an ``exactalg.LinearDenominator``: on the surface (descendent
+symbols, Chern invariants) and on the moduli space (integrals).  The
+functions here are the ``Fraction`` paths it replaced: a
+``CommonDenominator`` of ``linform`` factors, read at s = 1 by
+:func:`dehomogenize` and scaled to the integers by :func:`integer_rows`;
+truncated exponential Chern characters, cleared over the surface with the
+degree checked on the result.  The tests require the integer paths to agree
+with them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from toric_virasoro.descendents import symbol_degree
 from toric_virasoro.exactalg import (
+    CommonDenominator,
     LaurentPoly,
     NotDivisible,
     convolve,
-    dehomogenize,
-    integer_rows,
+    linform,
 )
 from toric_virasoro.klyachko import _solve_divisor_class
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:
+    """The coefficients of ``p`` at ``s = 1``: ``out[j]`` belongs to ``s^(deg-j) t^j``.
+
+    ``p`` must be a polynomial homogeneous of degree ``deg`` (or zero), so
+    setting ``s = 1`` loses nothing while ``deg`` is kept; a negative
+    exponent or a term of another degree raises :class:`NotDivisible`.
+    """
+    out = [ZERO] * (deg + 1)
+    for (a, b), c in p.coeffs.items():
+        if a < 0 or b < 0 or a + b != deg:
+            raise NotDivisible(
+                f"{p.render()} is not a polynomial homogeneous of degree {deg}"
+            )
+        out[b] = c
+    return out
+
+
+def integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """``(L, [L * row for row in rows])``, ``L`` the least common denominator."""
+    rows = [list(row) for row in rows]
+    scale = lcm(1, *(c.denominator for row in rows for c in row))
+    return scale, [[int(c * scale) for c in row] for row in rows]
+
+
+def linear_denominator(weights_per_point):
+    """``(forms, scale, cofactors, poly)`` of a ``LinearDenominator``, by ``Fraction`` clearing.
+
+    A ``CommonDenominator`` of the linear forms, with its cofactors and LCM
+    read at s = 1 and scaled to the integers by one least common denominator.
+    """
+    weights_per_point = [list(ws) for ws in weights_per_point]
+    den = CommonDenominator([linform(w) for w in ws] for ws in weights_per_point)
+    n = len(den.factors)
+    scale, rows = integer_rows(
+        [
+            *(dehomogenize(co, n - len(ws)) for co, ws in zip(den.cofactors, weights_per_point)),
+            dehomogenize(den.poly, n),
+        ]
+    )
+    forms = tuple((int(f.coeffs.get((1, 0), 0)), int(f.coeffs.get((0, 1), 0))) for f in den.factors)
+    return forms, scale, rows[:-1], rows[-1]
+
+
+def surface_denominator(surface) -> CommonDenominator:
+    """The surface's tangent Euler classes as a ``CommonDenominator`` of ``linform`` factors."""
+    return CommonDenominator([linform(w) for w in p.tangent_weights] for p in surface.points)
+
+
+def class_lift(surface, name: str, point) -> LaurentPoly:
+    """``Surface.class_lift`` as a polynomial: 1, the divisor's form, or the point's Euler class."""
+    if name == "1":
+        return LaurentPoly.one()
+    if name == "p":
+        if point.index != 0:
+            return LaurentPoly.zero()
+        w1, w2 = surface.points[0].tangent_weights
+        return linform(w1) * linform(w2)
+    return linform(surface.divisor_lift(name, point))
 
 
 def degrees(p: LaurentPoly) -> set[int]:
@@ -92,7 +156,7 @@ def as_constant(p: LaurentPoly) -> Fraction:
     for (a, b) in p.coeffs:
         if (a, b) != (0, 0):
             raise ValueError(f"non-constant term s^{a}*t^{b} survives clearing")
-    return p.constant_term()
+    return p.coeffs.get((0, 0), ZERO)
 
 
 def chern_series(case, q: int, p: int, cap: int) -> LaurentPoly:
@@ -115,7 +179,8 @@ def realize_symbol(case, i: int, name: str) -> tuple[LaurentPoly, ...]:
         return tuple(LaurentPoly.zero() for _ in range(case.n_points))
     surface = case.surface
     sdeg = symbol_degree((i, name), surface)
-    lifts = [surface.class_lift(name, p) for p in surface.points]
+    lifts = [class_lift(surface, name, p) for p in surface.points]
+    den = surface_denominator(surface)
     zero = LaurentPoly.zero()
     values = []
     for q in range(case.n_points):
@@ -124,7 +189,7 @@ def realize_symbol(case, i: int, name: str) -> tuple[LaurentPoly, ...]:
             lift * homogeneous_part(chern_series(case, q, pidx, i), i) if lift else zero
             for pidx, lift in enumerate(lifts)
         ]
-        value = surface.tangent_denominator.clear(nums)
+        value = den.clear(nums)
         if value and not is_homogeneous(value, sdeg):
             raise NotDivisible(
                 f"realized ch_{i}({name}) at point {q} is not homogeneous"
@@ -143,9 +208,7 @@ def integer_symbol(case, sym) -> tuple[int, list[list[int]], list[int]]:
 
 def surface_integral(surface, numerators) -> Fraction:
     """Sum num_p / e(T_p) over fixed points; numerators truncated at degree 2."""
-    return as_constant(
-        surface.tangent_denominator.clear([truncate(num, 2) for num in numerators])
-    )
+    return as_constant(surface_denominator(surface).clear([truncate(num, 2) for num in numerators]))
 
 
 def chern_invariants(sheaf) -> tuple[int, tuple[int, ...], int]:
@@ -161,7 +224,7 @@ def chern_invariants(sheaf) -> tuple[int, tuple[int, ...], int]:
     chern = [char_to_chern(r, 2) for r in restr]
     dots = [
         surface_integral(
-            S, [homogeneous_part(ch, 1) * S.class_lift(name, p) for ch, p in zip(chern, S.points)]
+            S, [homogeneous_part(ch, 1) * class_lift(S, name, p) for ch, p in zip(chern, S.points)]
         )
         for name in S.divisor_names
     ]
@@ -174,7 +237,7 @@ def chern_invariants(sheaf) -> tuple[int, tuple[int, ...], int]:
 
 
 def integer_surface_integral(surface, x: str, y: str) -> Fraction:
-    """The integral of the product of two basis classes, by ``Surface.clear_rows``.
+    """The integral of the product of two basis classes, by the surface's ``tangent_denominator``.
 
     A product of degree d clears to a polynomial of degree d - 2; its value
     at the origin is the integral, which is 0 unless d = 2.
@@ -183,13 +246,7 @@ def integer_surface_integral(surface, x: str, y: str) -> Fraction:
     rows = []
     for p in surface.points:
         fx, fy = surface.class_lift(x, p), surface.class_lift(y, p)
-        rows.append(
-            convolve(
-                [int(c) for c in dehomogenize(fx, surface.class_degree(x))],
-                [int(c) for c in dehomogenize(fy, surface.class_degree(y))],
-            )
-            if fx and fy
-            else None
-        )
-    cleared = surface.clear_rows(rows, deg - 2)
-    return Fraction(cleared[0], surface.tangent_scale) if deg == 2 else ZERO
+        rows.append(convolve(fx, fy) if fx and fy else None)
+    den = surface.tangent_denominator
+    cleared = den.clear(rows, deg - 2)
+    return Fraction(cleared[0], den.scale) if deg == 2 else ZERO

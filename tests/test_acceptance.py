@@ -43,7 +43,7 @@ def test_criterion_1_reference_tables_reproduced(case_of):
         gold, case, _ = case_of(case_id)
         report = golden.verify_case(gold, case=case)
         if not report.ok:
-            failures.append((case_id, report.lines()))
+            failures.append(report)
     assert not failures, failures
     _passed(f"criterion 1: all {len(ALL_IDS)} bundled reference tables reproduced")
 

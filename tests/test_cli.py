@@ -288,6 +288,23 @@ class TestBracket:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-k", "-2", "max-k must be >= -1"), ("--max-degree", "-1", "max-degree must be >= 0")],
+    )
+    def test_bounds_that_check_nothing_are_config_errors(self, capsys, flag, value, message):
+        # below these bounds the suite checks no identity and would pass vacuously
+        code = main(["bracket", flag, value, "--surface", "p2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
+    def test_smallest_bounds_check_an_identity(self, capsys):
+        code, out = run(capsys, "bracket", "--max-k", "-1", "--max-degree", "0", "--surface", "p2")
+        assert code == 0
+        assert "p2: PASS (1 identities" in out
+
 
 class TestDumpGolden:
     def test_listing(self, capsys):

@@ -11,8 +11,11 @@ from oracles import (
     as_constant,
     char_to_chern,
     degrees,
+    dehomogenize,
     homogeneous_part,
+    integer_rows,
     is_homogeneous,
+    linear_denominator,
     substitute_st,
     truncate,
     truncated_exp,
@@ -21,13 +24,12 @@ from oracles import (
 from toric_virasoro.exactalg import (
     CommonDenominator,
     LaurentPoly,
+    LinearDenominator,
     NotDivisible,
     convolve,
-    dehomogenize,
     divide_linear,
     exact_div,
     homogenize,
-    integer_rows,
     linform,
     pack,
     parse_laurent,
@@ -173,9 +175,9 @@ class TestExactDivision:
         assert exact_div(p * kf, kf) == p
 
     def test_monomial_linform_is_a_laurent_unit(self):
-        # dividing by the weight s alone only shifts exponents; negative
-        # exponents are rejected later, by the polynomial check that
-        # Case._integrate makes above the virtual dimension
+        # dividing by the weight s alone only shifts exponents; cohomological
+        # sums are cleared by LinearDenominator instead, whose divide_linear
+        # refuses a sum not divisible by s
         assert exact_div(LaurentPoly.one(), linform((1, 0))) == parse_laurent("s^-1")
 
     def test_not_divisible(self):
@@ -310,6 +312,93 @@ class TestCommonDenominator:
         assert as_constant(LaurentPoly.zero()) == 0
         with pytest.raises(ValueError):
             as_constant(parse_laurent("s + 1"))
+
+
+@st.composite
+def associated_weights(draw):
+    """Weight lists, one per term, rich in associates: +-w, k*w, (0, k) and (k, 0).
+
+    Lists may be empty, and so may the list of terms.
+    """
+    seeds = draw(st.lists(weights, min_size=1, max_size=3))
+    multiples = st.integers(-3, 3).filter(bool)
+
+    def weight():
+        k = draw(multiples)
+        kind = draw(st.sampled_from(["seed", "s", "t"]))
+        if kind == "s":
+            return (k, 0)
+        if kind == "t":
+            return (0, k)
+        a, b = draw(st.sampled_from(seeds))
+        return (k * a, k * b)
+
+    return [
+        [weight() for _ in range(draw(st.integers(0, 4)))]
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+class TestLinearDenominator:
+    @settings(deadline=None, max_examples=150)
+    @given(associated_weights())
+    def test_agrees_with_the_fraction_oracle(self, raw):
+        # forms (in order), scale, cofactors and LCM equal the CommonDenominator
+        # of the linear forms, read at s = 1 and scaled to the integers
+        den = LinearDenominator(raw)
+        assert (den.forms, den.scale, den.cofactors, den.poly) == linear_denominator(raw)
+        assert den.norms == [sum(map(abs, co)) for co in den.cofactors]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        associated_weights(),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+        two_term_weights,
+    )
+    def test_clears_sum_of_polynomial_terms(self, raw, P, g):
+        # every term v_q / e_q equals the form P, so the sum clears to n * P;
+        # a cancelling pair R/g and -R/g rides along on top, R = s^(d+1)
+        raw = [list(ws) for ws in raw] or [[]]
+        raw[0].append(g)
+        raw.append([g])
+        den = LinearDenominator(raw)
+        deg, n = len(P) - 1, len(raw) - 1
+        es = [[1]] * len(raw)
+        for q, ws in enumerate(raw):
+            for w in ws:
+                es[q] = convolve(es[q], w)
+        R = [1] + [0] * (deg + 1)
+        values = [convolve(P, e) for e in es[:-1]] + [[-c for c in R]]
+        values[0] = [x + y for x, y in zip(values[0], convolve(R, divide_linear(es[0], *g)))]
+        assert den.clear(values, deg) == [den.scale * n * c for c in P]
+        for drop in (0, n):
+            broken = list(values)
+            broken[drop] = None
+            with pytest.raises(NotDivisible):
+                den.clear(broken, deg)
+
+    def test_below_degree_zero_the_sum_must_vanish(self):
+        den = LinearDenominator([[(1, 0)], [(0, 1)]])
+        assert den.divide([0, 0], -1) == []
+        with pytest.raises(NotDivisible, match="a fixed-point sum of degree -1 does not vanish"):
+            den.divide([0, 1], -1)
+
+    def test_associates_share_one_form_and_the_units_one_scale(self):
+        # s - t / t - s / 2t - 2s and t / -3t are one form each; L = lcm(1, 2, 3)
+        den = LinearDenominator([[(1, -1), (0, 1)], [(-1, 1)], [(-2, 2), (0, -3)]])
+        assert den.forms == ((0, 1), (1, -1))
+        assert den.scale == 6
+        assert den.cofactors == [[6], [0, -6], [1]]
+        assert den.poly == [0, 6, -6]
+
+    def test_zero_weight_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            LinearDenominator([[(0, 0)]])
+
+    def test_no_terms(self):
+        den = LinearDenominator([])
+        assert (den.forms, den.scale, den.cofactors, den.poly) == ((), 1, [], [1])
+        assert den.clear([], 0) == [0]
 
 
 primitive_forms = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(

@@ -95,4 +95,4 @@ class TestReproduction:
         assert report.dim_ok
         assert report.k_status == EXPECTED_K_STATUS.get(case_id, "match"), report.k_messages
         assert not report.integral_failures, report.integral_failures
-        assert report.ok, "\n".join(report.lines())
+        assert report.ok, report

@@ -1,6 +1,7 @@
 """Fixed-point integration: tangent weights, certificates, operator rows."""
 
 from fractions import Fraction
+from math import gcd
 
 import oracles
 import pytest
@@ -12,9 +13,7 @@ from toric_virasoro.exactalg import (
     CommonDenominator,
     LaurentPoly,
     NotDivisible,
-    dehomogenize,
     exact_div,
-    integer_rows,
     linform,
     parse_laurent,
 )
@@ -55,8 +54,29 @@ class TestTangentsAndEuler:
         # the 27 that scalar multiples kept apart would give
         _, case, _ = case_of("p2-r2-c2-3")
         den = case.tangent_denominator
-        assert len(den.factors) == 21
-        assert sum(len(co) for co in den.cofactors) == 504
+        assert len(den.forms) == 21
+        assert sum(c != 0 for co in den.cofactors for c in co) == 504
+        # the readable view that the benchmark counts
+        _poly, factors, cofactors = case.scaffold()
+        assert factors == tuple(linform(f) for f in den.forms)
+        assert sum(len(co) for co in cofactors) == 504
+
+    def test_every_tangent_denominator_matches_the_oracle(self, case_of, all_case_ids, is_built):
+        # forms, scale, cofactors and LCM of every surface and bundled case
+        # equal the Fraction CommonDenominator read at s = 1; the rank-4 case
+        # joins when already built
+        for name in ("p2", "f0", "f1", "f2"):
+            srf = surface_by_name(name)
+            den = srf.tangent_denominator
+            want = oracles.linear_denominator(p.tangent_weights for p in srf.points)
+            assert (den.forms, den.scale, den.cofactors, den.poly) == want, name
+        for case_id in all_case_ids:
+            if case_id == "p2-r4-c2-3" and not is_built(case_id):
+                continue
+            _, case, _ = case_of(case_id)
+            den = case.tangent_denominator
+            want = oracles.linear_denominator(tangent_weights(case))
+            assert (den.forms, den.scale, den.cofactors, den.poly) == want, case_id
 
 
 class TestRealizedSymbols:
@@ -136,13 +156,19 @@ class TestCertificates:
             dropped.integrate_monomial(parse_monomial("ch_2(F)^2"))
 
 
+def tangent_weights(case):
+    """The tangent weights of every fixed point of the case, with multiplicity."""
+    return [[w for w, c in tangent for _ in range(int(c))] for tangent in case.tangents()]
+
+
 def oracle_integral(case, mono):
     """The Fraction reference path: realized products cleared by ``numerator``.
 
     The integer kernel of ``Case.integrate_monomial`` must agree with it on
-    every value and on every ``NotDivisible`` (with the same message).
+    every value and on every ``NotDivisible``: the same check fires, and
+    above vdim the same LCM factor is the first that does not divide.
     """
-    den = case.tangent_denominator
+    den = CommonDenominator([linform(w) for w in ws] for ws in tangent_weights(case))
     values = [LaurentPoly.one()] * case.n_points
     for i, name in mono:
         values = [v * w for v, w in zip(values, case.realize_symbol(i, name))]
@@ -151,13 +177,10 @@ def oracle_integral(case, mono):
     if not num:
         return ZERO
     if deg < case.vdim:
-        raise NotDivisible(
-            f"fixed-point sum of a degree-{deg} class on a {case.vdim}-"
-            f"dimensional space failed to cancel: {num.render()}"
-        )
+        raise NotDivisible(f"a fixed-point sum of degree {deg - case.vdim} does not vanish")
     if deg == case.vdim:
         lead = max(den.poly.coeffs)
-        c = num.coeff(*lead) / den.poly.coeff(*lead)
+        c = num.coeffs.get(lead, ZERO) / den.poly.coeffs[lead]
         if num != den.poly * c:
             raise NotDivisible(
                 "fixed-point sum does not clear to a constant; the fixed"
@@ -165,17 +188,25 @@ def oracle_integral(case, mono):
             )
         return c
     for factor in den.factors:
-        num = exact_div(num, factor)
-    if any(a < 0 or b < 0 for a, b in num.coeffs):
-        raise NotDivisible("cleared sum is not polynomial")
-    return num.constant_term()
+        if len(factor) == 1:
+            # exact_div divides by a monomial factor (s or t) as a Laurent
+            # unit, so divisibility by it is read off the exponents
+            ((fa, fb),) = factor.coeffs
+            if any(a < fa or b < fb for a, b in num.coeffs):
+                raise NotDivisible(f"not divisible by {factor.render()}")
+        try:
+            num = exact_div(num, factor)
+        except NotDivisible:
+            raise NotDivisible(f"not divisible by {factor.render()}") from None
+    return num.coeffs.get((0, 0), ZERO)
 
 
 def _outcome(integral, case, mono):
+    """The value, or which certificate refused the sum (for a division: the factor)."""
     try:
         return integral(case, mono)
     except NotDivisible as exc:
-        return ("NotDivisible", str(exc))
+        return ("NotDivisible", str(exc).rpartition(" by ")[2])
 
 
 def lagrange_case(weights, scalars, perturb):
@@ -194,9 +225,11 @@ def lagrange_case(weights, scalars, perturb):
     forms = [linform(w) for w in weights]
     case = Case(surface_by_name("p2"), 1, (0,), 0, (1,), ((LaurentPoly.one(),) * 3,) * n)
     case.vdim = n - 1
-    case.tangent_denominator = CommonDenominator(
-        [forms[q] - forms[r] for r in range(n) if r != q] for q in range(n)
-    )
+    # the tangent weights w_q - w_r, from which the case builds its denominator
+    case._tangents = [
+        LaurentPoly({(wq[0] - wr[0], wq[1] - wr[1]): 1 for wr in weights if wr != wq})
+        for wq in weights
+    ]
     for k, c in enumerate(scalars):
         values = [form**k * c for form in forms]
         if perturb and perturb[0] == k:
@@ -209,7 +242,7 @@ def lagrange_case(weights, scalars, perturb):
 
 def set_symbol(case, sym, values):
     """Make ``case`` realize ``sym`` (of degree ``sym[0]`` here) to ``values``."""
-    scale, rows = integer_rows(dehomogenize(v, sym[0]) for v in values)
+    scale, rows = oracles.integer_rows(oracles.dehomogenize(v, sym[0]) for v in values)
     case._int_symbols[sym] = (scale, rows, [sum(map(abs, row)) for row in rows])
 
 
@@ -256,10 +289,10 @@ class TestIntegerKernel:
             assert case.certified_clearings == (k >= 2)
 
     def test_sum_not_divisible_by_a_monomial_factor_is_refused_above_dim(self):
-        # e = -t and t: dividing by t never fails as a Laurent division, so the
-        # certificate is that no negative exponent survives
+        # e = -t and t: the sum is (2*s*t - s^2)/t, and division by t over
+        # the integers leaves the coefficient of s^2 as a remainder
         case = lagrange_case([(1, 0), (1, 1)], [ONE] * 6, (2, 0, 1))
-        with pytest.raises(NotDivisible, match="cleared sum is not polynomial"):
+        with pytest.raises(NotDivisible, match="leaves a remainder by t$"):
             case.integrate_monomial(((2, "p"),))
 
     def test_negative_exponent_in_a_realized_value_is_refused(self):
@@ -275,7 +308,7 @@ class TestIntegerKernel:
         "text, above, value, message",
         [
             ("ch_2(F)^3", 0, Fraction(27, 8), "does not clear to a constant"),
-            ("ch_2(F)^4", 1, ZERO, "not divisible by"),
+            ("ch_2(F)^4", 1, ZERO, "leaves a remainder by s$"),
         ],
     )
     def test_dropping_a_point_breaks_the_certificate_at_and_above_dim(
@@ -287,6 +320,32 @@ class TestIntegerKernel:
         assert case.integrate_monomial(mono) == value
         with pytest.raises(NotDivisible, match=message):
             case.drop_point(0).integrate_monomial(mono)
+
+    def test_only_a_step_remainder_refuses_a_missing_point_above_dim(self, case_of):
+        # divide_linear can leave a step remainder only at a form a*s + b*t
+        # with a >= 2; p2-r2-c2-3 has five (2s - 3t to 3s - t), and 3s - t
+        # divides the Euler classes at points 18 and 31.  Values of degree
+        # vdim + 1 there that give R/(3s - t) and -R/(3s - t) cancel; without
+        # point 31 the sum R/(3s - t) is refused at a step of the division by
+        # 3s - t, while the last equation of that division holds
+        _, case, _ = case_of("p2-r2-c2-3")
+        sym, form = (case.vdim + 1, "p"), linform((3, -1))
+        R = parse_laurent("-s^2 - 2*s*t + t^2")
+        euler = case.euler_classes()
+        rests = {q: exact_div(euler[q], form) for q in (18, 31)}
+        content = gcd(*(c.numerator for _key, c in rests[18]))
+        values = [LaurentPoly.zero()] * case.n_points
+        values[18] = rests[18] * R * Fraction(1, content)
+        values[31] = rests[31] * R * Fraction(-1, content)
+        full = Case(case.surface, case.rank, case.c1, case.c2, case.H, case.restrictions)
+        full._tangents = case.tangents()
+        set_symbol(full, sym, values)
+        assert full.integrate_monomial((sym,)) == ZERO
+        broken = full.drop_point(31)
+        set_symbol(broken, sym, values[:31] + values[32:])
+        with pytest.raises(NotDivisible, match=r"is not divisible by 3\*s - t$"):
+            broken.integrate_monomial((sym,))
+        assert _outcome(oracle_integral, broken, (sym,)) == ("NotDivisible", "3*s - t")
 
     @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
     def test_basis_integrals_match_the_oracle(self, case_of, case_id):
@@ -339,6 +398,19 @@ class TestIntegerRealization:
         assert _symbol_outcome(Case._integer_symbol, case, (i, name)) == _symbol_outcome(
             oracles.integer_symbol, case, (i, name)
         )
+
+    def test_only_a_step_remainder_refuses_a_realization_on_f2(self):
+        # f2 is the one bundled surface with a tangent form a*s + b*t with
+        # a >= 2 (2s + t), where alone divide_linear can leave a step
+        # remainder.  A line bundle plus the character s^2*t at the third
+        # point is no class: ch_3(1) is refused at a step of the division by
+        # 2s + t, while the last equation of that division holds
+        charts = ("s^-2", "s^-2*t^-1", "s^2*t + s^-3*t^-1", "s^-1")
+        case = Case(surface_by_name("f2"), 1, (0, 0), 0, (1, 1), (tuple(map(parse_laurent, charts)),))
+        with pytest.raises(NotDivisible, match=r"is not divisible by 2\*s \+ t$"):
+            case.realize_symbol(3, "1")
+        with pytest.raises(NotDivisible):
+            oracles.realize_symbol(case, 3, "1")
 
     def test_every_bundled_symbol_matches_the_oracle(self, case_of, all_case_ids, is_built):
         # (scale, rows, norms) fix the kernel's slot widths, so they must be

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from toric_virasoro.exactalg import LaurentPoly, convolve, parse_laurent
+from toric_virasoro.exactalg import LaurentPoly, convolve, linform, parse_laurent
 from toric_virasoro.golden import list_cases, load_case
-from toric_virasoro.surfaces import linform, surface_by_name
+from toric_virasoro.surfaces import surface_by_name
 
 ALL = ["p2", "f0", "f1", "f2"]
 
@@ -110,8 +110,8 @@ def test_divisor_lifts_reproduce_pairing(name):
                 for point in srf.points
             ]
             rows = [convolve(lc, ld) for lc, ld in lifts]
-            (cleared,) = srf.clear_rows(rows, 0)
-            assert Fraction(cleared, srf.tangent_scale) == srf.pair(c, d)
+            (cleared,) = srf.tangent_denominator.clear(rows, 0)
+            assert Fraction(cleared, srf.tangent_denominator.scale) == srf.pair(c, d)
             nums = [linform(lc) * linform(ld) for lc, ld in lifts]
             assert oracles.surface_integral(srf, nums) == srf.pair(c, d)
 
