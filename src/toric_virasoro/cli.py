@@ -164,12 +164,11 @@ class CaseConfig:
                 if not reps:
                     raise ConfigError("gcd(rank, delta.H) != 1 for every H on p2")
                 return reps
-            reps = chamber_representatives(srf, self.rank, self.delta, self.c2)
             if self.H is None:
                 raise ConfigError(
                     "this surface has chambers; pass --H explicitly or --H all-chambers"
                 )
-            return reps
+            return chamber_representatives(srf, self.rank, self.delta, self.c2)
         raise ConfigError(f"cannot interpret H = {self.H!r}")
 
     def label(self, H: tuple[int, ...]) -> str:
@@ -632,10 +631,6 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationError as exc:
-        msg = str(exc)
-        if msg.startswith(("unsupported", "walls are computed")):
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except NonIsolated as exc:

@@ -12,10 +12,16 @@ points, adding colength to c2).  This module enumerates them:
   by exact linear algebra, not by hand case analysis.  Any model of the same
   configuration yields the same patterns (genericity is asserted when the
   model is built).
-* **Search bounds.**  Rank-2 cases reduce to an exact divisor equation
-  q*m = 4c2 - c1^2 + 4*(coincidence correction); the remaining loops run
-  over finite boxes, and survivors are asserted to stay off the box boundary
-  (two shells), with reference row counts certifying completeness downstream.
+* **One closed form for (c1, c2).**  Every search filters by
+  :func:`~.klyachko.bundle_chern` on its jump positions and the model's
+  per-cone level multiplicities (:func:`_level_pairs`); no configuration has
+  its own correction term.  :func:`hirzebruch_ch2_check` feeds it a bundle's
+  own flags.
+* **Search bounds.**  Rank-2 windows on F_a solve the divisor equation
+  q*m = 4c2 - c1^2 + 4*d_i*d_j (d_i, d_j the windows of an adjacent
+  coincident pair, else 0); the remaining loops run over finite boxes, and
+  survivors are asserted to stay off the box boundary (two shells), with
+  reference row counts certifying completeness downstream.
 * **Stability in closed form from the windows.**  Each side of the slope
   test is linear in H, so each candidate destabilizing subspace W of the
   model gives one integer *stability form* v with
@@ -60,10 +66,12 @@ from .klyachko import (
     Flag,
     Subspace,
     TorusSheaf,
+    bundle_chern,
     bundle_from_flags,
     chern_invariants,
     degeneration_children,
     degeneration_colength,
+    jump_pairs,
     stability_forms,
     stable_at,
 )
@@ -164,11 +172,7 @@ def _require(cond: bool, what: str):
 @lru_cache(maxsize=None)
 def r2_model(nrays: int, classes: tuple) -> ConfigModel:
     """Rank-2 model: one line per ray, equal lines for equal class ids."""
-    spaces = {}
-    for ray, cls in enumerate(classes):
-        if cls is None:
-            continue
-        spaces[(ray, 1)] = Subspace.span(2, [_LINE_POOL[cls]])
+    spaces = {(ray, 1): Subspace.span(2, [_LINE_POOL[cls]]) for ray, cls in enumerate(classes)}
     # distinct classes must give distinct lines (pool vectors are distinct)
     vals = {}
     for (ray, _l), s in spaces.items():
@@ -358,19 +362,46 @@ def _build_bundle(
 ) -> TorusSheaf:
     """Bundle with per-ray top jump position tops[i] and window lengths
     windows[i] = (w_1, ..., w_{rank-1}) below it (level L jumps at
-    tops[i] - sum of windows from L up)."""
+    tops[i] - sum of windows from L up, :func:`_jump_positions`)."""
     V = _full_space(rank)
     flags = []
-    for i in range(len(surface.rays)):
-        steps = [(tops[i], V)]
-        cum = 0
-        for level in range(rank - 1, 0, -1):
-            cum += windows[i][level - 1]
-            if windows[i][level - 1] > 0:
-                steps.append((tops[i] - cum, model.space(i, level)))
-        steps.sort(key=lambda ps: ps[0])
-        flags.append(Flag(rank, tuple(steps)))
+    for i, (top, wins) in enumerate(zip(tops, windows)):
+        pos = _jump_positions(top, wins, rank)
+        steps = [(pos[l - 1], model.space(i, l)) for l in range(1, rank) if wins[l - 1] > 0]
+        flags.append(Flag(rank, (*steps, (top, V))))
     return bundle_from_flags(surface, rank, flags, config=model.key)
+
+
+def _jump_positions(top: int, wins: tuple, rank: int) -> list[int]:
+    """Position of the jump to each level 1..rank: ``top`` minus the windows from that level up."""
+    pos = [top] * rank
+    for lvl in range(rank - 1, 0, -1):
+        pos[lvl - 1] = pos[lvl] - wins[lvl - 1]
+    return pos
+
+
+def _level_pairs(surface: Surface, model: ConfigModel) -> list[list[tuple[int, int, int]]]:
+    """Per cone, the ``(l, m, mu)`` jump pairs of the model's level flags (space l at l).
+
+    An empty window merges two levels at one position; the merged step's
+    second difference is the sum of the level ones, so the pairs stay exact.
+    """
+    rank = model.rank
+    flags = [
+        Flag(rank, (*((l, model.space(i, l)) for l in range(1, rank)), (rank, _full_space(rank))))
+        for i in range(len(surface.rays))
+    ]
+    return [jump_pairs(flags[i], flags[j]) for i, j in surface.cones]
+
+
+def _closed_chern(surface: Surface, pos: list[list[int]], levels: list) -> tuple:
+    """(c1, c2) of the bundle whose level-l jump on ray i is at ``pos[i][l - 1]``."""
+    jumps = [[(x, 1) for x in row] for row in pos]
+    pairs = [
+        [(pos[i][l - 1], pos[j][m - 1], mu) for l, m, mu in cone_levels]
+        for (i, j), cone_levels in zip(surface.cones, levels)
+    ]
+    return bundle_chern(surface, jumps, pairs)
 
 
 def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
@@ -418,33 +449,6 @@ def _r2_candidates_p2(d: int, c2: int):
                 yield (x, y, z), (A1, 0, 0)
 
 
-def _r2_pair_correction(surface: Surface, classes: tuple, deltas: tuple) -> int:
-    """Sum of delta_i*delta_j over *adjacent* coincident pairs."""
-    corr = 0
-    adjacency = {tuple(sorted(c)) for c in surface.cones}
-    nr = len(surface.rays)
-    for i, j in combinations(range(nr), 2):
-        if classes[i] == classes[j] and deltas[i] > 0 and deltas[j] > 0:
-            if tuple(sorted((i, j))) in adjacency:
-                corr += deltas[i] * deltas[j]
-    return corr
-
-
-def _r2_closed_c2(surface: Surface, deltas: tuple, tops: tuple, classes: tuple) -> int:
-    """c2 = alpha.beta + (sum over cones of window products) - corrections."""
-    nr = len(surface.rays)
-    alpha = tuple(
-        sum((deltas[i] - tops[i]) * surface.ray_classes[i][k] for i in range(nr))
-        for k in range(surface.picard_rank)
-    )
-    beta = tuple(
-        -sum(tops[i] * surface.ray_classes[i][k] for i in range(nr))
-        for k in range(surface.picard_rank)
-    )
-    boxes = sum(deltas[i] * deltas[j] for i, j in surface.cones)
-    return surface.pair(alpha, beta) + boxes - _r2_pair_correction(surface, classes, deltas)
-
-
 class _Candidate(NamedTuple):
     """One H-independent rank-2 candidate of the box search.
 
@@ -470,13 +474,20 @@ def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_C
     """The adjacent-pair box size B and every rank-2 candidate, in search order.
 
     This stage does not depend on the polarization: it runs the box and
-    divisor searches with the closed-form c2 filter and keeps one record per
-    survivor, with the stability forms read off its windows (no bundle is
-    built).
+    divisor searches with the closed-form (c1, c2) filter and keeps one
+    record per survivor, with the stability forms read off its windows (no
+    bundle is built).
     """
     surface = surface_by_name(surface_name)
     out = []
     shared: dict[tuple, tuple] = {}  # one object per distinct form or tops
+    levels: dict[tuple, list] = {}  # level pairs per class assignment
+
+    def has_invariants(classes: tuple, tops: tuple, deltas: tuple) -> bool:
+        if classes not in levels:
+            levels[classes] = _level_pairs(surface, r2_model(len(classes), classes))
+        pos = [_jump_positions(t, (d,), 2) for t, d in zip(tops, deltas)]
+        return _closed_chern(surface, pos, levels[classes]) == (c1, c2)
 
     def keep(classes: tuple, tops: tuple, deltas: tuple, shell: bool = False) -> None:
         model = r2_model(len(classes), classes)
@@ -492,7 +503,7 @@ def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_C
         # survives, and its window equation has a proven box bound.
         classes = (0, 1, 2)
         for deltas, tops in _r2_candidates_p2(c1[0], c2):
-            if _r2_closed_c2(surface, deltas, tops, classes) == c2:
+            if has_invariants(classes, tops, deltas):
                 keep(classes, tops, deltas)
         return 0, tuple(out)
 
@@ -515,7 +526,7 @@ def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_C
         tops = (A1, 0, 0, A4)
         if not _pool_assignment(classes, deltas):
             return
-        if _r2_closed_c2(surface, deltas, tops, classes) != c2:
+        if not has_invariants(classes, tops, deltas):
             return
         keep(classes, tops, deltas, shell)
 
@@ -650,30 +661,9 @@ def _fill_deltas(a, K, pair, pair_vals, dk):
 # ---------------------------------------------------------------------------
 
 
-def _p2_double_ch2(xpos: list[list[int]]) -> int:
-    """2*ch2 of a generic-configuration sheaf on the plane (integer).
-
-    xpos[i] lists all rank jump positions of ray i in increasing level order;
-    the pairwise chart restrictions match levels anti-diagonally, giving
-    2*ch2 = sum of squares of all positions + 2 * anti-diagonal cross terms.
-    """
-    r = len(xpos[0])
-    total = 0
-    for row in xpos:
-        for v in row:
-            total += v * v
-    for k in range(r):
-        kk = r - 1 - k
-        total += 2 * (
-            xpos[0][k] * xpos[1][kk]
-            + xpos[1][k] * xpos[2][kk]
-            + xpos[2][k] * xpos[0][kk]
-        )
-    return total
-
-
 def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusSheaf]:
     surface = surface_by_name("P2")
+    c1 = tuple(c1)
     d = c1[0]
     out = []
     P = 6
@@ -684,6 +674,7 @@ def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusShe
         configs = _r3_configs() if rank == 3 else _r4_configs()
         for cfg in configs:
             model = (r3_model if rank == 3 else r4_model)(*cfg)
+            levels = _level_pairs(surface, model)
             for w1 in profiles:
                 for w2 in profiles:
                     for w3 in profiles:
@@ -703,14 +694,8 @@ def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusShe
                             continue
                         A1 = (tot - d) // rank
                         tops = (A1, 0, 0)
-                        xpos = [
-                            _jump_positions(tops[i], wins[i], rank) for i in range(3)
-                        ]
-                        # c2 = d^2/2 - ch2, i.e. 2*ch2 = d^2 - 2*c2
-                        double_ch2 = _p2_double_ch2(xpos) + 2 * _incidence_correction(
-                            rank, cfg, wins
-                        )
-                        if double_ch2 != d * d - 2 * c2:
+                        pos = [_jump_positions(tops[i], wins[i], rank) for i in range(3)]
+                        if _closed_chern(surface, pos, levels) != (c1, c2):
                             continue
                         if stable_at(stability_forms(surface, rank, wins, model.candidates), H):
                             if any(sum(w) > P - 2 for w in wins):
@@ -738,14 +723,6 @@ def _window_profiles(rank: int, P: int) -> list[tuple]:
     ]
 
 
-def _jump_positions(top: int, wins: tuple, rank: int) -> list[int]:
-    pos = [top] * rank
-    for lvl in range(rank - 1, 0, -1):
-        # position where dim reaches lvl: subtract windows lvl..rank-1
-        pos[lvl - 1] = pos[lvl] - wins[lvl - 1]
-    return pos
-
-
 def _config_active(rank: int, cfg: tuple, wins: tuple) -> bool:
     kind, pair = cfg
     if kind == "generic":
@@ -757,20 +734,6 @@ def _config_active(rank: int, cfg: tuple, wins: tuple) -> bool:
     a, b = pair
     # line of ray a inside the codimension-one space of ray b
     return wins[a][0] > 0 and wins[b][rank - 2] > 0
-
-
-def _incidence_correction(rank: int, cfg: tuple, wins: tuple) -> int:
-    """Change in ch2 caused by a coincidence, in window terms.
-
-    A line-in-hyperplane incidence (a, b) bumps the pairwise restriction
-    grid of the shared chart by one on a rectangle of size
-    wins[a][0] x wins[b][rank-2], shifting 2*ch2 by twice that area.
-    """
-    kind, pair = cfg
-    if kind != "incidence":
-        return 0
-    a, b = pair
-    return wins[a][0] * wins[b][rank - 2]
 
 
 def _flag_dim(rank: int, win: tuple) -> int:
@@ -940,24 +903,10 @@ def _interior_polarization(surface, rank, c1, lo: Fraction, hi: Fraction) -> tup
 
 
 def hirzebruch_ch2_check(sheaf: TorusSheaf) -> bool:
-    """Cross-check the closed-form c2 of a rank-2 bundle against localization.
-
-    Reconstructs (tops, deltas, classes) from the flags and compares the
-    closed combinatorial formula with the localized Chern invariants.
-    """
-    if sheaf.rank != 2 or not sheaf.is_locally_free:
-        raise EnumerationError("the closed c2 formula applies to rank-2 bundles")
-    surface = sheaf.surface
-    tops, deltas, classes = [], [], []
-    for i, flag in enumerate(sheaf.flags):
-        steps = dict((space.dim, pos) for pos, space in flag.steps)
-        tops.append(steps[2])
-        if 1 in steps:
-            deltas.append(steps[2] - steps[1])
-            classes.append(next(sp for _p, sp in flag.steps if sp.dim == 1))
-        else:
-            deltas.append(0)
-            classes.append(("no-line", i))
-    closed = _r2_closed_c2(surface, tuple(deltas), tuple(tops), tuple(classes))
-    _rank, _c1, c2 = chern_invariants(sheaf)
-    return closed == c2
+    """Cross-check the closed-form (c1, c2) of a bundle's own flags against localization."""
+    if not sheaf.is_locally_free:
+        raise EnumerationError("the closed c2 formula applies to bundles")
+    surface, flags = sheaf.surface, sheaf.flags
+    pairs = [jump_pairs(flags[i], flags[j]) for i, j in surface.cones]
+    closed = bundle_chern(surface, [flag.jumps for flag in flags], pairs)
+    return closed == chern_invariants(sheaf)[1:]

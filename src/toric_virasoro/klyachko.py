@@ -11,10 +11,16 @@ A torus-equivariant torsion-free sheaf of rank ``r`` is described by
 
 From this data the module computes
 
-* the K-theory restriction to each fixed point (a Laurent character, via the
-  second difference of the intersection-dimension grid),
+* the *jump pairs* of two flags (:func:`jump_pairs`): one ``(p, q, mu)``
+  per pair of jump positions, ``mu`` the second difference of
+  ``dim(S_l n T_m)`` over their steps (Klyachko, *Equivariant bundles on
+  toral varieties*, Math. USSR Izv. 35, 1990),
+* the K-theory restriction to each fixed point (a Laurent character): the
+  bundle's ``sum mu * chi^(p, q)`` over the jump pairs of the cone's two
+  flags, corrected at each site of the local family,
 * rank, first Chern class, and second Chern class — by exact localization on
-  the surface, not by per-case closed formulas,
+  the surface (:func:`chern_invariants`), and in closed form from the jumps
+  and jump pairs of a bundle (:func:`bundle_chern`),
 * slope (in)stability against a polarization, over a finite list of
   candidate destabilizing subspaces W; slopes are compared as integers
   (``rank * H``-degree against ``dim W * H``-degree), never as fractions.
@@ -36,10 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import LaurentPoly, Rat, convolve, power_sum
-from .surfaces import FixedPoint, Surface, char_monomial
+from .surfaces import FixedPoint, Surface
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -218,12 +225,31 @@ class Flag:
         return best if best is not None else Subspace.zero(self.rank)
 
     @property
-    def first_position(self) -> int:
-        return self.steps[0][0]
+    def jumps(self) -> tuple[tuple[int, int], ...]:
+        """``(position, rank jump)`` of every step."""
+        dims = [0] + [space.dim for _pos, space in self.steps]
+        return tuple((pos, d - prev) for (pos, _s), prev, d in zip(self.steps, dims, dims[1:]))
 
-    @property
-    def last_position(self) -> int:
-        return self.steps[-1][0]
+
+def jump_pairs(first: Flag, second: Flag) -> list[tuple[int, int, int]]:
+    """The ``(p, q, mu)`` jump pairs of two flags with ``mu != 0``, in ``(p, q)`` order.
+
+    ``p`` and ``q`` run over the step positions of ``first`` (spaces S_l)
+    and ``second`` (spaces T_m), and ``mu`` is the second difference of
+    ``dim(S_l n T_m)`` over their steps, with ``S_0 = T_0 = 0``.  A bundle
+    with these flags on the two rays of a cone has ``mu`` copies of
+    ``chi^(p, q)`` in its chart character.
+    """
+    out = []
+    prev = [0] * (len(second.steps) + 1)
+    for p, S in first.steps:
+        row = [0] + [S.intersect(T).dim for _q, T in second.steps]
+        for m, (q, _T) in enumerate(second.steps, 1):
+            mu = row[m] - row[m - 1] - prev[m] + prev[m - 1]
+            if mu:
+                out.append((p, q, mu))
+        prev = row
+    return out
 
 
 FamilyDict = tuple[tuple[tuple[int, int], Subspace], ...]
@@ -263,9 +289,10 @@ class TorusSheaf:
         return self._bundle_value(point, n1, n2)
 
     def chart_window(self, point: FixedPoint) -> tuple[range, range]:
+        """The chart cells where the flags or the local family can change."""
         i, j = point.ray_indices
-        lo1, hi1 = self.flags[i].first_position, self.flags[i].last_position
-        lo2, hi2 = self.flags[j].first_position, self.flags[j].last_position
+        (lo1, _), (hi1, _) = self.flags[i].steps[0], self.flags[i].steps[-1]
+        (lo2, _), (hi2, _) = self.flags[j].steps[0], self.flags[j].steps[-1]
         over = self.families[point.index]
         if over:
             for (n1, n2), _space in over:
@@ -276,22 +303,17 @@ class TorusSheaf:
     # -- K-theory restriction ---------------------------------------------
 
     def restriction(self, point: FixedPoint) -> LaurentPoly:
-        """K-class at the fixed point: second difference of the dim grid."""
-        r1, r2 = self.chart_window(point)
-        dims: dict[tuple[int, int], int] = {}
-
-        def d(n1: int, n2: int) -> int:
-            if (n1, n2) not in dims:
-                dims[(n1, n2)] = self.family_value(point, n1, n2).dim
-            return dims[(n1, n2)]
-
-        out = LaurentPoly.zero()
-        for n1 in r1:
-            for n2 in r2:
-                c = d(n1, n2) - d(n1 - 1, n2) - d(n1, n2 - 1) + d(n1 - 1, n2 - 1)
-                if c:
-                    out = out + char_monomial(point.char_from_pair(n1, n2), c)
-        return out
+        """K-class at the fixed point: ``sum mu * chi^(p, q)`` over the jump pairs,
+        minus ``delta * chi^s * (1 - chi^w1) * (1 - chi^w2)`` for each family
+        site s whose space is ``delta`` below the bundle's (terms in chart order)."""
+        i, j = point.ray_indices
+        mult = {(p, q): mu for p, q, mu in jump_pairs(self.flags[i], self.flags[j])}
+        for (n1, n2), space in self.families[point.index] or ():
+            delta = self._bundle_value(point, n1, n2).dim - space.dim
+            for d1, d2, sign in ((0, 0, -1), (1, 0, 1), (0, 1, 1), (1, 1, -1)):
+                cell = (n1 + d1, n2 + d2)
+                mult[cell] = mult.get(cell, 0) + sign * delta
+        return LaurentPoly({point.char_from_pair(*cell): c for cell, c in sorted(mult.items())})
 
     def restrictions(self) -> tuple[LaurentPoly, ...]:
         return tuple(self.restriction(p) for p in self.surface.points)
@@ -355,6 +377,31 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     if c2.denominator != 1:
         raise ValueError(f"non-integral c2 = {c2}")
     return ranks.pop(), c1, int(c2)
+
+
+def bundle_chern(
+    surface: Surface,
+    jumps: Sequence[Sequence[tuple[int, int]]],
+    pairs: Sequence[Iterable[tuple[int, int, int]]],
+) -> tuple[tuple[int, ...], int]:
+    """(c1, c2) of a toric bundle in closed form from its jumps (Klyachko).
+
+    ``jumps[i]`` lists ``(p, r)`` per step of ray i (position and rank
+    jump) and ``pairs[k]`` the ``(p, q, mu)`` jump pairs of cone k (in
+    ``surface.cones`` order, as :func:`jump_pairs` gives them).  Then
+    ``c1 = -sum_i (sum r*p) D_i`` and
+    ``2*ch2 = sum_i D_i^2 * sum r*p^2 + 2 * sum_cones sum mu*p*q``, and
+    ``c2 = c1^2/2 - ch2``.
+    """
+    lin = [sum(r * p for p, r in ray) for ray in jumps]
+    c1 = tuple(-sum(map(mul, lin, col)) for col in zip(*surface.ray_classes))
+    two_ch2 = 2 * sum(mu * p * q for cone in pairs for p, q, mu in cone) + sum(
+        square * r * p * p for square, ray in zip(surface.ray_squares, jumps) for p, r in ray
+    )
+    two_c2 = surface.pair(c1, c1) - two_ch2
+    if two_c2 % 2:
+        raise ValueError(f"non-integral c2 = {two_c2}/2")
+    return c1, two_c2 // 2
 
 
 def _solve_divisor_class(surface: Surface, dots: Sequence[Rat]) -> tuple[int, ...]:

@@ -123,6 +123,7 @@ class Surface:
         self.divisor_names = list(divisor_names)
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
+        self.ray_squares = [self.pair(c, c) for c in self.ray_classes]  # D_i^2
         self.basis_reps = dict(basis_reps)
         self.kunneth = list(kunneth)
         # canonical class K = -sum of boundary divisors, in the chosen basis

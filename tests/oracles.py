@@ -9,6 +9,10 @@ functions here are the ``Fraction`` paths it replaced: a
 truncated exponential Chern characters, cleared over the surface with the
 degree checked on the result.  The tests require the integer paths to agree
 with them.
+
+:func:`restriction` is the grid walk that ``TorusSheaf.restriction``
+replaced: the second difference of the dimension grid over every cell of
+the chart window, one intersection per cell.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from toric_virasoro.exactalg import (
     linform,
 )
 from toric_virasoro.klyachko import _solve_divisor_class
+from toric_virasoro.surfaces import char_monomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -214,7 +219,7 @@ def surface_integral(surface, numerators) -> Fraction:
 def chern_invariants(sheaf) -> tuple[int, tuple[int, ...], int]:
     """(rank, c1 in the divisor basis, c2) by ``Fraction`` localization."""
     S = sheaf.surface
-    restr = [sheaf.restriction(p) for p in S.points]
+    restr = [restriction(sheaf, p) for p in S.points]
     ranks = {substitute_st(r, ONE, ONE) for r in restr}
     if len(ranks) != 1:
         raise ValueError(f"inconsistent ranks at fixed points: {ranks}")
@@ -250,3 +255,22 @@ def integer_surface_integral(surface, x: str, y: str) -> Fraction:
     den = surface.tangent_denominator
     cleared = den.clear(rows, deg - 2)
     return Fraction(cleared[0], den.scale) if deg == 2 else ZERO
+
+
+def restriction(sheaf, point) -> LaurentPoly:
+    """K-class at the fixed point: second difference of the dim grid over the chart window."""
+    r1, r2 = sheaf.chart_window(point)
+    dims: dict[tuple[int, int], int] = {}
+
+    def d(n1: int, n2: int) -> int:
+        if (n1, n2) not in dims:
+            dims[(n1, n2)] = sheaf.family_value(point, n1, n2).dim
+        return dims[(n1, n2)]
+
+    out = LaurentPoly.zero()
+    for n1 in r1:
+        for n2 in r2:
+            c = d(n1, n2) - d(n1 - 1, n2) - d(n1, n2 - 1) + d(n1 - 1, n2 - 1)
+            if c:
+                out = out + char_monomial(point.char_from_pair(n1, n2), c)
+    return out

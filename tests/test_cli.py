@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import toric_virasoro
+from toric_virasoro import cli
 from toric_virasoro.cli import main
+from toric_virasoro.enumeration import EnumerationError
 
 
 def run(capsys, *argv):
@@ -103,6 +105,35 @@ class TestExitCodes:
             "--delta", "1,0", "--c2", "2", "--H", "2,5",
         )
         assert code == 2
+
+    def test_walls_in_an_unsupported_rank_is_config_error(self, capsys):
+        code = main(["walls", "--surface", "f0", "--r", "3", "--delta", "1,0", "--c2", "2"])
+        assert code == 2
+        assert "rank 3 on f0 is not supported" in capsys.readouterr().err
+
+    def test_missing_polarization_is_refused_before_the_chambers_are_built(
+        self, capsys, monkeypatch
+    ):
+        def no_chambers(*args):
+            raise AssertionError("chambers built before the missing --H was refused")
+
+        monkeypatch.setattr(cli, "chamber_representatives", no_chambers)
+        code = main(["enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2"])
+        assert code == 2
+        assert "pass --H explicitly" in capsys.readouterr().err
+
+    def test_enumeration_error_is_an_internal_inconsistency(self, capsys, monkeypatch):
+        # whatever its message, an EnumerationError that reaches main exits 3
+        def fail(*args):
+            raise EnumerationError("unsupported case: reached main")
+
+        monkeypatch.setattr(cli, "make_case", fail)
+        code = main(
+            ["enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2",
+             "--H", "2,5"]
+        )
+        assert code == 3
+        assert "internal inconsistency: unsupported case" in capsys.readouterr().err
 
     def test_on_wall_polarization_is_config_error(self, capsys):
         code, _ = run(
@@ -329,6 +360,7 @@ TRANSCRIPT_DIR = Path(__file__).parent / "data" / "cli"
 _VERIFY = ("verify", "--case", "f0-FZ-c2-2-H2F5Z")
 _F0_R2 = ("--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2")
 _P2_R2 = ("--surface", "p2", "--r", "2", "--delta", "1", "--c2", "2")
+_P2_R3 = ("--surface", "p2", "--r", "3", "--delta", "1")
 # recorded stdout file -> the command line that printed it
 TRANSCRIPTS = {
     "verify-f0-FZ-c2-2-H2F5Z.txt": _VERIFY,
@@ -337,6 +369,8 @@ TRANSCRIPTS = {
     "verify-p2-r2-c2-3.txt": ("verify", "--case", "p2-r2-c2-3"),
     "enumerate-f0-r2-all-chambers.txt": ("enumerate", *_F0_R2, "--H", "all-chambers"),
     "enumerate-p2-r2-c2-2.md.txt": ("enumerate", *_P2_R2, "--format", "markdown"),
+    "enumerate-p2-r3-c2-2.txt": ("enumerate", *_P2_R3, "--c2", "2"),
+    "enumerate-p2-r3-c2-3.txt": ("enumerate", *_P2_R3, "--c2", "3"),
     "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),
 }
 

@@ -12,7 +12,11 @@ from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
     _build_bundle,
+    _closed_chern,
+    _jump_positions,
+    _level_pairs,
     _r2_candidates,
+    _r2_configs,
     _r3_configs,
     _r4_configs,
     chamber_representatives,
@@ -379,3 +383,37 @@ def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
         fixed_locus(f0, 2, (1, 1), 3, H)
     assert built
     assert len(built) == enumeration._r2_bundle.cache_info().currsize
+
+
+_MODEL_CASES = [
+    pytest.param(name, 2, classes, id=f"{name}-r2-{''.join(map(str, classes))}")
+    for name in ("p2", "f0", "f1", "f2")
+    for classes in _r2_configs(len(surface_by_name(name).rays))
+] + [
+    pytest.param(
+        "p2", rank, cfg, id=f"p2-r{rank}-{cfg[0]}" + ("" if cfg[1] is None else "%d%d" % cfg[1])
+    )
+    for rank, configs in ((3, _r3_configs()), (4, _r4_configs()))
+    for cfg in configs
+]
+
+
+@pytest.mark.parametrize("name, rank, cfg", _MODEL_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_closed_chern_matches_localization(name, rank, cfg, data):
+    # the searches' (c1, c2) from jump positions and the model's level pairs,
+    # and hirzebruch_ch2_check's from the built flags, equal the localized
+    # invariants of the bundle built from the same tops and windows (empty
+    # windows included, where levels merge)
+    surface = surface_by_name(name)
+    nrays = len(surface.rays)
+    model = r2_model(nrays, cfg) if rank == 2 else (r3_model if rank == 3 else r4_model)(*cfg)
+    window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
+    wins = data.draw(st.tuples(*[window] * nrays), label="windows")
+    tops = data.draw(st.tuples(*[st.integers(-6, 6)] * nrays), label="tops")
+    sheaf = _build_bundle(surface, rank, model, tops, wins)
+    pos = [_jump_positions(top, w, rank) for top, w in zip(tops, wins)]
+    closed = _closed_chern(surface, pos, _level_pairs(surface, model))
+    assert (rank, *closed) == chern_invariants(sheaf)
+    assert hirzebruch_ch2_check(sheaf)

@@ -3,11 +3,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toric_virasoro
 from toric_virasoro import golden
@@ -15,11 +18,12 @@ from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cach
 from toric_virasoro.klyachko import (
     Flag,
     Subspace,
+    NonIsolated,
     bundle_from_flags,
     chern_invariants,
     degeneration_children,
     degeneration_colength,
-    bundle_from_flags,
+    jump_pairs,
     _weighted_jump_sum,
 )
 from toric_virasoro.surfaces import surface_by_name
@@ -173,3 +177,95 @@ class TestSheaves:
                 sheaves += case_of(case_id)[2]
         for sheaf in sheaves:
             assert chern_invariants(sheaf) == oracles.chern_invariants(sheaf)
+
+
+# ---------------------------------------------------------------------------
+# restrictions from the jump pairs against the grid walk
+
+
+@st.composite
+def _flags(draw, rank):
+    """A flag of Q^rank whose spaces are spanned by small vectors, padded by
+    the unit vectors, so that the flags of different rays often share spaces."""
+    vectors = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * rank), max_size=rank + 1))
+    units = [tuple(int(k == l) for k in range(rank)) for l in range(rank)]
+    chain = []
+    space = Subspace.zero(rank)
+    for v in vectors + units:
+        bigger = space.sum(Subspace.span(rank, [v]))
+        if bigger.dim > space.dim:
+            chain.append(bigger)
+            space = bigger
+    keep = draw(st.lists(st.booleans(), min_size=rank - 1, max_size=rank - 1))
+    spaces = [s for s, k in zip(chain, keep) if k] + [chain[-1]]
+    pos = draw(st.integers(-3, 3))
+    steps = []
+    for space in spaces:
+        steps.append((pos, space))
+        pos += draw(st.integers(1, 3))
+    return Flag(rank, tuple(steps))
+
+
+@st.composite
+def _bundles(draw):
+    srf = surface_by_name(draw(st.sampled_from(["p2", "f0", "f1", "f2"]), label="surface"))
+    rank = draw(st.integers(1, 4), label="rank")
+    flags = [draw(_flags(rank), label=f"flag {i}") for i in range(len(srf.rays))]
+    return bundle_from_flags(srf, rank, flags)
+
+
+def _assert_restrictions_match_the_grid_walk(sheaf):
+    for point in sheaf.surface.points:
+        got, want = sheaf.restriction(point), oracles.restriction(sheaf, point)
+        assert got == want, (point.index, got, want)
+        # the terms come in the chart order of the walk, too
+        assert list(got.coeffs) == list(want.coeffs)
+
+
+@st.composite
+def _overridden(draw, sheaf):
+    """The sheaf with up to two chart cells per point cut down to a subspace of
+    the bundle's value there (any drop, so also ones no degeneration makes)."""
+    families = []
+    for point in sheaf.surface.points:
+        r1, r2 = sheaf.chart_window(point)
+        cells = st.tuples(st.sampled_from(r1), st.sampled_from(r2))
+        over = {}
+        for n1, n2 in draw(st.lists(cells, max_size=2, unique=True)):
+            rows = sheaf.family_value(point, n1, n2).rows
+            keep = draw(st.integers(0, max(0, len(rows) - 1)))
+            over[(n1, n2)] = Subspace.span(sheaf.rank, rows[:keep])
+        families.append(tuple(sorted(over.items())) or None)
+    return replace(sheaf, families=tuple(families))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_with_any_local_family_matches_the_grid_walk(data):
+    sheaf = data.draw(_bundles(), label="bundle")
+    _assert_restrictions_match_the_grid_walk(data.draw(_overridden(sheaf), label="families"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheaf=_bundles())
+def test_restriction_matches_the_grid_walk(sheaf):
+    # on the bundle, on its one-site degenerations and on theirs (two local
+    # family sites, possibly at the same point)
+    _assert_restrictions_match_the_grid_walk(sheaf)
+    try:
+        children = degeneration_children(sheaf, budget=2)
+        for child in children[:6]:
+            _assert_restrictions_match_the_grid_walk(child)
+            for grandchild in degeneration_children(child, budget=1)[:3]:
+                _assert_restrictions_match_the_grid_walk(grandchild)
+    except NonIsolated:
+        pass
+
+
+def test_jump_pairs_of_coincident_and_general_lines():
+    e1, e2 = Subspace.span(2, [[1, 0]]), Subspace.span(2, [[0, 1]])
+    V = Subspace.full(2)
+    first = Flag(2, ((0, e1), (2, V)))
+    assert jump_pairs(first, Flag(2, ((1, e1), (3, V)))) == [(0, 1, 1), (2, 3, 1)]
+    assert jump_pairs(first, Flag(2, ((1, e2), (3, V)))) == [(0, 3, 1), (2, 1, 1)]
+    assert jump_pairs(first, Flag(2, ((5, V),))) == [(0, 5, 1), (2, 5, 1)]
