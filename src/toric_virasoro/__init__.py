@@ -12,8 +12,9 @@ polynomials over them, with the fixed-point sums over the integers at
 
 Subpackage map:
 
-``exactalg``      sparse Laurent polynomials, exact division, common
-                  denominators of fixed-point sums, integer polynomials at s = 1
+``exactalg``      sparse Laurent polynomials, integer forms at s = 1, and the
+                  common denominators of fixed-point sums: linear forms over
+                  the integers, binomials 1 - chi^w by running sums
 ``surfaces``      toric surface data (fans, fixed points, tangent and
                   divisor weights, intersection theory)
 ``klyachko``      flagged filtration data for equivariant sheaves and their

@@ -17,11 +17,17 @@ points, adding colength to c2).  This module enumerates them:
   per-cone level multiplicities (:func:`_level_pairs`); no configuration has
   its own correction term.  :func:`hirzebruch_ch2_check` feeds it a bundle's
   own flags.
-* **Search bounds.**  Rank-2 windows on F_a solve the divisor equation
-  q*m = 4c2 - c1^2 + 4*d_i*d_j (d_i, d_j the windows of an adjacent
-  coincident pair, else 0); the remaining loops run over finite boxes, and
-  survivors are asserted to stay off the box boundary (two shells), with
-  reference row counts certifying completeness downstream.
+* **Search bounds and their run-time guards.**  Rank-2 windows on F_a
+  solve the divisor equation q*m = K + 4*d_i*d_j, K = 4c2 - c1^2 (d_i, d_j
+  the windows of an adjacent coincident pair, else 0).  The adjacent-pair
+  windows run over the box ``B = 2K + 2a + 8`` (:func:`_r2_box`), and a
+  candidate on its two outer shells that is stable at H raises
+  :class:`EnumerationError`.  Ranks 3 and 4 run every window profile of sum
+  at most ``P``: ``P`` starts at 6 and grows in steps of 2 while a stable
+  bundle has a window sum above ``P - 2`` (the same two-shell rule), and
+  the run fails loudly once ``P > 24``.  These shell rules are the only
+  guards: nothing here certifies that a locus is complete, and only the
+  bundled cases are compared with reference rows.
 * **Stability in closed form from the windows.**  Each side of the slope
   test is linear in H, so each candidate destabilizing subspace W of the
   model gives one integer *stability form* v with
@@ -49,8 +55,11 @@ points, adding colength to c2).  This module enumerates them:
 
 Enumerated configuration kinds cover all coincidences of codimension <= 1
 (single coincident pair for rank 2; concurrent planes, collinear lines, or a
-single line-in-plane incidence for rank 3); deeper coincidences destabilize
-in the supported cases, which the reference counts certify.
+single line-in-plane incidence for rank 3); deeper coincidences are taken to
+destabilize in the supported cases.  The bundled reference rows agree with
+that; no run-time check does.  The candidate subspaces of a model come from
+a lattice closure cut off after three rounds (:func:`_closure`), an
+unchecked cap.
 """
 
 from __future__ import annotations
@@ -113,6 +122,13 @@ class ConfigModel:
 
 
 def _closure(spaces: list[Subspace], n: int, rounds: int = 3) -> list[Subspace]:
+    """The subspaces reached from ``spaces``, 0 and V by ``rounds`` rounds of sums and intersections.
+
+    Sorted by dimension, then basis.  The loop stops early when a round
+    adds nothing, but the cap of three rounds is unchecked: no rank-3 or
+    rank-4 model closes within it, and one rank-4 lattice grows
+    29 -> 97 -> 721 elements after rounds 1, 2 and 3.
+    """
     cur = {Subspace.zero(n), Subspace.full(n), *spaces}
     for _ in range(rounds):
         new = set(cur)

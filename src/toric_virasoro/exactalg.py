@@ -10,18 +10,23 @@
 Every number the package certifies is a torus-localization sum
 ``sum_q v_q / e_q`` that must clear exactly.  Its common denominator is the
 multiset LCM of the denominators' irreducible factors (never their
-product), with the cofactors ``LCM / e_q``.  Factors count only up to units
-(a rational times a monomial): each is replaced by one canonical associate,
-and the unit stays with its term inside the cofactor, so ``s - t`` and
-``t - s`` share one LCM factor.  One type clears each kind of sum:
+product), with the cofactors ``LCM / e_q``.  Each factor is named by an
+integer weight ``w``: the linear form ``a*s + b*t`` in cohomology, the
+binomial ``1 - chi^w`` in K-theory.  Factors count only up to units: each
+weight is split as a unit times its canonical primitive form
+(:func:`_primitive`), and the unit stays with its term inside the
+cofactor, so ``s - t`` and ``t - s``, or ``1 - chi^w`` and ``1 - chi^-w``,
+share one LCM factor.  One LCM rule (:func:`_lcm`) serves two types:
 
-* :class:`CommonDenominator`, over characters: :func:`exact_div` divides
-  the LCM out one factor at a time;
 * :class:`LinearDenominator`, over integer forms, for ``e_q`` products of
   linear forms: the cofactors and the LCM share one integer scale, and
-  :func:`divide_linear` divides by one canonical (primitive) form by a
-  recurrence that refuses any remainder; by Gauss's lemma an integer
-  quotient exists exactly when a rational one does.
+  :func:`divide_linear` divides by one canonical form by a recurrence that
+  refuses any remainder; by Gauss's lemma an integer quotient exists
+  exactly when a rational one does;
+* :class:`BinomialDenominator`, over characters, for ``e_q`` products of
+  binomials ``1 - chi^w`` with primitive ``w`` (a surface's chart
+  characters): :func:`divide_binomial` divides by one binomial as a
+  running sum along the lines parallel to ``w``.
 
 Both raise :class:`NotDivisible` when a quotient does not exist.  The
 integration kernel multiplies integer forms by Kronecker substitution:
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rat = Fraction
@@ -322,156 +327,13 @@ def parse_laurent(text: str) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact division and common denominators
+# homogeneous polynomials over the integers, Kronecker-packed
 # ---------------------------------------------------------------------------
 
 
 def linform(v: tuple[int, int]) -> LaurentPoly:
     """The degree-1 cohomology class a*s + b*t."""
     return LaurentPoly({(1, 0): Fraction(v[0]), (0, 1): Fraction(v[1])})
-
-
-def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
-    """Divide num by a one- or two-term factor exactly.
-
-    Both inputs may be Laurent.  Factor each as (monomial) * (polynomial with
-    componentwise-minimal exponent 0); for such a divisor d (not divisible by
-    s or t), a Laurent quotient exists iff an ordinary polynomial quotient
-    exists, and lexicographic division finds it with zero remainder.  Any
-    monomial that would go to the remainder therefore proves indivisibility,
-    so the division aborts there with :class:`NotDivisible`.  A monomial
-    divisor (e.g. the weight ``s``) is a Laurent unit and always divides.
-    """
-    if not div:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return LaurentPoly.zero()
-    na = min(a for (a, _b) in num.coeffs)
-    nb = min(b for (_a, b) in num.coeffs)
-    da = min(a for (a, _b) in div.coeffs)
-    db = min(b for (_a, b) in div.coeffs)
-    n = num.shift(-na, -nb)
-    d = div.shift(-da, -db)
-    if len(d) == 1:
-        ((ka, kb), dc), = d.coeffs.items()
-        return n.shift(-ka, -kb).shift(na - da, nb - db) * (ONE / dc)
-    dk = max(d.coeffs)  # lex-leading key
-    dc = d.coeffs[dk]
-    rest = {k: c for k, c in d.coeffs.items() if k != dk}
-    work = dict(n.coeffs)
-    q: dict[tuple[int, int], Fraction] = {}
-    while work:
-        k = max(work)  # strictly decreases each pass: termination
-        qa, qb = k[0] - dk[0], k[1] - dk[1]
-        if qa < 0 or qb < 0:
-            raise NotDivisible(
-                f"{num.render()} not divisible by {div.render()}"
-                f" (remainder at s^{k[0] + na}*t^{k[1] + nb})"
-            )
-        qc = work.pop(k) / dc
-        q[(qa, qb)] = q.get((qa, qb), ZERO) + qc
-        for (ra, rb), rc in rest.items():
-            nk = (qa + ra, qb + rb)
-            nc = work.get(nk, ZERO) - qc * rc
-            if nc:
-                work[nk] = nc
-            else:
-                work.pop(nk, None)
-    return LaurentPoly(q).shift(na - da, nb - db)
-
-
-def _product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for f in factors:
-        out = out * f
-    return out
-
-
-def _associate(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Split a nonzero factor as ``f == unit * g``, ``unit`` a rational monomial.
-
-    ``g`` is the canonical associate: coprime integer coefficients, a
-    positive lex-leading coefficient and, when ``f`` has two or more terms,
-    componentwise-minimal exponent 0.  A one-term factor keeps its monomial
-    (``t`` is no unit in cohomology), so ``2*t`` becomes ``t`` with unit 2.
-    """
-    coeffs = f.coeffs
-    if not coeffs:
-        raise ZeroDivisionError("zero factor in a denominator")
-    a = b = 0
-    if len(coeffs) > 1:
-        a = min(x for x, _y in coeffs)
-        b = min(y for _x, y in coeffs)
-    values = coeffs.values()
-    c = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
-    if coeffs[max(coeffs)] < 0:
-        c = -c
-    return f.shift(-a, -b) * (ONE / c), LaurentPoly.monomial(a, b, c)
-
-
-class CommonDenominator:
-    """The least common denominator of fixed-point sums ``sum_q v_q / e_q``.
-
-    ``dens[q]`` lists the irreducible one- or two-term factors of ``e_q``,
-    with repeats.  Factors count up to units: each is replaced by its
-    canonical associate (see :func:`_associate`), and the unit, a rational
-    times a monomial, stays with its term.  So ``s - t`` and ``t - s``,
-    ``t`` and ``2*t``, and ``1 - s`` and ``1 - s^-1`` are one LCM factor
-    each.  The instance holds
-
-    * ``factors``: the multiset LCM of the canonical factor lists, in a
-      fixed sorted order (never the product of all denominators);
-    * ``poly``: their product;
-    * ``cofactors``: ``cofactors[q] = poly / e_q``, expanded, units included.
-
-    Then ``sum_q v_q / e_q == numerator(values) / poly`` exactly, and
-    :meth:`clear` divides ``poly`` out factor by factor.  A sum over a
-    complete fixed locus is a Laurent polynomial, so a :class:`NotDivisible`
-    from :meth:`clear` certifies inconsistent fixed-point data.
-    """
-
-    __slots__ = ("factors", "poly", "cofactors")
-
-    def __init__(self, dens: Iterable[Iterable[LaurentPoly]]):
-        counts, units = [], []
-        for d in dens:
-            count, unit = Counter(), LaurentPoly.one()
-            for f in d:
-                g, u = _associate(f)
-                count[g] += 1
-                unit = unit * u
-            counts.append(count)
-            units.append(unit)
-        lcm_counts: Counter = Counter()
-        for c in counts:
-            lcm_counts |= c
-        order = sorted(lcm_counts, key=lambda f: sorted(f.coeffs.items(), reverse=True))
-        self.factors = tuple(f for f in order for _ in range(lcm_counts[f]))
-        self.poly = _product(self.factors)
-        self.cofactors = [
-            _product(f for f in order for _ in range(lcm_counts[f] - c[f])) * unit**-1
-            for c, unit in zip(counts, units)
-        ]
-
-    def numerator(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
-        """``sum_q values[q] * cofactors[q]``; zero values are skipped."""
-        num = LaurentPoly.zero()
-        for v, co in zip(values, self.cofactors, strict=True):
-            if v:
-                num = num + v * co
-        return num
-
-    def clear(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
-        """``sum_q values[q] / e_q`` as a Laurent polynomial, or NotDivisible."""
-        num = self.numerator(values)
-        for f in self.factors:
-            num = exact_div(num, f)
-        return num
-
-
-# ---------------------------------------------------------------------------
-# homogeneous polynomials over the integers, Kronecker-packed
-# ---------------------------------------------------------------------------
 
 
 def homogenize(coeffs: Iterable[int], deg: int, scale: int) -> LaurentPoly:
@@ -525,10 +387,7 @@ def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
 
 
 def _primitive(w: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """``(form, unit)`` with ``w == unit * form``: :func:`_associate` on integer pairs.
-
-    The form is primitive with its first nonzero entry positive.
-    """
+    """``(form, unit)`` with ``w == unit * form``, the form primitive with its first nonzero entry positive."""
     a, b = w
     unit = gcd(a, b)
     if not unit:
@@ -536,6 +395,26 @@ def _primitive(w: tuple[int, int]) -> tuple[tuple[int, int], int]:
     if a < 0 or (not a and b < 0):
         unit = -unit
     return (a // unit, b // unit), unit
+
+
+def _lcm(weights_per_point: Iterable[Iterable[tuple[int, int]]]):
+    """The multiset LCM of the canonical forms of every term's weights.
+
+    Each weight is split by :func:`_primitive`.  Returns ``(forms, rest,
+    splits)``: the LCM as canonical forms with repeats, in a fixed order
+    that does not depend on the input order; per term, the forms of
+    ``LCM / e_q`` in the same order; per term, the ``(form, unit)`` of each
+    weight.
+    """
+    splits = [[_primitive(w) for w in weights] for weights in weights_per_point]
+    counts = [Counter(form for form, _unit in split) for split in splits]
+    total: Counter = Counter()
+    for count in counts:
+        total |= count
+    order = sorted(total, key=lambda f: (f[0], f[1] != 0, f[1]))
+    forms = tuple(f for f in order for _ in range(total[f]))
+    rest = [[f for f in order for _ in range(total[f] - count[f])] for count in counts]
+    return forms, rest, splits
 
 
 def _form_product(forms: Iterable[tuple[int, int]], scale: int) -> list[int]:
@@ -546,16 +425,16 @@ def _form_product(forms: Iterable[tuple[int, int]], scale: int) -> list[int]:
 
 
 class LinearDenominator:
-    """:class:`CommonDenominator` over ZZ at s = 1, for products of linear forms.
+    """The common denominator over ZZ at s = 1 of sums over products of linear forms.
 
     ``weights_per_point[q]`` lists the weights ``(a, b)`` whose forms
     ``a*s + b*t`` multiply to ``e_q``, with repeats.  Each weight is split
     as a unit times its canonical primitive form (:func:`_primitive`), and
     the instance holds
 
-    * ``forms``: the multiset LCM of the canonical forms, in the order of
-      :attr:`CommonDenominator.factors` (``t``, then by ``a``; ``s`` before
-      the other forms with ``a = 1``; then by ``b``);
+    * ``forms``: the multiset LCM of the canonical forms (:func:`_lcm`):
+      ``t`` first, then by ``a``, ``s`` before the other forms with
+      ``a = 1``, then by ``b``;
     * ``scale``: ``L``, the least common multiple of the units ``|u_q|``;
     * ``cofactors`` and ``poly``: ``L * LCM / e_q`` and ``L * LCM`` at s = 1,
       integer forms (``out[j]`` at ``s^(d-j) t^j``); a product of primitive
@@ -568,26 +447,11 @@ class LinearDenominator:
     __slots__ = ("forms", "scale", "cofactors", "poly", "norms")
 
     def __init__(self, weights_per_point: Iterable[Iterable[tuple[int, int]]]):
-        counts, units = [], []
-        for weights in weights_per_point:
-            count, unit = Counter(), 1
-            for w in weights:
-                form, u = _primitive(w)
-                count[form] += 1
-                unit *= u
-            counts.append(count)
-            units.append(unit)
-        lcm_counts: Counter = Counter()
-        for c in counts:
-            lcm_counts |= c
-        order = sorted(lcm_counts, key=lambda f: (f[0], f[1] != 0, f[1]))
-        self.forms = tuple(f for f in order for _ in range(lcm_counts[f]))
+        self.forms, rest, splits = _lcm(weights_per_point)
+        units = [prod(u for _form, u in split) for split in splits]
         self.scale = lcm(1, *units)
         self.poly = _form_product(self.forms, self.scale)
-        self.cofactors = [
-            _form_product((f for f in order for _ in range(lcm_counts[f] - c[f])), self.scale // u)
-            for c, u in zip(counts, units)
-        ]
+        self.cofactors = [_form_product(r, self.scale // u) for r, u in zip(rest, units)]
         self.norms = [sum(map(abs, co)) for co in self.cofactors]
 
     def divide(self, total: Sequence[int], deg: int) -> list[int]:
@@ -652,3 +516,81 @@ def unpack(value: int, width: int, count: int) -> list[int]:
     if value:
         raise OverflowError(f"packed value carries past slot {count}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# K-theoretic sums: binomial denominators
+# ---------------------------------------------------------------------------
+
+
+def divide_binomial(num: LaurentPoly, w: tuple[int, int]) -> LaurentPoly:
+    """The exact quotient of ``num`` by ``1 - chi^w``, for a primitive ``w``.
+
+    ``num = q - q * chi^w`` says that along every line parallel to ``w``,
+    the coefficients of ``q`` are the partial sums of those of ``num``,
+    taken in the direction of ``w``.  A line whose coefficients do not sum
+    to zero is a remainder and raises :class:`NotDivisible`.
+    """
+    a, b = w
+    step = a * a + b * b
+    lines: dict[int, list] = {}
+    for (x, y), c in num.coeffs.items():
+        lines.setdefault(b * x - a * y, []).append((a * x + b * y, x, y, c))
+    out = {}
+    for terms in lines.values():
+        terms.sort()
+        start, x, y, _c = terms[0]
+        along = {(dot - start) // step: c for dot, _x, _y, c in terms}
+        total = ZERO
+        for k in range(max(along) + 1):
+            total += along.get(k, ZERO)
+            if total:
+                out[(x + k * a, y + k * b)] = total
+        if total:
+            binomial = LaurentPoly.one() - LaurentPoly.monomial(a, b)
+            raise NotDivisible(f"{num.render()} is not divisible by {binomial.render()}")
+    return LaurentPoly(out)
+
+
+class BinomialDenominator:
+    """The common denominator of sums over products of binomials ``1 - chi^w``.
+
+    ``duals_per_point[q]`` lists the primitive characters ``w`` with
+    ``e_q = prod (1 - chi^w)``, with repeats: a surface's chart characters.
+    Each ``w`` is ``f`` or ``-f`` for a canonical form ``f``
+    (:func:`_primitive`), and ``1 - chi^-f = -chi^-f * (1 - chi^f)``, so the
+    signed monomial unit ``-chi^-f`` stays with its term.  The instance holds
+
+    * ``forms``: the canonical ``f`` of the multiset LCM, in the order of
+      :func:`_lcm`;
+    * ``cofactors``: ``LCM / e_q`` as characters, units included.
+
+    Then ``sum_q v_q / e_q == sum_q v_q * cofactors[q] / LCM`` exactly, and
+    :meth:`clear` divides the LCM out one binomial at a time.
+    """
+
+    __slots__ = ("forms", "cofactors")
+
+    def __init__(self, duals_per_point: Iterable[Iterable[tuple[int, int]]]):
+        self.forms, rest, splits = _lcm(duals_per_point)
+        self.cofactors = []
+        for missing, split in zip(rest, splits):
+            if any(abs(u) != 1 for _f, u in split):
+                raise ValueError("binomial denominators need primitive characters")
+            flipped = [f for f, u in split if u < 0]
+            co = LaurentPoly.monomial(
+                sum(f[0] for f in flipped), sum(f[1] for f in flipped), (-1) ** len(flipped)
+            )
+            for f in missing:
+                co = co * (LaurentPoly.one() - LaurentPoly.monomial(*f))
+            self.cofactors.append(co)
+
+    def clear(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        """``sum_q values[q] / e_q`` as a Laurent polynomial, or NotDivisible."""
+        num = LaurentPoly.zero()
+        for v, co in zip(values, self.cofactors, strict=True):
+            if v:
+                num = num + v * co
+        for f in self.forms:
+            num = divide_binomial(num, f)
+        return num

@@ -28,8 +28,8 @@ From this data the module computes
   form* v and the test at H is the sign of ``v . H`` (:func:`stable_at`).
   The forms come in closed form from the window lengths between the jumps
   and the dimensions ``dim(W n F_i^m)`` (:func:`stability_forms`): the top
-  jump positions cancel, so no sheaf is needed.  :func:`is_stable` is the
-  reference, read from a built sheaf's flags, and
+  jump positions cancel, so no sheaf is needed (the tests keep the slope
+  comparison read from a built sheaf's flags as the reference), and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
@@ -437,65 +437,6 @@ class SlopeTie(Exception):
     """
 
 
-Pattern = tuple[int, tuple[tuple[int, ...], ...]]
-# (dim W, per-ray dims of W against the ray's flag steps, aligned with steps)
-
-
-def _weighted_jump_sum(flag: Flag, dims: Sequence[int]) -> int:
-    total = 0
-    prev = 0
-    for (pos, _space), d in zip(flag.steps, dims):
-        total += pos * (d - prev)
-        prev = d
-    return total
-
-
-def slope_times_rank(
-    sheaf: TorusSheaf, polarization: tuple, dims_per_ray: Sequence[Sequence[int]] | None = None
-) -> int:
-    """H-degree of the subsheaf cut out by a dimension pattern (or of E itself).
-
-    The degree is minus the weighted sum of jump positions, weighted by the
-    H-degrees of the corresponding boundary divisors.
-    """
-    total = 0
-    for i, flag in enumerate(sheaf.flags):
-        deg = sheaf.surface.ray_degree(i, polarization)
-        if dims_per_ray is None:
-            dims = [s.dim for _p, s in flag.steps]
-        else:
-            dims = dims_per_ray[i]
-        total += deg * _weighted_jump_sum(flag, dims)
-    return -total
-
-
-def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern]) -> bool:
-    """Strict slope stability against the candidate subspace patterns.
-
-    Raises SlopeTie if some candidate has exactly the slope of the sheaf
-    (the polarization lies on a wall for this topological type).
-
-    This is the reference definition: the enumeration decides stability by
-    :func:`stable_at` on the window-level :func:`stability_forms`, and the
-    tests check that the two verdicts agree.
-    """
-    r = sheaf.rank
-    deg_e = slope_times_rank(sheaf, polarization)
-    tie = False
-    for w, dims in patterns:
-        if not 0 < w < r:
-            continue
-        deg_w = slope_times_rank(sheaf, polarization, dims)
-        lhs, rhs = r * deg_w, w * deg_e
-        if lhs > rhs:
-            return False
-        if lhs == rhs:
-            tie = True
-    if tie:
-        raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
-    return True
-
-
 def stability_forms(
     surface: Surface,
     rank: int,
@@ -526,7 +467,7 @@ def stability_forms(
 
 
 def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:
-    """The verdict of :func:`is_stable` from the stability forms: sign tests in H.
+    """Strict slope stability at H from the stability forms: sign tests in H.
 
     Unstable as soon as some ``v . H > 0``; otherwise a ``v . H == 0``
     raises SlopeTie.

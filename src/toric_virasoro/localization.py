@@ -2,9 +2,11 @@
 
 A :class:`Case` bundles a toric surface, topological invariants, a
 polarization and the finite list of torus-fixed stable sheaves with those
-invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``:
-K-theoretic ones are cleared by the surface's ``character_denominator``,
-cohomological ones over the integers at ``s = 1`` by an
+invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``.
+K-theoretic ones are cleared by the surface's ``character_denominator`` (a
+:class:`~toric_virasoro.exactalg.BinomialDenominator`, which divides by each
+binomial ``1 - chi^w`` as a running sum along ``w``), cohomological ones
+over the integers at ``s = 1`` by a
 :class:`~toric_virasoro.exactalg.LinearDenominator`, built once per surface
 and once per case.
 
@@ -94,7 +96,8 @@ def sheaf_euler_pairing(restrictions: Sequence[LaurentPoly], surface: Surface) -
 
     Each fixed point contributes ``E_p^dual * E_p / ((1 - u)(1 - v))`` where
     ``u, v`` are the inverse tangent characters (= the chart characters); the
-    sum over points clears to a finite character sum.
+    sum over points clears to a finite character sum, and a row that is not
+    a consistent K-class raises :class:`~toric_virasoro.exactalg.NotDivisible`.
     """
     return surface.character_denominator.clear([poly.dual() * poly for poly in restrictions])
 

@@ -29,11 +29,13 @@ Lifted classes are integer forms at ``s = 1`` (``class_lift``), and a
 surface integral is a fixed-point sum over the tangent Euler classes,
 cleared over the integers by ``tangent_denominator`` (an
 :class:`~toric_virasoro.exactalg.LinearDenominator`).  K-theoretic sums
-are cleared by ``character_denominator``.
+over ``prod (1 - chi^w)``, ``w`` the chart characters, are cleared by
+``character_denominator`` (a
+:class:`~toric_virasoro.exactalg.BinomialDenominator`).
 
 Divisor classes are integer vectors in the basis and the intersection form
-is integral, so intersection numbers (``pair``, ``ray_degree``, ``vdim``)
-are plain ``int``s.
+is integral, so intersection numbers (``pair``, ``vdim``) are plain
+``int``s.
 
 Fixed points are listed in the column order of the bundled tables:
 on ``P2`` the cones are (ray1, ray2), (ray2, ray3), (ray3, ray1) for rays
@@ -46,14 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactalg import CommonDenominator, LaurentPoly, LinearDenominator, convolve
+from .exactalg import BinomialDenominator, LinearDenominator, convolve
 
 Vec = tuple[int, int]
-
-
-def char_monomial(v: Vec, coeff=1) -> LaurentPoly:
-    """The K-theory character chi^v as a Laurent monomial."""
-    return LaurentPoly.monomial(v[0], v[1], coeff)
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,7 @@ class Surface:
         # cohomology over the tangent Euler classes (over ZZ at s = 1),
         # K-theory over prod(1 - chi^w) for the chart characters w
         self.tangent_denominator = LinearDenominator(p.tangent_weights for p in self.points)
-        self.character_denominator = CommonDenominator(
-            [LaurentPoly.one() - char_monomial(w) for w in p.duals] for p in self.points
-        )
+        self.character_denominator = BinomialDenominator(p.duals for p in self.points)
         self.divisor_names = list(divisor_names)
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
@@ -149,9 +144,6 @@ class Surface:
             for i, ci in enumerate(c)
             for j, dj in enumerate(d)
         )
-
-    def ray_degree(self, ray_index: int, polarization: tuple) -> int:
-        return self.pair(self.ray_classes[ray_index], polarization)
 
     def vdim(self, rank: int, c1: tuple, c2: int) -> int:
         """Expected dimension 2*r*c2 - (r-1)*c1^2 - (r^2-1) of the moduli space."""

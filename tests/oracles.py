@@ -4,11 +4,21 @@ The package clears every cohomological fixed-point sum over the integers at
 s = 1, with an ``exactalg.LinearDenominator``: on the surface (descendent
 symbols, Chern invariants) and on the moduli space (integrals).  The
 functions here are the ``Fraction`` paths it replaced: a
-``CommonDenominator`` of ``linform`` factors, read at s = 1 by
+:class:`CommonDenominator` of ``linform`` factors, read at s = 1 by
 :func:`dehomogenize` and scaled to the integers by :func:`integer_rows`;
 truncated exponential Chern characters, cleared over the surface with the
 degree checked on the result.  The tests require the integer paths to agree
 with them.
+
+:class:`CommonDenominator` and :func:`exact_div` clear a sum over any one-
+or two-term factors with rational monomial units, by lexicographic
+division.  They are also the reference for the K-theoretic clearing of
+``chi(E, E)``, which the package does with an
+``exactalg.BinomialDenominator`` (:func:`euler_pairing`).
+
+:func:`is_stable` is the slope comparison read from a built sheaf's flags;
+the enumeration decides stability by ``klyachko.stable_at`` on the
+window-level stability forms instead.
 
 :func:`restriction` is the grid walk that ``TorusSheaf.restriction``
 replaced: the second difference of the dimension grid over every cell of
@@ -17,22 +27,163 @@ the chart window, one intersection per cell.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from typing import Iterable, Sequence
 
 from toric_virasoro.descendents import symbol_degree
-from toric_virasoro.exactalg import (
-    CommonDenominator,
-    LaurentPoly,
-    NotDivisible,
-    convolve,
-    linform,
-)
-from toric_virasoro.klyachko import _solve_divisor_class
-from toric_virasoro.surfaces import char_monomial
+from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
+from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf, _solve_divisor_class
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
+    """Divide num by a one- or two-term factor exactly.
+
+    Both inputs may be Laurent.  Factor each as (monomial) * (polynomial with
+    componentwise-minimal exponent 0); for such a divisor d (not divisible by
+    s or t), a Laurent quotient exists iff an ordinary polynomial quotient
+    exists, and lexicographic division finds it with zero remainder.  Any
+    monomial that would go to the remainder therefore proves indivisibility,
+    so the division aborts there with :class:`NotDivisible`.  A monomial
+    divisor (e.g. the weight ``s``) is a Laurent unit and always divides.
+    """
+    if not div:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return LaurentPoly.zero()
+    na = min(a for (a, _b) in num.coeffs)
+    nb = min(b for (_a, b) in num.coeffs)
+    da = min(a for (a, _b) in div.coeffs)
+    db = min(b for (_a, b) in div.coeffs)
+    n = num.shift(-na, -nb)
+    d = div.shift(-da, -db)
+    if len(d) == 1:
+        ((ka, kb), dc), = d.coeffs.items()
+        return n.shift(-ka, -kb).shift(na - da, nb - db) * (ONE / dc)
+    dk = max(d.coeffs)  # lex-leading key
+    dc = d.coeffs[dk]
+    rest = {k: c for k, c in d.coeffs.items() if k != dk}
+    work = dict(n.coeffs)
+    q: dict[tuple[int, int], Fraction] = {}
+    while work:
+        k = max(work)  # strictly decreases each pass: termination
+        qa, qb = k[0] - dk[0], k[1] - dk[1]
+        if qa < 0 or qb < 0:
+            raise NotDivisible(
+                f"{num.render()} not divisible by {div.render()}"
+                f" (remainder at s^{k[0] + na}*t^{k[1] + nb})"
+            )
+        qc = work.pop(k) / dc
+        q[(qa, qb)] = q.get((qa, qb), ZERO) + qc
+        for (ra, rb), rc in rest.items():
+            nk = (qa + ra, qb + rb)
+            nc = work.get(nk, ZERO) - qc * rc
+            if nc:
+                work[nk] = nc
+            else:
+                work.pop(nk, None)
+    return LaurentPoly(q).shift(na - da, nb - db)
+
+
+def _product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _associate(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Split a nonzero factor as ``f == unit * g``, ``unit`` a rational monomial.
+
+    ``g`` is the canonical associate: coprime integer coefficients, a
+    positive lex-leading coefficient and, when ``f`` has two or more terms,
+    componentwise-minimal exponent 0.  A one-term factor keeps its monomial
+    (``t`` is no unit in cohomology), so ``2*t`` becomes ``t`` with unit 2.
+    """
+    coeffs = f.coeffs
+    if not coeffs:
+        raise ZeroDivisionError("zero factor in a denominator")
+    a = b = 0
+    if len(coeffs) > 1:
+        a = min(x for x, _y in coeffs)
+        b = min(y for _x, y in coeffs)
+    values = coeffs.values()
+    c = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
+    if coeffs[max(coeffs)] < 0:
+        c = -c
+    return f.shift(-a, -b) * (ONE / c), LaurentPoly.monomial(a, b, c)
+
+
+class CommonDenominator:
+    """The least common denominator of fixed-point sums ``sum_q v_q / e_q``.
+
+    ``dens[q]`` lists the irreducible one- or two-term factors of ``e_q``,
+    with repeats.  Factors count up to units: each is replaced by its
+    canonical associate (see :func:`_associate`), and the unit, a rational
+    times a monomial, stays with its term.  So ``s - t`` and ``t - s``,
+    ``t`` and ``2*t``, and ``1 - s`` and ``1 - s^-1`` are one LCM factor
+    each.  The instance holds
+
+    * ``factors``: the multiset LCM of the canonical factor lists, in a
+      fixed sorted order (never the product of all denominators);
+    * ``poly``: their product;
+    * ``cofactors``: ``cofactors[q] = poly / e_q``, expanded, units included.
+
+    Then ``sum_q v_q / e_q == numerator(values) / poly`` exactly, and
+    :meth:`clear` divides ``poly`` out factor by factor.  A sum over a
+    complete fixed locus is a Laurent polynomial, so a :class:`NotDivisible`
+    from :meth:`clear` certifies inconsistent fixed-point data.
+    """
+
+    __slots__ = ("factors", "poly", "cofactors")
+
+    def __init__(self, dens: Iterable[Iterable[LaurentPoly]]):
+        counts, units = [], []
+        for d in dens:
+            count, unit = Counter(), LaurentPoly.one()
+            for f in d:
+                g, u = _associate(f)
+                count[g] += 1
+                unit = unit * u
+            counts.append(count)
+            units.append(unit)
+        lcm_counts: Counter = Counter()
+        for c in counts:
+            lcm_counts |= c
+        order = sorted(lcm_counts, key=lambda f: sorted(f.coeffs.items(), reverse=True))
+        self.factors = tuple(f for f in order for _ in range(lcm_counts[f]))
+        self.poly = _product(self.factors)
+        self.cofactors = [
+            _product(f for f in order for _ in range(lcm_counts[f] - c[f])) * unit**-1
+            for c, unit in zip(counts, units)
+        ]
+
+    def numerator(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        """``sum_q values[q] * cofactors[q]``; zero values are skipped."""
+        num = LaurentPoly.zero()
+        for v, co in zip(values, self.cofactors, strict=True):
+            if v:
+                num = num + v * co
+        return num
+
+    def clear(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
+        """``sum_q values[q] / e_q`` as a Laurent polynomial, or NotDivisible."""
+        num = self.numerator(values)
+        for f in self.factors:
+            num = exact_div(num, f)
+        return num
+
+
+def euler_pairing(restrictions, surface) -> LaurentPoly:
+    """``chi(E, E)`` of the chart restrictions, by a :class:`CommonDenominator` of ``1 - chi^w``."""
+    den = CommonDenominator(
+        [LaurentPoly.one() - LaurentPoly.monomial(*w) for w in p.duals] for p in surface.points
+    )
+    return den.clear([poly.dual() * poly for poly in restrictions])
 
 
 def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:
@@ -272,5 +423,64 @@ def restriction(sheaf, point) -> LaurentPoly:
         for n2 in r2:
             c = d(n1, n2) - d(n1 - 1, n2) - d(n1, n2 - 1) + d(n1 - 1, n2 - 1)
             if c:
-                out = out + char_monomial(point.char_from_pair(n1, n2), c)
+                out = out + LaurentPoly.monomial(*point.char_from_pair(n1, n2), c)
     return out
+
+
+Pattern = tuple[int, tuple[tuple[int, ...], ...]]
+# (dim W, per-ray dims of W against the ray's flag steps, aligned with steps)
+
+
+def _weighted_jump_sum(flag: Flag, dims: Sequence[int]) -> int:
+    total = 0
+    prev = 0
+    for (pos, _space), d in zip(flag.steps, dims):
+        total += pos * (d - prev)
+        prev = d
+    return total
+
+
+def slope_times_rank(
+    sheaf: TorusSheaf, polarization: tuple, dims_per_ray: Sequence[Sequence[int]] | None = None
+) -> int:
+    """H-degree of the subsheaf cut out by a dimension pattern (or of E itself).
+
+    The degree is minus the weighted sum of jump positions, weighted by the
+    H-degrees of the corresponding boundary divisors.
+    """
+    total = 0
+    for i, flag in enumerate(sheaf.flags):
+        deg = sheaf.surface.pair(sheaf.surface.ray_classes[i], polarization)
+        if dims_per_ray is None:
+            dims = [s.dim for _p, s in flag.steps]
+        else:
+            dims = dims_per_ray[i]
+        total += deg * _weighted_jump_sum(flag, dims)
+    return -total
+
+
+def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern]) -> bool:
+    """Strict slope stability against the candidate subspace patterns.
+
+    Raises SlopeTie if some candidate has exactly the slope of the sheaf
+    (the polarization lies on a wall for this topological type).
+
+    This is the reference definition: the enumeration decides stability by
+    :func:`stable_at` on the window-level :func:`stability_forms`, and the
+    tests check that the two verdicts agree.
+    """
+    r = sheaf.rank
+    deg_e = slope_times_rank(sheaf, polarization)
+    tie = False
+    for w, dims in patterns:
+        if not 0 < w < r:
+            continue
+        deg_w = slope_times_rank(sheaf, polarization, dims)
+        lhs, rhs = r * deg_w, w * deg_e
+        if lhs > rhs:
+            return False
+        if lhs == rhs:
+            tie = True
+    if tie:
+        raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
+    return True

@@ -385,7 +385,13 @@ def test_output_matches_recorded_transcript(capsys, transcript):
 
 @pytest.mark.parametrize("seed", ["1", "12345"])
 @pytest.mark.parametrize(
-    "transcript", ["enumerate-f0-r2-all-chambers.txt", "walls-f0-r2-c2-2.txt"]
+    "transcript",
+    [
+        "enumerate-f0-r2-all-chambers.txt",
+        "walls-f0-r2-c2-2.txt",
+        "verify-f0-FZ-c2-2-H2F5Z.json.txt",
+        "enumerate-p2-r3-c2-3.txt",
+    ],
 )
 def test_output_does_not_depend_on_hash_seed(seed, transcript):
     # set iteration order steers the search, so run in a fresh interpreter

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_stable, slope_times_rank
 from toric_virasoro import enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
@@ -34,8 +35,6 @@ from toric_virasoro.klyachko import (
     NonIsolated,
     SlopeTie,
     chern_invariants,
-    is_stable,
-    slope_times_rank,
     stability_forms,
     stable_at,
 )

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CommonDenominator,
     as_constant,
     char_to_chern,
     degrees,
     dehomogenize,
+    exact_div,
     homogeneous_part,
     integer_rows,
     is_homogeneous,
@@ -22,13 +24,13 @@ from oracles import (
     truncated_exp_rat,
 )
 from toric_virasoro.exactalg import (
-    CommonDenominator,
+    BinomialDenominator,
     LaurentPoly,
     LinearDenominator,
     NotDivisible,
     convolve,
+    divide_binomial,
     divide_linear,
-    exact_div,
     homogenize,
     linform,
     pack,
@@ -433,6 +435,81 @@ class TestDivideLinear:
         assert divide_linear([0], 2, 3) == []
         with pytest.raises(NotDivisible):
             divide_linear([1], 1, 1)
+
+
+integer_lpolys = st.dictionaries(exponents, st.integers(-5, 5), max_size=6).map(LaurentPoly)
+primitive_characters = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]) | st.tuples(
+    st.integers(-3, 3), st.integers(-3, 3)
+).filter(lambda w: gcd(*w) == 1)
+
+
+def _outcome(clear, values):
+    try:
+        return clear(values)
+    except NotDivisible:
+        return "NotDivisible"
+
+
+class TestDivideBinomial:
+    @settings(deadline=None, max_examples=200)
+    @given(integer_lpolys, primitive_characters, exponents, st.integers(-3, 3).filter(bool))
+    def test_quotient_of_a_product_and_a_perturbed_product(self, f, w, m, c):
+        product = f * kfactor(w)
+        assert divide_binomial(product, w) == f
+        # every line parallel to w sums to zero in a product; one more term
+        # breaks the sum of its line
+        with pytest.raises(NotDivisible):
+            divide_binomial(product + LaurentPoly.monomial(*m, c), w)
+
+    def test_running_sums_fill_the_gaps_of_a_line(self):
+        assert divide_binomial(parse_laurent("1 - s^3"), (1, 0)) == parse_laurent("1 + s + s^2")
+        assert divide_binomial(parse_laurent("1 - s^-2"), (-1, 0)) == parse_laurent("1 + s^-1")
+        assert divide_binomial(parse_laurent("s*t - s^3*t^-1"), (1, -1)) == parse_laurent(
+            "s*t + s^2"
+        )
+        with pytest.raises(NotDivisible, match=r"is not divisible by -s\*t \+ 1$"):
+            divide_binomial(parse_laurent("1 - s"), (1, 1))
+
+
+class TestBinomialDenominator:
+    def test_projective_line_euler_characteristic(self):
+        # 1/(1 - s^-1) + 1/(1 - s): the unit -s^-1 of 1 - s^-1 = -s^-1 (1 - s)
+        # moves into the first cofactor as -s
+        den = BinomialDenominator([[(-1, 0)], [(1, 0)]])
+        assert den.forms == ((1, 0),)
+        assert den.cofactors == [parse_laurent("-s"), LaurentPoly.one()]
+        one = LaurentPoly.one()
+        assert den.clear([one, one]) == one
+        with pytest.raises(NotDivisible):
+            den.clear([one, -one])
+
+    def test_characters_must_be_primitive(self):
+        with pytest.raises(ValueError, match="primitive"):
+            BinomialDenominator([[(2, 0)]])
+        with pytest.raises(ZeroDivisionError):
+            BinomialDenominator([[(0, 0)]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nonzero_lpolys,
+        st.lists(st.lists(primitive_characters, max_size=3), min_size=1, max_size=4),
+        st.lists(integer_lpolys, min_size=4, max_size=4),
+    )
+    def test_agrees_with_the_fraction_oracle(self, P, raw, noise):
+        # the LCM has as many factors as CommonDenominator's; a sum of terms
+        # P * e_q / e_q clears to n * P on both, and a sum of arbitrary
+        # values either clears to the same value or is refused by both
+        den = BinomialDenominator(raw)
+        ref = CommonDenominator([[kfactor(w) for w in ws] for ws in raw])
+        assert len(den.forms) == len(ref.factors)
+        lcm_poly = product(kfactor(f) for f in den.forms)
+        es = [product(kfactor(w) for w in ws) for ws in raw]
+        for e, co in zip(es, den.cofactors):
+            assert e * co == lcm_poly
+        values = [P * e for e in es]
+        assert den.clear(values) == ref.clear(values) == P * len(es)
+        noise = noise[: len(raw)]
+        assert _outcome(den.clear, noise) == _outcome(ref.clear, noise)
 
 
 class TestKroneckerPacking:

@@ -24,7 +24,6 @@ from toric_virasoro.klyachko import (
     degeneration_children,
     degeneration_colength,
     jump_pairs,
-    _weighted_jump_sum,
 )
 from toric_virasoro.surfaces import surface_by_name
 
@@ -86,9 +85,9 @@ class TestFlag:
         line = Subspace.span(2, [[1, 0]])
         flag = Flag(2, ((1, line), (4, Subspace.full(2))))
         own_dims = [1, 2]
-        assert _weighted_jump_sum(flag, own_dims) == 1 + 4
+        assert oracles._weighted_jump_sum(flag, own_dims) == 1 + 4
         shifted = Flag(flag.rank, tuple((p + 2, s) for p, s in flag.steps))
-        assert _weighted_jump_sum(shifted, own_dims) == 3 + 6
+        assert oracles._weighted_jump_sum(shifted, own_dims) == 3 + 6
 
 
 class TestSheaves:

@@ -8,17 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import CommonDenominator, exact_div
 from toric_virasoro.descendents import monomial_basis, monomial_degree, parse_monomial
-from toric_virasoro.exactalg import (
-    CommonDenominator,
-    LaurentPoly,
-    NotDivisible,
-    exact_div,
-    linform,
-    parse_laurent,
-)
+from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
+from toric_virasoro.exactalg import LaurentPoly, NotDivisible, linform, parse_laurent
 from toric_virasoro.klyachko import Flag, Subspace, bundle_from_flags
-from toric_virasoro.localization import Case, TrivialWeight, verify_conjecture
+from toric_virasoro.localization import Case, TrivialWeight, sheaf_euler_pairing, verify_conjecture
 from toric_virasoro.surfaces import surface_by_name
 
 ZERO = Fraction(0)
@@ -37,6 +32,44 @@ class TestTangentsAndEuler:
         assert case.vdim == 3
         assert case.tangents() == [parse_laurent(t) for t, _ in expected]
         assert case.euler_classes() == [parse_laurent(e) for _, e in expected]
+
+    def test_euler_pairing_matches_the_oracle(self, case_of, all_case_ids, is_built):
+        # chi(E, E) by running sums along the chart characters equals the
+        # Fraction CommonDenominator clearing at every sheaf of the bundled
+        # cases (the rank-4 case joins when already built) and of the ten
+        # chambers of f0, c1 = F + Z, c2 = 3
+        rows = []
+        for case_id in all_case_ids:
+            if case_id == "p2-r4-c2-3" and not is_built(case_id):
+                continue
+            _, case, _ = case_of(case_id)
+            rows += [(case.surface, row) for row in case.restrictions]
+        f0 = surface_by_name("f0")
+        chambers = chamber_representatives(f0, 2, (1, 1), 3)
+        assert len(chambers) == 10
+        for H in chambers:
+            for sheaf in fixed_locus_cached("f0", 2, (1, 1), 3, H):
+                rows.append((f0, tuple(sheaf.restriction(p) for p in f0.points)))
+        assert len(rows) >= 305
+        for srf, row in rows:
+            assert sheaf_euler_pairing(row, srf) == oracles.euler_pairing(row, srf), row
+
+    def test_a_perturbed_restriction_row_is_refused(self, case_of):
+        # one more character at one chart is no K-class: the change of
+        # E_p^dual E_p is 2r + 1 at s = t = 1, so (1 - u)(1 - v) does not
+        # divide it, and the sum over the points does not clear
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        for row in case.restrictions:
+            for p in range(len(row)):
+                broken = list(row)
+                broken[p] = broken[p] + LaurentPoly.monomial(1, 0)
+                with pytest.raises(NotDivisible):
+                    sheaf_euler_pairing(broken, case.surface)
+                with pytest.raises(NotDivisible):
+                    oracles.euler_pairing(broken, case.surface)
+        broken = Case(case.surface, case.rank, case.c1, case.c2, case.H, (tuple(broken),))
+        with pytest.raises(NotDivisible):
+            broken.tangents()
 
     def test_trivial_weight_is_rejected(self):
         p2 = surface_by_name("p2")

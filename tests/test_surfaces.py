@@ -75,7 +75,7 @@ def test_intersection_numbers_are_ints(name):
         for d in classes:
             assert type(srf.pair(c, d)) is int
         assert type(srf.vdim(2, c, 3)) is int
-    assert all(type(srf.ray_degree(i, classes[0])) is int for i in range(len(srf.rays)))
+    assert all(type(srf.pair(rc, classes[0])) is int for rc in srf.ray_classes)
 
 
 @pytest.mark.parametrize("name, count", [("p2", 3), ("f0", 2), ("f1", 3), ("f2", 3)])
@@ -83,7 +83,7 @@ def test_character_denominator_keeps_one_factor_per_associate_pair(name, count):
     # 1 - chi^w and 1 - chi^-w are associates, so each chart character's
     # factor appears once although every character occurs at two points
     srf = surface_by_name(name)
-    assert len(srf.character_denominator.factors) == count
+    assert len(srf.character_denominator.forms) == count
 
 
 def divisor_lift_of_class(srf, coeffs: tuple, point) -> tuple[int, int]:
