@@ -25,7 +25,15 @@ Three families of operators act here:
 built from the Kunneth decomposition of the diagonal pushforward of the Todd
 class, and ``apply_Lplus = apply_Rplus + apply_Tplus`` satisfies the honest
 Virasoro bracket ``[L+_k, L+_m] = (m - k) L+_{k+m}`` on the nonnegative-degree
-subalgebra.  Everything is exact over ``fractions.Fraction``.
+subalgebra.
+
+On one monomial every operator part has integer coefficients, up to the one
+scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule,
+:func:`T_terms` the T element over the integers, and :func:`operator_terms`
+gives the three parts of ``L_k D`` as ``{monomial: int}`` dicts, which the
+zero-sum sweep reads.  ``apply_R``, ``apply_S`` and ``apply_Splus`` are the
+``Fraction``-linear extension of those rules to a :class:`DescPoly`;
+everything is exact, over the integers and ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -205,31 +213,44 @@ def _check_nonnegative(D: DescPoly, surface: Surface) -> None:
                 )
 
 
-def apply_R(k: int, D: DescPoly, surface: Surface, plus: bool = False) -> DescPoly:
-    """The derivation R_k (plus=True: the h-basis variant R+_k)."""
+def derivation_terms(
+    k: int, mono: Monomial, surface: Surface, plus: bool = False
+) -> dict[Monomial, int]:
+    """R_k (plus=True: R+_k) of one monomial: ``{monomial: nonzero int}``.
+
+    The derivation hits each distinct factor once, weighted by its
+    multiplicity.  This is the one R rule: :func:`apply_R` and the S
+    operators are its ``Fraction``-linear extension, and the sweep reads it
+    directly (:func:`operator_terms`).
+    """
     if k < -1:
         raise ValueError("R_k is defined for k >= -1")
+    out: dict[Monomial, int] = {}
+    for idx, sym in enumerate(mono):
+        i, name = sym
+        if i + k < 0 or sym in mono[:idx]:
+            continue
+        f = _r_coeff(k, symbol_degree(sym, surface), plus)
+        if f:
+            new = tuple(sorted(mono[:idx] + mono[idx + 1 :] + ((i + k, name),)))
+            out[new] = out.get(new, 0) + mono.count(sym) * f
+    return {m: c for m, c in out.items() if c}
+
+
+def _extend(D: DescPoly, terms_of) -> DescPoly:
+    """The ``Fraction``-linear extension of a rule ``monomial -> {monomial: int}``."""
+    out: dict[Monomial, Fraction] = {}
+    for mono, c in D.terms.items():
+        for new, n in terms_of(mono).items():
+            out[new] = out.get(new, _ZERO) + c * n
+    return DescPoly(out)
+
+
+def apply_R(k: int, D: DescPoly, surface: Surface, plus: bool = False) -> DescPoly:
+    """The derivation R_k (plus=True: the h-basis variant R+_k)."""
     if plus:
         _check_nonnegative(D, surface)
-    out = DescPoly.zero()
-    for mono, c in D.terms.items():
-        # derivation: hit each distinct factor once, weighted by multiplicity
-        seen: set[Symbol] = set()
-        for idx, sym in enumerate(mono):
-            if sym in seen:
-                continue
-            seen.add(sym)
-            mult = mono.count(sym)
-            i, name = sym
-            if i + k < 0:
-                continue
-            f = _r_coeff(k, symbol_degree(sym, surface), plus)
-            if not f:
-                continue
-            rest = mono[:idx] + mono[idx + 1 :]
-            new = tuple(sorted(rest + ((i + k, name),)))
-            out += DescPoly.monomial(new, c * mult * f)
-    return out
+    return _extend(D, lambda mono: derivation_terms(k, mono, surface, plus))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +296,21 @@ def T_element(k: int, surface: Surface) -> DescPoly:
         b = k - a
         c = Fraction(chi * factorial(a) * factorial(b))
         out += DescPoly.monomial(tuple(sorted(((a, "p"), (b, "p")))), c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def T_terms(k: int, surface: Surface) -> dict[Monomial, int]:
+    """The coefficients of :func:`T_element` as integers (a shared dict: do not mutate).
+
+    A coefficient that is not an integer raises ``ValueError``; none is ever
+    truncated.
+    """
+    out = {}
+    for mono, c in T_element(k, surface).terms.items():
+        if c.denominator != 1:
+            raise ValueError(f"T_{k} on {surface.name} has the non-integral coefficient {c}")
+        out[mono] = c.numerator
     return out
 
 
@@ -336,12 +372,34 @@ def apply_Tplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 # ---------------------------------------------------------------------------
 
 
-def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
-    """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D)."""
+def _s_terms(k: int, mono: Monomial, surface: Surface, plus: bool = False) -> dict[Monomial, int]:
+    """``R_{-1}(ch_{k+1}(p) * D)`` (plus=True: ``R+_{-1}``): S_k D (S+_k D) without its scale."""
     if k < -1:
         raise ValueError("S_k is defined for k >= -1")
-    inner = DescPoly.symbol(k + 1, "p") * D
-    return apply_R(-1, inner, surface) * Fraction(factorial(k + 1), r)
+    return derivation_terms(-1, tuple(sorted(mono + ((k + 1, "p"),))), surface, plus)
+
+
+def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
+    """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D)."""
+    return _extend(D, lambda mono: _s_terms(k, mono, surface)) * Fraction(factorial(k + 1), r)
+
+
+def operator_terms(
+    k: int, mono: Monomial, surface: Surface, rank: int
+) -> tuple[dict[Monomial, int], dict[Monomial, int], dict[Monomial, int], Fraction]:
+    """R_k D, T_k D and S_k D of one monomial D, over the integers.
+
+    Returns ``(r, t, s, scale)``, each of ``r, t, s`` a ``{monomial:
+    nonzero int}``: ``R_k D = r``, ``T_k D = t`` (the :func:`T_terms` times
+    D) and ``S_k D = scale * s`` with ``scale = (k+1)!/rank``.
+    """
+    t = {tuple(sorted(m + mono)): c for m, c in T_terms(k, surface).items()}
+    return (
+        derivation_terms(k, mono, surface),
+        t,
+        _s_terms(k, mono, surface),
+        Fraction(factorial(k + 1), rank),
+    )
 
 
 def apply_L(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
@@ -362,10 +420,9 @@ def apply_Splus(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
     under geometric realisation, so S+_k and S_k integrate identically and
     agree outright on monomials without degree-0 factors.
     """
-    if k < -1:
-        raise ValueError("S+_k is defined for k >= -1")
-    inner = DescPoly.symbol(k + 1, "p") * D
-    return apply_R(-1, inner, surface, plus=True) * Fraction(factorial(k + 1), r)
+    _check_nonnegative(D, surface)
+    terms = _extend(D, lambda mono: _s_terms(k, mono, surface, plus=True))
+    return terms * Fraction(factorial(k + 1), r)
 
 
 def apply_Lplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:

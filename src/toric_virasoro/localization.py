@@ -28,14 +28,24 @@ and once per case.
   monomial's cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is one
   exact bigint sum of Kronecker-packed products
   (:func:`~toric_virasoro.exactalg.pack`), with a slot width set by an l1
-  bound so that decoding it is exact.  At the moduli dimension it must be a
-  constant times the LCM, checked slot by slot; below it the numerator must
-  vanish, and above it (a value that must be 0) it is divided by every LCM
-  form (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
+  bound so that decoding it is exact.  Each realized symbol keeps a bitmask
+  of the moduli points where its row is nonzero (where its l1 norm is).  No
+  cofactor vanishes, so when the masks of a monomial's factors have an
+  empty AND every term vanishes: the kernel returns 0 before any bound or
+  product, without a clearing, as for a numerator that sums to 0.
+  Otherwise the bound and the products run point by point in
+  ``map(operator.mul, ...)``.
+  At the moduli dimension the numerator must be a constant times the LCM,
+  checked slot by slot; below it the numerator must vanish, and above it (a
+  value that must be 0) it is divided by every LCM form
+  (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
-``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it
-integrates the three operator parts and reports whether they sum to zero.
+``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it reads
+the integer terms of the three operator parts
+(:func:`~toric_virasoro.descendents.operator_terms`), sums ``int *
+integral`` over each, skipping zero integrals, and reports whether the
+parts sum to zero.
 """
 
 from __future__ import annotations
@@ -44,16 +54,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .descendents import (
-    DescPoly,
     Monomial,
-    apply_R,
-    apply_S,
-    apply_T,
     monomial_basis,
     monomial_degree,
+    operator_terms,
     render_monomial,
     symbol_degree,
 )
@@ -163,6 +171,7 @@ class Case:
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
         self._tangents: list[LaurentPoly] | None = None
         self._int_symbols: dict[tuple[int, str], tuple] = {}
+        self._supports: dict[tuple[int, str], int] = {}
         self._packs: dict[tuple, tuple[int, ...]] = {}
         self._integrals: dict[Monomial, Fraction] = {}
         self.certified_clearings = 0
@@ -275,6 +284,13 @@ class Case:
             self._int_symbols[sym] = (scale // g, rows, [sum(map(abs, row)) for row in rows])
         return self._int_symbols[sym]
 
+    def _support(self, sym: tuple[int, str]) -> int:
+        """Bitmask of the moduli points where the symbol's row is nonzero (its l1 norm is)."""
+        if sym not in self._supports:
+            norms = self._integer_symbol(sym)[2]
+            self._supports[sym] = sum(1 << q for q, norm in enumerate(norms) if norm)
+        return self._supports[sym]
+
     def _packed(self, key, rows: list[list[int]], width: int) -> tuple[int, ...]:
         """The per-point integer polynomials ``rows`` packed ``width`` bits a slot."""
         if (key, width) not in self._packs:
@@ -298,24 +314,26 @@ class Case:
         The cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is formed as
         one bigint sum of Kronecker-packed products; its slot width is set by
         the l1 bound ``sum_q ||cofactor_q|| * prod_i ||v_iq||``, which bounds
-        every coefficient, so decoding it is exact.
+        every coefficient, so decoding it is exact.  A point outside the
+        AND of the factors' supports contributes 0; when no point is left,
+        the sum is 0 without a bound, a product or a clearing.
         """
         den = self.tangent_denominator
+        support = (1 << self.n_points) - 1  # no cofactor vanishes: it is a product of forms
+        for sym in mono:
+            support &= self._support(sym)
+        if not support:  # every point has a vanishing factor
+            return _ZERO
         symbols = [self._integer_symbol(sym) for sym in mono]
-        scale, bounds = 1, list(den.norms)
+        scale, bounds = 1, den.norms
         for sym_scale, _rows, norms in symbols:
-            bounds = [b * n for b, n in zip(bounds, norms)]
+            bounds = map(mul, bounds, norms)
             scale *= sym_scale
         width = 64 * (sum(bounds).bit_length() // 64 + 1)  # a sign bit above the bound
-        packed = [self._packed("cofactors", den.cofactors, width)]
-        packed += [self._packed(sym, rows, width) for sym, (_s, rows, _n) in zip(mono, symbols)]
-        num = 0
-        for q, bound in enumerate(bounds):
-            if bound:  # no value of the monomial vanishes at q
-                term = 1
-                for values in packed:
-                    term *= values[q]
-                num += term
+        terms = self._packed("cofactors", den.cofactors, width)
+        for sym, (_s, rows, _n) in zip(mono, symbols):
+            terms = map(mul, terms, self._packed(sym, rows, width))
+        num = sum(terms)
         if not num:
             return _ZERO
         slots = unpack(num, width, len(den.poly) - self.vdim + deg)
@@ -337,21 +355,28 @@ class Case:
         self.certified_clearings += 1
         return _ZERO
 
-    def integrate(self, D: DescPoly) -> Fraction:
+    def integrate(self, D) -> Fraction:
+        """The integral of a descendent polynomial D (a ``DescPoly``)."""
+        return self._integrate_terms(D.terms)
+
+    def _integrate_terms(self, terms) -> Fraction:
+        """``sum c * integral(mono)`` over ``{mono: c}``, skipping zero integrals."""
         total = _ZERO
-        for mono, c in D.terms.items():
-            total += c * self.integrate_monomial(mono)
+        for mono, c in terms.items():
+            value = self.integrate_monomial(mono)
+            if value:
+                total += c * value
         return total
 
     # -- operator parts ---------------------------------------------------
 
     def operator_parts(self, k: int, mono: Monomial) -> tuple[Fraction, Fraction, Fraction]:
-        """(integral of R_k D, T_k D, S_k D) for the monomial D."""
-        D = DescPoly.monomial(mono)
+        """(integral of R_k D, T_k D, S_k D) for the monomial D, from its integer terms."""
+        r, t, s, s_scale = operator_terms(k, mono, self.surface, self.rank)
         return (
-            self.integrate(apply_R(k, D, self.surface)),
-            self.integrate(apply_T(k, D, self.surface)),
-            self.integrate(apply_S(k, D, self.surface, self.rank)),
+            self._integrate_terms(r),
+            self._integrate_terms(t),
+            s_scale * self._integrate_terms(s),
         )
 
     def twisted(self, weight: tuple[int, int]) -> "Case":

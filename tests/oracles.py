@@ -23,16 +23,21 @@ window-level stability forms instead.
 :func:`restriction` is the grid walk that ``TorusSheaf.restriction``
 replaced: the second difference of the dimension grid over every cell of
 the chart window, one intersection per cell.
+
+:func:`apply_R` and :func:`apply_S` are the ``DescPoly`` derivation that
+``descendents.derivation_terms`` replaced: the sweep now reads R_k D and
+S_k D as integer terms of one monomial, and the package's ``apply_R`` and
+``apply_S`` are the ``Fraction``-linear extension of those terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from toric_virasoro.descendents import symbol_degree
+from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
 from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf, _solve_divisor_class
 
@@ -484,3 +489,41 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
     if tie:
         raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
     return True
+
+
+def apply_R(k: int, D: DescPoly, surface, plus: bool = False) -> DescPoly:
+    """The derivation ``R_k ch_i(gamma) = prod_{j=0..k} (i + j + deg(gamma) - 2) ch_{i+k}(gamma)``.
+
+    plus=True is the h-basis variant R+_k, which differs only at ``k = -1``
+    on degree-0 symbols (it kills them) and refuses negative-degree symbols.
+    """
+    if k < -1:
+        raise ValueError("R_k is defined for k >= -1")
+    if plus and any(symbol_degree(sym, surface) < 0 for mono in D.terms for sym in mono):
+        raise NegativeDegreeInput("negative-degree symbol")
+    out = DescPoly.zero()
+    for mono, c in D.terms.items():
+        # derivation: hit each distinct factor once, weighted by multiplicity
+        seen: set = set()
+        for idx, sym in enumerate(mono):
+            if sym in seen:
+                continue
+            seen.add(sym)
+            mult = mono.count(sym)
+            i, name = sym
+            if i + k < 0:
+                continue
+            sdeg = symbol_degree(sym, surface)
+            f = 0 if (plus and k == -1 and sdeg == 0) else prod(range(sdeg, sdeg + k + 1))
+            if not f:
+                continue
+            rest = mono[:idx] + mono[idx + 1 :]
+            new = tuple(sorted(rest + ((i + k, name),)))
+            out += DescPoly.monomial(new, c * mult * f)
+    return out
+
+
+def apply_S(k: int, D: DescPoly, surface, r: int, plus: bool = False) -> DescPoly:
+    """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D) (plus=True: S+_k, through R+_{-1})."""
+    inner = DescPoly.symbol(k + 1, "p") * D
+    return apply_R(-1, inner, surface, plus) * Fraction(factorial(k + 1), r)

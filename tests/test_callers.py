@@ -1,4 +1,4 @@
-"""No function without a caller: every definition in the package is used by the program."""
+"""No function without a caller and no import without a use, in the package."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,27 @@ def test_every_allowed_definition_exists_and_has_no_caller():
     for qualified in ALLOWED:
         assert qualified in defined, qualified
         assert defined[qualified] not in used, qualified
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names an import statement binds that no ``Name`` node of the module reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, through __all__
+    package, _used = _program()
+    unused = [
+        f"{path.name}: {name}"
+        for path, tree in package.items()
+        if path.name != "__init__.py"
+        for name in _unused_imports(tree)
+    ]
+    assert not unused, unused

@@ -3,11 +3,16 @@
 from fractions import Fraction
 from math import factorial
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toric_virasoro import descendents
 from toric_virasoro.descendents import (
     DescPoly,
     T_element,
+    T_terms,
     Tplus_element,
     apply_L,
     apply_Lplus,
@@ -15,11 +20,14 @@ from toric_virasoro.descendents import (
     apply_Rplus,
     apply_S,
     apply_Splus,
+    apply_T,
     apply_scriptLplus,
     bracket_suite,
+    derivation_terms,
     h_poly,
     monomial_basis,
     monomial_degree,
+    operator_terms,
     parse_monomial,
     render_monomial,
     render_poly,
@@ -126,6 +134,79 @@ class TestHBasis:
     def test_degree_is_the_index(self):
         for j, name in [(1, "Z"), (3, "F"), (2, "p"), (4, "1")]:
             assert poly_degree(h_poly(j, name, F0), F0) == j
+
+
+SURFACES = [surface_by_name(name) for name in ("p2", "f0", "f1", "f2")]
+
+
+@st.composite
+def basis_monomials(draw):
+    """A surface and a restricted monomial of degree <= 6 on it."""
+    surface = draw(st.sampled_from(SURFACES))
+    basis = monomial_basis(surface, draw(st.integers(0, 6)))
+    return surface, basis[draw(st.integers(0, len(basis) - 1))]
+
+
+class TestIntegerTerms:
+    @settings(deadline=None, max_examples=300)
+    @given(basis_monomials(), st.integers(-1, 8), st.integers(1, 4))
+    def test_operator_terms_match_the_descpoly_oracle(self, surface_mono, k, rank):
+        # each part, times its scale, equals the DescPoly operator term by
+        # term: R and S against the oracle derivation, T against the
+        # product with T_element
+        surface, mono = surface_mono
+        D = DescPoly.monomial(mono)
+        r, t, s, scale = operator_terms(k, mono, surface, rank)
+        assert scale == Fraction(factorial(k + 1), rank)
+        assert all(type(c) is int and c for part in (r, t, s) for c in part.values())
+        assert r == oracles.apply_R(k, D, surface).terms
+        assert t == apply_T(k, D, surface).terms
+        assert {m: scale * c for m, c in s.items()} == oracles.apply_S(k, D, surface, rank).terms
+        # the plus variant of the rule, and the package's Fraction extensions
+        plus = oracles.apply_R(k, D, surface, plus=True).terms
+        assert derivation_terms(k, mono, surface, plus=True) == plus
+        assert apply_S(k, D, surface, rank) == oracles.apply_S(k, D, surface, rank)
+        assert apply_Splus(k, D, surface, rank) == oracles.apply_S(k, D, surface, rank, plus=True)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(SURFACES),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from(["1", "H", "F", "Z", "p"])),
+            max_size=4,
+        ),
+        st.integers(-1, 4),
+        st.fractions(max_denominator=6),
+    )
+    def test_derivation_matches_the_oracle_on_any_monomial(self, surface, syms, k, c):
+        # symbols of degree -2 and -1 give negative and zero coefficients,
+        # and at k = 0 the hits of a monomial of degree 0 cancel to nothing
+        names = {"1", "p", *surface.divisor_names}
+        mono = tuple(sorted(sym for sym in syms if sym[1] in names))
+        D = DescPoly.monomial(mono, c)
+        assert apply_R(k, D, surface) == oracles.apply_R(k, D, surface)
+        assert DescPoly(derivation_terms(k, mono, surface)) == oracles.apply_R(
+            k, DescPoly.monomial(mono), surface
+        )
+
+    def test_cancelled_hits_leave_no_term(self):
+        # R_0 scales by the degree: ch_0(1) ch_4(1) has degree -2 + 2 = 0
+        mono = parse_monomial("ch_0(1)ch_4(1)")
+        assert monomial_degree(mono, P2) == 0
+        assert derivation_terms(0, mono, P2) == {}
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.name)
+    def test_t_terms_are_the_integer_coefficients_of_t_element(self, surface):
+        for k in range(-1, 13):
+            terms = T_terms(k, surface)
+            assert all(type(c) is int for c in terms.values())
+            assert DescPoly(terms) == T_element(k, surface)
+
+    def test_a_fractional_t_coefficient_is_refused(self, monkeypatch):
+        half = DescPoly.monomial(parse_monomial("ch_2(p)ch_2(p)"), Fraction(1, 2))
+        monkeypatch.setattr(descendents, "T_element", lambda k, surface: half)
+        with pytest.raises(ValueError, match=r"T_3 on F1 .* 1/2$"):
+            T_terms.__wrapped__(3, surface_by_name("f1"))
 
 
 class TestBasisAndParsing:

@@ -181,6 +181,14 @@ class TestCertificates:
         assert case.certified_clearings >= before
         assert case.certified_clearings > 0
 
+    @pytest.mark.parametrize("q", [0, 18, 31, 47])
+    def test_the_sweep_refuses_a_missing_fixed_point(self, case_of, q):
+        # the integer operator terms reach the same certificates: the sweep
+        # over a locus without point q stops at the first check it cannot clear
+        _, case, _ = case_of("p2-r2-c2-3")
+        with pytest.raises(NotDivisible):
+            verify_conjecture(case.drop_point(q))
+
     def test_dropping_a_fixed_point_breaks_the_certificate(self, case_of):
         _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
         dropped = case.drop_point(0)
@@ -274,7 +282,11 @@ def lagrange_case(weights, scalars, perturb):
 
 
 def set_symbol(case, sym, values):
-    """Make ``case`` realize ``sym`` (of degree ``sym[0]`` here) to ``values``."""
+    """Make ``case`` realize ``sym`` (of degree ``sym[0]`` here) to ``values``.
+
+    Call it before ``sym`` is first integrated: the kernel reads the
+    symbol's support off these norms once.
+    """
     scale, rows = oracles.integer_rows(oracles.dehomogenize(v, sym[0]) for v in values)
     case._int_symbols[sym] = (scale, rows, [sum(map(abs, row)) for row in rows])
 
@@ -379,6 +391,41 @@ class TestIntegerKernel:
         with pytest.raises(NotDivisible, match=r"is not divisible by 3\*s - t$"):
             broken.integrate_monomial((sym,))
         assert _outcome(oracle_integral, broken, (sym,)) == ("NotDivisible", "3*s - t")
+
+    def test_disjoint_supports_give_zero_without_a_clearing(self, case_of):
+        # ch_1(p) is nonzero only at point 0 and ch_2(p) only at point 1, so
+        # every point has a vanishing factor: the value is 0 and no
+        # certificate is counted, as for a numerator that sums to 0
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        copy = Case(case.surface, case.rank, case.c1, case.c2, case.H, case.restrictions)
+        copy._tangents = case.tangents()
+        zero = [LaurentPoly.zero()] * (copy.n_points - 2)
+        set_symbol(copy, (1, "p"), [parse_laurent("s")] + [LaurentPoly.zero()] + zero)
+        set_symbol(copy, (2, "p"), [LaurentPoly.zero()] + [parse_laurent("t^2")] + zero)
+        mono = ((1, "p"), (2, "p"))
+        assert monomial_degree(mono, copy.surface) == copy.vdim
+        assert (copy._support((1, "p")), copy._support((2, "p"))) == (0b01, 0b10)
+        value = copy.integrate_monomial(mono)
+        assert value == ZERO and isinstance(value, Fraction)
+        assert copy.certified_clearings == 0
+        assert oracle_integral(copy, mono) == ZERO
+        # where the supports meet, the kernel runs: s^3 at point 0 alone
+        # does not clear
+        with pytest.raises(NotDivisible):
+            copy.integrate_monomial(((1, "p"), (1, "p"), (1, "p")))
+
+    def test_a_vanishing_symbol_gives_zero_without_a_clearing(self, case_of):
+        # normalized ch_1 vanishes at every point: 2088 of the 3993 monomials
+        # of the p2-r2-c2-3 sweep have such a factor
+        _, case, _ = case_of("p2-r2-c2-3")
+        mono = parse_monomial("ch_2(H)^8ch_1(H)")
+        assert monomial_degree(mono, case.surface) == case.vdim
+        assert case._support((1, "H")) == 0
+        before = case.certified_clearings
+        value = case.integrate_monomial(mono)
+        assert value == ZERO and isinstance(value, Fraction)
+        assert case.certified_clearings == before
+        assert oracle_integral(case, mono) == ZERO
 
     @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
     def test_basis_integrals_match_the_oracle(self, case_of, case_id):
