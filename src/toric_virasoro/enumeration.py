@@ -17,17 +17,29 @@ points, adding colength to c2).  This module enumerates them:
   per-cone level multiplicities (:func:`_level_pairs`); no configuration has
   its own correction term.  :func:`hirzebruch_ch2_check` feeds it a bundle's
   own flags.
-* **Search bounds and their run-time guards.**  Rank-2 windows on F_a
-  solve the divisor equation q*m = K + 4*d_i*d_j, K = 4c2 - c1^2 (d_i, d_j
-  the windows of an adjacent coincident pair, else 0).  The adjacent-pair
-  windows run over the box ``B = 2K + 2a + 8`` (:func:`_r2_box`), and a
-  candidate on its two outer shells that is stable at H raises
-  :class:`EnumerationError`.  Ranks 3 and 4 run every window profile of sum
-  at most ``P``: ``P`` starts at 6 and grows in steps of 2 while a stable
-  bundle has a window sum above ``P - 2`` (the same two-shell rule), and
-  the run fails loudly once ``P > 24``.  These shell rules are the only
-  guards: nothing here certifies that a locus is complete, and only the
-  bundled cases are compared with reference rows.
+* **One search, in two stages, with one shell rule.**  Each supported
+  (surface, rank) has a window generator that yields
+  ``(model, tops, windows, on_shell)`` for a bound:
+
+  - rank 2 on the plane solves a quadratic in a proven box (no shell);
+  - rank 2 on F_a solves the divisor equation q*m = K + 4*d_i*d_j,
+    K = 4c2 - c1^2 (d_i, d_j the windows of an adjacent coincident pair,
+    else 0), with the adjacent-pair windows in the box ``1..B``;
+  - ranks 3 and 4 on the plane take window profiles of sum at most ``P``
+    and visit only the rigid triples (:func:`_p2_higher_windows`).
+
+  The first stage, memoized per (surface, rank, c1, c2, bound) for the
+  life of the process, keeps every generated candidate whose closed-form
+  (c1, c2) matches, with its distinct stability forms.  The second stage,
+  per H, is the sign test, then the shell rule, then one memoized builder
+  that builds and verifies each stable bundle, so a chamber sweep runs the
+  search once.  *Shell rule*: while a candidate that is stable at H lies on
+  the outer two shells of the bound (a window above ``B - 2``, or a profile
+  sum above ``P - 2``), the bound grows by 2 and the search reruns; once
+  the bound passes 4x its start, :class:`EnumerationError`.  The starts are
+  ``B = 2K + 2a + 8`` (:func:`_r2_box`) and ``P = 6``.  This rule is the
+  only guard: nothing here certifies that a locus is complete, and only
+  the bundled cases are compared with reference rows.
 * **Stability in closed form from the windows.**  Each side of the slope
   test is linear in H, so each candidate destabilizing subspace W of the
   model gives one integer *stability form* v with
@@ -37,17 +49,11 @@ points, adding colength to c2).  This module enumerates them:
   ``d[i,m] = dim(W n F_i^m)`` from the model; the top jump positions
   cancel (:func:`~.klyachko.stability_forms`).  Some ``v . H > 0`` means
   unstable, otherwise some ``v . H == 0`` raises (the polarization would be
-  on a wall).  A bundle is built only for a stable candidate, in every rank.
-* **Two stages for rank 2.**  The first stage, memoized per (surface, c1,
-  c2) for the life of the process, runs the box and divisor searches and
-  keeps each candidate's spec, its distinct stability forms and whether it
-  lies on the box shell.  The second stage, per H, is the sign test, so a
-  chamber sweep runs the search once.
+  on a wall).  A bundle is built only for a stable candidate.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
-  bundle and each degeneration tree), ranks 3 and 4 use the same stability
-  forms at their single H, and isolatedness is certified later by the
-  absence of trivial weights in the moduli tangent character.
+  bundle and each degeneration tree), and isolatedness is certified later
+  by the absence of trivial weights in the moduli tangent character.
 * **Degenerations do not depend on H.**  Slope stability of a torsion-free
   sheaf is that of its double dual, so the degenerations of a stable bundle
   are walked once per process and shared by every chamber where the bundle
@@ -121,8 +127,12 @@ class ConfigModel:
         raise KeyError((ray, level))
 
 
-def _closure(spaces: list[Subspace], n: int, rounds: int = 3) -> list[Subspace]:
-    """The subspaces reached from ``spaces``, 0 and V by ``rounds`` rounds of sums and intersections.
+_CLOSURE_ROUNDS = 3
+
+
+def _closure(spaces: list[Subspace], n: int) -> list[Subspace]:
+    """The subspaces reached from ``spaces``, 0 and V by ``_CLOSURE_ROUNDS`` rounds of sums and
+    intersections.
 
     Sorted by dimension, then basis.  The loop stops early when a round
     adds nothing, but the cap of three rounds is unchecked: no rank-3 or
@@ -130,7 +140,7 @@ def _closure(spaces: list[Subspace], n: int, rounds: int = 3) -> list[Subspace]:
     29 -> 97 -> 721 elements after rounds 1, 2 and 3.
     """
     cur = {Subspace.zero(n), Subspace.full(n), *spaces}
-    for _ in range(rounds):
+    for _ in range(_CLOSURE_ROUNDS):
         new = set(cur)
         for x in cur:
             for y in cur:
@@ -159,13 +169,13 @@ def _make_model(rank: int, key: tuple, level_spaces: dict) -> ConfigModel:
             seen.add(frozen)
             cands.append(frozen)
 
-    for L in lattice:
-        push(L.dim, {k: L.intersect(s).dim for k, s in items})
-    for L1 in lattice:
-        for L2 in lattice:
+    # {(ray, level): dim(L n S)} of each lattice element L
+    dims_of = [{k: L.intersect(s).dim for k, s in items} for L in lattice]
+    for L, d in zip(lattice, dims_of):
+        push(L.dim, d)
+    for L1, d1 in zip(lattice, dims_of):
+        for L2, d2 in zip(lattice, dims_of):
             if L2.dim > L1.dim + 1 and L1 <= L2:
-                d1 = {k: L1.intersect(s).dim for k, s in items}
-                d2 = {k: L2.intersect(s).dim for k, s in items}
                 for w in range(L1.dim + 1, L2.dim):
                     dims = {}
                     for k, _s in items:
@@ -178,6 +188,14 @@ def _make_model(rank: int, key: tuple, level_spaces: dict) -> ConfigModel:
         level_spaces=tuple(items),
         candidates=tuple(cands),
     )
+
+
+def _model(key: tuple) -> ConfigModel:
+    """The model of a configuration key (each model is built once per process)."""
+    kind, *args = key
+    if kind == "r2":
+        return r2_model(len(args[0]), *args)
+    return (r3_model if kind == "r3" else r4_model)(*args)
 
 
 def _require(cond: bool, what: str):
@@ -430,8 +448,95 @@ def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 bundles
+# window generators: (model, tops, windows, on_shell) for one bound
 # ---------------------------------------------------------------------------
+
+
+def _p2_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, bound: int):
+    """Rank 2 on the plane: the exact quadratic equation in its proven box.
+
+    Coincident lines are never stable here: a two-class split of the rays
+    would need both 2*deg(C) < deg(E) and 2*deg(C') < deg(E) with
+    deg(C) + deg(C') = deg(E).  Only the all-distinct configuration
+    survives, so nothing lies on a shell and the bound is unused.
+    """
+    model = r2_model(3, (0, 1, 2))
+    d = c1[0]
+    K = 4 * c2 - d * d
+    for x in range(1, K + 1):
+        for y in range(1, K + 1):
+            for z in range(1, K + 1):
+                total = x + y + z
+                if (total - d) % 2 or total * total - 2 * (x * x + y * y + z * z) != K:
+                    continue
+                yield model, ((total - d) // 2, 0, 0), ((x,), (y,), (z,)), False
+
+
+def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
+    """Rank 2 on F_a: the divisor equation q*m = K + 4*d_i*d_j, K = 4c2 - c1^2.
+
+    ``d_i, d_j`` are the windows of an adjacent coincident pair, else 0.
+    Configurations without one solve ``q*m = K`` over the divisors of K.
+    An adjacent pair holds one ray of {1, 3} and one of {0, 2}: its two
+    windows and the other {1, 3} window run over the box ``1..B`` (the free
+    one from 0), and the other {0, 2} window is solved; a candidate with a
+    window above ``B - 2`` lies on the box's outer two shells.
+    """
+    a = int(surface.name[1:])
+    f, z = c1
+    K = 4 * c2 - surface.pair(c1, c1)
+    if K <= 0:
+        return
+
+    def candidate(classes: tuple, deltas: tuple, on_shell: bool = False):
+        d1, d2, d3, d4 = deltas
+        p = d1 + a * d2 + d3
+        q = d2 + d4
+        if q < 1 or (p - f) % 2 or (q - z) % 2 or not _pool_assignment(classes, deltas):
+            return None
+        tops = ((p - f) // 2, 0, 0, (q - z) // 2)
+        return r2_model(4, classes), tops, tuple((x,) for x in deltas), on_shell
+
+    zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
+    for q in range(1, K + 1):
+        if K % q:
+            continue
+        m = K // q
+        for d2 in range(q + 1):
+            d4 = q - d2
+            u2 = m - a * (d4 - d2)
+            if u2 < 0 or u2 % 2:
+                continue
+            u = u2 // 2
+            for d1 in range(u + 1):
+                d3 = u - d1
+                for classes in zero_corr:
+                    if cand := candidate(classes, (d1, d2, d3, d4)):
+                        yield cand
+
+    for classes in _r2_configs(4):
+        pair = _coincident_pair(classes)
+        if pair is None or not _adjacent(surface, pair):
+            continue
+        i, j = pair
+        odd, even = (i, j) if i % 2 else (j, i)
+        for di in range(1, B + 1):
+            for dj in range(1, B + 1):
+                num = K + 4 * di * dj
+                d_odd, d_even = (di, dj) if odd == i else (dj, di)
+                for dk in range(B + 1):
+                    q = d_odd + dk
+                    if num % q:
+                        continue
+                    d1, d3 = (d_odd, dk) if odd == 1 else (dk, d_odd)
+                    u2 = num // q - a * (d3 - d1)
+                    if u2 < 0 or u2 % 2 or u2 // 2 < d_even:
+                        continue
+                    deltas = [0] * 4
+                    deltas[i], deltas[j], deltas[4 - odd] = di, dj, dk
+                    deltas[2 - even] = u2 // 2 - d_even
+                    if cand := candidate(classes, tuple(deltas), max(deltas) > B - 2):
+                        yield cand
 
 
 def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
@@ -448,168 +553,9 @@ def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
     return True
 
 
-def _r2_candidates_p2(d: int, c2: int):
-    """(deltas, tops) for the plane: exact quadratic equation, proven box."""
-    K = 4 * c2 - d * d
-    if K <= 0:
-        return
-    for x in range(1, K + 1):
-        for y in range(1, K + 1):
-            for z in range(1, K + 1):
-                if (x + y + z) % 2 != (d % 2 + 2) % 2:
-                    continue
-                total = x + y + z
-                if total * total - 2 * (x * x + y * y + z * z) != K:
-                    continue
-                A1 = (total - d) // 2
-                yield (x, y, z), (A1, 0, 0)
-
-
-class _Candidate(NamedTuple):
-    """One H-independent rank-2 candidate of the box search.
-
-    The first four fields are its ``spec``; ``forms`` are the distinct
-    stability forms of its bundle; ``shell`` marks a candidate on the outer
-    shells of the adjacent-pair box.
-    """
-
-    nrays: int
-    classes: tuple
-    tops: tuple
-    deltas: tuple
-    forms: tuple[tuple[int, ...], ...]
-    shell: bool
-
-    @property
-    def spec(self) -> tuple:
-        return self[:4]
-
-
-@lru_cache(maxsize=None)
-def _r2_candidates(surface_name: str, c1: tuple, c2: int) -> tuple[int, tuple[_Candidate, ...]]:
-    """The adjacent-pair box size B and every rank-2 candidate, in search order.
-
-    This stage does not depend on the polarization: it runs the box and
-    divisor searches with the closed-form (c1, c2) filter and keeps one
-    record per survivor, with the stability forms read off its windows (no
-    bundle is built).
-    """
-    surface = surface_by_name(surface_name)
-    out = []
-    shared: dict[tuple, tuple] = {}  # one object per distinct form or tops
-    levels: dict[tuple, list] = {}  # level pairs per class assignment
-
-    def has_invariants(classes: tuple, tops: tuple, deltas: tuple) -> bool:
-        if classes not in levels:
-            levels[classes] = _level_pairs(surface, r2_model(len(classes), classes))
-        pos = [_jump_positions(t, (d,), 2) for t, d in zip(tops, deltas)]
-        return _closed_chern(surface, pos, levels[classes]) == (c1, c2)
-
-    def keep(classes: tuple, tops: tuple, deltas: tuple, shell: bool = False) -> None:
-        model = r2_model(len(classes), classes)
-        forms = stability_forms(surface, 2, tuple((x,) for x in deltas), model.candidates)
-        forms = tuple(dict.fromkeys(shared.setdefault(v, v) for v in forms))
-        tops = shared.setdefault(tops, tops)
-        out.append(_Candidate(len(classes), classes, tops, deltas, forms, shell))
-
-    if surface.name == "P2":
-        # Coincident lines are never stable here: a two-class split of the
-        # rays would need both 2*deg(C) < deg(E) and 2*deg(C') < deg(E) with
-        # deg(C) + deg(C') = deg(E).  Only the all-distinct configuration
-        # survives, and its window equation has a proven box bound.
-        classes = (0, 1, 2)
-        for deltas, tops in _r2_candidates_p2(c1[0], c2):
-            if has_invariants(classes, tops, deltas):
-                keep(classes, tops, deltas)
-        return 0, tuple(out)
-
-    a = int(surface.name[1:])
-    f, z = c1
-    K = 4 * c2 - surface.pair(c1, c1)
-    if K <= 0:
-        return 0, ()
-
-    def try_candidate(deltas: tuple, classes: tuple, shell: bool = False) -> None:
-        d1, d2, d3, d4 = deltas
-        p = d1 + a * d2 + d3
-        q = d2 + d4
-        if q < 1:
-            return
-        if (p - f) % 2 or (q - z) % 2:
-            return
-        A1 = (p - f) // 2
-        A4 = (q - z) // 2
-        tops = (A1, 0, 0, A4)
-        if not _pool_assignment(classes, deltas):
-            return
-        if not has_invariants(classes, tops, deltas):
-            return
-        keep(classes, tops, deltas, shell)
-
-    # corr = 0 configurations: exact divisor loop over q*m = K
-    zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
-    for q in range(1, K + 1):
-        if K % q:
-            continue
-        m = K // q
-        for d2 in range(q + 1):
-            d4 = q - d2
-            u2 = m - a * (d4 - d2)
-            if u2 < 0 or u2 % 2:
-                continue
-            u = u2 // 2
-            for d1 in range(u + 1):
-                d3 = u - d1
-                for classes in zero_corr:
-                    try_candidate((d1, d2, d3, d4), classes)
-
-    # adjacent coincident pairs: bounded box; candidates on its two outer
-    # shells are marked, and a *stable* one means the bound was too small
-    B = _r2_box(K, a)
-    for classes in _r2_configs(4):
-        pair = _coincident_pair(classes)
-        if pair is None or not _adjacent(surface, pair):
-            continue
-        # iterate the two pair windows and the free ray among rays 1,3 (0-based)
-        for di in range(1, B + 1):
-            for dj in range(1, B + 1):
-                for dk in range(0, B + 1):
-                    for cand in _fill_deltas(a, K, pair, (di, dj), dk):
-                        try_candidate(cand, classes, max(cand) > B - 2)
-    return B, tuple(out)
-
-
 def _r2_box(K: int, a: int) -> int:
-    """Side of the adjacent-pair window box for discriminant K on F_a."""
+    """Starting side of the adjacent-pair window box for discriminant K on F_a."""
     return 2 * K + 2 * a + 8
-
-
-@lru_cache(maxsize=None)
-def _r2_bundle(surface_name: str, c1: tuple, c2: int, spec: tuple) -> TorusSheaf:
-    """The verified bundle of one stable candidate, built once per process."""
-    nrays, classes, tops, deltas = spec
-    sheaf = _build_bundle(
-        surface_by_name(surface_name), 2, r2_model(nrays, classes), tops, tuple((x,) for x in deltas)
-    )
-    return _verified(sheaf, 2, c1, c2)
-
-
-def _r2_bundles(surface: Surface, c1: tuple, c2: int, H: tuple) -> list[TorusSheaf]:
-    """The stable rank-2 bundles at H: a sign test per candidate's forms."""
-    c1 = tuple(c1)
-    B, candidates = _r2_candidates(surface.name, c1, c2)
-    out = []
-    shell_hits = []
-    for cand in candidates:
-        if stable_at(cand.forms, H):
-            out.append(_r2_bundle(surface.name, c1, c2, cand.spec))
-            if cand.shell:
-                shell_hits.append(cand.deltas)
-    if shell_hits:
-        raise EnumerationError(
-            f"rank-2 search box too small (B={B}); hits: {shell_hits[:3]}"
-        )
-    return out
 
 
 def _coincident_pair(classes: tuple):
@@ -628,103 +574,39 @@ def _config_opposite_or_generic(surface: Surface, classes: tuple) -> bool:
     return pair is None or not _adjacent(surface, pair)
 
 
-def _fill_deltas(a, K, pair, pair_vals, dk):
-    """Solve the remaining window from q*m = K + 4*corr for an adjacent pair.
+def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):
+    """Ranks 3 and 4 on the plane: window profiles of sum at most ``P``, indexed by rigidity.
 
-    The pair always contains exactly one of rays {1, 3} (0-based), so with
-    the two pair windows and the other {1,3}-ray window chosen, q is known
-    and the last window is determined linearly.
+    An isolated stable fixed point needs stabiliser-free rigid flag data:
+    the flag-variety dimensions of the three rays, minus the coincidence
+    codimension, must equal dim PGL(rank).  Smaller means extra
+    automorphisms (never stable), larger means positive-dimensional
+    families (never isolated).  So ray 2's profiles are grouped by flag
+    dimension and by c1 weight mod ``rank``, and each pair of profiles of
+    rays 0 and 1 visits the one group that makes the triple rigid and
+    congruent to c1.  A candidate with a profile sum above ``P - 2`` lies on
+    the outer two shells.
     """
-    i, j = pair
-    di, dj = pair_vals
-    deltas = [None, None, None, None]
-    deltas[i], deltas[j] = di, dj
-    other_24 = 3 if (1 in pair) else 1
-    if deltas[other_24] is None:
-        deltas[other_24] = dk
-    else:
-        return []
-    q = deltas[1] + deltas[3]
-    if q < 1:
-        return []
-    corr = di * dj
-    if (K + 4 * corr) % q:
-        return []
-    m = (K + 4 * corr) // q
-    u2 = m - a * (deltas[3] - deltas[1])
-    if u2 < 0 or u2 % 2:
-        return []
-    u = u2 // 2
-    free_02 = [k for k in (0, 2) if deltas[k] is None]
-    if len(free_02) == 1:
-        k = free_02[0]
-        known = deltas[0] if k == 2 else deltas[2]
-        val = u - known
-        if val < 0:
-            return []
-        deltas[k] = val
-        return [tuple(deltas)]
-    # pair was (0, 2): opposite, never reaches here (corr = 0 path)
-    out = []
-    for d0 in range(u + 1):
-        deltas[0], deltas[2] = d0, u - d0
-        out.append(tuple(deltas))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rank-3 / rank-4 bundles on the plane
-# ---------------------------------------------------------------------------
-
-
-def _p2_higher_bundles(rank: int, c1: tuple, c2: int, H: tuple) -> list[TorusSheaf]:
-    surface = surface_by_name("P2")
-    c1 = tuple(c1)
     d = c1[0]
-    out = []
-    P = 6
-    while True:
-        shell = []
-        found = []
-        profiles = _window_profiles(rank, P)
-        configs = _r3_configs() if rank == 3 else _r4_configs()
-        for cfg in configs:
-            model = (r3_model if rank == 3 else r4_model)(*cfg)
-            levels = _level_pairs(surface, model)
-            for w1 in profiles:
-                for w2 in profiles:
-                    for w3 in profiles:
-                        wins = (w1, w2, w3)
-                        if not _config_active(rank, cfg, wins):
-                            continue
-                        if not _config_rigid(rank, cfg, wins):
-                            continue
-                        # window at level L is crossed by the jumps of levels
-                        # 1..L, so it enters c1 with weight L
-                        tot = sum(
-                            lvl * wins[i][lvl - 1]
-                            for i in range(3)
-                            for lvl in range(1, rank)
-                        )
-                        if (tot - d) % rank:
-                            continue
-                        A1 = (tot - d) // rank
-                        tops = (A1, 0, 0)
-                        pos = [_jump_positions(tops[i], wins[i], rank) for i in range(3)]
-                        if _closed_chern(surface, pos, levels) != (c1, c2):
-                            continue
-                        if stable_at(stability_forms(surface, rank, wins, model.candidates), H):
-                            if any(sum(w) > P - 2 for w in wins):
-                                shell.append(wins)
-                            sheaf = _build_bundle(surface, rank, model, tops, wins)
-                            found.append(_verified(sheaf, rank, c1, c2))
-        if not shell:
-            out = found
-            break
-        P += 2
-        if P > 24:
-            raise EnumerationError("window box exhausted")
-    return out
+    profiles = _window_profiles(rank, P)
+    # a window at level L is crossed by the jumps of levels 1..L, so it
+    # enters c1 with weight L
+    weight = {w: sum(lvl * x for lvl, x in enumerate(w, 1)) for w in profiles}
+    fdim = {w: _flag_dim(rank, w) for w in profiles}
+    for cfg in _r3_configs() if rank == 3 else _r4_configs():
+        model = (r3_model if rank == 3 else r4_model)(*cfg)
+        rays = [[w for w in profiles if _config_active(rank, cfg, i, w)] for i in range(3)]
+        groups: dict[tuple, list] = {}
+        for w in rays[2]:
+            groups.setdefault((fdim[w], weight[w] % rank), []).append(w)
+        rigid = rank * rank - 1 + _COINCIDENCE_CODIM[cfg[0]]
+        for w1 in rays[0]:
+            for w2 in rays[1]:
+                group = (rigid - fdim[w1] - fdim[w2], (d - weight[w1] - weight[w2]) % rank)
+                for w3 in groups.get(group, ()):
+                    wins = (w1, w2, w3)
+                    A1 = (weight[w1] + weight[w2] + weight[w3] - d) // rank
+                    yield model, (A1, 0, 0), wins, any(sum(w) > P - 2 for w in wins)
 
 
 def _window_profiles(rank: int, P: int) -> list[tuple]:
@@ -739,17 +621,18 @@ def _window_profiles(rank: int, P: int) -> list[tuple]:
     ]
 
 
-def _config_active(rank: int, cfg: tuple, wins: tuple) -> bool:
+def _config_active(rank: int, cfg: tuple, ray: int, win: tuple) -> bool:
+    """Whether one ray's windows open every level that the configuration's coincidence uses."""
     kind, pair = cfg
-    if kind == "generic":
-        return True
     if kind == "concurrent":
-        return all(w[1] > 0 for w in wins)
+        return win[1] > 0
     if kind == "collinear":
-        return all(w[0] > 0 for w in wins)
-    a, b = pair
-    # line of ray a inside the codimension-one space of ray b
-    return wins[a][0] > 0 and wins[b][rank - 2] > 0
+        return win[0] > 0
+    if kind == "incidence":
+        # line of ray a inside the codimension-one space of ray b
+        a, b = pair
+        return (ray != a or win[0] > 0) and (ray != b or win[rank - 2] > 0)
+    return True
 
 
 def _flag_dim(rank: int, win: tuple) -> int:
@@ -765,17 +648,77 @@ def _flag_dim(rank: int, win: tuple) -> int:
 
 _COINCIDENCE_CODIM = {"generic": 0, "incidence": 1, "concurrent": 1, "collinear": 1}
 
+_P_START = 6  # starting window-sum bound of the rank-3/4 search
 
-def _config_rigid(rank: int, cfg: tuple, wins: tuple) -> bool:
-    """Keep configurations whose flag data is rigid modulo GL(rank).
 
-    An isolated stable fixed point needs stabiliser-free rigid flag data:
-    total flag-variety dimension minus coincidence codimension must equal
-    dim PGL(rank).  Smaller means extra automorphisms (never stable), larger
-    means positive-dimensional families (never isolated).
+# ---------------------------------------------------------------------------
+# the search: H-independent candidates, then per-H sign tests and shell rule
+# ---------------------------------------------------------------------------
+
+
+def _search(surface: Surface, rank: int, c1: tuple, c2: int):
+    """The window generator of a supported case and its starting bound."""
+    if rank == 2 and surface.name == "P2":
+        return _p2_r2_windows, 0
+    if rank == 2:
+        return _fa_r2_windows, _r2_box(4 * c2 - surface.pair(c1, c1), int(surface.name[1:]))
+    if surface.name == "P2" and rank in (3, 4):
+        return _p2_higher_windows, _P_START
+    raise EnumerationError(f"unsupported case: {surface.name} rank {rank}")
+
+
+class _Candidate(NamedTuple):
+    """One H-independent candidate of a window search.
+
+    ``key`` names its configuration model; ``forms`` are the distinct
+    stability forms of its bundle; ``on_shell`` marks a candidate on the
+    outer two shells of the search bound.
     """
-    total = sum(_flag_dim(rank, w) for w in wins)
-    return total - _COINCIDENCE_CODIM[cfg[0]] == rank * rank - 1
+
+    key: tuple
+    tops: tuple
+    windows: tuple
+    forms: tuple[tuple[int, ...], ...]
+    on_shell: bool
+
+
+@lru_cache(maxsize=None)
+def _candidates(
+    surface_name: str, rank: int, c1: tuple, c2: int, bound: int
+) -> tuple[_Candidate, ...]:
+    """Every candidate of the window search at one bound, in search order.
+
+    This stage does not depend on the polarization: it runs the case's
+    window generator with the closed-form (c1, c2) filter and keeps one
+    record per survivor, with the stability forms read off its windows (no
+    bundle is built).
+    """
+    surface = surface_by_name(surface_name)
+    generate, _start = _search(surface, rank, c1, c2)
+    out = []
+    shared: dict[tuple, tuple] = {}  # one object per distinct form, tops or window
+    levels: dict[tuple, list] = {}  # level pairs per model
+    for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
+        if model.key not in levels:
+            levels[model.key] = _level_pairs(surface, model)
+        pos = [_jump_positions(t, w, rank) for t, w in zip(tops, windows)]
+        if _closed_chern(surface, pos, levels[model.key]) != (c1, c2):
+            continue
+        forms = stability_forms(surface, rank, windows, model.candidates)
+        forms = tuple(dict.fromkeys(shared.setdefault(v, v) for v in forms))
+        windows = tuple(shared.setdefault(w, w) for w in windows)
+        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, forms, on_shell))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _bundle(
+    surface_name: str, c1: tuple, c2: int, key: tuple, tops: tuple, windows: tuple
+) -> TorusSheaf:
+    """The verified bundle of one stable candidate, built once per process."""
+    model = _model(key)
+    sheaf = _build_bundle(surface_by_name(surface_name), model.rank, model, tops, windows)
+    return _verified(sheaf, model.rank, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +727,28 @@ def _config_rigid(rank: int, cfg: tuple, wins: tuple) -> bool:
 
 
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    if rank == 2:
-        return _r2_bundles(surface, c1, c2, H)
-    if surface.name == "P2" and rank in (3, 4):
-        return _p2_higher_bundles(rank, c1, c2, H)
-    raise EnumerationError(f"unsupported case: {surface.name} rank {rank}")
+    """The stable bundles at H, by the shell rule of the module docstring."""
+    c1 = tuple(c1)
+    _generate, start = _search(surface, rank, c1, c2)
+    bound = start
+    while True:
+        stable = [
+            cand
+            for cand in _candidates(surface.name, rank, c1, c2, bound)
+            if stable_at(cand.forms, H)
+        ]
+        hits = [cand.windows for cand in stable if cand.on_shell]
+        if not hits:
+            return [
+                _bundle(surface.name, c1, c2, cand.key, cand.tops, cand.windows)
+                for cand in stable
+            ]
+        bound += 2
+        if bound > 4 * start:
+            raise EnumerationError(
+                f"window search bound exhausted: stable candidates on the outer shells "
+                f"at bound {bound - 2} (start {start}): {hits[:3]}"
+            )
 
 
 def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:

@@ -28,6 +28,12 @@ the chart window, one intersection per cell.
 ``descendents.derivation_terms`` replaced: the sweep now reads R_k D and
 S_k D as integer terms of one monomial, and the package's ``apply_R`` and
 ``apply_S`` are the ``Fraction``-linear extension of those terms.
+
+:func:`higher_windows` and :func:`fa_r2_windows` are the window scans that
+the enumeration's generators replaced: every triple of rank-3/4 profiles
+filtered by :func:`config_active` and :func:`config_rigid`, and the F_a
+adjacent-pair box solved cell by cell by :func:`fill_deltas`.  They yield
+``(model key, tops, windows, on_shell)`` before the (c1, c2) filter.
 """
 
 from __future__ import annotations
@@ -39,6 +45,18 @@ from typing import Iterable, Sequence
 
 from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
+from toric_virasoro.enumeration import (
+    _COINCIDENCE_CODIM,
+    _adjacent,
+    _coincident_pair,
+    _config_opposite_or_generic,
+    _flag_dim,
+    _pool_assignment,
+    _r2_configs,
+    _r3_configs,
+    _r4_configs,
+    _window_profiles,
+)
 from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf, _solve_divisor_class
 
 ZERO = Fraction(0)
@@ -527,3 +545,135 @@ def apply_S(k: int, D: DescPoly, surface, r: int, plus: bool = False) -> DescPol
     """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D) (plus=True: S+_k, through R+_{-1})."""
     inner = DescPoly.symbol(k + 1, "p") * D
     return apply_R(-1, inner, surface, plus) * Fraction(factorial(k + 1), r)
+
+
+def config_active(rank: int, cfg: tuple, wins: tuple) -> bool:
+    kind, pair = cfg
+    if kind == "generic":
+        return True
+    if kind == "concurrent":
+        return all(w[1] > 0 for w in wins)
+    if kind == "collinear":
+        return all(w[0] > 0 for w in wins)
+    a, b = pair
+    # line of ray a inside the codimension-one space of ray b
+    return wins[a][0] > 0 and wins[b][rank - 2] > 0
+
+
+def config_rigid(rank: int, cfg: tuple, wins: tuple) -> bool:
+    """Keep configurations whose flag data is rigid modulo GL(rank).
+
+    An isolated stable fixed point needs stabiliser-free rigid flag data:
+    total flag-variety dimension minus coincidence codimension must equal
+    dim PGL(rank).  Smaller means extra automorphisms (never stable), larger
+    means positive-dimensional families (never isolated).
+    """
+    total = sum(_flag_dim(rank, w) for w in wins)
+    return total - _COINCIDENCE_CODIM[cfg[0]] == rank * rank - 1
+
+
+def higher_windows(rank: int, c1: tuple, P: int):
+    """The rank-3/4 scan on the plane: every triple of profiles of sum at most ``P``."""
+    d = c1[0]
+    profiles = _window_profiles(rank, P)
+    for cfg in _r3_configs() if rank == 3 else _r4_configs():
+        for w1 in profiles:
+            for w2 in profiles:
+                for w3 in profiles:
+                    wins = (w1, w2, w3)
+                    if not config_active(rank, cfg, wins):
+                        continue
+                    if not config_rigid(rank, cfg, wins):
+                        continue
+                    tot = sum(lvl * wins[i][lvl - 1] for i in range(3) for lvl in range(1, rank))
+                    if (tot - d) % rank:
+                        continue
+                    tops = ((tot - d) // rank, 0, 0)
+                    yield (f"r{rank}", *cfg), tops, wins, any(sum(w) > P - 2 for w in wins)
+
+
+def fill_deltas(a, K, pair, pair_vals, dk):
+    """Solve the remaining window from q*m = K + 4*corr for an adjacent pair.
+
+    The pair always contains exactly one of rays {1, 3} (0-based), so with
+    the two pair windows and the other {1,3}-ray window chosen, q is known
+    and the last window is determined linearly.
+    """
+    i, j = pair
+    di, dj = pair_vals
+    deltas = [None, None, None, None]
+    deltas[i], deltas[j] = di, dj
+    other_24 = 3 if (1 in pair) else 1
+    if deltas[other_24] is None:
+        deltas[other_24] = dk
+    else:
+        return []
+    q = deltas[1] + deltas[3]
+    if q < 1:
+        return []
+    corr = di * dj
+    if (K + 4 * corr) % q:
+        return []
+    m = (K + 4 * corr) // q
+    u2 = m - a * (deltas[3] - deltas[1])
+    if u2 < 0 or u2 % 2:
+        return []
+    u = u2 // 2
+    free_02 = [k for k in (0, 2) if deltas[k] is None]
+    if len(free_02) == 1:
+        k = free_02[0]
+        known = deltas[0] if k == 2 else deltas[2]
+        val = u - known
+        if val < 0:
+            return []
+        deltas[k] = val
+        return [tuple(deltas)]
+    # pair was (0, 2): opposite, never reaches here (corr = 0 path)
+    out = []
+    for d0 in range(u + 1):
+        deltas[0], deltas[2] = d0, u - d0
+        out.append(tuple(deltas))
+    return out
+
+
+def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
+    """The rank-2 scan on F_a: the divisor loop, then the adjacent-pair box cell by cell."""
+    a = int(surface.name[1:])
+    f, z = c1
+    K = 4 * c2 - surface.pair(c1, c1)
+    if K <= 0:
+        return
+
+    def candidate(deltas, classes, shell=False):
+        d1, d2, d3, d4 = deltas
+        p = d1 + a * d2 + d3
+        q = d2 + d4
+        if q < 1 or (p - f) % 2 or (q - z) % 2 or not _pool_assignment(classes, deltas):
+            return []
+        tops = ((p - f) // 2, 0, 0, (q - z) // 2)
+        return [(("r2", classes), tops, tuple((x,) for x in deltas), shell)]
+
+    zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
+    for q in range(1, K + 1):
+        if K % q:
+            continue
+        m = K // q
+        for d2 in range(q + 1):
+            d4 = q - d2
+            u2 = m - a * (d4 - d2)
+            if u2 < 0 or u2 % 2:
+                continue
+            u = u2 // 2
+            for d1 in range(u + 1):
+                for classes in zero_corr:
+                    yield from candidate((d1, d2, u - d1, d4), classes)
+    for classes in _r2_configs(4):
+        pair = _coincident_pair(classes)
+        if pair is None or not _adjacent(surface, pair):
+            continue
+        for di in range(1, B + 1):
+            for dj in range(1, B + 1):
+                for dk in range(0, B + 1):
+                    for deltas in fill_deltas(a, K, pair, (di, dj), dk):
+                        yield from candidate(deltas, classes, max(deltas) > B - 2)
+

@@ -1,4 +1,4 @@
-"""No function without a caller and no import without a use, in the package."""
+"""No function without a caller and no import without a use, in the package and its test oracles."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,23 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(tree)
     ]
     assert not unused, unused
+
+
+def test_every_oracle_is_named_by_a_test():
+    # an oracle is live when a test module names it, or a live oracle does
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    bodies = {
+        node.name: _references(node)
+        for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    live = set().union(*(_references(ast.parse(p.read_text())) for p in tests.glob("test_*.py")))
+    live &= bodies.keys()
+    frontier = list(live)
+    while frontier:
+        for name in bodies[frontier.pop()] & (bodies.keys() - live):
+            live.add(name)
+            frontier.append(name)
+    assert sorted(bodies.keys() - live) == []
+

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_stable, slope_times_rank
-from toric_virasoro import enumeration
+from oracles import fa_r2_windows, higher_windows, is_stable, slope_times_rank
+from toric_virasoro import cli, enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
@@ -16,7 +16,6 @@ from toric_virasoro.enumeration import (
     _closed_chern,
     _jump_positions,
     _level_pairs,
-    _r2_candidates,
     _r2_configs,
     _r3_configs,
     _r4_configs,
@@ -190,12 +189,12 @@ def test_bogomolov_floor_is_smallest_admissible_c2(rank, surface, c1):
 
 
 # ---------------------------------------------------------------------------
-# the two-stage rank-2 search: H-independent candidates, per-H sign tests
+# the two-stage search: H-independent candidates, per-H sign tests
 
 _MEMOS = (
     fixed_locus_cached,
-    enumeration._r2_candidates,
-    enumeration._r2_bundle,
+    enumeration._candidates,
+    enumeration._bundle,
     enumeration._degenerations,
 )
 
@@ -246,11 +245,11 @@ def _candidate_sheaves(name, c1, c2):
     """(candidate, bundle, patterns, distinct reference forms) for every
     stage-1 candidate of a case."""
     surface = surface_by_name(name)
+    _generate, bound = enumeration._search(surface, 2, c1, c2)
     out = []
-    for cand in _r2_candidates(surface.name, c1, c2)[1]:
-        nrays, classes, tops, deltas = cand.spec
-        model = r2_model(nrays, classes)
-        sheaf = _build_bundle(surface, 2, model, tops, tuple((x,) for x in deltas))
+    for cand in enumeration._candidates(surface.name, 2, c1, c2, bound):
+        model = enumeration._model(cand.key)
+        sheaf = _build_bundle(surface, 2, model, cand.tops, cand.windows)
         patterns = tuple(_patterns(sheaf, model))
         forms = tuple(dict.fromkeys(_reference_forms(sheaf, patterns)))
         out.append((cand, sheaf, patterns, forms))
@@ -270,11 +269,12 @@ def _polarizations(a):
 
 _P2_POLARIZATIONS = st.integers(1, 12).map(lambda h: (h,))
 
-_R2_CASES = [
+_FA_CASES = [
     pytest.param(name, c1, id=f"{name}-c1{k}")
     for name in ("f0", "f1", "f2")
     for k, c1 in enumerate([(1, 0), (0, 1), (1, 1)])
-] + [pytest.param("p2", (1,), id="p2-c1H")]
+]
+_R2_CASES = _FA_CASES + [pytest.param("p2", (1,), id="p2-c1H")]
 
 
 @pytest.mark.parametrize("c2", [1, 2, 3])
@@ -288,9 +288,9 @@ def test_form_verdict_matches_is_stable(name, c1, c2, data):
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
     for cand, sheaf, patterns, forms in _candidate_sheaves(name, c1, c2):
-        assert cand.forms == forms, cand.spec
+        assert cand.forms == forms, cand[:3]
         want = _verdict(lambda: is_stable(sheaf, H, patterns))
-        assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand.spec, H)
+        assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand[:3], H)
 
 
 class TestTwoStageSearch:
@@ -320,24 +320,67 @@ class TestTwoStageSearch:
         assert warm_keys == cold_keys
         assert [len(keys) for keys in cold_keys] == [0, 8, 8, 40, 40, 40, 40, 8, 8, 0]
 
-    def test_shell_check_fires_only_where_a_shell_candidate_is_stable(self, cold, monkeypatch):
-        # with a box far too small, shell candidates survive the search; the
-        # check must fire exactly at the polarizations where one is stable
-        monkeypatch.setattr(enumeration, "_r2_box", lambda K, a: 3)
+    def test_shell_check_fires_only_where_a_shell_candidate_is_stable(
+        self, cold, monkeypatch, capsys
+    ):
+        # started far too small (3 instead of 28), the box grows by 2 while a
+        # stable candidate sits on its outer shells; every chamber must give
+        # the default box's locus, or raise because the last allowed box
+        # (11, the last below 4x the start) still holds a stable shell
+        # candidate
         f0 = surface_by_name("f0")
-        candidates = _r2_candidates("F0", (1, 1), 3)[1]
+        reps = chamber_representatives(f0, 2, (1, 1), 3)
+        default = [[sh.key() for sh in fixed_locus(f0, 2, (1, 1), 3, H)] for H in reps]
+        monkeypatch.setattr(enumeration, "_r2_box", lambda K, a: 3)
+
+        def shell_hit(H, bound):
+            cands = enumeration._candidates("F0", 2, (1, 1), 3, bound)
+            return any(c.on_shell and stable_at(c.forms, H) for c in cands)
+
+        for H, keys in zip(reps, default):
+            try:
+                locus = fixed_locus(f0, 2, (1, 1), 3, H)
+            except EnumerationError as exc:
+                assert "bound exhausted" in str(exc) and "(start 3)" in str(exc)
+                assert shell_hit(H, 11), H
+            else:
+                assert [sh.key() for sh in locus] == keys, H
+        grown = [H for H in reps if shell_hit(H, 3)]
+        assert grown and len(grown) < len(reps)
+
+        # with every candidate on the shell, the search raises exactly where
+        # some candidate is stable, and the CLI maps that to exit 3
+        generate = enumeration._fa_r2_windows
+
+        def all_on_shell(*args):
+            for model, tops, windows, _on_shell in generate(*args):
+                yield model, tops, windows, True
+
+        monkeypatch.setattr(enumeration, "_fa_r2_windows", all_on_shell)
+        _clear_memos()
         fired = []
-        for H in chamber_representatives(f0, 2, (1, 1), 3):
-            expected = any(c.shell and stable_at(c.forms, H) for c in candidates)
+        for H in reps:
+            cands = enumeration._candidates("F0", 2, (1, 1), 3, 3)
+            stable = any(stable_at(c.forms, H) for c in cands)
             try:
                 enumerate_bundles(f0, 2, (1, 1), 3, H)
             except EnumerationError as exc:
-                assert "search box too small (B=3)" in str(exc)
-                fired.append(True)
-            else:
-                fired.append(False)
-            assert fired[-1] == expected, H
-        assert any(fired) and not all(fired)
+                assert "at bound 11 (start 3)" in str(exc)
+                fired.append(H)
+            assert (H in fired) == stable, H
+        assert fired and len(fired) < len(reps)
+        H = ",".join(map(str, fired[0]))
+        argv = ["enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "3", "--H", H]
+        assert cli.main(argv) == 3
+        assert "bound exhausted" in capsys.readouterr().err
+
+    def test_a_small_rank_three_start_grows_to_the_default_locus(self, cold, monkeypatch):
+        p2 = surface_by_name("p2")
+        default = [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))]
+        monkeypatch.setattr(enumeration, "_P_START", 2)
+        start = enumeration._candidates("P2", 3, (1,), 3, 2)
+        assert any(c.on_shell and stable_at(c.forms, (1,)) for c in start)
+        assert [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))] == default
 
 
 @pytest.mark.parametrize(
@@ -381,7 +424,28 @@ def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
     for H in chamber_representatives(f0, 2, (1, 1), 3):
         fixed_locus(f0, 2, (1, 1), 3, H)
     assert built
-    assert len(built) == enumeration._r2_bundle.cache_info().currsize
+    assert len(built) == enumeration._bundle.cache_info().currsize
+
+
+def _keyed(generated):
+    return [(model.key, tops, windows, on_shell) for model, tops, windows, on_shell in generated]
+
+
+@pytest.mark.parametrize("rank, c1, P", [(3, (0,), 4), (3, (1,), 6), (3, (-1,), 8), (4, (1,), 4)])
+def test_higher_rank_windows_match_the_triple_scan(rank, c1, P):
+    # the rigidity-indexed generator yields the full scan's survivors, in
+    # its order, for every configuration of the rank
+    got = _keyed(enumeration._p2_higher_windows(surface_by_name("p2"), rank, c1, 0, P))
+    assert got and got == list(higher_windows(rank, c1, P))
+
+
+@pytest.mark.parametrize("c2", [1, 2, 3])
+@pytest.mark.parametrize("name, c1", _FA_CASES)
+def test_fa_windows_match_the_box_scan(name, c1, c2):
+    surface = surface_by_name(name)
+    _generate, B = enumeration._search(surface, 2, c1, c2)
+    got = _keyed(enumeration._fa_r2_windows(surface, 2, c1, c2, B))
+    assert got and got == list(fa_r2_windows(surface, c1, c2, B))
 
 
 _MODEL_CASES = [

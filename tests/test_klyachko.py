@@ -144,11 +144,13 @@ class TestSheaves:
         assert len(keys) == len(locus)
 
     def test_key_repr_does_not_depend_on_hash_seed(self):
-        # a Subspace repr holds its rows, not a memory address
+        # a Subspace repr holds its rows, not a memory address; the rank-3
+        # input runs the rank-3 window search and its lattice closures
         script = (
             "from toric_virasoro.enumeration import fixed_locus_cached\n"
-            "for sheaf in fixed_locus_cached('f0', 2, (1, 0), 2, (3, 5)):\n"
-            "    print(repr(sheaf.key()))\n"
+            "for args in [('f0', 2, (1, 0), 2, (3, 5)), ('p2', 3, (1,), 3, (1,))]:\n"
+            "    for sheaf in fixed_locus_cached(*args):\n"
+            "        print(repr(sheaf.key()))\n"
         )
         src = str(Path(toric_virasoro.__file__).resolve().parents[1])
         outs = []
@@ -160,7 +162,8 @@ class TestSheaves:
             )
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert "Subspace(2, " in outs[0] and " at 0x" not in outs[0]
+        assert "Subspace(2, " in outs[0] and "Subspace(3, " in outs[0] and " at 0x" not in outs[0]
+        assert len(outs[0].splitlines()) == 22 + 42
 
     def test_integer_chern_invariants_match_the_fraction_oracle(self, case_of):
         # every sheaf of the ten f0 chambers (c1 = F + Z, c2 = 3) and of the
