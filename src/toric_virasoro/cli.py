@@ -47,11 +47,12 @@ from .enumeration import (
     EnumerationError,
     chamber_representatives,
     fixed_locus_cached,
+    polarization_gcd,
     wall_slopes,
 )
 from .exactalg import NotDivisible
 from .golden import canonical_row_key
-from .klyachko import NonIsolated
+from .klyachko import NonIsolated, SlopeTie
 from .localization import TrivialWeight, make_case, verify_conjecture
 from .surfaces import surface_by_name
 
@@ -120,8 +121,12 @@ class CaseConfig:
             )
         if self.c2 < 0:
             raise ConfigError("c2 must be nonnegative")
-        if isinstance(self.H, tuple):
-            self._validate_polarization(srf, self.H)
+        g = polarization_gcd(srf, self.rank, self.delta)
+        if g != 1:
+            raise ConfigError(
+                f"gcd(rank, delta.D) = {g} over the basis divisors D, so gcd(rank, delta.H)"
+                " != 1 for every polarization H; stability would never be strict"
+            )
 
     def _validate_polarization(self, srf, H: tuple[int, ...]) -> None:
         if len(H) != srf.picard_rank:
@@ -154,22 +159,19 @@ class CaseConfig:
             )
 
     def polarizations(self) -> list[tuple[int, ...]]:
-        """Resolve ``H`` to a concrete list of polarizations."""
+        """Resolve ``H`` to a concrete list of polarizations, each one validated."""
         srf = surface_by_name(self.surface)
         if isinstance(self.H, tuple):
-            return [self.H]
-        if self.H in (None, "all-chambers"):
-            if self.H is None and self.surface == "p2":
-                reps = [(1,)] if gcd(self.rank, self.delta[0]) == 1 else []
-                if not reps:
-                    raise ConfigError("gcd(rank, delta.H) != 1 for every H on p2")
-                return reps
-            if self.H is None:
-                raise ConfigError(
-                    "this surface has chambers; pass --H explicitly or --H all-chambers"
-                )
-            return chamber_representatives(srf, self.rank, self.delta, self.c2)
-        raise ConfigError(f"cannot interpret H = {self.H!r}")
+            reps = [self.H]
+        elif self.H == "all-chambers" or (self.H is None and self.surface == "p2"):
+            reps = chamber_representatives(srf, self.rank, self.delta, self.c2)
+        elif self.H is None:
+            raise ConfigError("this surface has chambers; pass --H explicitly or --H all-chambers")
+        else:
+            raise ConfigError(f"cannot interpret H = {self.H!r}")
+        for H in reps:
+            self._validate_polarization(srf, H)
+        return reps
 
     def label(self, H: tuple[int, ...]) -> str:
         delta = ",".join(str(x) for x in self.delta)
@@ -267,7 +269,6 @@ def cmd_enumerate(args) -> int:
     srf = surface_by_name(cfg.surface)
     sections = []
     for H in cfg.polarizations():
-        cfg._validate_polarization(srf, H)
         case = make_case(cfg.surface, cfg.rank, cfg.delta, cfg.c2, H)
         case.tangents()  # certifies isolation: NonIsolated exits 2
         rows = _sorted_rows(case)
@@ -624,7 +625,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SlopeTie) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (KeyError, FileNotFoundError) as exc:

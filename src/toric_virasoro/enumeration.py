@@ -842,6 +842,14 @@ def wall_slopes(surface: Surface, rank: int, c1: tuple, c2: int) -> list[Fractio
     return sorted(slopes)
 
 
+def polarization_gcd(surface: Surface, rank: int, c1: tuple) -> int:
+    """``gcd(rank, c1.D_1, ..., c1.D_n)`` over the basis divisors: every chamber holds a
+    primitive H with ``gcd(rank, c1.H) = 1`` iff it is 1 (such H fill residue classes
+    mod rank, and every open cone of slopes meets each of them)."""
+    n = surface.picard_rank
+    return gcd(rank, *(surface.pair(c1, [int(i == j) for j in range(n)]) for i in range(n)))
+
+
 def chamber_representatives(
     surface: Surface, rank: int, c1: tuple, c2: int
 ) -> list[tuple]:
@@ -851,8 +859,10 @@ def chamber_representatives(
     last one truncated two units past the final wall).  Each representative
     is the interior slope with the smallest denominator, then the smallest
     numerator, subject to gcd(rank, c1.H) = 1 so slope stability has no
-    ties.
+    ties.  Raises ValueError when no H meets that (:func:`polarization_gcd`).
     """
+    if polarization_gcd(surface, rank, c1) != 1:
+        raise ValueError("gcd(rank, c1.H) > 1 for every polarization H")
     if surface.name == "P2":
         return [(1,)]
     a = int(surface.name[1:])

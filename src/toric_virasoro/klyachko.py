@@ -34,14 +34,17 @@ From this data the module computes
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
 
-All linear algebra is exact over the rationals (:class:`Subspace` keeps a
-canonical reduced row echelon basis, so subspaces are hashable values).
+All linear algebra runs over the integers.  A :class:`Subspace` keeps the
+reduced row echelon basis with each row scaled to primitive integers and a
+positive pivot (:func:`_echelon`), a canonical form, so subspaces are
+hashable values.  Intersections come by the Zassenhaus algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -53,62 +56,77 @@ from .surfaces import FixedPoint, Surface
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    out: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        piv = None
-        for r in mat:
-            if any(r[c] for c in range(col)):
-                continue
-            if r[col]:
-                piv = r
-                break
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical basis of the span of integer rows, by fraction-free Gauss-Jordan.
+
+    It is the reduced row echelon basis with each row scaled to primitive
+    integers and a positive pivot: every row is a positive multiple of the
+    matching row of the rational RREF, so equal spans give equal bases.
+    The rows come in pivot order; zero rows are dropped.
+    """
+    out: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = list(row)
+        for b, p in zip(out, pivots):
+            if v[p]:
+                f, g = b[p], v[p]
+                v = [f * x - g * y for x, y in zip(v, b)]
+        piv = next((c for c, x in enumerate(v) if x), None)
         if piv is None:
             continue
-        mat.remove(piv)
-        piv = [x / piv[col] for x in piv]
-        for r in mat:
-            if r[col]:
-                f = r[col]
-                for c in range(ncols):
-                    r[c] -= f * piv[c]
-        for r in out:
-            if r[col]:
-                f = r[col]
-                for c in range(ncols):
-                    r[c] -= f * piv[c]
-        out.append(piv)
-        pivot_cols.append(col)
-    order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
-    return tuple(tuple(out[i]) for i in order)
+        v = _primitive(v, piv)
+        for k, (b, p) in enumerate(zip(out, pivots)):
+            if b[piv]:
+                f, g = v[piv], b[piv]
+                out[k] = _primitive([f * x - g * y for x, y in zip(b, v)], p)
+        out.append(v)
+        pivots.append(piv)
+    return tuple(tuple(out[k]) for k in sorted(range(len(out)), key=pivots.__getitem__))
+
+
+def _primitive(v: list[int], piv: int) -> list[int]:
+    """``v`` divided by the gcd of its entries, signed so that ``v[piv] > 0``."""
+    g = gcd(*v)
+    return [x // g for x in v] if v[piv] > 0 else [x // -g for x in v]
+
+
+def _integer_row(row: Sequence[Rat]) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(c for c, x in enumerate(row) if x)
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form; a hashable value."""
+    """A linear subspace of Q^n in the canonical form of :func:`_echelon`; a hashable value."""
 
     __slots__ = ("rows", "n")
 
-    def __init__(self, n: int, rows: Iterable[Sequence] = ()):
+    def __init__(self, n: int, rows: Iterable[Sequence[Rat]] = ()):
         self.n = n
-        self.rows = _rref(
-            [[Fraction(x) for x in r] for r in rows if any(Fraction(x) for x in r)]
-        )
+        self.rows = _echelon(map(_integer_row, rows))
+
+    @classmethod
+    def _canonical(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Subspace":
+        """The subspace with these rows, which are already in canonical form."""
+        space = object.__new__(cls)
+        space.n, space.rows = n, rows
+        return space
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, ())
+        return Subspace._canonical(n, ())
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
+        return Subspace._canonical(n, tuple(tuple(int(j == i) for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def span(n: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def span(n: int, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
         return Subspace(n, vectors)
 
     @property
@@ -125,64 +143,39 @@ class Subspace:
         return f"Subspace({self.n}, {self.rows!r})"
 
     def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.rows)
+        return self.dim <= other.dim and all(map(other.contains, self.rows))
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self <= other
 
-    def contains(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
+    def contains(self, vector: Sequence[Rat]) -> bool:
+        """Reduce the vector against each row by cross-multiplication; it lies in
+        the span exactly when nothing is left."""
+        v = _integer_row(vector)
         for row in self.rows:
-            lead = next(c for c in range(self.n) if row[c])
-            if v[lead]:
-                f = v[lead]
-                for c in range(self.n):
-                    v[c] -= f * row[c]
+            p = _pivot(row)
+            if v[p]:
+                f, g = row[p], v[p]
+                v = [f * x - g * y for x, y in zip(v, row)]
         return not any(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.n, list(self.rows) + list(other.rows))
+        return Subspace._canonical(self.n, _echelon(self.rows + other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # rows x of self with x also in other: solve a*A = b*B by stacking
+        """Zassenhaus: the echelon of ``[a|a]`` over the rows a of self and ``[b|0]`` over
+        the rows b of other has the intersection as the right halves of its rows with
+        zero left half, and these are in canonical form already."""
+        n = self.n
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.n)
-        if self.dim == self.n:
+            return Subspace.zero(n)
+        if self.dim == n:
             return other
-        if other.dim == self.n:
+        if other.dim == n:
             return self
-        a, b = list(self.rows), list(other.rows)
-        # nullspace of the (dim a + dim b) x n system [A; B] paired with signs:
-        # vectors (x, y) with x*A - y*B = 0 -> intersection element x*A.
-        k, m = len(a), len(b)
-        cols = self.n
-        rows = []
-        for j in range(cols):
-            rows.append([a[i][j] for i in range(k)] + [-b[i][j] for i in range(m)])
-        # solve rows * (x, y)^T = 0: nullspace of the cols x (k+m) matrix
-        ns = _nullspace(rows, k + m)
-        vecs = []
-        for sol in ns:
-            v = [sum(sol[i] * a[i][j] for i in range(k)) for j in range(cols)]
-            vecs.append(v)
-        return Subspace(self.n, vecs)
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of the given matrix (list of rows)."""
-    r = _rref(rows)
-    pivots = []
-    for row in r:
-        pivots.append(next(c for c in range(ncols) if row[c]))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(r, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+        zero = (0,) * n
+        rows = _echelon([a + a for a in self.rows] + [b + zero for b in other.rows])
+        return Subspace._canonical(n, tuple(r[n:] for r in rows if not any(r[:n])))
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +400,16 @@ def bundle_chern(
 def _solve_divisor_class(surface: Surface, dots: Sequence[Rat]) -> tuple[int, ...]:
     """Find integer coefficients x with intersection(x, basis_j) = dots_j."""
     n = surface.picard_rank
-    # solve M^T x = dots for the (symmetric) intersection matrix M
-    rows = [
-        [Fraction(surface.intersection[i][j]) for i in range(n)] + [Fraction(dots[j])]
-        for j in range(n)
-    ]
-    r = _rref(rows)
-    if len(r) != n or any(next(c for c in range(n + 1) if row[c]) >= n for row in r):
+    # solve M^T x = dots for the (symmetric) intersection matrix M: in the
+    # echelon of the augmented system, row k reads row[k] * x_k = row[n]
+    rows = _echelon(
+        _integer_row([surface.intersection[i][j] for i in range(n)] + [dots[j]]) for j in range(n)
+    )
+    if len(rows) != n or any(_pivot(row) >= n for row in rows):
         raise ValueError("degenerate intersection form")
-    x = [Fraction(0)] * n
-    for row in r:
-        lead = next(c for c in range(n) if row[c])
-        x[lead] = row[n]
-    if any(v.denominator != 1 for v in x):
-        raise ValueError(f"non-integral first Chern class {x}")
-    return tuple(int(v) for v in x)
+    if any(row[n] % row[k] for k, row in enumerate(rows)):
+        raise ValueError(f"non-integral first Chern class for the pairings {list(dots)}")
+    return tuple(row[n] // row[k] for k, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

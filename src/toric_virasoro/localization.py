@@ -298,15 +298,13 @@ class Case:
         return self._packs[key, width]
 
     def integrate_monomial(self, mono: Monomial) -> Fraction:
-        mono = tuple(sorted(mono))
-        if mono in self._integrals:
-            return self._integrals[mono]
-        if self.n_points == 0:
-            result = _ZERO
-        else:
-            result = self._integrate(mono, monomial_degree(mono, self.surface))
-        self._integrals[mono] = result
-        return result
+        # keyed by sorted monomials, as operator_terms yields them: only a miss sorts
+        if mono not in self._integrals:
+            mono = tuple(sorted(mono))
+            if mono not in self._integrals and self.n_points:
+                self._integrals[mono] = self._integrate(mono, monomial_degree(mono, self.surface))
+            self._integrals.setdefault(mono, _ZERO)
+        return self._integrals[mono]
 
     def _integrate(self, mono: Monomial, deg: int) -> Fraction:
         """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin.

@@ -29,6 +29,14 @@ the chart window, one intersection per cell.
 S_k D as integer terms of one monomial, and the package's ``apply_R`` and
 ``apply_S`` are the ``Fraction``-linear extension of those terms.
 
+:class:`FractionSubspace` (with :func:`_rref` and :func:`_nullspace`) and
+:func:`solve_divisor_class` are the ``Fraction`` linear algebra that
+``klyachko._echelon`` replaced: the rational reduced row echelon form,
+intersections from the nullspace of the stacked system, and containment by
+a ``Fraction`` reduction.  The tests require each canonical integer row to
+be a positive multiple of its RREF row and every subspace operation to
+agree; :func:`chern_invariants` here solves for c1 with them.
+
 :func:`higher_windows` and :func:`fa_r2_windows` are the window scans that
 the enumeration's generators replaced: every triple of rank-3/4 profiles
 filtered by :func:`config_active` and :func:`config_rigid`, and the F_a
@@ -57,10 +65,166 @@ from toric_virasoro.enumeration import (
     _r4_configs,
     _window_profiles,
 )
-from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf, _solve_divisor_class
+from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction linear algebra that klyachko._echelon replaced
+
+
+def _rref(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    out: list[list[Fraction]] = []
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        piv = None
+        for r in mat:
+            if any(r[c] for c in range(col)):
+                continue
+            if r[col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        for r in mat:
+            if r[col]:
+                f = r[col]
+                for c in range(ncols):
+                    r[c] -= f * piv[c]
+        for r in out:
+            if r[col]:
+                f = r[col]
+                for c in range(ncols):
+                    r[c] -= f * piv[c]
+        out.append(piv)
+        pivot_cols.append(col)
+    order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
+    return tuple(tuple(out[i]) for i in order)
+
+
+class FractionSubspace:
+    """A linear subspace of Q^n in canonical (RREF) form; a hashable value."""
+
+    __slots__ = ("rows", "n")
+
+    def __init__(self, n: int, rows: Iterable[Sequence] = ()):
+        self.n = n
+        self.rows = _rref(
+            [[Fraction(x) for x in r] for r in rows if any(Fraction(x) for x in r)]
+        )
+
+    @staticmethod
+    def zero(n: int) -> "FractionSubspace":
+        return FractionSubspace(n, ())
+
+    @staticmethod
+    def full(n: int) -> "FractionSubspace":
+        return FractionSubspace(n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def span(n: int, vectors: Iterable[Sequence]) -> "FractionSubspace":
+        return FractionSubspace(n, vectors)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionSubspace) and self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"FractionSubspace({self.n}, {self.rows!r})"
+
+    def __le__(self, other: "FractionSubspace") -> bool:
+        return all(other.contains(r) for r in self.rows)
+
+    def __lt__(self, other: "FractionSubspace") -> bool:
+        return self.dim < other.dim and self <= other
+
+    def contains(self, vector: Sequence) -> bool:
+        v = [Fraction(x) for x in vector]
+        for row in self.rows:
+            lead = next(c for c in range(self.n) if row[c])
+            if v[lead]:
+                f = v[lead]
+                for c in range(self.n):
+                    v[c] -= f * row[c]
+        return not any(v)
+
+    def sum(self, other: "FractionSubspace") -> "FractionSubspace":
+        return FractionSubspace(self.n, list(self.rows) + list(other.rows))
+
+    def intersect(self, other: "FractionSubspace") -> "FractionSubspace":
+        # rows x of self with x also in other: solve a*A = b*B by stacking
+        if self.dim == 0 or other.dim == 0:
+            return FractionSubspace.zero(self.n)
+        if self.dim == self.n:
+            return other
+        if other.dim == self.n:
+            return self
+        a, b = list(self.rows), list(other.rows)
+        # nullspace of the (dim a + dim b) x n system [A; B] paired with signs:
+        # vectors (x, y) with x*A - y*B = 0 -> intersection element x*A.
+        k, m = len(a), len(b)
+        cols = self.n
+        rows = []
+        for j in range(cols):
+            rows.append([a[i][j] for i in range(k)] + [-b[i][j] for i in range(m)])
+        # solve rows * (x, y)^T = 0: nullspace of the cols x (k+m) matrix
+        ns = _nullspace(rows, k + m)
+        vecs = []
+        for sol in ns:
+            v = [sum(sol[i] * a[i][j] for i in range(k)) for j in range(cols)]
+            vecs.append(v)
+        return FractionSubspace(self.n, vecs)
+
+
+def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the nullspace of the given matrix (list of rows)."""
+    r = _rref(rows)
+    pivots = []
+    for row in r:
+        pivots.append(next(c for c in range(ncols) if row[c]))
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(r, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def solve_divisor_class(surface, dots: Sequence[Fraction]) -> tuple[int, ...]:
+    """Find integer coefficients x with intersection(x, basis_j) = dots_j."""
+    n = surface.picard_rank
+    # solve M^T x = dots for the (symmetric) intersection matrix M
+    rows = [
+        [Fraction(surface.intersection[i][j]) for i in range(n)] + [Fraction(dots[j])]
+        for j in range(n)
+    ]
+    r = _rref(rows)
+    if len(r) != n or any(next(c for c in range(n + 1) if row[c]) >= n for row in r):
+        raise ValueError("degenerate intersection form")
+    x = [Fraction(0)] * n
+    for row in r:
+        lead = next(c for c in range(n) if row[c])
+        x[lead] = row[n]
+    if any(v.denominator != 1 for v in x):
+        raise ValueError(f"non-integral first Chern class {x}")
+    return tuple(int(v) for v in x)
 
 
 def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
@@ -407,7 +571,7 @@ def chern_invariants(sheaf) -> tuple[int, tuple[int, ...], int]:
         )
         for name in S.divisor_names
     ]
-    c1 = _solve_divisor_class(S, dots)
+    c1 = solve_divisor_class(S, dots)
     ch2 = surface_integral(S, [homogeneous_part(ch, 2) for ch in chern])
     c2 = Fraction(S.pair(c1, c1), 2) - ch2
     if c2.denominator != 1:

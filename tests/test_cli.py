@@ -12,12 +12,24 @@ import toric_virasoro
 from toric_virasoro import cli
 from toric_virasoro.cli import main
 from toric_virasoro.enumeration import EnumerationError
+from toric_virasoro.klyachko import SlopeTie
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_process(argv, **env_vars):
+    """Run the CLI in a fresh interpreter; a minute-long run fails as a timeout."""
+    src = str(Path(toric_virasoro.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "toric_virasoro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestEnumerate:
@@ -282,6 +294,39 @@ class TestExitCodes:
         assert captured.out == ""
         assert "the fixed locus is not isolated: trivial weight" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("walls", "--surface", "f0", "--r", "2", "--delta", "0,0", "--c2", "2"),
+            ("enumerate", "--surface", "f0", "--r", "2", "--delta", "2,0", "--c2", "2",
+             "--H", "all-chambers"),
+            ("verify", "--surface", "f0", "--r", "2", "--delta", "2,0", "--c2", "2",
+             "--H", "all-chambers"),
+            ("verify", "--surface", "p2", "--r", "2", "--delta", "0", "--c2", "2",
+             "--H", "all-chambers"),
+        ],
+        ids=["walls-f0", "enumerate-f0", "verify-f0", "verify-p2"],
+    )
+    def test_no_coprime_polarization_is_config_error(self, argv):
+        # gcd(rank, delta.D) = 2 over the basis divisors: no H gives
+        # gcd(rank, delta.H) = 1.  The chamber search once looped forever on
+        # f0, and p2 reached a slope tie with a traceback.
+        proc = cli_process(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "gcd(rank, delta.D) = 2 over the basis divisors" in proc.stderr
+
+    def test_slope_tie_reaching_main_is_config_error(self, capsys, monkeypatch):
+        def tie(*args):
+            raise SlopeTie("polarization (1,) is on a wall for this sheaf")
+
+        monkeypatch.setattr(cli, "make_case", tie)
+        code = main(["enumerate", "--surface", "p2", "--r", "2", "--delta", "1", "--c2", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "configuration error: polarization (1,) is on a wall" in captured.err
+
     def test_non_ample_polarization_is_config_error(self, capsys):
         code, _ = run(
             capsys, "enumerate", "--surface", "f2", "--r", "2",
@@ -395,11 +440,6 @@ def test_output_matches_recorded_transcript(capsys, transcript):
 )
 def test_output_does_not_depend_on_hash_seed(seed, transcript):
     # set iteration order steers the search, so run in a fresh interpreter
-    src = str(Path(toric_virasoro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=seed)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "toric_virasoro.cli", *TRANSCRIPTS[transcript]],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    proc = cli_process(TRANSCRIPTS[transcript], PYTHONHASHSEED=seed)
+    assert proc.returncode == 0
     assert proc.stdout == (TRANSCRIPT_DIR / transcript).read_text()

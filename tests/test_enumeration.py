@@ -1,13 +1,21 @@
 """Fixed-locus enumeration: counts, walls, chambers, consistency checks."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fa_r2_windows, higher_windows, is_stable, slope_times_rank
+import toric_virasoro
 from toric_virasoro import cli, enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
@@ -24,6 +32,7 @@ from toric_virasoro.enumeration import (
     fixed_locus,
     fixed_locus_cached,
     hirzebruch_ch2_check,
+    polarization_gcd,
     r2_model,
     r3_model,
     r4_model,
@@ -138,6 +147,41 @@ class TestWalls:
             assert hf >= 1 and hz >= 1  # ample
             assert Fraction(hf, hz) not in walls
             assert f0.pair((1, 0), (hf, hz)) % 2 == 1  # coprime with the rank
+
+    @pytest.mark.parametrize("surface", ["p2", "f0", "f1", "f2"])
+    def test_polarization_gcd_is_the_gcd_over_ample_classes(self, surface):
+        # gcd(rank, c1.H) over a box of ample H, against the basis-divisor rule
+        srf = surface_by_name(surface)
+        a = 0 if surface == "p2" else int(surface[1:])
+        box = [(h,) for h in range(1, 9)] if surface == "p2" else [
+            (hf, hz) for hz in range(1, 9) for hf in range(a * hz + 1, a * hz + 9)
+        ]
+        for rank in (2, 3, 4):
+            for c1 in product(range(-2, 5), repeat=srf.picard_rank):
+                brute = gcd(rank, *(srf.pair(c1, H) for H in box))
+                assert polarization_gcd(srf, rank, c1) == brute, (rank, c1)
+
+    def test_chamber_search_refuses_when_no_polarization_is_coprime(self):
+        # gcd(2, c1.D) = 2 over the basis divisors; the search once looped
+        # forever here, so it runs in a fresh interpreter with a timeout
+        script = (
+            "from toric_virasoro.enumeration import chamber_representatives\n"
+            "from toric_virasoro.surfaces import surface_by_name\n"
+            "for name, c1 in [('f0', (2, 0)), ('f0', (0, 0)), ('f2', (0, 2)), ('p2', (0,))]:\n"
+            "    try:\n"
+            "        chamber_representatives(surface_by_name(name), 2, c1, 2)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(toric_virasoro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = "gcd(rank, c1.H) > 1 for every polarization H"
+        assert proc.stdout.splitlines() == [want] * 4
 
     def test_locus_constant_within_a_chamber(self):
         # Representatives drawn from the same open interval between walls
@@ -480,3 +524,48 @@ def test_closed_chern_matches_localization(name, rank, cfg, data):
     closed = _closed_chern(surface, pos, _level_pairs(surface, model))
     assert (rank, *closed) == chern_invariants(sheaf)
     assert hirzebruch_ch2_check(sheaf)
+
+
+# ---------------------------------------------------------------------------
+# model candidates, pinned
+
+# (candidate count, first 16 hex digits of the sha256 of repr(sorted(candidates)))
+# of every model, recorded with the Fraction RREF subspace kernel
+_MODEL_CANDIDATES = {
+    ('r2', (0, 1, 2)): (4, '10381ae85affa936'),
+    ('r2', (0, 0, 1)): (3, 'fafb8595e78635c1'),
+    ('r2', (0, 1, 0)): (3, 'e617b795d2f036d5'),
+    ('r2', (0, 1, 1)): (3, 'bc1993a34ffbe20e'),
+    ('r2', (0, 1, 2, 3)): (5, '7e9870ac622bafa6'),
+    ('r2', (0, 0, 1, 2)): (4, '25692de08dcf96a0'),
+    ('r2', (0, 1, 0, 2)): (4, '249c4c6c3dcd4b59'),
+    ('r2', (0, 1, 2, 0)): (4, '47ffae28d89fc8d8'),
+    ('r2', (0, 1, 1, 2)): (4, '23d799a6e313f1b5'),
+    ('r2', (0, 1, 2, 1)): (4, '0cb6a235f0a1dda1'),
+    ('r2', (0, 1, 2, 2)): (4, 'f406a508725b7d82'),
+    ('r3', 'generic', None): (20, '8907f097307936aa'),
+    ('r3', 'concurrent', None): (18, 'ca26b1d1d3a5f377'),
+    ('r3', 'collinear', None): (18, '9e07d27f06c1c2a0'),
+    ('r3', 'incidence', (0, 1)): (18, '94bf1564d3ce3c38'),
+    ('r3', 'incidence', (0, 2)): (18, 'bbd4a139d7712c1a'),
+    ('r3', 'incidence', (1, 0)): (18, 'dd0e07d1f542ca49'),
+    ('r3', 'incidence', (1, 2)): (18, '20f38873ca09ad20'),
+    ('r3', 'incidence', (2, 0)): (18, 'd4d82b2f4e1b04fe'),
+    ('r3', 'incidence', (2, 1)): (18, 'e491fa74e7f3aefa'),
+    ('r4', 'generic', None): (89, 'eae443353e377389'),
+    ('r4', 'incidence', (0, 1)): (83, '750cf047c836f0ff'),
+    ('r4', 'incidence', (0, 2)): (83, '85e15815de54100c'),
+    ('r4', 'incidence', (1, 0)): (83, '086edf1884585136'),
+    ('r4', 'incidence', (1, 2)): (83, '0d69fa070c85f0cf'),
+    ('r4', 'incidence', (2, 0)): (83, '4d3f135eaae0f76b'),
+    ('r4', 'incidence', (2, 1)): (83, '3ecf28d5c3e542b3'),
+}
+_MODEL_KEYS = [("r2", classes) for nrays in (3, 4) for classes in _r2_configs(nrays)]
+_MODEL_KEYS += [("r3", *cfg) for cfg in _r3_configs()] + [("r4", *cfg) for cfg in _r4_configs()]
+
+
+@pytest.mark.parametrize("key", _MODEL_KEYS, ids=str)
+def test_model_candidates_are_pinned(key):
+    cands = sorted(enumeration._model(key).candidates)
+    digest = hashlib.sha256(repr(cands).encode()).hexdigest()[:16]
+    assert (len(cands), digest) == _MODEL_CANDIDATES[key]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import oracles
@@ -57,6 +58,49 @@ class TestSubspace:
     def test_fraction_entries(self):
         A = Subspace.span(2, [[Fraction(1, 2), Fraction(1, 3)]])
         assert A == Subspace.span(2, [[3, 2]])
+
+
+_entries = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _rows(draw, n):
+    """Up to n + 1 integer or ``Fraction`` rows, often with a combination of
+    them appended, so that empty, zero and dependent inputs all occur."""
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), max_size=n + 1))
+    if rows and draw(st.booleans()):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(n)])
+    return rows
+
+
+def _assert_scaled_rref(space, ref):
+    """Each row is the primitive integer row that is a positive multiple of the RREF row."""
+    assert len(space.rows) == len(ref.rows)
+    for row, ref_row in zip(space.rows, ref.rows):
+        assert all(type(x) is int for x in row) and gcd(*row) == 1
+        scale = row[next(c for c, x in enumerate(ref_row) if x)]
+        assert scale > 0 and list(row) == [scale * x for x in ref_row]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_subspace_operations_match_the_fraction_kernel(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    a_rows, b_rows = data.draw(_rows(n), label="A"), data.draw(_rows(n), label="B")
+    A, B = Subspace(n, a_rows), Subspace(n, b_rows)
+    FA, FB = oracles.FractionSubspace(n, a_rows), oracles.FractionSubspace(n, b_rows)
+    _assert_scaled_rref(A, FA)
+    _assert_scaled_rref(B, FB)
+    assert Subspace(n, FA.rows) == A
+    S, I = A.sum(B), A.intersect(B)
+    _assert_scaled_rref(S, FA.sum(FB))
+    _assert_scaled_rref(I, FA.intersect(FB))
+    assert I.dim + S.dim == A.dim + B.dim
+    assert (A <= B, B <= A, I <= A, A <= S) == (FA <= FB, FB <= FA, True, True)
+    vector = data.draw(st.lists(_entries, min_size=n, max_size=n), label="v")
+    for v in b_rows + [vector]:
+        assert A.contains(v) == FA.contains(v)
 
 
 class TestFlag:

@@ -427,6 +427,19 @@ class TestIntegerKernel:
         assert case.certified_clearings == before
         assert oracle_integral(case, mono) == ZERO
 
+    def test_an_unsorted_monomial_is_stored_under_its_sorted_key(self, case_of):
+        # the sweep passes sorted monomials and skips the sort on a hit; any
+        # other order still finds, and fills, the one entry of the sorted key
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        copy = Case(case.surface, case.rank, case.c1, case.c2, case.H, case.restrictions)
+        copy._tangents = case.tangents()
+        mono = next(m for m in monomial_basis(copy.surface, copy.vdim) if m != m[::-1])
+        value = copy.integrate_monomial(mono[::-1])
+        assert value == oracle_integral(copy, mono)
+        assert copy.integrate_monomial(mono) == value
+        assert copy.integrate_monomial(mono[::-1]) == value
+        assert list(copy._integrals) == [mono]
+
     @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
     def test_basis_integrals_match_the_oracle(self, case_of, case_id):
         # the sweep's monomials D of degree vdim - k, k in [-1, vdim]
