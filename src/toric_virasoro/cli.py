@@ -19,8 +19,9 @@ isolated); 3 internal inconsistency (a localization sum failed to clear to
 a polynomial).
 
 The environment variable ``TORIC_VIRASORO_JOBS`` (or ``verify --jobs``) sets
-the number of worker processes for ``verify --case``/``--all``; reports are
-merged in case order, so the output is byte-identical for any job count.
+the number of worker processes for ``verify --case``/``--all``, at most one
+per case; reports are merged in case order, so the output is byte-identical
+for any job count.
 A ``--surface``/``--config`` run is one process: ``verify --jobs`` there is
 a configuration error, and the environment variable is not read.  A
 ``--config`` JSON file may hold only the keys ``surface``, ``rank`` (or
@@ -398,8 +399,9 @@ def cmd_verify(args) -> int:
         unknown = [cid for cid in ids if cid not in golden.list_cases()]
         if unknown:
             raise ConfigError(f"unknown case id(s): {', '.join(unknown)}")
-        jobs = _resolve_jobs(args)
-        if jobs > 1 and len(ids) > 1:
+        # the pool starts all its workers at once, so never more than there are cases
+        jobs = min(_resolve_jobs(args), len(ids))
+        if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 summaries = list(pool.map(_verify_bundled, ids))
         else:

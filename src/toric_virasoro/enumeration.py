@@ -13,10 +13,11 @@ points, adding colength to c2).  This module enumerates them:
   configuration yields the same patterns (genericity is asserted when the
   model is built).
 * **One closed form for (c1, c2).**  Every search filters by
-  :func:`~.klyachko.bundle_chern` on its jump positions and the model's
-  per-cone level multiplicities (:func:`_level_pairs`); no configuration has
-  its own correction term.  :func:`hirzebruch_ch2_check` feeds it a bundle's
-  own flags.
+  :func:`~.klyachko.bundle_chern` on the candidate's flat jump positions
+  (:func:`_jump_positions`) and the model's jump pairs as index triples
+  into them (:func:`_level_pairs`, once per model); no configuration has
+  its own correction term.  :func:`hirzebruch_ch2_check` feeds it a
+  bundle's own flags.
 * **One search, in two stages, with one shell rule.**  Each supported
   (surface, rank) has a window generator that yields
   ``(model, tops, windows, on_shell)`` for a bound:
@@ -30,26 +31,29 @@ points, adding colength to c2).  This module enumerates them:
 
   The first stage, memoized per (surface, rank, c1, c2, bound) for the
   life of the process, keeps every generated candidate whose closed-form
-  (c1, c2) matches, with its distinct stability forms.  The second stage,
-  per H, is the sign test, then the shell rule, then one memoized builder
-  that builds and verifies each stable bundle, so a chamber sweep runs the
-  search once.  *Shell rule*: while a candidate that is stable at H lies on
-  the outer two shells of the bound (a window above ``B - 2``, or a profile
-  sum above ``P - 2``), the bound grows by 2 and the search reruns; once
-  the bound passes 4x its start, :class:`EnumerationError`.  The starts are
+  (c1, c2) matches, with its stability forms as indices into the stage's
+  table of distinct forms.  The second stage, per H, is the sign test,
+  then the shell rule, then one memoized builder that builds and verifies
+  each stable bundle, so a chamber sweep runs the search once.  *Shell
+  rule*: while a candidate that is stable at H lies on the outer two
+  shells of the bound (a window above ``B - 2``, or a profile sum above
+  ``P - 2``), the bound grows by 2 and the search reruns; once the bound
+  passes 4x its start, :class:`EnumerationError`.  The starts are
   ``B = 2K + 2a + 8`` (:func:`_r2_box`) and ``P = 6``.  This rule is the
   only guard: nothing here certifies that a locus is complete, and only
   the bundled cases are compared with reference rows.
-* **Stability in closed form from the windows.**  Each side of the slope
-  test is linear in H, so each candidate destabilizing subspace W of the
-  model gives one integer *stability form* v with
-  ``v . H = r*deg_H(W) - dim W*deg_H(E)``.  It is read straight off the
-  window lengths: ``v = sum_i g_i sum_m win[i][m]*(r*d[i,m] - w*m)``, with
-  ``g_i`` the degree vector of ray i, ``w = dim W`` and
-  ``d[i,m] = dim(W n F_i^m)`` from the model; the top jump positions
-  cancel (:func:`~.klyachko.stability_forms`).  Some ``v . H > 0`` means
-  unstable, otherwise some ``v . H == 0`` raises (the polarization would be
-  on a wall).  A bundle is built only for a stable candidate.
+* **Stability on a sign table.**  Each side of the slope test is linear in
+  H, so each candidate destabilizing subspace W of the model gives one
+  integer *stability form* v with ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
+  and v is linear in the window lengths: the first time the search meets a
+  model it compiles :func:`~.klyachko.stability_table`, one integer row per
+  (W, basis divisor), and each candidate's forms are those rows times its
+  flattened windows.  Per H, ``v . H`` is computed once for each distinct
+  form of the stage, and a candidate's verdict is the largest sign among
+  its forms: positive means unstable, zero raises
+  :class:`~.klyachko.SlopeTie` (the polarization would be on a wall),
+  negative (or no form at all) means stable.  A bundle is built only for a
+  stable candidate.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
   bundle and each degeneration tree), and isolatedness is certified later
@@ -73,12 +77,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from math import gcd
+from operator import mul, sub
 from typing import NamedTuple
 
 from .klyachko import (
     Flag,
+    SlopeTie,
     Subspace,
     TorusSheaf,
     bundle_chern,
@@ -87,8 +93,7 @@ from .klyachko import (
     degeneration_children,
     degeneration_colength,
     jump_pairs,
-    stability_forms,
-    stable_at,
+    stability_table,
 )
 from .surfaces import Surface, surface_by_name
 
@@ -169,17 +174,18 @@ def _make_model(rank: int, key: tuple, level_spaces: dict) -> ConfigModel:
             seen.add(frozen)
             cands.append(frozen)
 
-    # {(ray, level): dim(L n S)} of each lattice element L
+    # dim L and {(ray, level): dim(L n S)} of each lattice element L
+    dim = [L.dim for L in lattice]
     dims_of = [{k: L.intersect(s).dim for k, s in items} for L in lattice]
-    for L, d in zip(lattice, dims_of):
-        push(L.dim, d)
-    for L1, d1 in zip(lattice, dims_of):
-        for L2, d2 in zip(lattice, dims_of):
-            if L2.dim > L1.dim + 1 and L1 <= L2:
-                for w in range(L1.dim + 1, L2.dim):
+    for n, d in zip(dim, dims_of):
+        push(n, d)
+    for L1, n1, d1 in zip(lattice, dim, dims_of):
+        for L2, n2, d2 in zip(lattice, dim, dims_of):
+            if n2 > n1 + 1 and L1 <= L2:
+                for w in range(n1 + 1, n2):
                     dims = {}
                     for k, _s in items:
-                        extra = (w - L1.dim) + (d2[k] - d1[k]) - (L2.dim - L1.dim)
+                        extra = (w - n1) + (d2[k] - d1[k]) - (n2 - n1)
                         dims[k] = d1[k] + max(0, extra)
                     push(w, dims)
     return ConfigModel(
@@ -398,25 +404,31 @@ def _build_bundle(
     windows[i] = (w_1, ..., w_{rank-1}) below it (level L jumps at
     tops[i] - sum of windows from L up, :func:`_jump_positions`)."""
     V = _full_space(rank)
+    pos = _jump_positions(tops, windows, rank)
     flags = []
-    for i, (top, wins) in enumerate(zip(tops, windows)):
-        pos = _jump_positions(top, wins, rank)
-        steps = [(pos[l - 1], model.space(i, l)) for l in range(1, rank) if wins[l - 1] > 0]
-        flags.append(Flag(rank, (*steps, (top, V))))
+    for i, wins in enumerate(windows):
+        at = pos[i * rank : (i + 1) * rank]
+        steps = [(at[l - 1], model.space(i, l)) for l in range(1, rank) if wins[l - 1] > 0]
+        flags.append(Flag(rank, (*steps, (at[-1], V))))
     return bundle_from_flags(surface, rank, flags, config=model.key)
 
 
-def _jump_positions(top: int, wins: tuple, rank: int) -> list[int]:
-    """Position of the jump to each level 1..rank: ``top`` minus the windows from that level up."""
-    pos = [top] * rank
-    for lvl in range(rank - 1, 0, -1):
-        pos[lvl - 1] = pos[lvl] - wins[lvl - 1]
+def _jump_positions(tops: tuple, windows: tuple, rank: int) -> list[int]:
+    """The jump to level l on ray i, at index ``i*rank + l - 1``: ``tops[i]`` minus the windows
+    from level l up."""
+    pos = []
+    for top, wins in zip(tops, windows):
+        ray = [*accumulate(reversed(wins), sub, initial=top)]
+        ray.reverse()
+        pos += ray
     return pos
 
 
-def _level_pairs(surface: Surface, model: ConfigModel) -> list[list[tuple[int, int, int]]]:
-    """Per cone, the ``(l, m, mu)`` jump pairs of the model's level flags (space l at l).
+def _level_pairs(surface: Surface, model: ConfigModel) -> tuple[tuple[int, int, int], ...]:
+    """The model's jump pairs over every cone, as index triples into :func:`_jump_positions`.
 
+    The level flag of ray i puts space l at position l, so its jump pair
+    ``(l, m, mu)`` on cone (i, j) becomes ``(i*r + l - 1, j*r + m - 1, mu)``.
     An empty window merges two levels at one position; the merged step's
     second difference is the sum of the level ones, so the pairs stay exact.
     """
@@ -425,17 +437,11 @@ def _level_pairs(surface: Surface, model: ConfigModel) -> list[list[tuple[int, i
         Flag(rank, (*((l, model.space(i, l)) for l in range(1, rank)), (rank, _full_space(rank))))
         for i in range(len(surface.rays))
     ]
-    return [jump_pairs(flags[i], flags[j]) for i, j in surface.cones]
-
-
-def _closed_chern(surface: Surface, pos: list[list[int]], levels: list) -> tuple:
-    """(c1, c2) of the bundle whose level-l jump on ray i is at ``pos[i][l - 1]``."""
-    jumps = [[(x, 1) for x in row] for row in pos]
-    pairs = [
-        [(pos[i][l - 1], pos[j][m - 1], mu) for l, m, mu in cone_levels]
-        for (i, j), cone_levels in zip(surface.cones, levels)
-    ]
-    return bundle_chern(surface, jumps, pairs)
+    return tuple(
+        (i * rank + l - 1, j * rank + m - 1, mu)
+        for i, j in surface.cones
+        for l, m, mu in jump_pairs(flags[i], flags[j])
+    )
 
 
 def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
@@ -671,7 +677,8 @@ class _Candidate(NamedTuple):
     """One H-independent candidate of a window search.
 
     ``key`` names its configuration model; ``forms`` are the distinct
-    stability forms of its bundle; ``on_shell`` marks a candidate on the
+    stability forms of its bundle, and ``form_ids`` their indices in the
+    stage's :attr:`_Stage.forms`; ``on_shell`` marks a candidate on the
     outer two shells of the search bound.
     """
 
@@ -679,36 +686,64 @@ class _Candidate(NamedTuple):
     tops: tuple
     windows: tuple
     forms: tuple[tuple[int, ...], ...]
+    form_ids: tuple[int, ...]
     on_shell: bool
 
 
+class _Stage(NamedTuple):
+    """The candidates of a window search at one bound, and their distinct stability forms."""
+
+    candidates: tuple[_Candidate, ...]
+    forms: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _candidates(
-    surface_name: str, rank: int, c1: tuple, c2: int, bound: int
-) -> tuple[_Candidate, ...]:
+def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) -> _Stage:
     """Every candidate of the window search at one bound, in search order.
 
     This stage does not depend on the polarization: it runs the case's
     window generator with the closed-form (c1, c2) filter and keeps one
     record per survivor, with the stability forms read off its windows (no
-    bundle is built).
+    bundle is built).  Each model met is compiled once: its level pairs and
+    its :func:`~.klyachko.stability_table`.
     """
     surface = surface_by_name(surface_name)
     generate, _start = _search(surface, rank, c1, c2)
     out = []
-    shared: dict[tuple, tuple] = {}  # one object per distinct form, tops or window
-    levels: dict[tuple, list] = {}  # level pairs per model
+    shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
+    form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
+    forms: list[tuple] = []
+    compiled: dict[tuple, tuple] = {}  # per model: level pairs and stability table
     for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
-        if model.key not in levels:
-            levels[model.key] = _level_pairs(surface, model)
-        pos = [_jump_positions(t, w, rank) for t, w in zip(tops, windows)]
-        if _closed_chern(surface, pos, levels[model.key]) != (c1, c2):
+        if model.key not in compiled:
+            compiled[model.key] = (
+                _level_pairs(surface, model),
+                stability_table(surface, rank, model.candidates),
+            )
+        pairs, table = compiled[model.key]
+        if bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) != (c1, c2):
             continue
-        forms = stability_forms(surface, rank, windows, model.candidates)
-        forms = tuple(dict.fromkeys(shared.setdefault(v, v) for v in forms))
+        x = [*chain.from_iterable(windows)]
+        ids = []
+        for rows in table:
+            v = tuple(sum(map(mul, x, row)) for row in rows)
+            k = form_id.setdefault(v, len(forms))
+            if k == len(forms):
+                forms.append(v)
+            ids.append(k)
+        ids = tuple(dict.fromkeys(ids))
         windows = tuple(shared.setdefault(w, w) for w in windows)
-        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, forms, on_shell))
-    return tuple(out)
+        out.append(
+            _Candidate(
+                model.key,
+                shared.setdefault(tops, tops),
+                windows,
+                tuple(forms[k] for k in ids),
+                ids,
+                on_shell,
+            )
+        )
+    return _Stage(tuple(out), tuple(forms))
 
 
 @lru_cache(maxsize=None)
@@ -726,17 +761,31 @@ def _bundle(
 # ---------------------------------------------------------------------------
 
 
+def _stable(stage: _Stage, H: tuple) -> list[_Candidate]:
+    """The candidates of a stage that are stable at H, in order, from one sign table.
+
+    ``v . H`` is computed once per distinct form; a candidate's verdict is
+    the largest sign among its forms.  The first candidate whose largest
+    value is 0 raises :class:`~.klyachko.SlopeTie`.
+    """
+    signs = [sum(map(mul, v, H)) for v in stage.forms]
+    stable = []
+    for cand in stage.candidates:
+        top = max(map(signs.__getitem__, cand.form_ids), default=-1)
+        if top == 0:
+            raise SlopeTie(f"polarization {H} is on a wall for this sheaf")
+        if top < 0:
+            stable.append(cand)
+    return stable
+
+
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """The stable bundles at H, by the shell rule of the module docstring."""
+    """The stable bundles at H, by the sign table and the shell rule of the module docstring."""
     c1 = tuple(c1)
     _generate, start = _search(surface, rank, c1, c2)
     bound = start
     while True:
-        stable = [
-            cand
-            for cand in _candidates(surface.name, rank, c1, c2, bound)
-            if stable_at(cand.forms, H)
-        ]
+        stable = _stable(_candidates(surface.name, rank, c1, c2, bound), H)
         hits = [cand.windows for cand in stable if cand.on_shell]
         if not hits:
             return [
@@ -893,6 +942,16 @@ def hirzebruch_ch2_check(sheaf: TorusSheaf) -> bool:
     if not sheaf.is_locally_free:
         raise EnumerationError("the closed c2 formula applies to bundles")
     surface, flags = sheaf.surface, sheaf.flags
-    pairs = [jump_pairs(flags[i], flags[j]) for i, j in surface.cones]
-    closed = bundle_chern(surface, [flag.jumps for flag in flags], pairs)
-    return closed == chern_invariants(sheaf)[1:]
+    positions, index = [], []  # index[i][p]: where ray i's step at p starts in positions
+    for flag in flags:
+        at = {}
+        for p, r in flag.jumps:
+            at[p] = len(positions)
+            positions += [p] * r
+        index.append(at)
+    pairs = [
+        (index[i][p], index[j][q], mu)
+        for i, j in surface.cones
+        for p, q, mu in jump_pairs(flags[i], flags[j])
+    ]
+    return bundle_chern(surface, positions, pairs) == chern_invariants(sheaf)[1:]

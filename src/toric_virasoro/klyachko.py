@@ -19,16 +19,18 @@ From this data the module computes
   bundle's ``sum mu * chi^(p, q)`` over the jump pairs of the cone's two
   flags, corrected at each site of the local family,
 * rank, first Chern class, and second Chern class — by exact localization on
-  the surface (:func:`chern_invariants`), and in closed form from the jumps
-  and jump pairs of a bundle (:func:`bundle_chern`),
+  the surface (:func:`chern_invariants`), and in closed form from the jump
+  positions and jump pairs of a bundle (:func:`bundle_chern`),
 * slope (in)stability against a polarization, over a finite list of
   candidate destabilizing subspaces W; slopes are compared as integers
   (``rank * H``-degree against ``dim W * H``-degree), never as fractions.
   Both degrees are linear in H, so each W gives one integer *stability
-  form* v and the test at H is the sign of ``v . H`` (:func:`stable_at`).
-  The forms come in closed form from the window lengths between the jumps
-  and the dimensions ``dim(W n F_i^m)`` (:func:`stability_forms`): the top
-  jump positions cancel, so no sheaf is needed (the tests keep the slope
+  form* v and the test at H is the sign of ``v . H``.  The form is linear
+  in the window lengths between the jumps, with coefficients from the
+  dimensions ``dim(W n F_i^m)``: :func:`stability_table` gives, once per
+  list of candidates, one integer row per (W, basis divisor), and a form is
+  the dot product of those rows with the flattened windows.  The top jump
+  positions cancel, so no sheaf is needed (the tests keep the slope
   comparison read from a built sheaf's flags as the reference), and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exactalg import LaurentPoly, Rat, convolve, power_sum
 from .surfaces import FixedPoint, Surface
@@ -308,7 +311,13 @@ class TorusSheaf:
                 mult[cell] = mult.get(cell, 0) + sign * delta
         return LaurentPoly({point.char_from_pair(*cell): c for cell, c in sorted(mult.items())})
 
-    def restrictions(self) -> tuple[LaurentPoly, ...]:
+    @cached_property
+    def charts(self) -> tuple[LaurentPoly, ...]:
+        """The restriction at every surface point, in point order, computed once per sheaf.
+
+        The values are shared by every case built from the sheaf, so they
+        are never mutated.
+        """
         return tuple(self.restriction(p) for p in self.surface.points)
 
     # -- identity ---------------------------------------------------------
@@ -349,7 +358,7 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     """
     S = sheaf.surface
     den = S.tangent_denominator
-    terms = [sheaf.restriction(p).integer_terms() for p in S.points]
+    terms = [chart.integer_terms() for chart in sheaf.charts]
     ranks = {power_sum(t, 0)[0] for t in terms}
     if len(ranks) != 1:
         raise ValueError(f"inconsistent ranks at fixed points: {ranks}")
@@ -373,23 +382,24 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
 
 
 def bundle_chern(
-    surface: Surface,
-    jumps: Sequence[Sequence[tuple[int, int]]],
-    pairs: Sequence[Iterable[tuple[int, int, int]]],
+    surface: Surface, positions: Sequence[int], pairs: Iterable[tuple[int, int, int]]
 ) -> tuple[tuple[int, ...], int]:
-    """(c1, c2) of a toric bundle in closed form from its jumps (Klyachko).
+    """(c1, c2) of a toric bundle of rank r in closed form from its jumps (Klyachko).
 
-    ``jumps[i]`` lists ``(p, r)`` per step of ray i (position and rank
-    jump) and ``pairs[k]`` the ``(p, q, mu)`` jump pairs of cone k (in
-    ``surface.cones`` order, as :func:`jump_pairs` gives them).  Then
-    ``c1 = -sum_i (sum r*p) D_i`` and
-    ``2*ch2 = sum_i D_i^2 * sum r*p^2 + 2 * sum_cones sum mu*p*q``, and
-    ``c2 = c1^2/2 - ch2``.
+    ``positions`` lists the jump positions ray by ray, each repeated by its
+    rank jump, so ray i holds ``positions[i*r:(i + 1)*r]``.  ``pairs`` lists
+    the jump pairs of every cone as ``(a, b, mu)``: ``mu`` copies of
+    ``chi^(positions[a], positions[b])`` (:func:`jump_pairs`, with each step
+    at the index of its first unit).  Then ``c1 = -sum_i (sum p) D_i`` and
+    ``2*ch2 = sum_i D_i^2 * sum p^2 + 2 * sum mu*p*q``, each inner sum over
+    ray i's positions, and ``c2 = c1^2/2 - ch2``.
     """
-    lin = [sum(r * p for p, r in ray) for ray in jumps]
+    r = len(positions) // len(surface.rays)
+    rays = [positions[k : k + r] for k in range(0, len(positions), r)]
+    lin = list(map(sum, rays))
     c1 = tuple(-sum(map(mul, lin, col)) for col in zip(*surface.ray_classes))
-    two_ch2 = 2 * sum(mu * p * q for cone in pairs for p, q, mu in cone) + sum(
-        square * r * p * p for square, ray in zip(surface.ray_squares, jumps) for p, r in ray
+    two_ch2 = 2 * sum(mu * positions[a] * positions[b] for a, b, mu in pairs) + sum(
+        square * sum(map(mul, ray, ray)) for square, ray in zip(surface.ray_squares, rays)
     )
     two_c2 = surface.pair(c1, c1) - two_ch2
     if two_c2 % 2:
@@ -425,51 +435,39 @@ class SlopeTie(Exception):
     """
 
 
-def stability_forms(
+def stability_table(
     surface: Surface,
     rank: int,
-    windows: Sequence[Sequence[int]],
     candidates: Iterable[tuple[int, Iterable[tuple[tuple[int, int], int]]]],
-) -> Iterator[tuple[int, ...]]:
-    """One integer form v per candidate W, with ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per candidate W, one integer row per basis divisor l: ``v_l`` is the row times the windows.
 
-    ``windows[i][m - 1]`` is the gap between the jumps to levels m and m + 1
-    along ray i, and each candidate is ``(w, (((i, m), d), ...))`` with
-    ``w = dim W`` and ``d = dim(W n F_i^m)``.  Along ray i the weighted jump
-    sum of W is ``w*top_i - sum_m windows[i][m - 1]*d``, so the top jump
-    positions cancel and
+    Here v is the stability form of W, ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
+    Write ``windows[i][m - 1]`` for the gap between the jumps to levels m
+    and m + 1 along ray i, flattened ray by ray into ``x`` (index
+    ``i*(r - 1) + m - 1``).  Each candidate is ``(w, (((i, m), d), ...))``
+    with ``w = dim W`` and ``d = dim(W n F_i^m)``.  Along ray i the weighted
+    jump sum of W is ``w*top_i - sum_m windows[i][m - 1]*d``, so the top
+    jump positions cancel and
     ``v = sum_i g_i sum_m windows[i][m - 1]*(r*d - w*m)``, where ``g_i`` is
-    the degree vector of ray i.  W destabilizes at H when ``v . H > 0`` and
-    ties when ``v . H == 0``.  The forms are yielded
-    lazily, so a test at one H can stop at the first destabilizing
-    candidate.
+    the degree vector of ray i (its pairing with each basis divisor).  So
+    ``v_l = sum(map(mul, x, row_l))`` with
+    ``row_l[i*(r - 1) + m - 1] = g_i[l]*(r*d - w*m)``.  W destabilizes at H
+    when ``v . H > 0`` and ties when ``v . H == 0``.
     """
     n = surface.picard_rank
+    degrees = [
+        [sum(map(mul, cls, col)) for col in zip(*surface.intersection)]
+        for cls in surface.ray_classes
+    ]
+    table = []
     for w, dims in candidates:
-        coef = [0] * len(windows)
+        rows = [[0] * (len(degrees) * (rank - 1)) for _ in range(n)]
         for (i, m), d in dims:
-            coef[i] += windows[i][m - 1] * (rank * d - w * m)
-        # xi = r*c1(W) - w*c1(E) in the divisor basis; v pairs it with the basis
-        xi = [sum(c * cls[k] for c, cls in zip(coef, surface.ray_classes)) for k in range(n)]
-        yield tuple(sum(x * row[l] for x, row in zip(xi, surface.intersection)) for l in range(n))
-
-
-def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:
-    """Strict slope stability at H from the stability forms: sign tests in H.
-
-    Unstable as soon as some ``v . H > 0``; otherwise a ``v . H == 0``
-    raises SlopeTie.
-    """
-    tie = False
-    for v in forms:
-        s = sum(a * h for a, h in zip(v, polarization))
-        if s > 0:
-            return False
-        if s == 0:
-            tie = True
-    if tie:
-        raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
-    return True
+            for row, g in zip(rows, degrees[i]):
+                row[i * (rank - 1) + m - 1] += g * (rank * d - w * m)
+        table.append(tuple(map(tuple, rows)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

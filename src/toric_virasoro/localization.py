@@ -399,12 +399,15 @@ def make_case(
     H: tuple,
     sheaves=None,
 ) -> Case:
-    """Build a case from the enumerated fixed locus (or injected sheaves)."""
-    surface = surface_by_name(surface_name)
+    """Build a case from the enumerated fixed locus (or injected sheaves).
+
+    The rows are the sheaves' memoized charts, shared with every other case
+    built from the same sheaves.
+    """
     if sheaves is None:
         sheaves = fixed_locus_cached(surface_name, rank, tuple(c1), c2, tuple(H))
-    rows = tuple(tuple(sh.restriction(p) for p in surface.points) for sh in sheaves)
-    return Case(surface, rank, tuple(c1), c2, tuple(H), rows)
+    rows = tuple(sh.charts for sh in sheaves)
+    return Case(surface_by_name(surface_name), rank, tuple(c1), c2, tuple(H), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,18 @@ division.  They are also the reference for the K-theoretic clearing of
 ``chi(E, E)``, which the package does with an
 ``exactalg.BinomialDenominator`` (:func:`euler_pairing`).
 
-:func:`is_stable` is the slope comparison read from a built sheaf's flags;
-the enumeration decides stability by ``klyachko.stable_at`` on the
-window-level stability forms instead.
+:func:`is_stable` is the slope comparison read from a built sheaf's flags.
+:func:`stability_forms` reads the same comparison as one integer form per
+candidate subspace, straight off the windows, and :func:`stable_at` tests
+the signs of those forms at H, candidate by candidate.  The enumeration
+instead compiles each model's forms once (``klyachko.stability_table``)
+and tests a whole stage at H on one sign table of its distinct forms
+(``enumeration._stable``).
+
+:func:`closed_chern` is the closed-form (c1, c2) of a candidate as the
+enumeration first read it: nested per-ray jump lists and per-cone jump
+pairs by value (:func:`nested_level_pairs`).  The enumeration now feeds
+``klyachko.bundle_chern`` flat jump positions and index triples.
 
 :func:`restriction` is the grid walk that ``TorusSheaf.restriction``
 replaced: the second difference of the dimension grid over every cell of
@@ -49,7 +58,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
@@ -65,7 +75,7 @@ from toric_virasoro.enumeration import (
     _r4_configs,
     _window_profiles,
 )
-from toric_virasoro.klyachko import Flag, SlopeTie, TorusSheaf
+from toric_virasoro.klyachko import Flag, SlopeTie, Subspace, TorusSheaf, jump_pairs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -652,9 +662,9 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
     Raises SlopeTie if some candidate has exactly the slope of the sheaf
     (the polarization lies on a wall for this topological type).
 
-    This is the reference definition: the enumeration decides stability by
-    :func:`stable_at` on the window-level :func:`stability_forms`, and the
-    tests check that the two verdicts agree.
+    This is the reference definition: the enumeration decides stability on
+    a sign table of the window-level stability forms, and the tests check
+    that the verdicts agree.
     """
     r = sheaf.rank
     deg_e = slope_times_rank(sheaf, polarization)
@@ -671,6 +681,87 @@ def is_stable(sheaf: TorusSheaf, polarization: tuple, patterns: Iterable[Pattern
     if tie:
         raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
     return True
+
+
+def stability_forms(
+    surface,
+    rank: int,
+    windows: Sequence[Sequence[int]],
+    candidates: Iterable[tuple[int, Iterable[tuple[tuple[int, int], int]]]],
+) -> Iterator[tuple[int, ...]]:
+    """One integer form v per candidate W, with ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
+
+    ``windows[i][m - 1]`` is the gap between the jumps to levels m and m + 1
+    along ray i, and each candidate is ``(w, (((i, m), d), ...))`` with
+    ``w = dim W`` and ``d = dim(W n F_i^m)``.  Along ray i the weighted jump
+    sum of W is ``w*top_i - sum_m windows[i][m - 1]*d``, so the top jump
+    positions cancel and
+    ``v = sum_i g_i sum_m windows[i][m - 1]*(r*d - w*m)``, where ``g_i`` is
+    the degree vector of ray i.  W destabilizes at H when ``v . H > 0`` and
+    ties when ``v . H == 0``.  The forms are yielded
+    lazily, so a test at one H can stop at the first destabilizing
+    candidate.
+    """
+    n = surface.picard_rank
+    for w, dims in candidates:
+        coef = [0] * len(windows)
+        for (i, m), d in dims:
+            coef[i] += windows[i][m - 1] * (rank * d - w * m)
+        # xi = r*c1(W) - w*c1(E) in the divisor basis; v pairs it with the basis
+        xi = [sum(c * cls[k] for c, cls in zip(coef, surface.ray_classes)) for k in range(n)]
+        yield tuple(sum(x * row[l] for x, row in zip(xi, surface.intersection)) for l in range(n))
+
+
+def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:
+    """Strict slope stability at H from the stability forms: sign tests in H.
+
+    Unstable as soon as some ``v . H > 0``; otherwise a ``v . H == 0``
+    raises SlopeTie.
+    """
+    tie = False
+    for v in forms:
+        s = sum(a * h for a, h in zip(v, polarization))
+        if s > 0:
+            return False
+        if s == 0:
+            tie = True
+    if tie:
+        raise SlopeTie(f"polarization {polarization} is on a wall for this sheaf")
+    return True
+
+
+def nested_level_pairs(surface, model) -> list[list[tuple[int, int, int]]]:
+    """Per cone, the ``(l, m, mu)`` jump pairs of the model's level flags (space l at l)."""
+    rank = model.rank
+    flags = [
+        Flag(rank, (*((l, model.space(i, l)) for l in range(1, rank)), (rank, Subspace.full(rank))))
+        for i in range(len(surface.rays))
+    ]
+    return [jump_pairs(flags[i], flags[j]) for i, j in surface.cones]
+
+
+def closed_chern(surface, model, tops, windows) -> tuple[tuple[int, ...], int]:
+    """(c1, c2) of the bundle of a model, tops and windows, from nested jump and pair lists."""
+    rank = model.rank
+    pos = []
+    for top, wins in zip(tops, windows):
+        row = [top] * rank
+        for lvl in range(rank - 1, 0, -1):
+            row[lvl - 1] = row[lvl] - wins[lvl - 1]
+        pos.append(row)
+    jumps = [[(x, 1) for x in row] for row in pos]
+    pairs = [
+        [(pos[i][l - 1], pos[j][m - 1], mu) for l, m, mu in cone_levels]
+        for (i, j), cone_levels in zip(surface.cones, nested_level_pairs(surface, model))
+    ]
+    lin = [sum(r * p for p, r in ray) for ray in jumps]
+    c1 = tuple(-sum(map(mul, lin, col)) for col in zip(*surface.ray_classes))
+    two_ch2 = 2 * sum(mu * p * q for cone in pairs for p, q, mu in cone) + sum(
+        square * r * p * p for square, ray in zip(surface.ray_squares, jumps) for p, r in ray
+    )
+    two_c2 = surface.pair(c1, c1) - two_ch2
+    assert two_c2 % 2 == 0, two_c2
+    return c1, two_c2 // 2
 
 
 def apply_R(k: int, D: DescPoly, surface, plus: bool = False) -> DescPoly:

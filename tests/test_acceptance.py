@@ -114,9 +114,9 @@ def test_criterion_5_enumeration_counts():
     assert len(high) == 22
     high_lf = [s for s in high if s.is_locally_free]
     assert len(high_lf) == 6
-    low_keys = {canonical_row_key(s.restrictions()) for s in low}
+    low_keys = {canonical_row_key(s.charts) for s in low}
     new_keys = {
-        canonical_row_key(s.restrictions()) for s in high_lf
+        canonical_row_key(s.charts) for s in high_lf
     } - low_keys
     assert len(new_keys) == 4  # 2 of the 6 persist across the wall, 4 are new
 

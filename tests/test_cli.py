@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toric_virasoro
-from toric_virasoro import cli
+from toric_virasoro import cli, golden
 from toric_virasoro.cli import main
 from toric_virasoro.enumeration import EnumerationError
 from toric_virasoro.klyachko import SlopeTie
@@ -104,6 +104,35 @@ class TestVerify:
         code, out = run(capsys, "verify", "--case", "f1-FZ-c2-1")
         assert code == 0
         assert "PASS" in out
+
+
+    def test_jobs_start_at_most_one_worker_per_case(self, capsys, monkeypatch):
+        # the pool starts all of its workers at once; an in-process stand-in
+        # records how many were asked for, so no process is started here
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(golden, "list_cases", lambda: ["f1-FZ-c2-1", "p2-r2-c2-1"])
+        serial = run(capsys, "verify", "--all", "--jobs", "1")
+        assert workers == []
+        assert run(capsys, "verify", "--all", "--jobs", "64") == serial
+        assert workers == [2]
+        assert serial[0] == 0 and "across 2 case(s)" in serial[1]
+        assert run(capsys, "verify", "--case", "p2-r2-c2-1", "--jobs", "64")[0] == 0
+        assert workers == [2]
 
 
 class TestExitCodes:
@@ -413,6 +442,10 @@ TRANSCRIPTS = {
     "verify-f0-FZ-c2-2-H2F5Z.md.txt": (*_VERIFY, "--format", "markdown"),
     "verify-p2-r2-c2-3.txt": ("verify", "--case", "p2-r2-c2-3"),
     "enumerate-f0-r2-all-chambers.txt": ("enumerate", *_F0_R2, "--H", "all-chambers"),
+    "enumerate-f0-r2-c2-3-all-chambers.txt": (
+        "enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "3",
+        "--H", "all-chambers",
+    ),
     "enumerate-p2-r2-c2-2.md.txt": ("enumerate", *_P2_R2, "--format", "markdown"),
     "enumerate-p2-r3-c2-2.txt": ("enumerate", *_P2_R3, "--c2", "2"),
     "enumerate-p2-r3-c2-3.txt": ("enumerate", *_P2_R3, "--c2", "3"),
@@ -433,6 +466,7 @@ def test_output_matches_recorded_transcript(capsys, transcript):
     "transcript",
     [
         "enumerate-f0-r2-all-chambers.txt",
+        "enumerate-f0-r2-c2-3-all-chambers.txt",
         "walls-f0-r2-c2-2.txt",
         "verify-f0-FZ-c2-2-H2F5Z.json.txt",
         "enumerate-p2-r3-c2-3.txt",

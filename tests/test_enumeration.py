@@ -8,20 +8,28 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fa_r2_windows, higher_windows, is_stable, slope_times_rank
+from oracles import (
+    closed_chern,
+    fa_r2_windows,
+    higher_windows,
+    is_stable,
+    slope_times_rank,
+    stability_forms,
+    stable_at,
+)
 import toric_virasoro
 from toric_virasoro import cli, enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
     _build_bundle,
-    _closed_chern,
     _jump_positions,
     _level_pairs,
     _r2_configs,
@@ -42,15 +50,15 @@ from toric_virasoro.golden import canonical_row_key
 from toric_virasoro.klyachko import (
     NonIsolated,
     SlopeTie,
+    bundle_chern,
     chern_invariants,
-    stability_forms,
-    stable_at,
+    stability_table,
 )
 from toric_virasoro.surfaces import surface_by_name
 
 
 def canonical_multiset(locus):
-    return sorted(canonical_row_key(sheaf.restrictions()) for sheaf in locus)
+    return sorted(canonical_row_key(sheaf.charts) for sheaf in locus)
 
 
 class TestProjectivePlaneCounts:
@@ -286,18 +294,34 @@ def _reference_forms(sheaf, patterns):
 
 @lru_cache(maxsize=1)
 def _candidate_sheaves(name, c1, c2):
-    """(candidate, bundle, patterns, distinct reference forms) for every
-    stage-1 candidate of a case."""
+    """The stage-1 candidates of a case, and (candidate, bundle, patterns,
+    distinct reference forms) for each."""
     surface = surface_by_name(name)
     _generate, bound = enumeration._search(surface, 2, c1, c2)
+    stage = enumeration._candidates(surface.name, 2, c1, c2, bound)
     out = []
-    for cand in enumeration._candidates(surface.name, 2, c1, c2, bound):
+    for cand in stage.candidates:
         model = enumeration._model(cand.key)
         sheaf = _build_bundle(surface, 2, model, cand.tops, cand.windows)
         patterns = tuple(_patterns(sheaf, model))
         forms = tuple(dict.fromkeys(_reference_forms(sheaf, patterns)))
         out.append((cand, sheaf, patterns, forms))
-    return out
+    return stage, out
+
+
+def _table_forms(surface, model, windows):
+    """The stability forms of every model candidate, as the compiled table gives them."""
+    x = [w for wins in windows for w in wins]
+    table = stability_table(surface, model.rank, model.candidates)
+    return [tuple(sum(map(mul, x, row)) for row in rows) for rows in table]
+
+
+def _sign_table_verdict(forms, H):
+    """The sign-table verdict at H of one candidate with these forms (or "tie")."""
+    distinct = tuple(dict.fromkeys(forms))
+    cand = enumeration._Candidate(None, (), (), distinct, tuple(range(len(distinct))), False)
+    stage = enumeration._Stage((cand,), distinct)
+    return _verdict(lambda: enumeration._stable(stage, H) == [cand])
 
 
 def _polarizations(a):
@@ -327,14 +351,19 @@ _R2_CASES = _FA_CASES + [pytest.param("p2", (1,), id="p2-c1H")]
 @given(data=st.data())
 def test_form_verdict_matches_is_stable(name, c1, c2, data):
     # the stored forms are the distinct forms of the built bundle, in order,
-    # and their sign test decides exactly what the reference slope
-    # comparison decides, SlopeTie included, for every candidate
+    # and the stage's sign table decides exactly what the reference slope
+    # comparison and the per-candidate sign test decide, SlopeTie included,
+    # for every candidate and for the whole stage
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
-    for cand, sheaf, patterns, forms in _candidate_sheaves(name, c1, c2):
-        assert cand.forms == forms, cand[:3]
+    stage, rows = _candidate_sheaves(name, c1, c2)
+    for cand, sheaf, patterns, forms in rows:
+        assert cand.forms == forms == tuple(stage.forms[k] for k in cand.form_ids), cand[:3]
         want = _verdict(lambda: is_stable(sheaf, H, patterns))
         assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand[:3], H)
+        assert _sign_table_verdict(cand.forms, H) == want, (cand[:3], H)
+    scan = _verdict(lambda: [c for c in stage.candidates if stable_at(c.forms, H)])
+    assert _verdict(lambda: enumeration._stable(stage, H)) == scan
 
 
 class TestTwoStageSearch:
@@ -378,7 +407,7 @@ class TestTwoStageSearch:
         monkeypatch.setattr(enumeration, "_r2_box", lambda K, a: 3)
 
         def shell_hit(H, bound):
-            cands = enumeration._candidates("F0", 2, (1, 1), 3, bound)
+            cands = enumeration._candidates("F0", 2, (1, 1), 3, bound).candidates
             return any(c.on_shell and stable_at(c.forms, H) for c in cands)
 
         for H, keys in zip(reps, default):
@@ -404,7 +433,7 @@ class TestTwoStageSearch:
         _clear_memos()
         fired = []
         for H in reps:
-            cands = enumeration._candidates("F0", 2, (1, 1), 3, 3)
+            cands = enumeration._candidates("F0", 2, (1, 1), 3, 3).candidates
             stable = any(stable_at(c.forms, H) for c in cands)
             try:
                 enumerate_bundles(f0, 2, (1, 1), 3, H)
@@ -422,7 +451,7 @@ class TestTwoStageSearch:
         p2 = surface_by_name("p2")
         default = [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))]
         monkeypatch.setattr(enumeration, "_P_START", 2)
-        start = enumeration._candidates("P2", 3, (1,), 3, 2)
+        start = enumeration._candidates("P2", 3, (1,), 3, 2).candidates
         assert any(c.on_shell and stable_at(c.forms, (1,)) for c in start)
         assert [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))] == default
 
@@ -438,9 +467,9 @@ class TestTwoStageSearch:
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_window_forms_match_the_built_bundle(rank, cfg, data):
-    # the closed form over the windows equals the slope degrees of the
-    # bundle built from the same windows and any tops, and its sign test
-    # gives the reference verdict at every polarization of the plane
+    # the compiled table's forms over the windows equal the slope degrees of
+    # the bundle built from the same windows and any tops, and the sign
+    # table gives the reference verdict at every polarization of the plane
     model = (r3_model if rank == 3 else r4_model)(*cfg)
     window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
     wins = data.draw(st.tuples(window, window, window), label="windows")
@@ -448,10 +477,10 @@ def test_window_forms_match_the_built_bundle(rank, cfg, data):
     p2 = surface_by_name("p2")
     sheaf = _build_bundle(p2, rank, model, tops, wins)
     patterns = tuple(_patterns(sheaf, model))
-    forms = list(stability_forms(p2, rank, wins, model.candidates))
+    forms = _table_forms(p2, model, wins)
     assert forms == _reference_forms(sheaf, patterns)
     H = data.draw(_P2_POLARIZATIONS, label="H")
-    assert _verdict(lambda: stable_at(forms, H)) == _verdict(lambda: is_stable(sheaf, H, patterns))
+    assert _sign_table_verdict(forms, H) == _verdict(lambda: is_stable(sheaf, H, patterns))
 
 
 def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
@@ -509,21 +538,73 @@ _MODEL_CASES = [
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_closed_chern_matches_localization(name, rank, cfg, data):
-    # the searches' (c1, c2) from jump positions and the model's level pairs,
-    # and hirzebruch_ch2_check's from the built flags, equal the localized
+    # the searches' (c1, c2) from flat jump positions and the model's level
+    # pairs as index triples, the nested per-ray and per-cone form, and
+    # hirzebruch_ch2_check's from the built flags, all equal the localized
     # invariants of the bundle built from the same tops and windows (empty
     # windows included, where levels merge)
     surface = surface_by_name(name)
-    nrays = len(surface.rays)
-    model = r2_model(nrays, cfg) if rank == 2 else (r3_model if rank == 3 else r4_model)(*cfg)
-    window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
-    wins = data.draw(st.tuples(*[window] * nrays), label="windows")
-    tops = data.draw(st.tuples(*[st.integers(-6, 6)] * nrays), label="tops")
+    model = _model_of(name, rank, cfg)
+    wins, tops = data.draw(_windows_and_tops(surface, rank), label="windows, tops")
     sheaf = _build_bundle(surface, rank, model, tops, wins)
-    pos = [_jump_positions(top, w, rank) for top, w in zip(tops, wins)]
-    closed = _closed_chern(surface, pos, _level_pairs(surface, model))
+    closed = bundle_chern(surface, _jump_positions(tops, wins, rank), _level_pairs(surface, model))
+    assert closed == closed_chern(surface, model, tops, wins)
     assert (rank, *closed) == chern_invariants(sheaf)
     assert hirzebruch_ch2_check(sheaf)
+
+
+@pytest.mark.parametrize("name, rank, cfg", _MODEL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stability_table_matches_the_oracles(name, rank, cfg, data):
+    # the compiled table's forms equal the per-candidate closed form, in
+    # model order, and the sign table decides as the per-candidate sign
+    # test does, SlopeTie included, at ample H and at H on a wall
+    surface = surface_by_name(name)
+    model = _model_of(name, rank, cfg)
+    wins, _tops = data.draw(_windows_and_tops(surface, rank), label="windows, tops")
+    forms = _table_forms(surface, model, wins)
+    assert forms == list(stability_forms(surface, rank, wins, model.candidates))
+    strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
+    H = data.draw(strategy, label="H")
+    assert _sign_table_verdict(forms, H) == _verdict(lambda: stable_at(forms, H))
+
+
+def _model_of(name, rank, cfg):
+    if rank == 2:
+        return r2_model(len(surface_by_name(name).rays), cfg)
+    return (r3_model if rank == 3 else r4_model)(*cfg)
+
+
+def _windows_and_tops(surface, rank):
+    """Random windows (empty ones included) and tops, one per ray."""
+    nrays = len(surface.rays)
+    window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
+    return st.tuples(st.tuples(*[window] * nrays), st.tuples(*[st.integers(-6, 6)] * nrays))
+
+
+# ---------------------------------------------------------------------------
+# candidate stages, pinned
+
+# (candidates, distinct forms, first 16 hex digits of the sha256 of the repr
+# of every candidate's key, tops, windows, forms and on_shell, in order) at
+# the starting bound, recorded before the stage was compiled per model
+_STAGES = {
+    ("f0", 2, (1, 1), 1): (224, 88, "ea0018eee93c1209"),
+    ("f0", 2, (1, 1), 2): (824, 258, "36b0331a7aa90bdf"),
+    ("f0", 2, (1, 1), 3): (1376, 453, "e3aa82925f3885a7"),
+    ("p2", 3, (1,), 3): (435, 22, "1ca6e22867f4ecc7"),
+}
+
+
+@pytest.mark.parametrize("name, rank, c1, c2", sorted(_STAGES), ids=str)
+def test_candidate_stages_are_pinned(name, rank, c1, c2):
+    surface = surface_by_name(name)
+    _generate, bound = enumeration._search(surface, rank, c1, c2)
+    stage = enumeration._candidates(surface.name, rank, c1, c2, bound)
+    rows = [(c.key, c.tops, c.windows, c.forms, c.on_shell) for c in stage.candidates]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert (len(rows), len(stage.forms), digest) == _STAGES[name, rank, c1, c2]
 
 
 # ---------------------------------------------------------------------------

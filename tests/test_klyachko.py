@@ -139,7 +139,7 @@ class TestSheaves:
         srf = surface_by_name("p2")
         flags = [Flag(1, ((d, Subspace.full(1)),)) for d in (0, 1, -2)]
         sheaf = bundle_from_flags(srf, 1, flags)
-        for chart in sheaf.restrictions():
+        for chart in sheaf.charts:
             assert len(chart.coeffs) == 1
             assert set(chart.coeffs.values()) == {Fraction(1)}
         rank, _c1, c2 = chern_invariants(sheaf)
@@ -306,6 +306,35 @@ def test_restriction_matches_the_grid_walk(sheaf):
                 _assert_restrictions_match_the_grid_walk(grandchild)
     except NonIsolated:
         pass
+
+
+def _assert_charts_are_the_memoized_grid_walk(sheaves):
+    for sheaf in sheaves:
+        want = tuple(oracles.restriction(sheaf, point) for point in sheaf.surface.points)
+        assert sheaf.charts == want
+        assert sheaf.charts is sheaf.charts
+
+
+def _chart_values(sheaves):
+    return [[dict(chart.coeffs) for chart in sheaf.charts] for sheaf in sheaves]
+
+
+def test_charts_of_every_chamber_match_the_grid_walk():
+    f0 = surface_by_name("f0")
+    for H in chamber_representatives(f0, 2, (1, 1), 3):
+        _assert_charts_are_the_memoized_grid_walk(fixed_locus_cached("f0", 2, (1, 1), 3, H))
+
+
+@pytest.mark.parametrize("case_id", golden.list_cases())
+def test_cases_share_the_memoized_charts_and_leave_them_unchanged(case_of, case_id):
+    _gold, case, sheaves = case_of(case_id)
+    _assert_charts_are_the_memoized_grid_walk(sheaves)
+    assert all(row is sheaf.charts for row, sheaf in zip(case.restrictions, sheaves))
+    before = _chart_values(sheaves)
+    case.twisted((1, -2)).tangents()
+    if case.n_points:
+        case.drop_point(0).tangents()
+    assert _chart_values(sheaves) == before
 
 
 def test_jump_pairs_of_coincident_and_general_lines():
