@@ -34,7 +34,11 @@ and once per case.
   empty AND every term vanishes: the kernel returns 0 before any bound or
   product, without a clearing, as for a numerator that sums to 0.
   Otherwise the bound and the products run point by point in
-  ``map(operator.mul, ...)``.
+  ``map(operator.mul, ...)``.  Before the kernel runs, a degree-0 symbol
+  that is one nonzero constant ``c`` at every point (``ch_2(1)`` or
+  ``ch_0(p)``: a topological number) is taken out of the monomial as the
+  factor ``c``, so only the rest is cleared; one that vanishes at every
+  point (``ch_1`` of a divisor) stays in, for the empty-mask exit.
   At the moduli dimension the numerator must be a constant times the LCM,
   checked slot by slot; below it the numerator must vanish, and above it (a
   value that must be 0) it is divided by every LCM form
@@ -172,6 +176,7 @@ class Case:
         self._tangents: list[LaurentPoly] | None = None
         self._int_symbols: dict[tuple[int, str], tuple] = {}
         self._supports: dict[tuple[int, str], int] = {}
+        self._constants: dict[tuple[int, str], Fraction | None] = {}
         self._packs: dict[tuple, tuple[int, ...]] = {}
         self._integrals: dict[Monomial, Fraction] = {}
         self.certified_clearings = 0
@@ -297,14 +302,48 @@ class Case:
             self._packs[key, width] = tuple(pack(row, width) for row in rows)
         return self._packs[key, width]
 
+    def _constant(self, sym: tuple[int, str]) -> Fraction | None:
+        """``c / S`` when the symbol has degree 0 and its rows are one nonzero ``[c]``, else None."""
+        if sym not in self._constants:
+            self._constants[sym] = None
+            if symbol_degree(sym, self.surface) == 0:
+                scale, rows, norms = self._integer_symbol(sym)
+                if norms[0] and all(row == rows[0] for row in rows):
+                    self._constants[sym] = Fraction(rows[0][0], scale)
+        return self._constants[sym]
+
     def integrate_monomial(self, mono: Monomial) -> Fraction:
+        """The integral of a monomial, memoized under its sorted key.
+
+        Every degree-0 symbol that is the same nonzero constant ``c`` at
+        every moduli point (see :meth:`_constant`) is taken out as a factor,
+        and only the rest goes through :meth:`_integrate`.  This is exact:
+        the cleared numerator of ``m = c * m'`` is ``c * N(m')`` as a
+        polynomial, with ``c != 0``, so ``m'`` clears (at, below or above
+        vdim) if and only if ``m`` does, is refused if and only if ``m``
+        is, and its value is ``1/c`` of ``m``'s.  A degree-0 symbol that
+        vanishes everywhere keeps the empty-mask exit of the kernel; one
+        whose rows differ is cleared with the rest.
+        """
         # keyed by sorted monomials, as operator_terms yields them: only a miss sorts
-        if mono not in self._integrals:
+        integrals = self._integrals
+        if mono not in integrals:
             mono = tuple(sorted(mono))
-            if mono not in self._integrals and self.n_points:
-                self._integrals[mono] = self._integrate(mono, monomial_degree(mono, self.surface))
-            self._integrals.setdefault(mono, _ZERO)
-        return self._integrals[mono]
+            if mono not in integrals and self.n_points:
+                factor, rest = 1, []
+                for sym in mono:
+                    c = self._constant(sym)
+                    if c:
+                        factor *= c
+                    else:
+                        rest.append(sym)
+                rest = tuple(rest)  # still sorted
+                if rest not in integrals:
+                    integrals[rest] = self._integrate(rest, monomial_degree(rest, self.surface))
+                if rest != mono:
+                    integrals[mono] = factor * integrals[rest]
+            integrals.setdefault(mono, _ZERO)
+        return integrals[mono]
 
     def _integrate(self, mono: Monomial, deg: int) -> Fraction:
         """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin.

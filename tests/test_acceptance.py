@@ -61,7 +61,7 @@ def test_criterion_2_zero_sum_sweeps(case_of):
     biggest = len(_sweeps["p2-r2-c2-3"])
     # the benchmark case's work counts: distinct integrals and certificates
     _, case, _ = case_of("p2-r2-c2-3")
-    assert (len(case._integrals), case.certified_clearings) == (3993, 1610)
+    assert (len(case._integrals), case.certified_clearings) == (3993, 322)
     _passed(
         "criterion 2: every operator row sums to zero "
         f"({total} rows across {len(ALL_IDS)} cases; {biggest} in p2-r2-c2-3)"

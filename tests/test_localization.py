@@ -1,5 +1,6 @@
 """Fixed-point integration: tangent weights, certificates, operator rows."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -447,6 +448,115 @@ class TestIntegerKernel:
         for k in range(-1, case.vdim + 1):
             for mono in monomial_basis(case.surface, case.vdim - k):
                 assert case.integrate_monomial(mono) == oracle_integral(case, mono)
+
+
+def fresh(case):
+    """A copy of ``case`` with the same tangents and no integral, symbol or constant memoized."""
+    copy = Case(case.surface, case.rank, case.c1, case.c2, case.H, case.restrictions)
+    copy._tangents = case.tangents()
+    return copy
+
+
+def kernel_integral(case, mono):
+    """The kernel alone on the whole, unstripped monomial."""
+    return case._integrate(mono, monomial_degree(mono, case.surface))
+
+
+def degree_zero_symbols(surface):
+    """``ch_2(1)``, ``ch_1(D)`` for every divisor ``D`` and ``ch_0(p)``."""
+    names = ["1", *surface.divisor_names, "p"]
+    return [(2 - surface.class_degree(name), name) for name in names]
+
+
+class TestDegreeZeroFactors:
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(["p2-r2-c2-3", "f0-FZ-c2-2-H2F5Z"]), st.integers(-1, 1), st.data())
+    def test_stripped_integral_equals_the_kernel_and_the_oracle(
+        self, case_of, case_id, above, data
+    ):
+        # a restricted monomial of degree vdim - 1, vdim or vdim + 1, times
+        # degree-0 symbols: the constants ch_2(1) and ch_0(p) at random
+        # multiplicities, the vanishing ch_1(D) now and then
+        _, case, _ = case_of(case_id)
+        rest = data.draw(st.sampled_from(monomial_basis(case.surface, case.vdim + above)))
+        extra = []
+        for sym in degree_zero_symbols(case.surface):
+            counts = st.integers(0, 3) if case._constant(sym) else st.sampled_from([0, 0, 0, 1])
+            extra += [sym] * data.draw(counts)
+        mono = tuple(sorted(rest + tuple(extra)))
+        stripped = fresh(case)
+        outcome = _outcome(Case.integrate_monomial, stripped, mono)
+        assert outcome == _outcome(kernel_integral, fresh(case), mono)
+        assert outcome == _outcome(oracle_integral, case, mono)
+        if extra and all(stripped._constant(sym) for sym in extra):
+            # the constants leave as one factor; only the rest is cleared
+            assert set(stripped._integrals) == {mono, tuple(sorted(rest))}
+
+    def test_every_sweep_integral_equals_the_kernel_on_the_whole_monomial(self, case_of):
+        _, case, _ = case_of("p2-r2-c2-3")
+        sweep, kernel = fresh(case), fresh(case)
+        verify_conjecture(sweep)
+        assert len(sweep._integrals) == 3993
+        for mono, value in sweep._integrals.items():
+            assert kernel_integral(kernel, mono) == value, mono
+        # the unstripped monomials take a clearing each that the stripped
+        # sweep shares between the monomials with the same rest
+        assert (sweep.certified_clearings, kernel.certified_clearings) == (322, 1610)
+
+    @pytest.mark.parametrize("off", [-2, 5])
+    def test_a_symbol_is_factored_only_where_it_is_one_constant(self, case_of, off):
+        # ch_0(p) is the constant -2; injected as -2 where ch_3(1) is nonzero
+        # (42 of 48 points) and as `off` elsewhere, it is one constant only
+        # when off = -2.  Otherwise the kernel clears it with the rest, and
+        # the product equals -2 * ch_3(1)^2 ch_2(H)^6 at every point
+        _, case, _ = case_of("p2-r2-c2-3")
+        copy = fresh(case)
+        sym = (0, "p")
+        rest = parse_monomial("ch_3(1)^2ch_2(H)^6")
+        norms = case._integer_symbol((3, "1"))[2]
+        set_symbol(copy, sym, [LaurentPoly.const(-2 if norm else off) for norm in norms])
+        mono = tuple(sorted(rest + (sym,)))
+        value = copy.integrate_monomial(mono)
+        assert value == -2 * Fraction(-45, 32) == oracle_integral(copy, mono)
+        assert (copy._constant(sym) is None) == (off != -2)
+        assert copy.certified_clearings == 1
+        assert set(copy._integrals) == ({mono} if off != -2 else {mono, rest})
+
+    def test_a_symbol_that_differs_between_points_is_refused_as_by_the_oracle(self, case_of):
+        _, case, _ = case_of("p2-r2-c2-3")
+        copy = fresh(case)
+        sym = (0, "p")
+        set_symbol(copy, sym, [LaurentPoly.const(1 + q % 2) for q in range(copy.n_points)])
+        mono = tuple(sorted(parse_monomial("ch_3(1)^2ch_2(H)^6") + (sym,)))
+        outcome = _outcome(Case.integrate_monomial, copy, mono)
+        assert copy._constant(sym) is None
+        assert outcome == _outcome(oracle_integral, copy, mono)
+        assert outcome[0] == "NotDivisible"
+
+    def test_a_positive_degree_symbol_equal_at_every_point_is_not_factored(self, case_of):
+        # ch_1(p) = s + t at every point is no constant: times ch_2(F)^3
+        # (27/8 at vdim) the sum is 27/8 * (s + t), whose value at the origin is 0
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        copy = fresh(case)
+        sym = (1, "p")
+        set_symbol(copy, sym, [parse_laurent("s + t")] * copy.n_points)
+        mono = tuple(sorted(parse_monomial("ch_2(F)^3") + (sym,)))
+        assert copy._constant(sym) is None
+        assert copy.integrate_monomial(mono) == ZERO == oracle_integral(copy, mono)
+
+    @pytest.mark.parametrize("case_id", ["f0-FZ-c2-2-H2F5Z", "p2-r2-c2-3"])
+    def test_permuted_fixed_points_give_the_same_sweep(self, case_of, case_id):
+        _, case, _ = case_of(case_id)
+        order = list(range(case.n_points))
+        random.Random(0).shuffle(order)
+        permuted = Case(
+            case.surface, case.rank, case.c1, case.c2, case.H,
+            tuple(case.restrictions[q] for q in order),
+        )
+        straight = fresh(case)
+        assert verify_conjecture(permuted) == verify_conjecture(straight)
+        assert permuted._integrals == straight._integrals
+        assert permuted.certified_clearings == straight.certified_clearings
 
 
 def _symbol_outcome(realize, case, sym):
