@@ -8,7 +8,7 @@ Subcommands
 ``verify``       recompute a bundled reference case (or all of them, or a
                  custom configuration) and check every zero-sum constraint
                  and every recorded table row exactly
-``bracket``      run the symbolic commutator suite for the graded operators
+``bracket``      prove the commutators of the graded operators on generators
 ``walls``        report wall slopes, chambers, and fixed-locus variants
 ``dump-golden``  list or re-render the bundled reference data
 
@@ -70,6 +70,11 @@ class ConfigError(ValueError):
     """The requested case is malformed or outside the supported range."""
 
 
+def _check_surface(name: str) -> None:
+    if name not in _SUPPORTED:
+        raise ConfigError(f"unknown surface {name!r}; expected one of {', '.join(_SUPPORTED)}")
+
+
 # ---------------------------------------------------------------------------
 # case configuration
 
@@ -101,10 +106,7 @@ class CaseConfig:
             self.H = _as_ints(self.H, "H")
 
     def validate(self) -> None:
-        if self.surface not in _SUPPORTED:
-            raise ConfigError(
-                f"unknown surface {self.surface!r}; expected one of {', '.join(_SUPPORTED)}"
-            )
+        _check_surface(self.surface)
         srf = surface_by_name(self.surface)
         if self.rank == 2:
             pass
@@ -446,11 +448,12 @@ def cmd_bracket(args) -> int:
         raise ConfigError(f"max-k must be >= -1, got {args.max_k}")
     if args.max_degree < 0:
         raise ConfigError(f"max-degree must be >= 0, got {args.max_degree}")
-    names = args.surface or ["p2", "f0"]
+    # every name is refused before any surface is checked; each is checked once
+    names = list(dict.fromkeys(name.lower() for name in args.surface or ["p2", "f0"]))
+    for name in names:
+        _check_surface(name)
     total = 0
     for name in names:
-        if name not in _SUPPORTED:
-            raise ConfigError(f"unknown surface {name!r}")
         srf = surface_by_name(name)
         try:
             checked = bracket_suite(srf, max_k=args.max_k, max_degree=args.max_degree)
@@ -601,9 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
-    br = subs.add_parser("bracket", help="run the symbolic commutator suite")
+    what = "prove the operator commutators on generators; count the (identity, monomial) pairs covered"
+    br = subs.add_parser("bracket", help=what, description=what)
     br.add_argument("--max-k", type=int, default=4, help="largest operator index")
-    br.add_argument("--max-degree", type=int, default=6, help="largest monomial degree")
+    br.add_argument("--max-degree", type=int, default=6, help="largest monomial degree counted")
     br.add_argument("--surface", action="append", help="surface basis (repeatable; default p2 and f0)")
     br.set_defaults(func=cmd_bracket)
 

@@ -18,20 +18,23 @@ Three families of operators act here:
 * ``apply_S(k, -)``: ``(k+1)!/r * R_{-1}(ch_{k+1}(p) * -)`` (depends on a
   rank ``r``).
 
-``apply_L`` is their sum.  A second presentation in the generators
+The paper's operator L_k is their sum.  A second presentation in the generators
 ``h_i(gamma) = i! * ch_{i+2-deg(gamma)}(gamma)`` gives the plus-operators:
-``apply_Rplus`` acts as ``h_i -> i*h_{i+k}`` (killing degree-0 generators at
-``k = -1``, the only place it differs from ``apply_R``), ``apply_Tplus`` is
-built from the Kunneth decomposition of the diagonal pushforward of the Todd
-class, and ``apply_Lplus = apply_Rplus + apply_Tplus`` satisfies the honest
-Virasoro bracket ``[L+_k, L+_m] = (m - k) L+_{k+m}`` on the nonnegative-degree
-subalgebra.
+``apply_R(k, -, plus=True)`` is the derivation R+_k, ``h_i -> i*h_{i+k}``
+(killing degree-0 generators at ``k = -1``, the only place it differs from
+R_k), and T+_k multiplies by :func:`Tplus_element`, built from the Kunneth
+decomposition of the diagonal pushforward of the Todd class.  ``L+_k = R+_k
++ T+_k`` satisfies ``[L+_k, L+_m] = (m - k) L+_{k+m}`` on the
+nonnegative-degree subalgebra.  :func:`bracket_suite` proves that on
+generators: a derivation plus a multiplication reduces each bracket to the
+generator rule of R+, identities among the ``T+`` elements and ``T+_{-1} =
+0``, and the rank cancels (the argument is in its docstring).
 
 On one monomial every operator part has integer coefficients, up to the one
 scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule,
 :func:`T_terms` the T element over the integers, and :func:`operator_terms`
 gives the three parts of ``L_k D`` as ``{monomial: int}`` dicts, which the
-zero-sum sweep reads.  ``apply_R``, ``apply_S`` and ``apply_Splus`` are the
+zero-sum sweep reads.  ``apply_R`` and ``apply_S`` are the
 ``Fraction``-linear extension of those rules to a :class:`DescPoly`;
 everything is exact, over the integers and ``fractions.Fraction``.
 """
@@ -362,21 +365,16 @@ def apply_T(k: int, D: DescPoly, surface: Surface) -> DescPoly:
     return T_element(k, surface) * D
 
 
-def apply_Tplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:
-    _check_nonnegative(D, surface)
-    return Tplus_element(k, surface) * D
-
-
 # ---------------------------------------------------------------------------
-# S_k and the assembled operators
+# S_k and the integer operator terms
 # ---------------------------------------------------------------------------
 
 
-def _s_terms(k: int, mono: Monomial, surface: Surface, plus: bool = False) -> dict[Monomial, int]:
-    """``R_{-1}(ch_{k+1}(p) * D)`` (plus=True: ``R+_{-1}``): S_k D (S+_k D) without its scale."""
+def _s_terms(k: int, mono: Monomial, surface: Surface) -> dict[Monomial, int]:
+    """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale."""
     if k < -1:
         raise ValueError("S_k is defined for k >= -1")
-    return derivation_terms(-1, tuple(sorted(mono + ((k + 1, "p"),))), surface, plus)
+    return derivation_terms(-1, tuple(sorted(mono + ((k + 1, "p"),))), surface)
 
 
 def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
@@ -400,39 +398,6 @@ def operator_terms(
         _s_terms(k, mono, surface),
         Fraction(factorial(k + 1), rank),
     )
-
-
-def apply_L(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
-    """The full degree-k operator R_k + T_k + S_k."""
-    return apply_R(k, D, surface) + apply_T(k, D, surface) + apply_S(k, D, surface, r)
-
-
-def apply_Rplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:
-    return apply_R(k, D, surface, plus=True)
-
-
-def apply_Splus(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
-    """S+_k D = 1/r * R+_{-1}(h_{k+1}(p) * D).
-
-    Uses the h-basis derivation (which kills degree-0 factors) so that the
-    bracket ``[L+_{-1}, S+_k] = (k+1) S+_{k-1}`` closes symbolically; the
-    plain-derivation variant differs only by ch_1(gamma)-terms, which vanish
-    under geometric realisation, so S+_k and S_k integrate identically and
-    agree outright on monomials without degree-0 factors.
-    """
-    _check_nonnegative(D, surface)
-    terms = _extend(D, lambda mono: _s_terms(k, mono, surface, plus=True))
-    return terms * Fraction(factorial(k + 1), r)
-
-
-def apply_Lplus(k: int, D: DescPoly, surface: Surface) -> DescPoly:
-    """L+_k = R+_k + T+_k (rank-independent; no S part)."""
-    return apply_Rplus(k, D, surface) + apply_Tplus(k, D, surface)
-
-
-def apply_scriptLplus(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
-    """The h-basis form of the full operator: L+_k + S_k (an operator of the paper)."""
-    return apply_Lplus(k, D, surface) + apply_S(k, D, surface, r)
 
 
 # ---------------------------------------------------------------------------
@@ -570,57 +535,87 @@ def parse_monomial(text: str) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
-# symbolic commutator suite
+# the commutator suite, proved on generators
 # ---------------------------------------------------------------------------
 
 
 class BracketMismatch(AssertionError):
-    """A commutator identity failed on a specific monomial."""
+    """A commutator identity failed; the message names the generator or element at fault."""
 
 
-def _check_equal(lhs: DescPoly, rhs: DescPoly, what: str, mono: Monomial) -> None:
-    if lhs != rhs:
-        raise BracketMismatch(f"{what} fails on {render_monomial(mono)}")
+def bracket_suite(surface: Surface, max_k: int = 4, max_degree: int = 6) -> int:
+    """Prove the operator commutation relations on generators.
 
+    The identities, for every D of degree <= N = ``max_degree`` in the
+    nonnegative-degree subalgebra and every rank r, with K = ``max_k``:
 
-def bracket_suite(surface: Surface, max_k: int = 4, max_degree: int = 6, rank: int = 2) -> int:
-    """Check the operator commutation relations symbolically.
+    * ``[L+_k, L+_m] D = (m - k) L+_{k+m} D`` for ``-1 <= k <= m <= K``,
+    * ``[L+_n, h_j(p)] D = j h_{n+j}(p) D`` for ``-1 <= n <= K``, ``1 <= j <= K``,
+    * ``[L+_{-1}, S+_j] D = (j + 1) S+_{j-1} D`` for ``0 <= j <= K``.
 
-    Over every restricted monomial D of degree <= ``max_degree`` this
-    verifies, with exact coefficients:
+    The argument.  The subalgebra is the polynomial algebra on the
+    ``h_i(gamma)``, ``i >= 0``, of degree i.  With ``mu(a)`` multiplication by
+    a, ``L+_k = R+_k + mu(T+_k)``, where R+_k (``apply_R(plus=True)``) is a
+    derivation by construction (:func:`derivation_terms` hits each factor
+    once, weighted by its multiplicity) and T+_k is :func:`Tplus_element`.
+    For derivations d1, d2, ``[d1 + mu(a), d2 + mu(b)] = [d1, d2] +
+    mu(d1(b) - d2(a))``; an operator ``d + mu(c)`` gives back c as its value
+    on 1, and a derivation is fixed by its values on generators.  So:
 
-    * ``[L+_k, L+_m] D = (m - k) L+_{k+m} D`` for ``-1 <= k <= m <= max_k``,
-    * ``[L+_n, h_j(p)] D = j h_{n+j}(p) D`` for ``-1 <= n <= max_k`` and
-      ``1 <= j <= max_k`` (the bracket taken against multiplication),
-    * ``[L+_{-1}, S+_j] D = (j + 1) S+_{j-1} D`` for ``0 <= j <= max_k``.
+    * the first identity follows from ``R+_k h_i(gamma) = i h_{i+k}(gamma)``
+      on every generator the two sides reach (``i <= N + K`` for ``k <= K``;
+      ``i <= N`` for the ``k + m <= 2K - 1`` of ``k < m``), after which both
+      send ``h_i`` to ``i (m - k) h_{i+k+m}``, and from ``R+_k(T+_m) -
+      R+_m(T+_k) = (m - k) T+_{k+m}`` as elements;
+    * ``[L+_n, mu(h_j(p))] = mu(R+_n h_j(p))``: the second is ``R+_n h_j(p)
+      = j h_{n+j}(p)``;
+    * ``S+_j = (1/r) R+_{-1} mu(h_{j+1}(p))``.  Given ``T+_{-1} = 0``,
+      ``L+_{-1}`` is the derivation ``d = R+_{-1}`` and ``[d, S+_j] = (1/r)
+      d mu(d(h_{j+1}(p)))``, so ``R+_{-1} h_{j+1}(p) = (j + 1) h_j(p)``
+      gives the third.  The 1/r stands on both sides: r cancels.
 
-    Returns the number of identities checked; raises ``BracketMismatch`` on
-    the first failure.
+    Each check is exact and multiplies no two polynomials.  Returns the
+    number of pairs (identity, restricted monomial of degree <= N) that the
+    proof covers; raises ``BracketMismatch``, naming the identity and the
+    generator or element, on the first failure.
     """
-    monos: list[Monomial] = []
-    for d in range(max_degree + 1):
-        monos.extend(monomial_basis(surface, d))
-    checked = 0
-    for mono in monos:
-        D = DescPoly.monomial(mono)
-        lk = {k: apply_Lplus(k, D, surface) for k in range(-1, max(2 * max_k, -1) + 1)}
-        for k in range(-1, max_k + 1):
-            for m in range(k, max_k + 1):
-                lhs = apply_Lplus(k, lk[m], surface) - apply_Lplus(m, lk[k], surface)
-                rhs = DescPoly.zero() if m == k else lk[k + m] * (m - k)
-                _check_equal(lhs, rhs, f"[L+_{k}, L+_{m}]", mono)
-                checked += 1
-        for n in range(-1, max_k + 1):
-            for j in range(1, max_k + 1):
-                h = h_poly(j, "p", surface)
-                lhs = apply_Lplus(n, h * D, surface) - h * lk[n]
-                rhs = h_poly(n + j, "p", surface) * D * j
-                _check_equal(lhs, rhs, f"[L+_{n}, h_{j}(p)]", mono)
-                checked += 1
-        for j in range(0, max_k + 1):
-            s_then_l = apply_Lplus(-1, apply_Splus(j, D, surface, rank), surface)
-            l_then_s = apply_Splus(j, lk[-1], surface, rank)
-            rhs = apply_Splus(j - 1, D, surface, rank) * (j + 1)
-            _check_equal(s_then_l - l_then_s, rhs, f"[L+_-1, S+_{j}]", mono)
-            checked += 1
-    return checked
+
+    def require(lhs: DescPoly, rhs: DescPoly, identity: str, claim: str) -> None:
+        if lhs != rhs:
+            raise BracketMismatch(f"{identity}: {claim} fails")
+
+    def R(k: int, D: DescPoly) -> DescPoly:
+        return apply_R(k, D, surface, plus=True)
+
+    def h(i: int, name: str) -> DescPoly:
+        return h_poly(i, name, surface) if i >= 0 else DescPoly.zero()
+
+    def T(k: int) -> DescPoly:
+        return Tplus_element(k, surface)
+
+    classes = ("1", *surface.divisor_names, "p")
+    # R+_k for k <= max_k meets the generators of R+_m D; R+_{k+m}, k < m, only those of D
+    for k in range(-1, max(2 * max_k - 1, max_k) + 1):
+        for i in range(max_degree + (max(max_k, 0) if k <= max_k else 0) + 1):
+            for name in classes:
+                image = f"{i} h_{i + k}({name})" if i else "0"
+                claim = f"R+_{k} h_{i}({name}) = {image}"
+                require(R(k, h(i, name)), h(i + k, name) * i, "[L+_k, L+_m]", claim)
+    if max_k >= 0:
+        require(T(-1), DescPoly.zero(), "[L+_-1, S+_j]", "T+_-1 = 0")
+    for k in range(-1, max_k + 1):
+        for m in range(k, max_k + 1):
+            rhs = DescPoly.zero() if m == k else T(k + m) * (m - k)
+            claim = f"R+_{k} T+_{m} - R+_{m} T+_{k} = {m - k} T+_{k + m}"
+            require(R(k, T(m)) - R(m, T(k)), rhs, f"[L+_{k}, L+_{m}]", claim)
+    for n in range(-1, max_k + 1):
+        for j in range(1, max_k + 1):
+            claim = f"R+_{n} h_{j}(p) = {j} h_{n + j}(p)"
+            require(R(n, h(j, "p")), h(n + j, "p") * j, f"[L+_{n}, h_{j}(p)]", claim)
+    for j in range(max_k + 1):
+        claim = f"R+_-1 h_{j + 1}(p) = {j + 1} h_{j}(p)"
+        require(R(-1, h(j + 1, "p")), h(j, "p") * (j + 1), f"[L+_-1, S+_{j}]", claim)
+    # per monomial: n(n+1)/2 [L+, L+], n*max_k [L+, h(p)] and max_k+1 [L+, S+], n = #{-1..max_k}
+    n = max_k + 2
+    per_monomial = n * (n + 1) // 2 + n * max(max_k, 0) + max_k + 1
+    return per_monomial * sum(len(monomial_basis(surface, d)) for d in range(max_degree + 1))

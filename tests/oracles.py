@@ -38,6 +38,14 @@ the chart window, one intersection per cell.
 S_k D as integer terms of one monomial, and the package's ``apply_R`` and
 ``apply_S`` are the ``Fraction``-linear extension of those terms.
 
+:func:`monomial_bracket_suite` is the commutator suite that
+``descendents.bracket_suite`` replaced: it checks each identity on every
+restricted monomial of degree <= ``max_degree`` with ``DescPoly`` products,
+where the package proves it on generators.  Its operators :func:`apply_Lplus`
+and :func:`apply_Splus`, and the paper's :func:`apply_L`, are assembled from
+the package's parts, looked up through the module so that a patched part
+reaches them.  It counts the same (identity, monomial) pairs.
+
 :class:`FractionSubspace` (with :func:`_rref` and :func:`_nullspace`) and
 :func:`solve_divisor_class` are the ``Fraction`` linear algebra that
 ``klyachko._echelon`` replaced: the rational reduced row echelon form,
@@ -61,6 +69,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from toric_virasoro import descendents
 from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
 from toric_virasoro.enumeration import (
@@ -800,6 +809,71 @@ def apply_S(k: int, D: DescPoly, surface, r: int, plus: bool = False) -> DescPol
     """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D) (plus=True: S+_k, through R+_{-1})."""
     inner = DescPoly.symbol(k + 1, "p") * D
     return apply_R(-1, inner, surface, plus) * Fraction(factorial(k + 1), r)
+
+
+def apply_L(k: int, D: DescPoly, surface, r: int) -> DescPoly:
+    """The paper's operator L_k = R_k + T_k + S_k."""
+    return (
+        descendents.apply_R(k, D, surface)
+        + descendents.apply_T(k, D, surface)
+        + descendents.apply_S(k, D, surface, r)
+    )
+
+
+def apply_Lplus(k: int, D: DescPoly, surface) -> DescPoly:
+    """L+_k = R+_k + T+_k (rank-independent; no S part)."""
+    plus = descendents.apply_R(k, D, surface, plus=True)
+    return plus + descendents.Tplus_element(k, surface) * D
+
+
+def apply_Splus(k: int, D: DescPoly, surface, r: int) -> DescPoly:
+    """S+_k D = (k+1)!/r * R+_{-1}(ch_{k+1}(p) * D), through the package's R+_{-1}.
+
+    The h-basis derivation kills degree-0 factors, so that the bracket
+    ``[L+_{-1}, S+_k] = (k+1) S+_{k-1}`` closes symbolically; S_k differs
+    from it only by ch_1(gamma)-terms.
+    """
+    inner = DescPoly.symbol(k + 1, "p") * D
+    return descendents.apply_R(-1, inner, surface, plus=True) * Fraction(factorial(k + 1), r)
+
+
+def monomial_bracket_suite(surface, max_k: int, max_degree: int) -> int:
+    """The commutator identities of ``descendents.bracket_suite``, monomial by monomial.
+
+    S+ carries 1/r on both sides of its identity; the suite uses r = 2.
+    Returns the number of (identity, monomial) pairs checked and raises
+    ``descendents.BracketMismatch`` on the first failure.
+    """
+
+    def check(lhs: DescPoly, rhs: DescPoly, what: str, mono) -> None:
+        if lhs != rhs:
+            raise descendents.BracketMismatch(f"{what} fails on {descendents.render_monomial(mono)}")
+
+    monos = [m for d in range(max_degree + 1) for m in descendents.monomial_basis(surface, d)]
+    checked = 0
+    for mono in monos:
+        D = DescPoly.monomial(mono)
+        lk = {k: apply_Lplus(k, D, surface) for k in range(-1, max(2 * max_k, -1) + 1)}
+        for k in range(-1, max_k + 1):
+            for m in range(k, max_k + 1):
+                lhs = apply_Lplus(k, lk[m], surface) - apply_Lplus(m, lk[k], surface)
+                rhs = DescPoly.zero() if m == k else lk[k + m] * (m - k)
+                check(lhs, rhs, f"[L+_{k}, L+_{m}]", mono)
+                checked += 1
+        for n in range(-1, max_k + 1):
+            for j in range(1, max_k + 1):
+                h = descendents.h_poly(j, "p", surface)
+                lhs = apply_Lplus(n, h * D, surface) - h * lk[n]
+                rhs = descendents.h_poly(n + j, "p", surface) * D * j
+                check(lhs, rhs, f"[L+_{n}, h_{j}(p)]", mono)
+                checked += 1
+        for j in range(0, max_k + 1):
+            s_then_l = apply_Lplus(-1, apply_Splus(j, D, surface, 2), surface)
+            l_then_s = apply_Splus(j, lk[-1], surface, 2)
+            rhs = apply_Splus(j - 1, D, surface, 2) * (j + 1)
+            check(s_then_l - l_then_s, rhs, f"[L+_-1, S+_{j}]", mono)
+            checked += 1
+    return checked
 
 
 def config_active(rank: int, cfg: tuple, wins: tuple) -> bool:

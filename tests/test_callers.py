@@ -10,8 +10,6 @@ ROOT = PACKAGE.parents[1]
 
 # definitions kept without a caller in the program, each with its reason
 ALLOWED = {
-    "apply_L": "the paper's operator L_k = R_k + T_k + S_k, kept next to its parts",
-    "apply_scriptLplus": "the paper's operator in the h-basis, L+_k + S_k, kept next to its parts",
     "Case.euler_classes": "readable tangent data for the tests",
     "Case.twisted": "the twist invariance that the tests check",
     "Case.drop_point": "the broken case whose certificate the tests refuse",

@@ -410,6 +410,30 @@ class TestBracket:
         assert code == 0
         assert "p2: PASS (1 identities" in out
 
+    def test_an_unknown_surface_is_refused_before_any_is_checked(self, capsys):
+        code = main(["bracket", "--surface", "p2", "--surface", "xx"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown surface 'xx'; expected one of p2, f0, f1, f2" in captured.err
+
+    def test_surface_names_are_lower_cased(self, capsys):
+        code, out = run(capsys, "bracket", "--max-k", "1", "--max-degree", "2", "--surface", "P2")
+        assert code == 0
+        assert out.startswith("p2: PASS (")
+
+    def test_a_repeated_surface_is_checked_once(self, capsys):
+        argv = ("bracket", "--max-k", "1", "--max-degree", "2", "--surface")
+        _, once = run(capsys, *argv, "p2")
+        code, twice = run(capsys, *argv, "p2", "--surface", "P2", "--surface", "p2")
+        assert code == 0
+        assert twice == once
+
+    def test_a_fault_fails_the_surface_with_exit_1(self, capsys, bracket_fault):
+        code, out = run(capsys, "bracket", "--surface", "f1", "--surface", "p2")
+        assert code == 1
+        assert out == f"f1: FAIL ({bracket_fault})\n"
+
 
 class TestDumpGolden:
     def test_listing(self, capsys):
@@ -450,6 +474,10 @@ TRANSCRIPTS = {
     "enumerate-p2-r3-c2-2.txt": ("enumerate", *_P2_R3, "--c2", "2"),
     "enumerate-p2-r3-c2-3.txt": ("enumerate", *_P2_R3, "--c2", "3"),
     "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),
+    "bracket-k4-d6-p2-f0-f1-f2.txt": (
+        "bracket", "--max-k", "4", "--max-degree", "6",
+        "--surface", "p2", "--surface", "f0", "--surface", "f1", "--surface", "f2",
+    ),
 }
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import oracles
 import pytest
@@ -10,18 +11,14 @@ from hypothesis import strategies as st
 
 from toric_virasoro import descendents
 from toric_virasoro.descendents import (
+    BracketMismatch,
     DescPoly,
     T_element,
     T_terms,
     Tplus_element,
-    apply_L,
-    apply_Lplus,
     apply_R,
-    apply_Rplus,
     apply_S,
-    apply_Splus,
     apply_T,
-    apply_scriptLplus,
     bracket_suite,
     derivation_terms,
     h_poly,
@@ -36,6 +33,7 @@ from toric_virasoro.surfaces import surface_by_name
 
 P2 = surface_by_name("p2")
 F0 = surface_by_name("f0")
+SURFACES = [surface_by_name(name) for name in ("p2", "f0", "f1", "f2")]
 
 
 def poly_degree(poly: DescPoly, surface) -> int:
@@ -98,11 +96,11 @@ class TestS:
         D = DescPoly.symbol(i, name)
         for r in (2, 3):
             lhs = apply_S(k, D, F0, r)
-            rhs = apply_Rplus(-1, DescPoly.symbol(k + 1, "p") * D, F0) * Fraction(
+            rhs = apply_R(-1, DescPoly.symbol(k + 1, "p") * D, F0, plus=True) * Fraction(
                 factorial(k + 1), r
             )
             assert lhs == rhs
-            assert lhs == apply_Splus(k, D, F0, r)
+            assert lhs == oracles.apply_Splus(k, D, F0, r)
 
     def test_s_zero_value(self):
         lhs = apply_S(0, DescPoly.symbol(2, "Z"), F0, 2)
@@ -115,14 +113,59 @@ class TestS:
 
 class TestAssembled:
     def test_l_sums_parts(self):
+        # off degree-0 factors the paper's L_k is L+_k + S_k
         D = DescPoly.symbol(2, "Z") * DescPoly.symbol(3, "1")
         for k in (-1, 0, 1, 2):
-            full = apply_scriptLplus(k, D, F0, 2)
-            assert full == apply_Lplus(k, D, F0) + apply_S(k, D, F0, 2)
-            assert apply_L(k, D, F0, 2) == full
+            full = oracles.apply_Lplus(k, D, F0) + apply_S(k, D, F0, 2)
+            assert oracles.apply_L(k, D, F0, 2) == full
 
     def test_bracket_suite_smoke(self):
         assert bracket_suite(P2, max_k=2, max_degree=3) > 0
+
+
+class TestBracketSuite:
+    @pytest.mark.parametrize(
+        "name, max_k, max_degree",
+        [(name, 2, 3) for name in ("p2", "f0", "f1", "f2")]
+        + [("f1", -1, 0), ("f1", 0, 2), ("f1", 1, 1), ("f1", 3, 0)],
+    )
+    def test_the_per_monomial_oracle_passes_and_counts_the_same(self, name, max_k, max_degree):
+        surface = surface_by_name(name)
+        count = oracles.monomial_bracket_suite(surface, max_k, max_degree)
+        assert count == bracket_suite(surface, max_k=max_k, max_degree=max_degree)
+
+    def test_a_fault_is_refused_naming_its_generator_or_element(self, bracket_fault):
+        for surface in SURFACES:
+            with pytest.raises(BracketMismatch) as info:
+                bracket_suite(surface)
+            assert str(info.value) == bracket_fault
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.sampled_from(SURFACES),
+        st.integers(-1, 4),
+        st.integers(0, 5),
+        st.sampled_from([-2, -1, 1, 2]),
+    )
+    def test_the_oracle_passes_wherever_the_proof_does(self, surface, k0, sdeg0, delta):
+        # one coefficient of the generator rule perturbed: the proof covers
+        # every pair that the oracle checks, so where it passes the oracle does
+        rule = descendents._r_coeff
+
+        def perturbed(k, sdeg, plus):
+            return rule(k, sdeg, plus) + (delta if (k, sdeg) == (k0, sdeg0) else 0)
+
+        with mock.patch.object(descendents, "_r_coeff", perturbed):
+            try:
+                count = bracket_suite(surface, max_k=2, max_degree=2)
+            except BracketMismatch:
+                return
+            assert oracles.monomial_bracket_suite(surface, max_k=2, max_degree=2) == count
+
+    def test_the_oracle_at_degree_three_catches_each_fault(self, bracket_fault):
+        for surface in SURFACES:
+            with pytest.raises(BracketMismatch):
+                oracles.monomial_bracket_suite(surface, max_k=2, max_degree=3)
 
 
 class TestHBasis:
@@ -134,9 +177,6 @@ class TestHBasis:
     def test_degree_is_the_index(self):
         for j, name in [(1, "Z"), (3, "F"), (2, "p"), (4, "1")]:
             assert poly_degree(h_poly(j, name, F0), F0) == j
-
-
-SURFACES = [surface_by_name(name) for name in ("p2", "f0", "f1", "f2")]
 
 
 @st.composite
@@ -166,7 +206,9 @@ class TestIntegerTerms:
         plus = oracles.apply_R(k, D, surface, plus=True).terms
         assert derivation_terms(k, mono, surface, plus=True) == plus
         assert apply_S(k, D, surface, rank) == oracles.apply_S(k, D, surface, rank)
-        assert apply_Splus(k, D, surface, rank) == oracles.apply_S(k, D, surface, rank, plus=True)
+        assert oracles.apply_Splus(k, D, surface, rank) == oracles.apply_S(
+            k, D, surface, rank, plus=True
+        )
 
     @settings(deadline=None, max_examples=200)
     @given(
