@@ -136,24 +136,22 @@ class CaseConfig:
             raise ConfigError(
                 f"H needs {srf.picard_rank} coefficient(s) for {self.surface}"
             )
-        if self.surface == "p2":
-            if H[0] < 1:
+        if not srf.is_ample(H):
+            if srf.picard_rank == 1:
                 raise ConfigError("H must be ample: positive degree on p2")
-        else:
-            a = int(self.surface[1:])
+            a = -srf.intersection[1][1]  # Z^2 = -a on F_a
+            raise ConfigError(
+                f"H = {H[0]}F+{H[1]}Z is not ample on {self.surface} "
+                f"(needs hz >= 1 and hf > {a}*hz)"
+            )
+        if self.rank == 2 and srf.picard_rank == 2:
             hf, hz = H
-            if hz < 1 or hf <= a * hz:
+            slope = Fraction(hf, hz)
+            if slope in wall_slopes(srf, self.rank, self.delta, self.c2):
                 raise ConfigError(
-                    f"H = {hf}F+{hz}Z is not ample on {self.surface} "
-                    f"(needs hz >= 1 and hf > {a}*hz)"
+                    f"H = {hf}F+{hz}Z lies on a wall (slope {slope}); "
+                    "pick a polarization in the interior of a chamber"
                 )
-            if self.rank == 2:
-                slope = Fraction(hf, hz)
-                if slope in wall_slopes(srf, self.rank, self.delta, self.c2):
-                    raise ConfigError(
-                        f"H = {hf}F+{hz}Z lies on a wall (slope {slope}); "
-                        "pick a polarization in the interior of a chamber"
-                    )
         pairing = srf.pair(self.delta, H)
         if gcd(self.rank, pairing) != 1:
             raise ConfigError(

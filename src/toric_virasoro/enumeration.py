@@ -31,17 +31,21 @@ points, adding colength to c2).  This module enumerates them:
 
   The first stage, memoized per (surface, rank, c1, c2, bound) for the
   life of the process, keeps every generated candidate whose closed-form
-  (c1, c2) matches, with its stability forms as indices into the stage's
-  table of distinct forms.  The second stage, per H, is the sign test,
-  then the shell rule, then one memoized builder that builds and verifies
-  each stable bundle, so a chamber sweep runs the search once.  *Shell
-  rule*: while a candidate that is stable at H lies on the outer two
-  shells of the bound (a window above ``B - 2``, or a profile sum above
-  ``P - 2``), the bound grows by 2 and the search reruns; once the bound
-  passes 4x its start, :class:`EnumerationError`.  The starts are
-  ``B = 2K + 2a + 8`` (:func:`_r2_box`) and ``P = 6``.  This rule is the
-  only guard: nothing here certifies that a locus is complete, and only
-  the bundled cases are compared with reference rows.
+  (c1, c2) matches and that is stable on an open set of ample H (the
+  *ample test*, below), with its stability forms as indices into the
+  stage's table of distinct forms.  The rank-2 generators solve the
+  (c1, c2) equation, so there the ample test runs first and (c1, c2) only
+  on its survivors; most rank-3/4 triples fail (c1, c2), so there (c1, c2)
+  runs first.  Either order decides the same stage.  The second stage,
+  per H, is the sign test, then the shell rule, then one memoized builder
+  that builds and verifies each stable bundle, so a chamber sweep runs the
+  search once.  *Shell rule*: while a candidate that is stable at H lies
+  on the outer two shells of the bound (a window above ``B - 2``, or a
+  profile sum above ``P - 2``), the bound grows by 2 and the search reruns;
+  once the bound passes 4x its start, :class:`EnumerationError`.  The
+  starts are ``B = 2K + 2a + 8`` (:func:`_r2_box`) and ``P = 6``.  This
+  rule is the only guard: nothing here certifies that a locus is complete,
+  and only the bundled cases are compared with reference rows.
 * **Stability on a sign table.**  Each side of the slope test is linear in
   H, so each candidate destabilizing subspace W of the model gives one
   integer *stability form* v with ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
@@ -54,6 +58,22 @@ points, adding colength to c2).  This module enumerates them:
   :class:`~.klyachko.SlopeTie` (the polarization would be on a wall),
   negative (or no form at all) means stable.  A bundle is built only for a
   stable candidate.
+* **The ample test drops what is stable nowhere.**  Over the nef rays
+  rho1, rho2 of :attr:`~.surfaces.Surface.nef_rays`, an ample H is
+  ``alpha*rho1 + beta*rho2`` with alpha, beta > 0, and each ``v . H < 0``
+  bounds ``t = alpha/beta`` on one side, so the H where a candidate is
+  stable form an open interval in t (on the plane, "every ``v . rho1 <
+  0``"); :func:`_ample_test` decides it by integer cross-multiplication.
+  A candidate whose interval is empty is unstable at every ample H except
+  where its largest ``v . H`` is 0, which (with no zero form) is at most
+  the one H where the empty interval closes to a point.  The stage drops
+  the candidate and records that H, as a primitive class, in
+  :attr:`_Stage.ties`, where the sign test raises ``SlopeTie``; a
+  candidate with a zero form ties everywhere and is kept.  So at every
+  ample H the pruned stage gives the same stable candidates, or
+  ``SlopeTie``, as the unpruned one (``tests/oracles.py``), and the shell
+  rule sees the same hits.  It is exact only for ample H, so
+  :func:`enumerate_bundles` and :func:`fixed_locus` refuse any other H.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
   bundle and each degeneration tree), and isolatedness is certified later
@@ -691,59 +711,115 @@ class _Candidate(NamedTuple):
 
 
 class _Stage(NamedTuple):
-    """The candidates of a window search at one bound, and their distinct stability forms."""
+    """The candidates of a window search at one bound that are stable at some ample H, their
+    distinct stability forms, and the primitive H at which a dropped candidate ties."""
 
     candidates: tuple[_Candidate, ...]
     forms: tuple[tuple[int, ...], ...]
+    ties: frozenset[tuple[int, ...]]
+
+
+def _ample_test(values, rays: tuple) -> tuple[bool, tuple | None]:
+    """Whether every ``v . H < 0`` on an open set of ample H, given ``(v . rho1, v . rho2)`` for
+    each form v over the nef rays; if not, the one primitive H where the largest ``v . H`` is 0,
+    or None.
+
+    Write an ample H as ``alpha*rho1 + beta*rho2`` (alpha, beta > 0).  With
+    ``(a, b) = (v . rho1, v . rho2)``, ``v . H < 0`` reads ``t*a + b < 0``
+    in ``t = alpha/beta > 0``: ``t < -b/a`` for ``a > 0``, ``t > b/-a`` for
+    ``a < 0``, always or never for ``a = 0``.  The stable set is the
+    interval between the largest lower and the smallest upper bound,
+    compared by cross-multiplication.  When it is empty but closes to one
+    ``t > 0``, the largest ``v . H`` is 0 there and positive elsewhere.  A
+    zero form ties at every H, so its candidate is kept.  On the plane the
+    cone is one ray and ``b = 0``: the test is "every ``a < 0``".
+    """
+    lo, lo_d = 0, 1  # t > lo/lo_d
+    hi, hi_d = 1, 0  # t < hi/hi_d; 1/0 is no bound
+    for a, b in values:
+        if a > 0:
+            if -b * hi_d < hi * a:
+                hi, hi_d = -b, a
+        elif a < 0:
+            if b * lo_d > -lo * a:
+                lo, lo_d = b, -a
+        elif b >= 0:
+            return b == 0, None
+    if lo * hi_d < hi * lo_d:
+        return True, None
+    if lo * hi_d == hi * lo_d and lo > 0 and hi_d > 0:  # lo > 0 needs b > 0: two rays
+        r1, r2 = rays
+        H = [lo * x + lo_d * y for x, y in zip(r1, r2)]
+        g = gcd(*H)
+        return False, tuple(h // g for h in H)
+    return False, None
+
+
+def _ray_table(table: tuple, rays: tuple) -> tuple:
+    """The rows of a stability table paired with the nef rays: for each candidate subspace, the
+    rows of ``v . rho1`` and ``v . rho2`` over the windows (zero for the plane's missing ray)."""
+    out = []
+    for rows in table:
+        on_rays = [[sum(map(mul, ray, col)) for col in zip(*rows)] for ray in rays]
+        if len(on_rays) == 1:
+            on_rays.append([0] * len(on_rays[0]))
+        out.append(tuple(on_rays))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) -> _Stage:
-    """Every candidate of the window search at one bound, in search order.
+    """The candidates of the window search at one bound that are stable at some ample H, in
+    search order.
 
     This stage does not depend on the polarization: it runs the case's
-    window generator with the closed-form (c1, c2) filter and keeps one
-    record per survivor, with the stability forms read off its windows (no
-    bundle is built).  Each model met is compiled once: its level pairs and
-    its :func:`~.klyachko.stability_table`.
+    window generator with the closed-form (c1, c2) filter and the ample
+    test (:func:`_ample_test`, in the order of the module docstring), and
+    keeps one record per survivor, with the stability forms read off its
+    windows (no bundle is built).  A candidate that is stable nowhere but
+    ties at one H, and passes (c1, c2), leaves that H in
+    :attr:`_Stage.ties`.  Each model met is compiled once: its level pairs
+    and its :func:`~.klyachko.stability_table`.
     """
     surface = surface_by_name(surface_name)
     generate, _start = _search(surface, rank, c1, c2)
     out = []
+    ties: set[tuple] = set()
     shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
     form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
-    forms: list[tuple] = []
-    compiled: dict[tuple, tuple] = {}  # per model: level pairs and stability table
+    compiled: dict[tuple, tuple] = {}  # per model: level pairs, stability table, on the nef rays
+
+    def chern_matches(tops, windows, pairs):
+        return bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) == (c1, c2)
+
     for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
         if model.key not in compiled:
+            table = stability_table(surface, rank, model.candidates)
             compiled[model.key] = (
                 _level_pairs(surface, model),
-                stability_table(surface, rank, model.candidates),
+                table,
+                _ray_table(table, surface.nef_rays),
             )
-        pairs, table = compiled[model.key]
-        if bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) != (c1, c2):
+        pairs, table, ray_table = compiled[model.key]
+        if rank > 2 and not chern_matches(tops, windows, pairs):
             continue
         x = [*chain.from_iterable(windows)]
-        ids = []
-        for rows in table:
-            v = tuple(sum(map(mul, x, row)) for row in rows)
-            k = form_id.setdefault(v, len(forms))
-            if k == len(forms):
-                forms.append(v)
-            ids.append(k)
-        ids = tuple(dict.fromkeys(ids))
-        windows = tuple(shared.setdefault(w, w) for w in windows)
-        out.append(
-            _Candidate(
-                model.key,
-                shared.setdefault(tops, tops),
-                windows,
-                tuple(forms[k] for k in ids),
-                ids,
-                on_shell,
-            )
+        stable, tie = _ample_test(
+            [(sum(map(mul, x, ra)), sum(map(mul, x, rb))) for ra, rb in ray_table],
+            surface.nef_rays,
         )
-    return _Stage(tuple(out), tuple(forms))
+        if not (stable or tie) or tie in ties:
+            continue
+        if rank == 2 and not chern_matches(tops, windows, pairs):
+            continue
+        if tie:
+            ties.add(tie)
+            continue
+        vs = tuple(dict.fromkeys(tuple(sum(map(mul, x, row)) for row in rows) for rows in table))
+        ids = tuple(form_id.setdefault(v, len(form_id)) for v in vs)
+        windows = tuple(shared.setdefault(w, w) for w in windows)
+        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, vs, ids, on_shell))
+    return _Stage(tuple(out), tuple(form_id), frozenset(ties))
 
 
 @lru_cache(maxsize=None)
@@ -766,8 +842,12 @@ def _stable(stage: _Stage, H: tuple) -> list[_Candidate]:
 
     ``v . H`` is computed once per distinct form; a candidate's verdict is
     the largest sign among its forms.  The first candidate whose largest
-    value is 0 raises :class:`~.klyachko.SlopeTie`.
+    value is 0 raises :class:`~.klyachko.SlopeTie`, and so does an H whose
+    primitive class is one of the stage's ties.
     """
+    g = gcd(*H)
+    if tuple(h // g for h in H) in stage.ties:
+        raise SlopeTie(f"polarization {H} is on a wall for this sheaf")
     signs = [sum(map(mul, v, H)) for v in stage.forms]
     stable = []
     for cand in stage.candidates:
@@ -780,7 +860,9 @@ def _stable(stage: _Stage, H: tuple) -> list[_Candidate]:
 
 
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """The stable bundles at H, by the sign table and the shell rule of the module docstring."""
+    """The stable bundles at an ample H, by the sign table and the shell rule of the module
+    docstring."""
+    _require_ample(surface, H)
     c1 = tuple(c1)
     _generate, start = _search(surface, rank, c1, c2)
     bound = start
@@ -800,13 +882,20 @@ def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple)
             )
 
 
+def _require_ample(surface: Surface, H: tuple) -> None:
+    """Refuse a polarization that is not ample: the candidate stage is exact only there."""
+    if not surface.is_ample(H):
+        raise ValueError(f"H = {tuple(H)} is not ample on {surface.name}")
+
+
 def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:
     """Smallest c2 >= 0 with c2 >= (r-1) c1^2 / (2r) (Bogomolov)."""
     return max(0, -(-(rank - 1) * surface.pair(c1, c1) // (2 * rank)))
 
 
 def fixed_locus(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """All torus-fixed stable sheaves: bundles + torsion-free degenerations."""
+    """All torus-fixed stable sheaves at an ample H: bundles + torsion-free degenerations."""
+    _require_ample(surface, H)
     c1 = tuple(c1)
     out = []
     for c2p in range(_bogomolov_floor(surface, rank, c1), c2 + 1):

@@ -35,7 +35,9 @@ over ``prod (1 - chi^w)``, ``w`` the chart characters, are cleared by
 
 Divisor classes are integer vectors in the basis and the intersection form
 is integral, so intersection numbers (``pair``, ``vdim``) are plain
-``int``s.
+``int``s.  H is ample when ``H . D_i > 0`` for every boundary divisor
+(``is_ample``), and the nef cone's extremal rays (``nef_rays``) are read
+from the same pairings: ``(1,)`` on the plane, F and ``a*F + Z`` on ``F<a>``.
 
 Fixed points are listed in the column order of the bundled tables:
 on ``P2`` the cones are (ray1, ray2), (ray2, ray3), (ray3, ray1) for rays
@@ -47,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mul
 
 from .exactalg import BinomialDenominator, LinearDenominator, convolve
 
@@ -119,6 +123,9 @@ class Surface:
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
         self.ray_squares = [self.pair(c, c) for c in self.ray_classes]  # D_i^2
+        self.nef_rays = _nef_rays(
+            [tuple(sum(map(mul, row, c)) for row in self.intersection) for c in self.ray_classes]
+        )
         self.basis_reps = dict(basis_reps)
         self.kunneth = list(kunneth)
         # canonical class K = -sum of boundary divisors, in the chosen basis
@@ -144,6 +151,10 @@ class Surface:
             for i, ci in enumerate(c)
             for j, dj in enumerate(d)
         )
+
+    def is_ample(self, H: tuple) -> bool:
+        """Whether H is ample: ``H . D_i > 0`` for every boundary divisor (toric Kleiman)."""
+        return len(H) == self.picard_rank and all(self.pair(H, c) > 0 for c in self.ray_classes)
 
     def vdim(self, rank: int, c1: tuple, c2: int) -> int:
         """Expected dimension 2*r*c2 - (r-1)*c1^2 - (r^2-1) of the moduli space."""
@@ -200,6 +211,30 @@ class Surface:
     def c1_coeffs(self) -> tuple:
         """First Chern class of the surface (anticanonical), in the basis."""
         return tuple(-k for k in self.canonical)
+
+
+def _nef_rays(forms: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The primitive extremal rays of the nef cone ``{H : f . H >= 0}``, ``f`` the forms
+    ``H -> H . D_i`` of the boundary divisors, in the order of the divisors that cut them out.
+
+    In Picard rank 2 each ray spans the kernel of one form and is nef; in
+    rank 1 the cone is one ray.  A projective surface has a full cone, so
+    there are as many rays as the rank.
+    """
+    n = len(forms[0])
+    rays = []
+    for f in forms:
+        if n == 1:
+            kernel = (1,)
+        else:
+            g = gcd(*f)
+            kernel = (-f[1] // g, f[0] // g)
+        for ray in (kernel, tuple(-x for x in kernel)):
+            if ray not in rays and all(sum(map(mul, f2, ray)) >= 0 for f2 in forms):
+                rays.append(ray)
+    if len(rays) != n:
+        raise ValueError(f"the nef cone has rays {rays}, expected {n}")
+    return tuple(rays)
 
 
 @lru_cache(maxsize=None)

@@ -59,12 +59,20 @@ the enumeration's generators replaced: every triple of rank-3/4 profiles
 filtered by :func:`config_active` and :func:`config_rigid`, and the F_a
 adjacent-pair box solved cell by cell by :func:`fill_deltas`.  They yield
 ``(model key, tops, windows, on_shell)`` before the (c1, c2) filter.
+
+:func:`unpruned_candidates` is the candidate stage before the ample test: every
+generated candidate that passes the (c1, c2) filter, stable at some ample H
+or not, with no ties.  ``enumeration._candidates`` keeps only those stable
+on an open set of ample H and records where a dropped one ties; the tests
+require ``enumeration._stable`` to decide the same on both at every ample H.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -75,16 +83,30 @@ from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
 from toric_virasoro.enumeration import (
     _COINCIDENCE_CODIM,
     _adjacent,
+    _Candidate,
     _coincident_pair,
     _config_opposite_or_generic,
     _flag_dim,
+    _jump_positions,
+    _level_pairs,
     _pool_assignment,
     _r2_configs,
     _r3_configs,
     _r4_configs,
+    _search,
+    _Stage,
     _window_profiles,
 )
-from toric_virasoro.klyachko import Flag, SlopeTie, Subspace, TorusSheaf, jump_pairs
+from toric_virasoro.klyachko import (
+    Flag,
+    SlopeTie,
+    Subspace,
+    TorusSheaf,
+    bundle_chern,
+    jump_pairs,
+    stability_table,
+)
+from toric_virasoro.surfaces import surface_by_name
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -1006,3 +1028,45 @@ def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
                     for deltas in fill_deltas(a, K, pair, (di, dj), dk):
                         yield from candidate(deltas, classes, max(deltas) > B - 2)
 
+
+
+@lru_cache(maxsize=None)
+def unpruned_candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) -> _Stage:
+    """Every candidate of the window search at one bound that passes (c1, c2), in search order."""
+    surface = surface_by_name(surface_name)
+    generate, _start = _search(surface, rank, c1, c2)
+    out = []
+    shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
+    form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
+    forms: list[tuple] = []
+    compiled: dict[tuple, tuple] = {}  # per model: level pairs and stability table
+    for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
+        if model.key not in compiled:
+            compiled[model.key] = (
+                _level_pairs(surface, model),
+                stability_table(surface, rank, model.candidates),
+            )
+        pairs, table = compiled[model.key]
+        if bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) != (c1, c2):
+            continue
+        x = [*chain.from_iterable(windows)]
+        ids = []
+        for rows in table:
+            v = tuple(sum(map(mul, x, row)) for row in rows)
+            k = form_id.setdefault(v, len(forms))
+            if k == len(forms):
+                forms.append(v)
+            ids.append(k)
+        ids = tuple(dict.fromkeys(ids))
+        windows = tuple(shared.setdefault(w, w) for w in windows)
+        out.append(
+            _Candidate(
+                model.key,
+                shared.setdefault(tops, tops),
+                windows,
+                tuple(forms[k] for k in ids),
+                ids,
+                on_shell,
+            )
+        )
+    return _Stage(tuple(out), tuple(forms), frozenset())

@@ -363,6 +363,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "surface, delta, H, message",
+        [
+            ("f2", "1,0", "1,1", "H = 1F+1Z is not ample on f2 (needs hz >= 1 and hf > 2*hz)"),
+            ("f2", "1,0", "5,0", "H = 5F+0Z is not ample on f2 (needs hz >= 1 and hf > 2*hz)"),
+            ("f0", "1,0", "0,3", "H = 0F+3Z is not ample on f0 (needs hz >= 1 and hf > 0*hz)"),
+            ("f1", "1,0", "3,3", "H = 3F+3Z is not ample on f1 (needs hz >= 1 and hf > 1*hz)"),
+            ("p2", "1", "0", "H must be ample: positive degree on p2"),
+        ],
+    )
+    def test_non_ample_polarization_message(self, capsys, surface, delta, H, message):
+        argv = ["enumerate", "--surface", surface, "--r", "2", "--delta", delta, "--c2", "1"]
+        assert main([*argv, "--H", H]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
 
 class TestWalls:
     def test_f0_walls(self, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from oracles import (
     slope_times_rank,
     stability_forms,
     stable_at,
+    unpruned_candidates,
 )
 import toric_virasoro
 from toric_virasoro import cli, enumeration
@@ -294,11 +296,11 @@ def _reference_forms(sheaf, patterns):
 
 @lru_cache(maxsize=1)
 def _candidate_sheaves(name, c1, c2):
-    """The stage-1 candidates of a case, and (candidate, bundle, patterns,
-    distinct reference forms) for each."""
+    """The unpruned stage-1 candidates of a case, and (candidate, bundle,
+    patterns, distinct reference forms) for each."""
     surface = surface_by_name(name)
     _generate, bound = enumeration._search(surface, 2, c1, c2)
-    stage = enumeration._candidates(surface.name, 2, c1, c2, bound)
+    stage = unpruned_candidates(surface.name, 2, c1, c2, bound)
     out = []
     for cand in stage.candidates:
         model = enumeration._model(cand.key)
@@ -320,7 +322,7 @@ def _sign_table_verdict(forms, H):
     """The sign-table verdict at H of one candidate with these forms (or "tie")."""
     distinct = tuple(dict.fromkeys(forms))
     cand = enumeration._Candidate(None, (), (), distinct, tuple(range(len(distinct))), False)
-    stage = enumeration._Stage((cand,), distinct)
+    stage = enumeration._Stage((cand,), distinct, frozenset())
     return _verdict(lambda: enumeration._stable(stage, H) == [cand])
 
 
@@ -337,10 +339,11 @@ def _polarizations(a):
 
 _P2_POLARIZATIONS = st.integers(1, 12).map(lambda h: (h,))
 
+_FA_C1 = [(1, 0), (0, 1), (1, 1)]
 _FA_CASES = [
     pytest.param(name, c1, id=f"{name}-c1{k}")
     for name in ("f0", "f1", "f2")
-    for k, c1 in enumerate([(1, 0), (0, 1), (1, 1)])
+    for k, c1 in enumerate(_FA_C1)
 ]
 _R2_CASES = _FA_CASES + [pytest.param("p2", (1,), id="p2-c1H")]
 
@@ -588,7 +591,8 @@ def _windows_and_tops(surface, rank):
 
 # (candidates, distinct forms, first 16 hex digits of the sha256 of the repr
 # of every candidate's key, tops, windows, forms and on_shell, in order) at
-# the starting bound, recorded before the stage was compiled per model
+# the starting bound, recorded before the stage was compiled per model; the
+# unpruned stage is the oracle's
 _STAGES = {
     ("f0", 2, (1, 1), 1): (224, 88, "ea0018eee93c1209"),
     ("f0", 2, (1, 1), 2): (824, 258, "36b0331a7aa90bdf"),
@@ -596,15 +600,116 @@ _STAGES = {
     ("p2", 3, (1,), 3): (435, 22, "1ca6e22867f4ecc7"),
 }
 
+# the same, with the stage's ties, for the stage kept by the ample test;
+# recorded before that test entered the package, by filtering the unpruned
+# stage with a Fraction scan of the slopes hF/hZ in (a, oo)
+_PRUNED_STAGES = {
+    ("f0", 2, (1, 1), 1): (0, 0, ((1, 1),), "4f53cda18c2baa0c"),
+    ("f0", 2, (1, 1), 2): (8, 7, ((1, 3), (3, 1)), "90963ab660abf84d"),
+    ("f0", 2, (1, 1), 3): (24, 14, ((1, 5), (5, 1)), "69169929fa9f5e0a"),
+    ("p2", 2, (1,), 3): (3, 3, (), "bb794a8d03717d94"),
+    ("p2", 3, (1,), 3): (15, 8, (), "40e88613d919a841"),
+}
+
+
+def _stage_pin(stage):
+    rows = [(c.key, c.tops, c.windows, c.forms, c.on_shell) for c in stage.candidates]
+    return len(rows), len(stage.forms), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def _start_bound(name, rank, c1, c2):
+    surface = surface_by_name(name)
+    return surface.name, rank, c1, c2, enumeration._search(surface, rank, c1, c2)[1]
+
 
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_STAGES), ids=str)
 def test_candidate_stages_are_pinned(name, rank, c1, c2):
-    surface = surface_by_name(name)
-    _generate, bound = enumeration._search(surface, rank, c1, c2)
-    stage = enumeration._candidates(surface.name, rank, c1, c2, bound)
-    rows = [(c.key, c.tops, c.windows, c.forms, c.on_shell) for c in stage.candidates]
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-    assert (len(rows), len(stage.forms), digest) == _STAGES[name, rank, c1, c2]
+    stage = unpruned_candidates(*_start_bound(name, rank, c1, c2))
+    assert _stage_pin(stage) == _STAGES[name, rank, c1, c2]
+
+
+@pytest.mark.parametrize("name, rank, c1, c2", sorted(_PRUNED_STAGES), ids=str)
+def test_pruned_candidate_stages_are_pinned(name, rank, c1, c2):
+    stage = enumeration._candidates(*_start_bound(name, rank, c1, c2))
+    count, forms, digest = _stage_pin(stage)
+    assert (count, forms, tuple(sorted(stage.ties)), digest) == _PRUNED_STAGES[name, rank, c1, c2]
+
+
+def _decision(stage, H):
+    """What ``_stable`` decides at H, as candidate data independent of the stage's form ids."""
+    return _verdict(lambda: [c[:4] + c[5:] for c in enumeration._stable(stage, H)])
+
+
+_EQUIVALENCE_CASES = [
+    pytest.param(name, 2, c1, c2, id=f"{name}-c1{k}-c2{c2}")
+    for name in ("f0", "f1", "f2")
+    for k, c1 in enumerate(_FA_C1)
+    for c2 in (1, 2, 3)
+] + [pytest.param("p2", rank, (1,), c2, id=f"p2-r{rank}-c2{c2}") for rank in (2, 3) for c2 in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, rank, c1, c2", _EQUIVALENCE_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_stage_decides_as_the_oracle(name, rank, c1, c2, data):
+    # at every ample H, ample and on-wall values alike, the pruned stage
+    # gives the unpruned stage's stable candidates, or SlopeTie where it does;
+    # each recorded tie is a tie of the unpruned stage
+    strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
+    H = data.draw(strategy, label="H")
+    args = _start_bound(name, rank, c1, c2)
+    pruned, oracle = enumeration._candidates(*args), unpruned_candidates(*args)
+    assert _decision(pruned, H) == _decision(oracle, H)
+    for tie in pruned.ties:
+        assert _decision(oracle, tie) == "tie"
+
+
+def test_a_dropped_candidate_still_ties_at_its_polarization(cold):
+    # f0, c1 = F+Z, c2 = 1: no candidate is stable anywhere, but some tie at
+    # H = F+Z, so the empty stage raises there, through the library as well
+    f0 = surface_by_name("f0")
+    stage = enumeration._candidates(*_start_bound("f0", 2, (1, 1), 1))
+    assert stage.candidates == () and stage.ties == {(1, 1)}
+    for H in [(1, 1), (3, 3)]:
+        with pytest.raises(SlopeTie):
+            enumeration._stable(stage, H)
+        with pytest.raises(SlopeTie):
+            enumerate_bundles(f0, 2, (1, 1), 1, H)
+    assert enumeration._stable(stage, (2, 1)) == []
+
+
+@pytest.mark.parametrize(
+    "name, values, want",
+    [
+        ("f0", ((-1, -3), (-1, 3), (1, -3)), (False, (3, 1))),  # empty, closes at slope 3
+        ("f0", ((-1, -3), (1, -3)), (True, None)),  # an open interval below slope 3
+        ("f0", ((-1, -3), (-1, 3), (1, -2)), (False, None)),  # empty: above 3 and below 2
+        ("f0", ((0, 0), (1, 1)), (True, None)),  # a zero form ties everywhere and is kept
+        ("f0", ((1, 1),), (False, None)),  # positive on the whole cone
+        ("f0", ((0, -1), (-1, 0)), (True, None)),  # negative on the whole cone
+        ("f0", ((-1, 0), (1, 0)), (False, None)),  # closes at slope 0: not ample
+        ("f0", (), (True, None)),  # no form: stable everywhere
+        ("f2", ((-1, 2), (1, -2)), (False, (4, 1))),  # closes at t = 2: H = 2F + (2F + Z)
+        ("p2", ((-1, 0), (-2, 0)), (True, None)),  # one ray: every value negative
+        ("p2", ((-1, 0), (1, 0)), (False, None)),
+    ],
+)
+def test_ample_test(name, values, want):
+    # values are (v . rho1, v . rho2) over the nef rays; on F0 these are F
+    # and Z, so the values are the forms and t = hF/hZ; on the plane
+    # v . rho2 = 0
+    assert enumeration._ample_test(values, surface_by_name(name).nef_rays) == want
+
+
+@pytest.mark.parametrize(
+    "name, c1, H",
+    [("p2", (1,), (0,)), ("f0", (1, 0), (1, 0)), ("f1", (1, 0), (1, 1)), ("f2", (1, 0), (4, 2))],
+)
+@pytest.mark.parametrize("call", [enumerate_bundles, fixed_locus])
+def test_a_non_ample_polarization_is_refused(name, c1, H, call):
+    srf = surface_by_name(name)
+    with pytest.raises(ValueError, match=re.escape(f"H = {H} is not ample on {srf.name}")):
+        call(srf, 2, c1, 2, H)
 
 
 # ---------------------------------------------------------------------------

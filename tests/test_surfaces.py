@@ -167,3 +167,34 @@ def test_class_degrees():
     assert srf.class_degree("F") == 1
     assert srf.class_degree("Z") == 1
     assert srf.class_degree("p") == 2
+
+
+@pytest.mark.parametrize("name", ["f0", "f1", "f2"])
+def test_ample_rule_is_the_hirzebruch_inequality(name):
+    srf = surface_by_name(name)
+    a = int(name[1:])
+    for hf in range(-6, 3 * a + 12):
+        for hz in range(-6, 9):
+            assert srf.is_ample((hf, hz)) == (hz >= 1 and hf > a * hz), (hf, hz)
+
+
+def test_ample_rule_on_the_plane():
+    p2 = surface_by_name("p2")
+    assert [h for h in range(-6, 7) if p2.is_ample((h,))] == list(range(1, 7))
+    assert not p2.is_ample((1, 1))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_nef_rays_span_the_ample_cone(name):
+    # F and a*F + Z on F_a, H on the plane; each ray of F_a is nef but not
+    # ample, and every positive combination of the rays is ample
+    srf = surface_by_name(name)
+    want = ((1,),) if name == "p2" else ((1, 0), (int(name[1:]), 1))
+    assert srf.nef_rays == want
+    for ray in srf.nef_rays:
+        assert srf.is_ample(ray) == (name == "p2")
+        assert all(srf.pair(ray, c) >= 0 for c in srf.ray_classes)
+    for alpha in range(1, 4):
+        for beta in range(1, 4) if len(want) == 2 else [0]:
+            H = tuple(alpha * x + beta * y for x, y in zip(want[0], want[-1]))
+            assert srf.is_ample(H)
