@@ -32,48 +32,43 @@ points, adding colength to c2).  This module enumerates them:
   The first stage, memoized per (surface, rank, c1, c2, bound) for the
   life of the process, keeps every generated candidate whose closed-form
   (c1, c2) matches and that is stable on an open set of ample H (the
-  *ample test*, below), with its stability forms as indices into the
-  stage's table of distinct forms.  The rank-2 generators solve the
-  (c1, c2) equation, so there the ample test runs first and (c1, c2) only
-  on its survivors; most rank-3/4 triples fail (c1, c2), so there (c1, c2)
-  runs first.  Either order decides the same stage.  The second stage,
-  per H, is the sign test, then the shell rule, then one memoized builder
-  that builds and verifies each stable bundle, so a chamber sweep runs the
-  search once.  *Shell rule*: while a candidate that is stable at H lies
-  on the outer two shells of the bound (a window above ``B - 2``, or a
-  profile sum above ``P - 2``), the bound grows by 2 and the search reruns;
-  once the bound passes 4x its start, :class:`EnumerationError`.  The
-  starts are ``B = 2K + 2a + 8`` (:func:`_r2_box`) and ``P = 6``.  This
-  rule is the only guard: nothing here certifies that a locus is complete,
-  and only the bundled cases are compared with reference rows.
-* **Stability on a sign table.**  Each side of the slope test is linear in
-  H, so each candidate destabilizing subspace W of the model gives one
+  *ample test*, below), with its distinct stability forms on the nef rays.
+  The rank-2 generators solve the (c1, c2) equation, so there the ample
+  test runs first and (c1, c2) only on its survivors; most rank-3/4 triples
+  fail (c1, c2), so there (c1, c2) runs first.  Either order decides the
+  same stage.  The second stage, per H, is the sign test, then the shell
+  rule, then one memoized builder that builds and verifies each stable
+  bundle, so a chamber sweep runs the search once.  *Shell rule*: while a
+  candidate that is stable at H lies on the outer two shells of the bound
+  (a window above ``B - 2``, or a profile sum above ``P - 2``), the bound
+  grows by 2 and the search reruns; once the bound passes 4x its start,
+  :class:`EnumerationError`.  The starts are ``B = 2K + 2a + 8``
+  (:func:`_r2_box`) and ``P = 6``.  This rule is the only guard: nothing
+  here certifies that a locus is complete, and only the bundled cases are
+  compared with reference rows.
+* **Stability in nef coordinates.**  Each side of the slope test is linear
+  in H, so each candidate destabilizing subspace W of the model gives one
   integer *stability form* v with ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
-  and v is linear in the window lengths: the first time the search meets a
-  model it compiles :func:`~.klyachko.stability_table`, one integer row per
-  (W, basis divisor), and each candidate's forms are those rows times its
-  flattened windows.  Per H, ``v . H`` is computed once for each distinct
-  form of the stage, and a candidate's verdict is the largest sign among
-  its forms: positive means unstable, zero raises
-  :class:`~.klyachko.SlopeTie` (the polarization would be on a wall),
-  negative (or no form at all) means stable.  A bundle is built only for a
-  stable candidate.
-* **The ample test drops what is stable nowhere.**  Over the nef rays
-  rho1, rho2 of :attr:`~.surfaces.Surface.nef_rays`, an ample H is
-  ``alpha*rho1 + beta*rho2`` with alpha, beta > 0, and each ``v . H < 0``
-  bounds ``t = alpha/beta`` on one side, so the H where a candidate is
-  stable form an open interval in t (on the plane, "every ``v . rho1 <
-  0``"); :func:`_ample_test` decides it by integer cross-multiplication.
-  A candidate whose interval is empty is unstable at every ample H except
-  where its largest ``v . H`` is 0, which (with no zero form) is at most
-  the one H where the empty interval closes to a point.  The stage drops
-  the candidate and records that H, as a primitive class, in
-  :attr:`_Stage.ties`, where the sign test raises ``SlopeTie``; a
-  candidate with a zero form ties everywhere and is kept.  So at every
-  ample H the pruned stage gives the same stable candidates, or
-  ``SlopeTie``, as the unpruned one (``tests/oracles.py``), and the shell
-  rule sees the same hits.  It is exact only for ample H, so
-  :func:`enumerate_bundles` and :func:`fixed_locus` refuse any other H.
+  linear in the window lengths.  The first time the search meets a model it
+  compiles :func:`~.klyachko.stability_table`, one integer row per (W, nef
+  ray), and a candidate's forms are the distinct ``(a, b) = (v . rho1,
+  v . rho2)`` over :attr:`~.surfaces.Surface.nef_rays` (b = 0 on the
+  plane).  An ample H is a positive multiple of ``alpha*rho1 + beta*rho2``
+  with alpha, beta > 0 (:func:`_nef_coordinates`), so ``v . H`` has the
+  sign of ``alpha*a + beta*b``.  Per stage, the *ample test*
+  (:func:`_ample_test`) drops a candidate whose open interval of
+  ``t = alpha/beta`` with every ``v . H < 0`` is empty: it is unstable at
+  every ample H except where its largest ``v . H`` is 0, which (with no
+  zero form) is at most the one H where the interval closes to a point, and
+  the stage records that H's (alpha, beta) in :attr:`_Stage.ties`.  Per H,
+  a candidate's verdict is the largest ``alpha*a + beta*b`` over its forms:
+  positive means unstable, zero (or a tie of the stage) raises
+  :class:`~.klyachko.SlopeTie`, negative (or no form at all) means stable,
+  and only then is a bundle built.  So at every ample H the pruned stage
+  gives the same stable candidates, or ``SlopeTie``, as the unpruned one
+  (``tests/oracles.py``), and the shell rule sees the same hits.  It is
+  exact only for ample H, so :func:`enumerate_bundles` and
+  :func:`fixed_locus` refuse any other H.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
   bundle and each degeneration tree), and isolatedness is certified later
@@ -508,7 +503,7 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
     one from 0), and the other {0, 2} window is solved; a candidate with a
     window above ``B - 2`` lies on the box's outer two shells.
     """
-    a = int(surface.name[1:])
+    a = _section_index(surface)
     f, z = c1
     K = 4 * c2 - surface.pair(c1, c1)
     if K <= 0:
@@ -582,6 +577,11 @@ def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
 def _r2_box(K: int, a: int) -> int:
     """Starting side of the adjacent-pair window box for discriminant K on F_a."""
     return 2 * K + 2 * a + 8
+
+
+def _section_index(surface: Surface) -> int:
+    """The a of F_a, read from the intersection form: the section Z has ``Z^2 = -a``."""
+    return -surface.pair((0, 1), (0, 1))
 
 
 def _coincident_pair(classes: tuple):
@@ -684,11 +684,12 @@ _P_START = 6  # starting window-sum bound of the rank-3/4 search
 
 def _search(surface: Surface, rank: int, c1: tuple, c2: int):
     """The window generator of a supported case and its starting bound."""
-    if rank == 2 and surface.name == "P2":
+    plane = surface.picard_rank == 1
+    if rank == 2 and plane:
         return _p2_r2_windows, 0
     if rank == 2:
-        return _fa_r2_windows, _r2_box(4 * c2 - surface.pair(c1, c1), int(surface.name[1:]))
-    if surface.name == "P2" and rank in (3, 4):
+        return _fa_r2_windows, _r2_box(4 * c2 - surface.pair(c1, c1), _section_index(surface))
+    if plane and rank in (3, 4):
         return _p2_higher_windows, _P_START
     raise EnumerationError(f"unsupported case: {surface.name} rank {rank}")
 
@@ -697,32 +698,43 @@ class _Candidate(NamedTuple):
     """One H-independent candidate of a window search.
 
     ``key`` names its configuration model; ``forms`` are the distinct
-    stability forms of its bundle, and ``form_ids`` their indices in the
-    stage's :attr:`_Stage.forms`; ``on_shell`` marks a candidate on the
-    outer two shells of the search bound.
+    ``(v . rho1, v . rho2)`` of its bundle's stability forms v over the nef
+    rays; ``on_shell`` marks a candidate on the outer two shells of the
+    search bound.
     """
 
     key: tuple
     tops: tuple
     windows: tuple
-    forms: tuple[tuple[int, ...], ...]
-    form_ids: tuple[int, ...]
+    forms: tuple[tuple[int, int], ...]
     on_shell: bool
 
 
 class _Stage(NamedTuple):
-    """The candidates of a window search at one bound that are stable at some ample H, their
-    distinct stability forms, and the primitive H at which a dropped candidate ties."""
+    """The candidates of a window search at one bound that are stable at some ample H, and the
+    nef coordinates (:func:`_nef_coordinates`) of each H at which a dropped candidate ties."""
 
     candidates: tuple[_Candidate, ...]
-    forms: tuple[tuple[int, ...], ...]
-    ties: frozenset[tuple[int, ...]]
+    ties: frozenset[tuple[int, int]]
 
 
-def _ample_test(values, rays: tuple) -> tuple[bool, tuple | None]:
+def _nef_coordinates(surface: Surface, H: tuple) -> tuple[int, int]:
+    """The coprime ``(alpha, beta) > 0`` with an ample H a positive multiple of
+    ``alpha*rho1 + beta*rho2`` over the nef rays, by Cramer's rule (each numerator times the
+    determinant, so both stay integral and positive); (1, 1) on the plane."""
+    if surface.picard_rank == 1:
+        return 1, 1
+    (p1, q1), (p2, q2) = surface.nef_rays
+    det = p1 * q2 - q1 * p2
+    alpha, beta = (H[0] * q2 - H[1] * p2) * det, (p1 * H[1] - q1 * H[0]) * det
+    g = gcd(alpha, beta)
+    return alpha // g, beta // g
+
+
+def _ample_test(values) -> tuple[bool, tuple | None]:
     """Whether every ``v . H < 0`` on an open set of ample H, given ``(v . rho1, v . rho2)`` for
-    each form v over the nef rays; if not, the one primitive H where the largest ``v . H`` is 0,
-    or None.
+    each form v over the nef rays; if not, the nef coordinates of the one H where the largest
+    ``v . H`` is 0, or None.
 
     Write an ample H as ``alpha*rho1 + beta*rho2`` (alpha, beta > 0).  With
     ``(a, b) = (v . rho1, v . rho2)``, ``v . H < 0`` reads ``t*a + b < 0``
@@ -748,23 +760,9 @@ def _ample_test(values, rays: tuple) -> tuple[bool, tuple | None]:
     if lo * hi_d < hi * lo_d:
         return True, None
     if lo * hi_d == hi * lo_d and lo > 0 and hi_d > 0:  # lo > 0 needs b > 0: two rays
-        r1, r2 = rays
-        H = [lo * x + lo_d * y for x, y in zip(r1, r2)]
-        g = gcd(*H)
-        return False, tuple(h // g for h in H)
+        g = gcd(lo, lo_d)
+        return False, (lo // g, lo_d // g)
     return False, None
-
-
-def _ray_table(table: tuple, rays: tuple) -> tuple:
-    """The rows of a stability table paired with the nef rays: for each candidate subspace, the
-    rows of ``v . rho1`` and ``v . rho2`` over the windows (zero for the plane's missing ray)."""
-    out = []
-    for rows in table:
-        on_rays = [[sum(map(mul, ray, col)) for col in zip(*rows)] for ray in rays]
-        if len(on_rays) == 1:
-            on_rays.append([0] * len(on_rays[0]))
-        out.append(tuple(on_rays))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -775,8 +773,8 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
     This stage does not depend on the polarization: it runs the case's
     window generator with the closed-form (c1, c2) filter and the ample
     test (:func:`_ample_test`, in the order of the module docstring), and
-    keeps one record per survivor, with the stability forms read off its
-    windows (no bundle is built).  A candidate that is stable nowhere but
+    keeps one record per survivor, with its forms on the nef rays read off
+    its windows (no bundle is built).  A candidate that is stable nowhere but
     ties at one H, and passes (c1, c2), leaves that H in
     :attr:`_Stage.ties`.  Each model met is compiled once: its level pairs
     and its :func:`~.klyachko.stability_table`.
@@ -786,28 +784,23 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
     out = []
     ties: set[tuple] = set()
     shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
-    form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
-    compiled: dict[tuple, tuple] = {}  # per model: level pairs, stability table, on the nef rays
+    compiled: dict[tuple, tuple] = {}  # per model: level pairs and stability table
 
     def chern_matches(tops, windows, pairs):
         return bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) == (c1, c2)
 
     for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
         if model.key not in compiled:
-            table = stability_table(surface, rank, model.candidates)
             compiled[model.key] = (
                 _level_pairs(surface, model),
-                table,
-                _ray_table(table, surface.nef_rays),
+                stability_table(surface, rank, model.candidates),
             )
-        pairs, table, ray_table = compiled[model.key]
+        pairs, table = compiled[model.key]
         if rank > 2 and not chern_matches(tops, windows, pairs):
             continue
         x = [*chain.from_iterable(windows)]
-        stable, tie = _ample_test(
-            [(sum(map(mul, x, ra)), sum(map(mul, x, rb))) for ra, rb in ray_table],
-            surface.nef_rays,
-        )
+        values = [(sum(map(mul, x, ra)), sum(map(mul, x, rb))) for ra, rb in table]
+        stable, tie = _ample_test(values)
         if not (stable or tie) or tie in ties:
             continue
         if rank == 2 and not chern_matches(tops, windows, pairs):
@@ -815,11 +808,10 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
         if tie:
             ties.add(tie)
             continue
-        vs = tuple(dict.fromkeys(tuple(sum(map(mul, x, row)) for row in rows) for rows in table))
-        ids = tuple(form_id.setdefault(v, len(form_id)) for v in vs)
         windows = tuple(shared.setdefault(w, w) for w in windows)
-        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, vs, ids, on_shell))
-    return _Stage(tuple(out), tuple(form_id), frozenset(ties))
+        forms = tuple(dict.fromkeys(values))
+        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, forms, on_shell))
+    return _Stage(tuple(out), frozenset(ties))
 
 
 @lru_cache(maxsize=None)
@@ -837,21 +829,20 @@ def _bundle(
 # ---------------------------------------------------------------------------
 
 
-def _stable(stage: _Stage, H: tuple) -> list[_Candidate]:
-    """The candidates of a stage that are stable at H, in order, from one sign table.
+def _stable(stage: _Stage, surface: Surface, H: tuple) -> list[_Candidate]:
+    """The candidates of a stage that are stable at an ample H, in order.
 
-    ``v . H`` is computed once per distinct form; a candidate's verdict is
-    the largest sign among its forms.  The first candidate whose largest
-    value is 0 raises :class:`~.klyachko.SlopeTie`, and so does an H whose
-    primitive class is one of the stage's ties.
+    H becomes its nef coordinates (alpha, beta) once; a candidate's verdict
+    is the largest ``alpha*a + beta*b`` over its forms (a, b).  The first
+    candidate whose largest value is 0 raises :class:`~.klyachko.SlopeTie`,
+    and so does an H whose (alpha, beta) is one of the stage's ties.
     """
-    g = gcd(*H)
-    if tuple(h // g for h in H) in stage.ties:
+    alpha, beta = _nef_coordinates(surface, H)
+    if (alpha, beta) in stage.ties:
         raise SlopeTie(f"polarization {H} is on a wall for this sheaf")
-    signs = [sum(map(mul, v, H)) for v in stage.forms]
     stable = []
     for cand in stage.candidates:
-        top = max(map(signs.__getitem__, cand.form_ids), default=-1)
+        top = max((alpha * a + beta * b for a, b in cand.forms), default=-1)
         if top == 0:
             raise SlopeTie(f"polarization {H} is on a wall for this sheaf")
         if top < 0:
@@ -860,14 +851,14 @@ def _stable(stage: _Stage, H: tuple) -> list[_Candidate]:
 
 
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """The stable bundles at an ample H, by the sign table and the shell rule of the module
+    """The stable bundles at an ample H, by the sign test and the shell rule of the module
     docstring."""
     _require_ample(surface, H)
     c1 = tuple(c1)
     _generate, start = _search(surface, rank, c1, c2)
     bound = start
     while True:
-        stable = _stable(_candidates(surface.name, rank, c1, c2, bound), H)
+        stable = _stable(_candidates(surface.name, rank, c1, c2, bound), surface, H)
         hits = [cand.windows for cand in stable if cand.on_shell]
         if not hits:
             return [
@@ -950,32 +941,27 @@ def wall_slopes(surface: Surface, rank: int, c1: tuple, c2: int) -> list[Fractio
 
     A destabilizing class xi = x*F + y*Z must satisfy the Hodge-index bound
     -(4*c2 - c1^2) <= xi^2 < 0 and meet a polarization with xi.H = 0, i.e.
-    sigma = a - x/y.  No congruence condition is imposed on (x, y), so the
-    returned set can be a superset of the true walls: chambers may be
-    subdivided but are never merged, which keeps every returned interval
-    wall-free.
+    sigma = -(xi.Z)/(xi.F) = a - x/y, which is ample exactly when y > 0 and
+    x < 0 (and xi^2 = 2xy - ay^2 falls as x does).  No congruence condition
+    is imposed on (x, y), so the returned set can be a superset of the true
+    walls: chambers may be subdivided but are never merged, which keeps
+    every returned interval wall-free.
     """
-    if surface.name == "P2":
+    if surface.picard_rank == 1:
         return []
     if rank != 2:
         raise EnumerationError("walls are computed for rank 2 only")
-    a = int(surface.name[1:])
     K = 4 * c2 - surface.pair(c1, c1)
     if K <= 0:
         return []
     slopes = set()
     y = 1
-    while a * y * y + 2 * y <= K:
-        x = -1
-        while True:
-            xi_sq = 2 * x * y - a * y * y
-            if xi_sq < -K:
-                break
+    while surface.pair((-1, y), (-1, y)) >= -K:
+        xi = (-1, y)
+        while (xi_sq := surface.pair(xi, xi)) >= -K:
             if xi_sq < 0:
-                slope = Fraction(a) - Fraction(x, y)
-                if slope > a:
-                    slopes.add(slope)
-            x -= 1
+                slopes.add(Fraction(-surface.pair(xi, (0, 1)), surface.pair(xi, (1, 0))))
+            xi = (xi[0] - 1, y)
         y += 1
     return sorted(slopes)
 
@@ -1001,11 +987,10 @@ def chamber_representatives(
     """
     if polarization_gcd(surface, rank, c1) != 1:
         raise ValueError("gcd(rank, c1.H) > 1 for every polarization H")
-    if surface.name == "P2":
+    if surface.picard_rank == 1:
         return [(1,)]
-    a = int(surface.name[1:])
     walls = wall_slopes(surface, rank, c1, c2)
-    bounds = [Fraction(a)] + walls
+    bounds = [Fraction(_section_index(surface))] + walls
     bounds.append(bounds[-1] + 2)
     reps = []
     for lo, hi in zip(bounds, bounds[1:]):

@@ -28,10 +28,11 @@ From this data the module computes
   form* v and the test at H is the sign of ``v . H``.  The form is linear
   in the window lengths between the jumps, with coefficients from the
   dimensions ``dim(W n F_i^m)``: :func:`stability_table` gives, once per
-  list of candidates, one integer row per (W, basis divisor), and a form is
-  the dot product of those rows with the flattened windows.  The top jump
+  list of candidates, one integer row per (W, nef ray rho), and ``v . rho``
+  is the dot product of that row with the flattened windows.  The top jump
   positions cancel, so no sheaf is needed (the tests keep the slope
-  comparison read from a built sheaf's flags as the reference), and
+  comparison read from a built sheaf's flags, and the forms in the divisor
+  basis, as the reference), and
 * single-site degenerations (the local family drops to the span of its two
   predecessors), which generate the torsion-free fixed points lying over a
   fixed bundle.
@@ -439,30 +440,28 @@ def stability_table(
     surface: Surface,
     rank: int,
     candidates: Iterable[tuple[int, Iterable[tuple[tuple[int, int], int]]]],
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per candidate W, one integer row per basis divisor l: ``v_l`` is the row times the windows.
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per candidate W, one integer row per nef ray: ``v . rho`` is the row times the windows.
 
-    Here v is the stability form of W, ``v . H = r*deg_H(W) - dim W*deg_H(E)``.
-    Write ``windows[i][m - 1]`` for the gap between the jumps to levels m
-    and m + 1 along ray i, flattened ray by ray into ``x`` (index
-    ``i*(r - 1) + m - 1``).  Each candidate is ``(w, (((i, m), d), ...))``
-    with ``w = dim W`` and ``d = dim(W n F_i^m)``.  Along ray i the weighted
-    jump sum of W is ``w*top_i - sum_m windows[i][m - 1]*d``, so the top
-    jump positions cancel and
-    ``v = sum_i g_i sum_m windows[i][m - 1]*(r*d - w*m)``, where ``g_i`` is
-    the degree vector of ray i (its pairing with each basis divisor).  So
-    ``v_l = sum(map(mul, x, row_l))`` with
-    ``row_l[i*(r - 1) + m - 1] = g_i[l]*(r*d - w*m)``.  W destabilizes at H
-    when ``v . H > 0`` and ties when ``v . H == 0``.
+    Here v is the stability form of W, ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
+    and rho runs over :attr:`~.surfaces.Surface.nef_rays`; the plane's
+    missing second ray gives a zero row.  Write ``windows[i][m - 1]`` for
+    the gap between the jumps to levels m and m + 1 along ray i, flattened
+    ray by ray into ``x`` (index ``i*(r - 1) + m - 1``).  Each candidate is
+    ``(w, (((i, m), d), ...))`` with ``w = dim W`` and
+    ``d = dim(W n F_i^m)``.  Along ray i the weighted jump sum of W is
+    ``w*top_i - sum_m windows[i][m - 1]*d``, so the top jump positions
+    cancel and ``v . rho = sum_i (D_i . rho) sum_m windows[i][m - 1]*(r*d - w*m)``.
+    So ``v . rho = sum(map(mul, x, row))`` with
+    ``row[i*(r - 1) + m - 1] = (D_i . rho)*(r*d - w*m)``.  W destabilizes at
+    H when ``v . H > 0`` and ties when ``v . H == 0``.
     """
-    n = surface.picard_rank
-    degrees = [
-        [sum(map(mul, cls, col)) for col in zip(*surface.intersection)]
-        for cls in surface.ray_classes
-    ]
+    rays = surface.nef_rays
+    degrees = [[*(surface.pair(cls, ray) for ray in rays), 0][:2] for cls in surface.ray_classes]
+    width = len(degrees) * (rank - 1)
     table = []
     for w, dims in candidates:
-        rows = [[0] * (len(degrees) * (rank - 1)) for _ in range(n)]
+        rows = ([0] * width, [0] * width)
         for (i, m), d in dims:
             for row, g in zip(rows, degrees[i]):
                 row[i * (rank - 1) + m - 1] += g * (rank * d - w * m)

@@ -18,11 +18,14 @@ division.  They are also the reference for the K-theoretic clearing of
 
 :func:`is_stable` is the slope comparison read from a built sheaf's flags.
 :func:`stability_forms` reads the same comparison as one integer form per
-candidate subspace, straight off the windows, and :func:`stable_at` tests
-the signs of those forms at H, candidate by candidate.  The enumeration
-instead compiles each model's forms once (``klyachko.stability_table``)
-and tests a whole stage at H on one sign table of its distinct forms
-(``enumeration._stable``).
+candidate subspace in the divisor basis, straight off the windows, and
+:func:`stable_at` tests the signs of those forms at H, candidate by
+candidate.  :func:`sign_table_stable` tests a whole stage of such forms
+at H on one sign table: one ``v . H`` per distinct form of the stage.
+The enumeration instead compiles each model's rows on the nef rays once
+(``klyachko.stability_table``, which the tests compare with
+:func:`on_nef_rays` of the basis forms) and decides each candidate from
+the nef coordinates of H (``enumeration._stable``).
 
 :func:`closed_chern` is the closed-form (c1, c2) of a candidate as the
 enumeration first read it: nested per-ray jump lists and per-cone jump
@@ -62,9 +65,11 @@ adjacent-pair box solved cell by cell by :func:`fill_deltas`.  They yield
 
 :func:`unpruned_candidates` is the candidate stage before the ample test: every
 generated candidate that passes the (c1, c2) filter, stable at some ample H
-or not, with no ties.  ``enumeration._candidates`` keeps only those stable
-on an open set of ample H and records where a dropped one ties; the tests
-require ``enumeration._stable`` to decide the same on both at every ample H.
+or not, as a :class:`BasisStage` of its distinct basis forms.
+``enumeration._candidates`` keeps only those stable on an open set of ample
+H and records where a dropped one ties; the tests require
+``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
+unpruned stage at every ample H.
 """
 
 from __future__ import annotations
@@ -72,10 +77,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from toric_virasoro import descendents
 from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
@@ -83,7 +87,6 @@ from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
 from toric_virasoro.enumeration import (
     _COINCIDENCE_CODIM,
     _adjacent,
-    _Candidate,
     _coincident_pair,
     _config_opposite_or_generic,
     _flag_dim,
@@ -94,7 +97,6 @@ from toric_virasoro.enumeration import (
     _r3_configs,
     _r4_configs,
     _search,
-    _Stage,
     _window_profiles,
 )
 from toric_virasoro.klyachko import (
@@ -104,7 +106,6 @@ from toric_virasoro.klyachko import (
     TorusSheaf,
     bundle_chern,
     jump_pairs,
-    stability_table,
 )
 from toric_virasoro.surfaces import surface_by_name
 
@@ -761,6 +762,50 @@ def stable_at(forms: Iterable[tuple[int, ...]], polarization: tuple) -> bool:
     return True
 
 
+def on_nef_rays(surface, forms: Iterable[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """``(v . rho1, v . rho2)`` of each basis form v over the nef rays; 0 for the plane's
+    missing second ray."""
+    rays = surface.nef_rays
+    return [tuple([*(sum(map(mul, v, ray)) for ray in rays), 0][:2]) for v in forms]
+
+
+class BasisCandidate(NamedTuple):
+    """One candidate of :func:`unpruned_candidates`: its distinct stability forms in the divisor
+    basis, and their indices in the stage's :attr:`BasisStage.forms`."""
+
+    key: tuple
+    tops: tuple
+    windows: tuple
+    forms: tuple[tuple[int, ...], ...]
+    form_ids: tuple[int, ...]
+    on_shell: bool
+
+
+class BasisStage(NamedTuple):
+    """A candidate stage with the distinct basis forms of all its candidates."""
+
+    candidates: tuple[BasisCandidate, ...]
+    forms: tuple[tuple[int, ...], ...]
+
+
+def sign_table_stable(stage: BasisStage, H: tuple) -> list[BasisCandidate]:
+    """The candidates of a stage that are stable at H, in order, from one sign table.
+
+    ``v . H`` is computed once per distinct form; a candidate's verdict is
+    the largest sign among its forms.  The first candidate whose largest
+    value is 0 raises SlopeTie.
+    """
+    signs = [sum(map(mul, v, H)) for v in stage.forms]
+    stable = []
+    for cand in stage.candidates:
+        top = max(map(signs.__getitem__, cand.form_ids), default=-1)
+        if top == 0:
+            raise SlopeTie(f"polarization {H} is on a wall for this sheaf")
+        if top < 0:
+            stable.append(cand)
+    return stable
+
+
 def nested_level_pairs(surface, model) -> list[list[tuple[int, int, int]]]:
     """Per cone, the ``(l, m, mu)`` jump pairs of the model's level flags (space l at l)."""
     rank = model.rank
@@ -1031,42 +1076,22 @@ def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
 
 
 @lru_cache(maxsize=None)
-def unpruned_candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) -> _Stage:
+def unpruned_candidates(
+    surface_name: str, rank: int, c1: tuple, c2: int, bound: int
+) -> BasisStage:
     """Every candidate of the window search at one bound that passes (c1, c2), in search order."""
     surface = surface_by_name(surface_name)
     generate, _start = _search(surface, rank, c1, c2)
     out = []
-    shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
     form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
-    forms: list[tuple] = []
-    compiled: dict[tuple, tuple] = {}  # per model: level pairs and stability table
+    pairs: dict[tuple, tuple] = {}  # level pairs per model
     for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
-        if model.key not in compiled:
-            compiled[model.key] = (
-                _level_pairs(surface, model),
-                stability_table(surface, rank, model.candidates),
-            )
-        pairs, table = compiled[model.key]
-        if bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) != (c1, c2):
+        if model.key not in pairs:
+            pairs[model.key] = _level_pairs(surface, model)
+        jumps = _jump_positions(tops, windows, rank)
+        if bundle_chern(surface, jumps, pairs[model.key]) != (c1, c2):
             continue
-        x = [*chain.from_iterable(windows)]
-        ids = []
-        for rows in table:
-            v = tuple(sum(map(mul, x, row)) for row in rows)
-            k = form_id.setdefault(v, len(forms))
-            if k == len(forms):
-                forms.append(v)
-            ids.append(k)
-        ids = tuple(dict.fromkeys(ids))
-        windows = tuple(shared.setdefault(w, w) for w in windows)
-        out.append(
-            _Candidate(
-                model.key,
-                shared.setdefault(tops, tops),
-                windows,
-                tuple(forms[k] for k in ids),
-                ids,
-                on_shell,
-            )
-        )
-    return _Stage(tuple(out), tuple(forms), frozenset())
+        forms = tuple(dict.fromkeys(stability_forms(surface, rank, windows, model.candidates)))
+        ids = tuple(form_id.setdefault(v, len(form_id)) for v in forms)
+        out.append(BasisCandidate(model.key, tops, windows, forms, ids, on_shell))
+    return BasisStage(tuple(out), tuple(form_id))

@@ -491,6 +491,8 @@ TRANSCRIPTS = {
     "enumerate-p2-r3-c2-2.txt": ("enumerate", *_P2_R3, "--c2", "2"),
     "enumerate-p2-r3-c2-3.txt": ("enumerate", *_P2_R3, "--c2", "3"),
     "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),
+    "walls-f1-r2-c2-2.txt": ("walls", "--surface", "f1", "--r", "2", "--delta", "0,1", "--c2", "2"),
+    "walls-f2-r2-c2-2.txt": ("walls", "--surface", "f2", "--r", "2", "--delta", "0,1", "--c2", "2"),
     "bracket-k4-d6-p2-f0-f1-f2.txt": (
         "bracket", "--max-k", "4", "--max-degree", "6",
         "--surface", "p2", "--surface", "f0", "--surface", "f1", "--surface", "f2",
@@ -513,6 +515,8 @@ def test_output_matches_recorded_transcript(capsys, transcript):
         "enumerate-f0-r2-all-chambers.txt",
         "enumerate-f0-r2-c2-3-all-chambers.txt",
         "walls-f0-r2-c2-2.txt",
+        "walls-f1-r2-c2-2.txt",
+        "walls-f2-r2-c2-2.txt",
         "verify-f0-FZ-c2-2-H2F5Z.json.txt",
         "enumerate-p2-r3-c2-3.txt",
     ],

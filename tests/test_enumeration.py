@@ -21,6 +21,8 @@ from oracles import (
     fa_r2_windows,
     higher_windows,
     is_stable,
+    on_nef_rays,
+    sign_table_stable,
     slope_times_rank,
     stability_forms,
     stable_at,
@@ -116,47 +118,53 @@ class TestHirzebruchCounts:
         assert len(fixed_locus_cached(surface, 2, delta, c2, H)) == count
 
 
+# (surface, c1, c2) -> its wall slopes as the walls command prints them; the
+# f1 and f2 cases are recorded transcripts too
+_WALLS = {
+    "f0": ((1, 0), 2, "1/4 1/3 1/2 1 2 3 4"),
+    "f1": ((0, 1), 2, "3/2 2 3 4 5"),
+    "f2": ((0, 1), 2, "3 4 5 6"),
+}
+
+
 class TestWalls:
-    def test_wall_slopes_match_brute_force(self):
-        srf = surface_by_name("f0")
-        delta, c2 = (1, 0), 2
+    @pytest.mark.parametrize("name", sorted(_WALLS))
+    def test_wall_slopes_match_brute_force(self, name):
+        srf = surface_by_name(name)
+        delta, c2, printed = _WALLS[name]
         disc = 4 * c2 - srf.pair(delta, delta)
-        # A class xi = (x, y) with -disc <= xi^2 < 0 is orthogonal to the
-        # polarization (hF, hZ) exactly when hF/hZ = -x/y, so sweep a box of
-        # classes and collect the positive orthogonal slopes.
+        # A class xi with -disc <= xi^2 < 0 is orthogonal to the polarization
+        # hF*F + hZ*Z exactly when hF*(xi.F) + hZ*(xi.Z) = 0, so sweep a box
+        # of classes and collect the ample solutions hF/hZ.
         oracle = set()
-        for x in range(-40, 0):
-            for y in range(1, 41):
-                if -disc <= srf.pair((x, y), (x, y)) < 0:
-                    oracle.add(Fraction(-x, y))
+        for xi in product(range(-40, 41), repeat=2):
+            if -disc <= srf.pair(xi, xi) < 0:
+                slope = Fraction(-srf.pair(xi, (0, 1)), srf.pair(xi, (1, 0)))
+                if srf.is_ample((slope.numerator, slope.denominator)):
+                    oracle.add(slope)
         slopes = wall_slopes(srf, 2, delta, c2)
         assert set(slopes) == oracle
-        assert set(slopes) == {
-            Fraction(1, 4),
-            Fraction(1, 3),
-            Fraction(1, 2),
-            Fraction(1),
-            Fraction(2),
-            Fraction(3),
-            Fraction(4),
-        }
-        assert list(slopes) == sorted(slopes)
+        assert " ".join(map(str, slopes)) == printed
 
     def test_walls_rank_two_only(self):
         with pytest.raises(EnumerationError, match="rank 2"):
             wall_slopes(surface_by_name("f0"), 3, (1, 0), 2)
 
-    def test_chamber_representatives(self):
+    @pytest.mark.parametrize("name", sorted(_WALLS))
+    def test_chamber_representatives(self, name):
         p2 = surface_by_name("p2")
         assert chamber_representatives(p2, 2, (1,), 2) == [(1,)]
-        f0 = surface_by_name("f0")
-        reps = chamber_representatives(f0, 2, (1, 0), 2)
-        assert len(reps) == 8
-        walls = set(wall_slopes(f0, 2, (1, 0), 2))
-        for hf, hz in reps:
-            assert hf >= 1 and hz >= 1  # ample
-            assert Fraction(hf, hz) not in walls
-            assert f0.pair((1, 0), (hf, hz)) % 2 == 1  # coprime with the rank
+        srf = surface_by_name(name)
+        delta, c2, _printed = _WALLS[name]
+        reps = chamber_representatives(srf, 2, delta, c2)
+        walls = wall_slopes(srf, 2, delta, c2)
+        assert len(reps) == len(walls) + 1
+        # one representative strictly inside each interval between walls
+        slopes = [Fraction(hf, hz) for hf, hz in reps]
+        assert all(below < wall < above for below, wall, above in zip(slopes, walls, slopes[1:]))
+        for H in reps:
+            assert srf.is_ample(H)
+            assert srf.pair(delta, H) % 2 == 1  # coprime with the rank
 
     @pytest.mark.parametrize("surface", ["p2", "f0", "f1", "f2"])
     def test_polarization_gcd_is_the_gcd_over_ample_classes(self, surface):
@@ -312,18 +320,32 @@ def _candidate_sheaves(name, c1, c2):
 
 
 def _table_forms(surface, model, windows):
-    """The stability forms of every model candidate, as the compiled table gives them."""
+    """The ``(v . rho1, v . rho2)`` of every model candidate, as the compiled table gives them."""
     x = [w for wins in windows for w in wins]
     table = stability_table(surface, model.rank, model.candidates)
     return [tuple(sum(map(mul, x, row)) for row in rows) for rows in table]
 
 
-def _sign_table_verdict(forms, H):
-    """The sign-table verdict at H of one candidate with these forms (or "tie")."""
-    distinct = tuple(dict.fromkeys(forms))
-    cand = enumeration._Candidate(None, (), (), distinct, tuple(range(len(distinct))), False)
-    stage = enumeration._Stage((cand,), distinct, frozenset())
-    return _verdict(lambda: enumeration._stable(stage, H) == [cand])
+def _nef_verdict(surface, forms, H):
+    """The per-H verdict of the enumeration at H of one candidate with these forms on the nef
+    rays (or "tie")."""
+    cand = enumeration._Candidate(None, (), (), tuple(dict.fromkeys(forms)), False)
+    stage = enumeration._Stage((cand,), frozenset())
+    return _verdict(lambda: enumeration._stable(stage, surface, H) == [cand])
+
+
+def _basis_forms(surface, cand):
+    """The distinct stability forms in the divisor basis of a stage's candidate, recomputed from
+    its model key and windows."""
+    model = enumeration._model(cand.key)
+    forms = stability_forms(surface, model.rank, cand.windows, model.candidates)
+    return tuple(dict.fromkeys(forms))
+
+
+def _from_nef(surface, coordinates):
+    """The class ``alpha*rho1 + beta*rho2`` of nef coordinates on a surface of Picard rank 2."""
+    alpha, beta = coordinates
+    return tuple(alpha * x + beta * y for x, y in zip(*surface.nef_rays))
 
 
 def _polarizations(a):
@@ -353,10 +375,12 @@ _R2_CASES = _FA_CASES + [pytest.param("p2", (1,), id="p2-c1H")]
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_form_verdict_matches_is_stable(name, c1, c2, data):
-    # the stored forms are the distinct forms of the built bundle, in order,
-    # and the stage's sign table decides exactly what the reference slope
-    # comparison and the per-candidate sign test decide, SlopeTie included,
-    # for every candidate and for the whole stage
+    # the oracle stage's basis forms are the distinct forms of the built
+    # bundle, in order; the per-candidate sign test and the enumeration's
+    # per-H step on the forms' nef-ray values decide exactly what the
+    # reference slope comparison decides, SlopeTie included, and the
+    # oracle's sign table decides as the scan, for the whole stage
+    surface = surface_by_name(name)
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
     stage, rows = _candidate_sheaves(name, c1, c2)
@@ -364,9 +388,9 @@ def test_form_verdict_matches_is_stable(name, c1, c2, data):
         assert cand.forms == forms == tuple(stage.forms[k] for k in cand.form_ids), cand[:3]
         want = _verdict(lambda: is_stable(sheaf, H, patterns))
         assert _verdict(lambda: stable_at(cand.forms, H)) == want, (cand[:3], H)
-        assert _sign_table_verdict(cand.forms, H) == want, (cand[:3], H)
+        assert _nef_verdict(surface, on_nef_rays(surface, forms), H) == want, (cand[:3], H)
     scan = _verdict(lambda: [c for c in stage.candidates if stable_at(c.forms, H)])
-    assert _verdict(lambda: enumeration._stable(stage, H)) == scan
+    assert _verdict(lambda: sign_table_stable(stage, H)) == scan
 
 
 class TestTwoStageSearch:
@@ -411,7 +435,7 @@ class TestTwoStageSearch:
 
         def shell_hit(H, bound):
             cands = enumeration._candidates("F0", 2, (1, 1), 3, bound).candidates
-            return any(c.on_shell and stable_at(c.forms, H) for c in cands)
+            return any(c.on_shell and stable_at(_basis_forms(f0, c), H) for c in cands)
 
         for H, keys in zip(reps, default):
             try:
@@ -437,7 +461,7 @@ class TestTwoStageSearch:
         fired = []
         for H in reps:
             cands = enumeration._candidates("F0", 2, (1, 1), 3, 3).candidates
-            stable = any(stable_at(c.forms, H) for c in cands)
+            stable = any(stable_at(_basis_forms(f0, c), H) for c in cands)
             try:
                 enumerate_bundles(f0, 2, (1, 1), 3, H)
             except EnumerationError as exc:
@@ -455,7 +479,7 @@ class TestTwoStageSearch:
         default = [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))]
         monkeypatch.setattr(enumeration, "_P_START", 2)
         start = enumeration._candidates("P2", 3, (1,), 3, 2).candidates
-        assert any(c.on_shell and stable_at(c.forms, (1,)) for c in start)
+        assert any(c.on_shell and stable_at(_basis_forms(p2, c), (1,)) for c in start)
         assert [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))] == default
 
 
@@ -470,9 +494,10 @@ class TestTwoStageSearch:
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_window_forms_match_the_built_bundle(rank, cfg, data):
-    # the compiled table's forms over the windows equal the slope degrees of
-    # the bundle built from the same windows and any tops, and the sign
-    # table gives the reference verdict at every polarization of the plane
+    # the compiled table's values over the windows equal the slope degrees
+    # of the bundle built from the same windows and any tops, on the nef
+    # ray, and the per-H step gives the reference verdict at every
+    # polarization of the plane
     model = (r3_model if rank == 3 else r4_model)(*cfg)
     window = st.tuples(*[st.integers(0, 4)] * (rank - 1))
     wins = data.draw(st.tuples(window, window, window), label="windows")
@@ -481,9 +506,9 @@ def test_window_forms_match_the_built_bundle(rank, cfg, data):
     sheaf = _build_bundle(p2, rank, model, tops, wins)
     patterns = tuple(_patterns(sheaf, model))
     forms = _table_forms(p2, model, wins)
-    assert forms == _reference_forms(sheaf, patterns)
+    assert forms == on_nef_rays(p2, _reference_forms(sheaf, patterns))
     H = data.draw(_P2_POLARIZATIONS, label="H")
-    assert _sign_table_verdict(forms, H) == _verdict(lambda: is_stable(sheaf, H, patterns))
+    assert _nef_verdict(p2, forms, H) == _verdict(lambda: is_stable(sheaf, H, patterns))
 
 
 def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
@@ -560,17 +585,19 @@ def test_closed_chern_matches_localization(name, rank, cfg, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_stability_table_matches_the_oracles(name, rank, cfg, data):
-    # the compiled table's forms equal the per-candidate closed form, in
-    # model order, and the sign table decides as the per-candidate sign
-    # test does, SlopeTie included, at ample H and at H on a wall
+    # the compiled table's rows give the per-candidate closed form in the
+    # divisor basis paired with the nef rays, in model order, and the per-H
+    # step on them decides as the per-candidate sign test on the basis
+    # forms does, SlopeTie included, at ample H and at H on a wall
     surface = surface_by_name(name)
     model = _model_of(name, rank, cfg)
     wins, _tops = data.draw(_windows_and_tops(surface, rank), label="windows, tops")
     forms = _table_forms(surface, model, wins)
-    assert forms == list(stability_forms(surface, rank, wins, model.candidates))
+    basis = list(stability_forms(surface, rank, wins, model.candidates))
+    assert forms == on_nef_rays(surface, basis)
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
-    assert _sign_table_verdict(forms, H) == _verdict(lambda: stable_at(forms, H))
+    assert _nef_verdict(surface, forms, H) == _verdict(lambda: stable_at(basis, H))
 
 
 def _model_of(name, rank, cfg):
@@ -591,8 +618,8 @@ def _windows_and_tops(surface, rank):
 
 # (candidates, distinct forms, first 16 hex digits of the sha256 of the repr
 # of every candidate's key, tops, windows, forms and on_shell, in order) at
-# the starting bound, recorded before the stage was compiled per model; the
-# unpruned stage is the oracle's
+# the starting bound, recorded before the stage was compiled per model, with
+# the forms in the divisor basis; the unpruned stage is the oracle's
 _STAGES = {
     ("f0", 2, (1, 1), 1): (224, 88, "ea0018eee93c1209"),
     ("f0", 2, (1, 1), 2): (824, 258, "36b0331a7aa90bdf"),
@@ -612,9 +639,13 @@ _PRUNED_STAGES = {
 }
 
 
-def _stage_pin(stage):
-    rows = [(c.key, c.tops, c.windows, c.forms, c.on_shell) for c in stage.candidates]
-    return len(rows), len(stage.forms), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+def _stage_pin(surface, stage):
+    """The pin of a stage, with each candidate's basis forms recomputed from its key and windows."""
+    rows = [
+        (c.key, c.tops, c.windows, _basis_forms(surface, c), c.on_shell) for c in stage.candidates
+    ]
+    distinct = {v for row in rows for v in row[3]}
+    return len(rows), len(distinct), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 def _start_bound(name, rank, c1, c2):
@@ -625,19 +656,25 @@ def _start_bound(name, rank, c1, c2):
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_STAGES), ids=str)
 def test_candidate_stages_are_pinned(name, rank, c1, c2):
     stage = unpruned_candidates(*_start_bound(name, rank, c1, c2))
-    assert _stage_pin(stage) == _STAGES[name, rank, c1, c2]
+    assert _stage_pin(surface_by_name(name), stage) == _STAGES[name, rank, c1, c2]
 
 
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_PRUNED_STAGES), ids=str)
 def test_pruned_candidate_stages_are_pinned(name, rank, c1, c2):
+    # the recorded ties are H, which on F0 are their own nef coordinates;
+    # each candidate's forms are its basis forms on the nef rays
+    surface = surface_by_name(name)
     stage = enumeration._candidates(*_start_bound(name, rank, c1, c2))
-    count, forms, digest = _stage_pin(stage)
-    assert (count, forms, tuple(sorted(stage.ties)), digest) == _PRUNED_STAGES[name, rank, c1, c2]
+    count, forms, digest = _stage_pin(surface, stage)
+    ties = tuple(sorted(_from_nef(surface, tie) for tie in stage.ties))
+    assert (count, forms, ties, digest) == _PRUNED_STAGES[name, rank, c1, c2]
+    for c in stage.candidates:
+        assert c.forms == tuple(dict.fromkeys(on_nef_rays(surface, _basis_forms(surface, c))))
 
 
-def _decision(stage, H):
-    """What ``_stable`` decides at H, as candidate data independent of the stage's form ids."""
-    return _verdict(lambda: [c[:4] + c[5:] for c in enumeration._stable(stage, H)])
+def _decision(stable):
+    """A list of stable candidates as the data that both kinds of stage share, or "tie"."""
+    return _verdict(lambda: [(c.key, c.tops, c.windows, c.on_shell) for c in stable()])
 
 
 _EQUIVALENCE_CASES = [
@@ -653,15 +690,18 @@ _EQUIVALENCE_CASES = [
 @given(data=st.data())
 def test_pruned_stage_decides_as_the_oracle(name, rank, c1, c2, data):
     # at every ample H, ample and on-wall values alike, the pruned stage
-    # gives the unpruned stage's stable candidates, or SlopeTie where it does;
+    # decided in nef coordinates gives the unpruned stage's stable
+    # candidates on the basis-form sign table, or SlopeTie where it does;
     # each recorded tie is a tie of the unpruned stage
+    surface = surface_by_name(name)
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
     args = _start_bound(name, rank, c1, c2)
     pruned, oracle = enumeration._candidates(*args), unpruned_candidates(*args)
-    assert _decision(pruned, H) == _decision(oracle, H)
+    want = _decision(lambda: sign_table_stable(oracle, H))
+    assert _decision(lambda: enumeration._stable(pruned, surface, H)) == want
     for tie in pruned.ties:
-        assert _decision(oracle, tie) == "tie"
+        assert _decision(lambda: sign_table_stable(oracle, _from_nef(surface, tie))) == "tie"
 
 
 def test_a_dropped_candidate_still_ties_at_its_polarization(cold):
@@ -672,10 +712,10 @@ def test_a_dropped_candidate_still_ties_at_its_polarization(cold):
     assert stage.candidates == () and stage.ties == {(1, 1)}
     for H in [(1, 1), (3, 3)]:
         with pytest.raises(SlopeTie):
-            enumeration._stable(stage, H)
+            enumeration._stable(stage, f0, H)
         with pytest.raises(SlopeTie):
             enumerate_bundles(f0, 2, (1, 1), 1, H)
-    assert enumeration._stable(stage, (2, 1)) == []
+    assert enumeration._stable(stage, f0, (2, 1)) == []
 
 
 @pytest.mark.parametrize(
@@ -697,8 +737,32 @@ def test_a_dropped_candidate_still_ties_at_its_polarization(cold):
 def test_ample_test(name, values, want):
     # values are (v . rho1, v . rho2) over the nef rays; on F0 these are F
     # and Z, so the values are the forms and t = hF/hZ; on the plane
-    # v . rho2 = 0
-    assert enumeration._ample_test(values, surface_by_name(name).nef_rays) == want
+    # v . rho2 = 0; a tie comes as nef coordinates, which give the H wanted
+    surface = surface_by_name(name)
+    stable, tie = enumeration._ample_test(values)
+    if tie is not None:
+        assert enumeration._nef_coordinates(surface, _from_nef(surface, tie)) == tie
+        tie = _from_nef(surface, tie)
+    assert (stable, tie) == want
+
+
+@pytest.mark.parametrize("name", ["p2", "f0", "f1", "f2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nef_coordinates_are_primitive_and_positive(name, data):
+    # on F_a, H is a positive multiple of alpha*F + beta*(a*F + Z) with
+    # alpha, beta > 0 coprime; the plane has one nef ray and gives (1, 1)
+    surface = surface_by_name(name)
+    strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
+    H = data.draw(strategy, label="H")
+    alpha, beta = enumeration._nef_coordinates(surface, H)
+    if name == "p2":
+        assert (alpha, beta) == (1, 1)
+        return
+    assert alpha > 0 and beta > 0 and gcd(alpha, beta) == 1
+    v = _from_nef(surface, (alpha, beta))
+    k = gcd(*H) // gcd(*v)
+    assert k > 0 and H == tuple(k * x for x in v)
 
 
 @pytest.mark.parametrize(
