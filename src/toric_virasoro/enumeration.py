@@ -25,7 +25,11 @@ points, adding colength to c2).  This module enumerates them:
   - rank 2 on the plane solves a quadratic in a proven box (no shell);
   - rank 2 on F_a solves the divisor equation q*m = K + 4*d_i*d_j,
     K = 4c2 - c1^2 (d_i, d_j the windows of an adjacent coincident pair,
-    else 0), with the adjacent-pair windows in the box ``1..B``;
+    else 0), for the tuples that the ample test keeps: each window loop is
+    clipped at the smaller of ``B`` and a bound of order K proven in
+    :func:`_fa_r2_windows`, and of the adjacent-pair tuples that only tie
+    it yields one per configuration and tie H, so its stage is that of the
+    box ``1..B``;
   - ranks 3 and 4 on the plane take window profiles of sum at most ``P``
     and visit only the rigid triples (:func:`_p2_higher_windows`).
 
@@ -240,7 +244,8 @@ def r2_model(nrays: int, classes: tuple) -> ConfigModel:
 
 
 def _r2_configs(nrays: int) -> list[tuple]:
-    """Class assignments: all-distinct, plus one coincident pair."""
+    """Class assignments: all-distinct, then one per coincident pair of rays, in
+    ``combinations`` order."""
     generic = tuple(range(nrays))
     configs = [generic]
     for i, j in combinations(range(nrays), 2):
@@ -494,14 +499,88 @@ def _p2_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, bound: int):
 
 
 def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
-    """Rank 2 on F_a: the divisor equation q*m = K + 4*d_i*d_j, K = 4c2 - c1^2.
+    """Rank 2 on F_a: the divisor equation q*m = K + 4*x*y, K = 4c2 - c1^2, solved for the
+    window tuples that are stable, or tie, at some ample H.
 
-    ``d_i, d_j`` are the windows of an adjacent coincident pair, else 0.
-    Configurations without one solve ``q*m = K`` over the divisors of K.
-    An adjacent pair holds one ray of {1, 3} and one of {0, 2}: its two
-    windows and the other {1, 3} window run over the box ``1..B`` (the free
-    one from 0), and the other {0, 2} window is solved; a candidate with a
-    window above ``B - 2`` lies on the box's outer two shells.
+    Write d_i for the window of ray i, q = d_1 + d_3 and m = 2(d_0 + d_2) + a(d_3 - d_1).
+    A configuration without an adjacent coincident pair (generic, or an
+    opposite pair) has no correction 4*x*y and runs over the divisors q of
+    K.  An adjacent pair holds one ray o of {1, 3} and one ray e of {0, 2}, with
+    windows x, y >= 1; x, y and the other odd ray's window x' (``dk``) run in
+    the box scan's nest order, each clipped at ``min(B, bound)`` (bounds
+    below), and the other even ray's window y' is solved.  A candidate with a
+    window above ``B - 2`` lies on the box's outer two shells.  Every yield
+    is kept by the ample test (:func:`_ample_test`), and every tuple of the
+    full box ``1..B`` (``tests/oracles.fa_r2_windows``) that is not yielded
+    is dropped, or ties at an H that the stage already holds: the stage,
+    its order and its ties are those of the box.
+
+    *Forms.*  An ample H = alpha*rho1 + beta*rho2 (alpha, beta > 0) has
+    ``h = (H . D_i) = (beta, alpha + a*beta, beta, alpha)`` on rays 0..3.  A
+    line W has ``v . H = sum(h_i*d_i, L_i = W) - sum(h_i*d_i, L_i != W)``,
+    and the generic line gives -deg(E) < 0.  Over beta, in t = alpha/beta, a
+    tuple is kept iff every form is <= 0 at some t > 0 (an open set of t, a
+    zero form, or a tie at one t).
+
+    *No adjacent pair.*  With u = d_0 + d_2 and k = d_1 - d_3, the lines of
+    rays 1 and 3 give k*t + a*d_1 - u and -k*t - u - a*d_1, and those of
+    rays 0 and 2 give +-(d_0 - d_2) - a*d_1 - q*t (their common line
+    u - a*d_1 - q*t): they only ask t >= L with L <= (u - a*d_1)/q.  If
+    k > 0, line 1 asks t <= (u - a*d_1)/k, positive iff u > a*d_1 and then
+    >= L (k <= q).  If k < 0, line 3 asks t <= (u + a*d_1)/-k, line 1 asks t
+    at least (a*d_1 - u)/-k, below it, and L is below it too (-k <= q).  If
+    k = 0, both forms are constants.  So the tuple is kept iff u > a*d_1
+    (k > 0), u + a*d_1 > 0 (k < 0), or u >= a*d_1 (k = 0).  If lines 1 and
+    3 are one, its form q*t + a*d_1 - u asks t <= (u - a*d_1)/q, again
+    >= L: kept iff u > a*d_1.
+
+    *Adjacent pair.*  Put c = a if o = 1 else 0 and c' = a - c, so that
+    h_o = alpha + c*beta and h_o' = alpha + c'*beta, and k = x - x':
+
+    - pair line: P = k*t + Pb, Pb = y + c*x - y' - c'*x';
+    - line of e': E = -q*t + s, s = y' - y - a*d_1;
+    - line of o': O = -k*t + Ob, Ob = c'*x' - y - y' - c*x;
+
+    and q*m - 4*x*y = K reads K = 4*x'*y + a*q^2 + 2*q*s.  With y' >= 0 the
+    tuple is kept iff Pb < 0 (k > 0), Ob < 0 (k < 0), or Pb, Ob <= 0
+    (k = 0).  Otherwise P or O is positive at every t.  If k > 0,
+    t = -Pb/k gives P = 0, O = Pb + Ob = -2y' <= 0 and
+    E = 2x'*(Pb/k - c') <= 0; k < 0 is symmetric (t = Ob/k); if k = 0, any
+    t >= s/q.  Three families:
+
+    1. x' = 0: E = -P, so the tuple only ties, at t = (K - a*x^2)/(2x^2).
+       Neither t, nor q = x | K + 4xy (iff x | K), nor the parities of q
+       and p = d_0 + a*d_1 + d_2 (p = s mod 2), nor Pb < 0 (iff K > a*x^2)
+       depend on y: one yield per x, at y = 1, the family's first tuple in
+       the scan.  The integer s is then positive, so K = a*x^2 + 2xs >= 2x
+       and x <= K/2.
+    2. y' = 0 < x': P = -O, so the tuple only ties, at
+       t = (K - a*d^2)/(2d^2) > 0 with d = |k|.  Here x' - x = +-(d_3 - d_1)
+       and K = 2y(x' - x) + a*q*(d_3 - d_1) = (d_3 - d_1)(a*q +- 2y), so
+       d | K, (K - a*d^2)/(2d) = +-(a*d_1 +- y) has the parity of
+       s = -y - a*d_1, and q that of d: the family-1 tuple with
+       x = d < max(x, x') <= B passes the same tests and ties at the same
+       H.  Skipped.
+    3. x', y' >= 1: P + O = -2y', P + E = -2x'*h_o', E + O = -2x*h_o - 2y
+       (over beta), each negative, so no two forms vanish together: no tie.
+
+    *Bounds on family 3.*  Put each lower bound on s (the solve, and
+    s >= 1 - y - a*d_1 from y' >= 1) into K - 2q = 4x'y + a*q^2 + 2q(s - 1):
+
+    - k > 0, c' = 0: s >= 1, so K - 2q >= 4x'y.
+    - k > 0, c' = a: s >= 1 - 2ax' gives K - 2q >= 4x'y + aq(k - 2x'), and
+      y' >= 1 gives K - 2q >= k(aq - 2y); k times the first plus 2x' times
+      the second is q(K - 2q) >= a*q*k^2.
+    - k < 0, c = a: y' >= 1 gives K - 2q >= -k(2y + aq).
+    - k < 0, c' = a: s >= 1 - 2y gives K - 2q >= aq^2 - 4xy, and y' >= 1
+      gives K - 2q >= -k(2y - aq); -k times the first plus 2x times the
+      second is q(K - 2q) >= a*q*k^2.
+    - k = 0: y' >= 1 gives K >= 4x = 2q, and Pb <= 0 gives
+      K >= 4xy - 4c'x^2.
+
+    So q <= K/2 and x, x' <= K/2 - 1.  The same lines give, with q <= K/2,
+    y <= (K - 2q)/4, (K - 2q)/4 + aq/2, (K - 2q)/2, (K + (a - 2)q)/2 and
+    K/(4x) + c'x (1 <= x <= K/4): each at most K/2 - 1 + c'K/4.
     """
     a = _section_index(surface)
     f, z = c1
@@ -510,68 +589,73 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
         return
 
     def candidate(classes: tuple, deltas: tuple, on_shell: bool = False):
-        d1, d2, d3, d4 = deltas
-        p = d1 + a * d2 + d3
-        q = d2 + d4
-        if q < 1 or (p - f) % 2 or (q - z) % 2 or not _pool_assignment(classes, deltas):
+        d0, d1, d2, d3 = deltas
+        p = d0 + a * d1 + d2
+        q = d1 + d3
+        if q < 1 or (p - f) % 2 or (q - z) % 2:
             return None
         tops = ((p - f) // 2, 0, 0, (q - z) // 2)
         return r2_model(4, classes), tops, tuple((x,) for x in deltas), on_shell
 
-    zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
+    configs = [*zip((None, *combinations(range(4), 2)), _r2_configs(4))]
+    # adjacent rays have indices of opposite parity
+    zero_corr = [(pair, classes) for pair, classes in configs if pair is None or sum(pair) % 2 == 0]
     for q in range(1, K + 1):
         if K % q:
             continue
         m = K // q
-        for d2 in range(q + 1):
-            d4 = q - d2
-            u2 = m - a * (d4 - d2)
+        for d1 in range(q + 1):
+            d3 = q - d1
+            u2 = m - a * (d3 - d1)
             if u2 < 0 or u2 % 2:
                 continue
             u = u2 // 2
-            for d1 in range(u + 1):
-                d3 = u - d1
-                for classes in zero_corr:
-                    if cand := candidate(classes, (d1, d2, d3, d4)):
+            k = d1 - d3
+            apart = u > a * d1 if k > 0 else u + a * d1 > 0 if k < 0 else u >= a * d1
+            keep = [u > a * d1 if pair == (1, 3) else apart for pair, _classes in zero_corr]
+            for d0 in range(u + 1):
+                deltas = (d0, d1, u - d0, d3)
+                for (pair, classes), kept in zip(zero_corr, keep):
+                    # coincident rays must both have lines
+                    if not kept or pair and not (deltas[pair[0]] and deltas[pair[1]]):
+                        continue
+                    if cand := candidate(classes, deltas):
                         yield cand
 
-    for classes in _r2_configs(4):
-        pair = _coincident_pair(classes)
-        if pair is None or not _adjacent(surface, pair):
+    n_odd = K // 2 - 1
+    for (i, j), classes in configs[1:]:
+        if (i + j) % 2 == 0:
             continue
-        i, j = pair
         odd, even = (i, j) if i % 2 else (j, i)
-        for di in range(1, B + 1):
-            for dj in range(1, B + 1):
-                num = K + 4 * di * dj
-                d_odd, d_even = (di, dj) if odd == i else (dj, di)
-                for dk in range(B + 1):
-                    q = d_odd + dk
+        c_other = a if odd == 3 else 0  # c' above: ray 1 is the other odd ray
+        c_pair = a - c_other
+        n_even = ((2 + c_other) * K - 4) // 4
+        top = {odd: min(B, K // 2), even: min(B, max(n_even, 1))}
+        for di in range(1, top[i] + 1):
+            for dj in range(1, top[j] + 1):
+                x, y = (di, dj) if odd == i else (dj, di)
+                num = K + 4 * x * y
+                # family 1 (dk = 0) once per x, at y = 1; family 3 in its bounds
+                family3 = range(1, min(B, n_odd) + 1) if x <= n_odd and y <= n_even else ()
+                for dk in chain((0,) if y == 1 else (), family3):
+                    q = x + dk
                     if num % q:
                         continue
-                    d1, d3 = (d_odd, dk) if odd == 1 else (dk, d_odd)
+                    d1, d3 = (x, dk) if odd == 1 else (dk, x)
                     u2 = num // q - a * (d3 - d1)
-                    if u2 < 0 or u2 % 2 or u2 // 2 < d_even:
+                    y_other = u2 // 2 - y
+                    # family 2 (y' = 0 < dk) ties where a family-1 yield does
+                    if u2 % 2 or y_other < 0 or (dk and not y_other):
+                        continue
+                    k = x - dk
+                    pb = y + c_pair * x - y_other - c_other * dk
+                    ob = c_other * dk - y - y_other - c_pair * x
+                    if not (pb < 0 if k > 0 else ob < 0 if k < 0 else pb <= 0 and ob <= 0):
                         continue
                     deltas = [0] * 4
-                    deltas[i], deltas[j], deltas[4 - odd] = di, dj, dk
-                    deltas[2 - even] = u2 // 2 - d_even
+                    deltas[odd], deltas[even], deltas[4 - odd], deltas[2 - even] = x, y, dk, y_other
                     if cand := candidate(classes, tuple(deltas), max(deltas) > B - 2):
                         yield cand
-
-
-def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
-    """A class assignment is meaningful only if coincident rays have lines."""
-    counts: dict[int, int] = {}
-    for cls, d in zip(classes, deltas):
-        if d > 0:
-            counts[cls] = counts.get(cls, 0) + 1
-    # every class that names a pair must actually have both windows open
-    pair_classes = {c for c in classes if classes.count(c) > 1}
-    for c in pair_classes:
-        if counts.get(c, 0) != classes.count(c):
-            return False
-    return True
 
 
 def _r2_box(K: int, a: int) -> int:
@@ -582,22 +666,6 @@ def _r2_box(K: int, a: int) -> int:
 def _section_index(surface: Surface) -> int:
     """The a of F_a, read from the intersection form: the section Z has ``Z^2 = -a``."""
     return -surface.pair((0, 1), (0, 1))
-
-
-def _coincident_pair(classes: tuple):
-    for i, j in combinations(range(len(classes)), 2):
-        if classes[i] == classes[j]:
-            return (i, j)
-    return None
-
-
-def _adjacent(surface: Surface, pair: tuple) -> bool:
-    return tuple(sorted(pair)) in {tuple(sorted(c)) for c in surface.cones}
-
-
-def _config_opposite_or_generic(surface: Surface, classes: tuple) -> bool:
-    pair = _coincident_pair(classes)
-    return pair is None or not _adjacent(surface, pair)
 
 
 def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):

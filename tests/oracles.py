@@ -60,12 +60,16 @@ agree; :func:`chern_invariants` here solves for c1 with them.
 :func:`higher_windows` and :func:`fa_r2_windows` are the window scans that
 the enumeration's generators replaced: every triple of rank-3/4 profiles
 filtered by :func:`config_active` and :func:`config_rigid`, and the F_a
-adjacent-pair box solved cell by cell by :func:`fill_deltas`.  They yield
-``(model key, tops, windows, on_shell)`` before the (c1, c2) filter.
+adjacent-pair box scanned cell by cell (with the class helpers the
+enumeration dropped when it began to solve that box).
+They yield ``(model key, tops, windows, on_shell)`` before the (c1, c2)
+filter; :func:`fa_r2_box` yields the F_a scan's models instead, as the
+enumeration's generators do.
 
 :func:`unpruned_candidates` is the candidate stage before the ample test: every
 generated candidate that passes the (c1, c2) filter, stable at some ample H
-or not, as a :class:`BasisStage` of its distinct basis forms.
+or not, as a :class:`BasisStage` of its distinct basis forms; on F_a the
+candidates come from the box scan.
 ``enumeration._candidates`` keeps only those stable on an open set of ample
 H and records where a dropped one ties; the tests require
 ``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
@@ -77,6 +81,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -86,13 +91,10 @@ from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_deg
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
 from toric_virasoro.enumeration import (
     _COINCIDENCE_CODIM,
-    _adjacent,
-    _coincident_pair,
-    _config_opposite_or_generic,
     _flag_dim,
     _jump_positions,
     _level_pairs,
-    _pool_assignment,
+    _model,
     _r2_configs,
     _r3_configs,
     _r4_configs,
@@ -988,52 +990,31 @@ def higher_windows(rank: int, c1: tuple, P: int):
                     yield (f"r{rank}", *cfg), tops, wins, any(sum(w) > P - 2 for w in wins)
 
 
-def fill_deltas(a, K, pair, pair_vals, dk):
-    """Solve the remaining window from q*m = K + 4*corr for an adjacent pair.
+def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
+    """A class assignment is meaningful only if coincident rays have lines."""
+    pair = _coincident_pair(classes)
+    return pair is None or all(deltas[k] > 0 for k in pair)
 
-    The pair always contains exactly one of rays {1, 3} (0-based), so with
-    the two pair windows and the other {1,3}-ray window chosen, q is known
-    and the last window is determined linearly.
-    """
-    i, j = pair
-    di, dj = pair_vals
-    deltas = [None, None, None, None]
-    deltas[i], deltas[j] = di, dj
-    other_24 = 3 if (1 in pair) else 1
-    if deltas[other_24] is None:
-        deltas[other_24] = dk
-    else:
-        return []
-    q = deltas[1] + deltas[3]
-    if q < 1:
-        return []
-    corr = di * dj
-    if (K + 4 * corr) % q:
-        return []
-    m = (K + 4 * corr) // q
-    u2 = m - a * (deltas[3] - deltas[1])
-    if u2 < 0 or u2 % 2:
-        return []
-    u = u2 // 2
-    free_02 = [k for k in (0, 2) if deltas[k] is None]
-    if len(free_02) == 1:
-        k = free_02[0]
-        known = deltas[0] if k == 2 else deltas[2]
-        val = u - known
-        if val < 0:
-            return []
-        deltas[k] = val
-        return [tuple(deltas)]
-    # pair was (0, 2): opposite, never reaches here (corr = 0 path)
-    out = []
-    for d0 in range(u + 1):
-        deltas[0], deltas[2] = d0, u - d0
-        out.append(tuple(deltas))
-    return out
+
+def _coincident_pair(classes: tuple):
+    for i, j in combinations(range(len(classes)), 2):
+        if classes[i] == classes[j]:
+            return (i, j)
+    return None
+
+
+def _adjacent(surface, pair: tuple) -> bool:
+    return tuple(sorted(pair)) in {tuple(sorted(c)) for c in surface.cones}
+
+
+def _config_opposite_or_generic(surface, classes: tuple) -> bool:
+    pair = _coincident_pair(classes)
+    return pair is None or not _adjacent(surface, pair)
 
 
 def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
-    """The rank-2 scan on F_a: the divisor loop, then the adjacent-pair box cell by cell."""
+    """The rank-2 scan on F_a: the divisor loop, then the adjacent-pair box cell by cell (every
+    pair window in ``1..B`` and other odd window in ``0..B``)."""
     a = int(surface.name[1:])
     f, z = c1
     K = 4 * c2 - surface.pair(c1, c1)
@@ -1067,21 +1048,44 @@ def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
         pair = _coincident_pair(classes)
         if pair is None or not _adjacent(surface, pair):
             continue
+        # one ray of the pair is odd: q = its window + dk, and the other even
+        # window is solved from q*m = K + 4*di*dj
+        i, j = pair
+        odd, even = (i, j) if i % 2 else (j, i)
         for di in range(1, B + 1):
             for dj in range(1, B + 1):
-                for dk in range(0, B + 1):
-                    for deltas in fill_deltas(a, K, pair, (di, dj), dk):
-                        yield from candidate(deltas, classes, max(deltas) > B - 2)
+                num = K + 4 * di * dj
+                d_odd, d_even = (di, dj) if odd == i else (dj, di)
+                for dk in range(B + 1):
+                    q = d_odd + dk
+                    if num % q:
+                        continue
+                    d1, d3 = (d_odd, dk) if odd == 1 else (dk, d_odd)
+                    u2 = num // q - a * (d3 - d1)
+                    if u2 < 0 or u2 % 2 or u2 // 2 < d_even:
+                        continue
+                    deltas = [0] * 4
+                    deltas[i], deltas[j], deltas[4 - odd] = di, dj, dk
+                    deltas[2 - even] = u2 // 2 - d_even
+                    yield from candidate(tuple(deltas), classes, max(deltas) > B - 2)
 
+
+def fa_r2_box(surface, rank: int, c1: tuple, c2: int, B: int):
+    """:func:`fa_r2_windows` shaped as the enumeration's generators: models, not model keys."""
+    for key, tops, windows, on_shell in fa_r2_windows(surface, c1, c2, B):
+        yield _model(key), tops, windows, on_shell
 
 
 @lru_cache(maxsize=None)
 def unpruned_candidates(
     surface_name: str, rank: int, c1: tuple, c2: int, bound: int
 ) -> BasisStage:
-    """Every candidate of the window search at one bound that passes (c1, c2), in search order."""
+    """Every candidate of the window search at one bound that passes (c1, c2), in search order;
+    on F_a the box scan :func:`fa_r2_box`, not the enumeration's solve."""
     surface = surface_by_name(surface_name)
     generate, _start = _search(surface, rank, c1, c2)
+    if surface.picard_rank == 2:
+        generate = fa_r2_box
     out = []
     form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
     pairs: dict[tuple, tuple] = {}  # level pairs per model

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     closed_chern,
+    fa_r2_box,
     fa_r2_windows,
     higher_windows,
     is_stable,
@@ -543,10 +544,62 @@ def test_higher_rank_windows_match_the_triple_scan(rank, c1, P):
 @pytest.mark.parametrize("c2", [1, 2, 3])
 @pytest.mark.parametrize("name, c1", _FA_CASES)
 def test_fa_windows_match_the_box_scan(name, c1, c2):
+    # the solve yields a subsequence of the box scan, in its order, and
+    # only tuples that the ample test keeps or ties; every box tuple it
+    # skips is dropped by the ample test without a tie, or ties at an H that
+    # the stage already holds
     surface = surface_by_name(name)
     _generate, B = enumeration._search(surface, 2, c1, c2)
     got = _keyed(enumeration._fa_r2_windows(surface, 2, c1, c2, B))
-    assert got and got == list(fa_r2_windows(surface, c1, c2, B))
+    box = list(fa_r2_windows(surface, c1, c2, B))
+    scan = iter(box)
+    assert got and all(row in scan for row in got)
+    stage = enumeration._candidates(surface.name, 2, c1, c2, B)
+
+    def ample_test(key, windows):
+        return enumeration._ample_test(_table_forms(surface, enumeration._model(key), windows))
+
+    kept = set(got)
+    for key, _tops, windows, _on_shell in got:
+        assert ample_test(key, windows) != (False, None), windows
+    for row in box:
+        if row not in kept:
+            stable, tie = ample_test(row[0], row[2])
+            assert not stable and tie in {None, *stage.ties}, row
+
+
+_FA_GRID = [(c1, c2) for c1 in [(0, 0), (1, 0), (0, 1), (1, 1)] for c2 in range(1, 5)]
+
+
+@pytest.mark.parametrize("name", ["f0", "f1", "f2", "f3"])
+def test_fa_solved_stages_equal_the_box_scan_stages(name, monkeypatch):
+    # the candidate stage (candidates, their order, ties) of the solved
+    # generator equals the one the same code builds from the box scan, at
+    # the starting bound, two above it, and a bound of 3
+    build = enumeration._candidates.__wrapped__
+    args = []
+    for c1, c2 in _FA_GRID:
+        *case, start = _start_bound(name, 2, c1, c2)
+        args += [(*case, bound) for bound in sorted({start, start + 2, 3})]
+    solved = [build(*a) for a in args]
+    monkeypatch.setattr(enumeration, "_fa_r2_windows", fa_r2_box)
+    for a, stage in zip(args, solved):
+        assert stage == build(*a), a
+
+
+def test_fa_window_solve_yields_are_pinned():
+    # f0, c1 = F + Z, c2 = 1, 2, 3: the box scan yields 224 / 824 / 1376
+    # tuples, of which the ample test keeps 0 / 8 / 24 as stable and
+    # 96 / 320 / 448 as ties.  The solve yields only kept tuples: the
+    # 4 / 24 / 40 of the configurations without an adjacent pair, the
+    # 0 / 0 / 8 stable ones with one, and one tuple per x' = 0 tie family
+    # (4 / 8 / 8)
+    f0 = surface_by_name("f0")
+    counts = []
+    for c2 in (1, 2, 3):
+        bound = _start_bound("f0", 2, (1, 1), c2)[4]
+        counts.append(sum(1 for _ in enumeration._fa_r2_windows(f0, 2, (1, 1), c2, bound)))
+    assert counts == [8, 32, 56]
 
 
 _MODEL_CASES = [
