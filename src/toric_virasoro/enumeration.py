@@ -18,38 +18,35 @@ points, adding colength to c2).  This module enumerates them:
   into them (:func:`_level_pairs`, once per model); no configuration has
   its own correction term.  :func:`hirzebruch_ch2_check` feeds it a
   bundle's own flags.
-* **One search, in two stages, with one shell rule.**  Each supported
-  (surface, rank) has a window generator that yields
-  ``(model, tops, windows, on_shell)`` for a bound:
+* **One search, in two stages.**  Each supported (surface, rank) has a
+  window generator that yields ``(model, tops, windows)``:
 
-  - rank 2 on the plane solves a quadratic in a proven box (no shell);
+  - rank 2 on the plane solves a quadratic in a proven box
+    (:func:`_p2_r2_windows`);
   - rank 2 on F_a solves the divisor equation q*m = K + 4*d_i*d_j,
     K = 4c2 - c1^2 (d_i, d_j the windows of an adjacent coincident pair,
-    else 0), for the tuples that the ample test keeps: each window loop is
-    clipped at the smaller of ``B`` and a bound of order K proven in
-    :func:`_fa_r2_windows`, and of the adjacent-pair tuples that only tie
-    it yields one per configuration and tie H, so its stage is that of the
-    box ``1..B``;
+    else 0), for the tuples that the ample test keeps, with each window
+    loop run to a bound of order K proven in :func:`_fa_r2_windows`;
   - ranks 3 and 4 on the plane take window profiles of sum at most ``P``
     and visit only the rigid triples (:func:`_p2_higher_windows`).
 
-  The first stage, memoized per (surface, rank, c1, c2, bound) for the
-  life of the process, keeps every generated candidate whose closed-form
-  (c1, c2) matches and that is stable on an open set of ample H (the
-  *ample test*, below), with its distinct stability forms on the nef rays.
-  The rank-2 generators solve the (c1, c2) equation, so there the ample
-  test runs first and (c1, c2) only on its survivors; most rank-3/4 triples
-  fail (c1, c2), so there (c1, c2) runs first.  Either order decides the
-  same stage.  The second stage, per H, is the sign test, then the shell
-  rule, then one memoized builder that builds and verifies each stable
-  bundle, so a chamber sweep runs the search once.  *Shell rule*: while a
-  candidate that is stable at H lies on the outer two shells of the bound
-  (a window above ``B - 2``, or a profile sum above ``P - 2``), the bound
-  grows by 2 and the search reruns; once the bound passes 4x its start,
-  :class:`EnumerationError`.  The starts are ``B = 2K + 2a + 8``
-  (:func:`_r2_box`) and ``P = 6``.  This rule is the only guard: nothing
-  here certifies that a locus is complete, and only the bundled cases are
-  compared with reference rows.
+  The first stage, memoized per (surface, rank, c1, c2), and per ``P`` in
+  ranks 3 and 4, for the life of the process, keeps every generated candidate whose
+  closed-form (c1, c2) matches and that is stable on an open set of ample
+  H (the *ample test*, below), with its distinct stability forms on the
+  nef rays.  The rank-2 generators solve the (c1, c2) equation, so there
+  the ample test runs first and (c1, c2) only on its survivors; most
+  rank-3/4 triples fail (c1, c2), so there (c1, c2) runs first.  Either
+  order decides the same stage.  The second stage, per H, is the sign
+  test, then the shell rule, then one memoized builder that builds and
+  verifies each stable bundle, so a chamber sweep runs the search once,
+  and rank 2, with no bound to grow, builds its stage once per (c1, c2).
+  *Shell rule*, for ``P`` alone (no proof bounds it yet): while a
+  candidate that is stable at H has a profile sum above ``P - 2``, ``P``
+  grows by 2 and the search reruns; once it passes 4x its start 6,
+  :class:`EnumerationError`.  This rule is the only guard of ranks 3 and
+  4: nothing here certifies that their loci are complete, and only the
+  bundled cases are compared with reference rows.
 * **Stability in nef coordinates.**  Each side of the slope test is linear
   in H, so each candidate destabilizing subspace W of the model gives one
   integer *stability form* v with ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
@@ -97,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from math import gcd
+from math import gcd, isqrt
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -474,31 +471,39 @@ def _verified(sheaf: TorusSheaf, rank: int, c1: tuple, c2: int) -> TorusSheaf:
 
 
 # ---------------------------------------------------------------------------
-# window generators: (model, tops, windows, on_shell) for one bound
+# window generators: (model, tops, windows)
 # ---------------------------------------------------------------------------
 
 
-def _p2_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, bound: int):
-    """Rank 2 on the plane: the exact quadratic equation in its proven box.
+def _p2_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int):
+    """Rank 2 on the plane: the exact quadratic equation, solved for the third window.
 
     Coincident lines are never stable here: a two-class split of the rays
     would need both 2*deg(C) < deg(E) and 2*deg(C') < deg(E) with
     deg(C) + deg(C') = deg(E).  Only the all-distinct configuration
-    survives, so nothing lies on a shell and the bound is unused.
+    survives.  With K = 4c2 - c1^2, its windows x, y, z satisfy
+    ``(x + y + z)^2 - 2(x^2 + y^2 + z^2) = K``, that is
+    ``z^2 - 2(x + y)z + (x - y)^2 + K = 0``: z = x + y +- sqrt(4xy - K),
+    in ascending order.  The loops stop at K, which bounds every stable
+    tuple: stability puts each window below half their sum, so
+    b = x + z - y and c = x + y - z are at least 1, as is
+    a = y + z - x, and K = ab + bc + ca >= b + c = 2x (y, z alike).
     """
     model = r2_model(3, (0, 1, 2))
     d = c1[0]
     K = 4 * c2 - d * d
     for x in range(1, K + 1):
         for y in range(1, K + 1):
-            for z in range(1, K + 1):
-                total = x + y + z
-                if (total - d) % 2 or total * total - 2 * (x * x + y * y + z * z) != K:
-                    continue
-                yield model, ((total - d) // 2, 0, 0), ((x,), (y,), (z,)), False
+            disc = 4 * x * y - K
+            root = isqrt(max(disc, 0))
+            if root * root != disc:
+                continue
+            for z in sorted({x + y - root, x + y + root}):
+                if 1 <= z <= K and (x + y + z - d) % 2 == 0:
+                    yield model, ((x + y + z - d) // 2, 0, 0), ((x,), (y,), (z,))
 
 
-def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
+def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int):
     """Rank 2 on F_a: the divisor equation q*m = K + 4*x*y, K = 4c2 - c1^2, solved for the
     window tuples that are stable, or tie, at some ample H.
 
@@ -507,13 +512,12 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
     opposite pair) has no correction 4*x*y and runs over the divisors q of
     K.  An adjacent pair holds one ray o of {1, 3} and one ray e of {0, 2}, with
     windows x, y >= 1; x, y and the other odd ray's window x' (``dk``) run in
-    the box scan's nest order, each clipped at ``min(B, bound)`` (bounds
-    below), and the other even ray's window y' is solved.  A candidate with a
-    window above ``B - 2`` lies on the box's outer two shells.  Every yield
-    is kept by the ample test (:func:`_ample_test`), and every tuple of the
-    full box ``1..B`` (``tests/oracles.fa_r2_windows``) that is not yielded
-    is dropped, or ties at an H that the stage already holds: the stage,
-    its order and its ties are those of the box.
+    the box scan's nest order up to the bounds proven below, and the other
+    even ray's window y' is solved, so no loop runs over it.  Every yield is
+    kept by the ample test (:func:`_ample_test`), and every tuple of any box
+    ``1..B`` (``tests/oracles.fa_r2_windows``) that is not yielded is
+    dropped, or ties at an H that the stage already holds: at any box above
+    those bounds, the stage, its order and its ties are those of the box.
 
     *Forms.*  An ample H = alpha*rho1 + beta*rho2 (alpha, beta > 0) has
     ``h = (H . D_i) = (beta, alpha + a*beta, beta, alpha)`` on rays 0..3.  A
@@ -559,8 +563,8 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
        and K = 2y(x' - x) + a*q*(d_3 - d_1) = (d_3 - d_1)(a*q +- 2y), so
        d | K, (K - a*d^2)/(2d) = +-(a*d_1 +- y) has the parity of
        s = -y - a*d_1, and q that of d: the family-1 tuple with
-       x = d < max(x, x') <= B passes the same tests and ties at the same
-       H.  Skipped.
+       x = d < max(x, x') passes the same tests and ties at the same H.
+       Skipped.
     3. x', y' >= 1: P + O = -2y', P + E = -2x'*h_o', E + O = -2x*h_o - 2y
        (over beta), each negative, so no two forms vanish together: no tie.
 
@@ -580,7 +584,9 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
 
     So q <= K/2 and x, x' <= K/2 - 1.  The same lines give, with q <= K/2,
     y <= (K - 2q)/4, (K - 2q)/4 + aq/2, (K - 2q)/2, (K + (a - 2)q)/2 and
-    K/(4x) + c'x (1 <= x <= K/4): each at most K/2 - 1 + c'K/4.
+    K/(4x) + c'x (1 <= x <= K/4): each at most K/2 - 1 + c'K/4.  So the
+    loops run to K/2 for x (family 1), to max(1, K/2 - 1 + c'K/4) for y and
+    to K/2 - 1 for x'.
     """
     a = _section_index(surface)
     f, z = c1
@@ -588,14 +594,14 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
     if K <= 0:
         return
 
-    def candidate(classes: tuple, deltas: tuple, on_shell: bool = False):
+    def candidate(classes: tuple, deltas: tuple):
         d0, d1, d2, d3 = deltas
         p = d0 + a * d1 + d2
         q = d1 + d3
         if q < 1 or (p - f) % 2 or (q - z) % 2:
             return None
         tops = ((p - f) // 2, 0, 0, (q - z) // 2)
-        return r2_model(4, classes), tops, tuple((x,) for x in deltas), on_shell
+        return r2_model(4, classes), tops, tuple((x,) for x in deltas)
 
     configs = [*zip((None, *combinations(range(4), 2)), _r2_configs(4))]
     # adjacent rays have indices of opposite parity
@@ -630,13 +636,13 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
         c_other = a if odd == 3 else 0  # c' above: ray 1 is the other odd ray
         c_pair = a - c_other
         n_even = ((2 + c_other) * K - 4) // 4
-        top = {odd: min(B, K // 2), even: min(B, max(n_even, 1))}
+        top = {odd: K // 2, even: max(n_even, 1)}
         for di in range(1, top[i] + 1):
             for dj in range(1, top[j] + 1):
                 x, y = (di, dj) if odd == i else (dj, di)
                 num = K + 4 * x * y
                 # family 1 (dk = 0) once per x, at y = 1; family 3 in its bounds
-                family3 = range(1, min(B, n_odd) + 1) if x <= n_odd and y <= n_even else ()
+                family3 = range(1, n_odd + 1) if x <= n_odd and y <= n_even else ()
                 for dk in chain((0,) if y == 1 else (), family3):
                     q = x + dk
                     if num % q:
@@ -654,13 +660,8 @@ def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int, B: int):
                         continue
                     deltas = [0] * 4
                     deltas[odd], deltas[even], deltas[4 - odd], deltas[2 - even] = x, y, dk, y_other
-                    if cand := candidate(classes, tuple(deltas), max(deltas) > B - 2):
+                    if cand := candidate(classes, tuple(deltas)):
                         yield cand
-
-
-def _r2_box(K: int, a: int) -> int:
-    """Starting side of the adjacent-pair window box for discriminant K on F_a."""
-    return 2 * K + 2 * a + 8
 
 
 def _section_index(surface: Surface) -> int:
@@ -678,8 +679,7 @@ def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):
     families (never isolated).  So ray 2's profiles are grouped by flag
     dimension and by c1 weight mod ``rank``, and each pair of profiles of
     rays 0 and 1 visits the one group that makes the triple rigid and
-    congruent to c1.  A candidate with a profile sum above ``P - 2`` lies on
-    the outer two shells.
+    congruent to c1.
     """
     d = c1[0]
     profiles = _window_profiles(rank, P)
@@ -700,7 +700,7 @@ def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):
                 for w3 in groups.get(group, ()):
                     wins = (w1, w2, w3)
                     A1 = (weight[w1] + weight[w2] + weight[w3] - d) // rank
-                    yield model, (A1, 0, 0), wins, any(sum(w) > P - 2 for w in wins)
+                    yield model, (A1, 0, 0), wins
 
 
 def _window_profiles(rank: int, P: int) -> list[tuple]:
@@ -746,19 +746,17 @@ _P_START = 6  # starting window-sum bound of the rank-3/4 search
 
 
 # ---------------------------------------------------------------------------
-# the search: H-independent candidates, then per-H sign tests and shell rule
+# the search: H-independent candidates, then per-H sign tests (and the rank-3/4 shell rule)
 # ---------------------------------------------------------------------------
 
 
-def _search(surface: Surface, rank: int, c1: tuple, c2: int):
-    """The window generator of a supported case and its starting bound."""
+def _search(surface: Surface, rank: int):
+    """The window generator of a supported case."""
     plane = surface.picard_rank == 1
-    if rank == 2 and plane:
-        return _p2_r2_windows, 0
     if rank == 2:
-        return _fa_r2_windows, _r2_box(4 * c2 - surface.pair(c1, c1), _section_index(surface))
+        return _p2_r2_windows if plane else _fa_r2_windows
     if plane and rank in (3, 4):
-        return _p2_higher_windows, _P_START
+        return _p2_higher_windows
     raise EnumerationError(f"unsupported case: {surface.name} rank {rank}")
 
 
@@ -767,19 +765,17 @@ class _Candidate(NamedTuple):
 
     ``key`` names its configuration model; ``forms`` are the distinct
     ``(v . rho1, v . rho2)`` of its bundle's stability forms v over the nef
-    rays; ``on_shell`` marks a candidate on the outer two shells of the
-    search bound.
+    rays.
     """
 
     key: tuple
     tops: tuple
     windows: tuple
     forms: tuple[tuple[int, int], ...]
-    on_shell: bool
 
 
 class _Stage(NamedTuple):
-    """The candidates of a window search at one bound that are stable at some ample H, and the
+    """The candidates of a window search that are stable at some ample H, and the
     nef coordinates (:func:`_nef_coordinates`) of each H at which a dropped candidate ties."""
 
     candidates: tuple[_Candidate, ...]
@@ -834,9 +830,9 @@ def _ample_test(values) -> tuple[bool, tuple | None]:
 
 
 @lru_cache(maxsize=None)
-def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) -> _Stage:
-    """The candidates of the window search at one bound that are stable at some ample H, in
-    search order.
+def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, *P: int) -> _Stage:
+    """The candidates of the window search that are stable at some ample H, in search order;
+    ``P``, given for ranks 3 and 4 alone, is the window-sum bound of their search.
 
     This stage does not depend on the polarization: it runs the case's
     window generator with the closed-form (c1, c2) filter and the ample
@@ -848,7 +844,7 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
     and its :func:`~.klyachko.stability_table`.
     """
     surface = surface_by_name(surface_name)
-    generate, _start = _search(surface, rank, c1, c2)
+    generate = _search(surface, rank)
     out = []
     ties: set[tuple] = set()
     shared: dict[tuple, tuple] = {}  # one object per distinct tops or window
@@ -857,7 +853,7 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
     def chern_matches(tops, windows, pairs):
         return bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) == (c1, c2)
 
-    for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
+    for model, tops, windows in generate(surface, rank, c1, c2, *P):
         if model.key not in compiled:
             compiled[model.key] = (
                 _level_pairs(surface, model),
@@ -878,7 +874,7 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, bound: int) ->
             continue
         windows = tuple(shared.setdefault(w, w) for w in windows)
         forms = tuple(dict.fromkeys(values))
-        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, forms, on_shell))
+        out.append(_Candidate(model.key, shared.setdefault(tops, tops), windows, forms))
     return _Stage(tuple(out), frozenset(ties))
 
 
@@ -919,26 +915,26 @@ def _stable(stage: _Stage, surface: Surface, H: tuple) -> list[_Candidate]:
 
 
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """The stable bundles at an ample H, by the sign test and the shell rule of the module
-    docstring."""
+    """The stable bundles at an ample H, by the sign test (and, for ranks 3 and 4, the shell
+    rule) of the module docstring."""
     _require_ample(surface, H)
     c1 = tuple(c1)
-    _generate, start = _search(surface, rank, c1, c2)
-    bound = start
-    while True:
-        stable = _stable(_candidates(surface.name, rank, c1, c2, bound), surface, H)
-        hits = [cand.windows for cand in stable if cand.on_shell]
-        if not hits:
-            return [
-                _bundle(surface.name, c1, c2, cand.key, cand.tops, cand.windows)
-                for cand in stable
-            ]
-        bound += 2
-        if bound > 4 * start:
-            raise EnumerationError(
-                f"window search bound exhausted: stable candidates on the outer shells "
-                f"at bound {bound - 2} (start {start}): {hits[:3]}"
-            )
+    if rank == 2:
+        stable = _stable(_candidates(surface.name, rank, c1, c2), surface, H)
+    else:
+        P = _P_START
+        while True:
+            stable = _stable(_candidates(surface.name, rank, c1, c2, P), surface, H)
+            hits = [c.windows for c in stable if any(sum(w) > P - 2 for w in c.windows)]
+            if not hits:
+                break
+            P += 2
+            if P > 4 * _P_START:
+                raise EnumerationError(
+                    f"window search bound exhausted: stable candidates on the outer shells "
+                    f"at bound {P - 2} (start {_P_START}): {hits[:3]}"
+                )
+    return [_bundle(surface.name, c1, c2, c.key, c.tops, c.windows) for c in stable]
 
 
 def _require_ample(surface: Surface, H: tuple) -> None:

@@ -62,14 +62,16 @@ the enumeration's generators replaced: every triple of rank-3/4 profiles
 filtered by :func:`config_active` and :func:`config_rigid`, and the F_a
 adjacent-pair box scanned cell by cell (with the class helpers the
 enumeration dropped when it began to solve that box).
-They yield ``(model key, tops, windows, on_shell)`` before the (c1, c2)
-filter; :func:`fa_r2_box` yields the F_a scan's models instead, as the
-enumeration's generators do.
+They yield ``(model key, tops, windows)`` before the (c1, c2) filter;
+:func:`fa_r2_box` yields the F_a scan's models instead, as the
+enumeration's generators do, and so does :func:`p2_r2_scan`, the cube scan
+of the plane's rank-2 windows that the enumeration now solves for.
+:func:`fa_start_box` is the box at which the F_a search once started.
 
 :func:`unpruned_candidates` is the candidate stage before the ample test: every
 generated candidate that passes the (c1, c2) filter, stable at some ample H
-or not, as a :class:`BasisStage` of its distinct basis forms; on F_a the
-candidates come from the box scan.
+or not, as a :class:`BasisStage` of its distinct basis forms; in rank 2
+the candidates come from the scans.
 ``enumeration._candidates`` keeps only those stable on an open set of ample
 H and records where a dropped one ties; the tests require
 ``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
@@ -780,7 +782,6 @@ class BasisCandidate(NamedTuple):
     windows: tuple
     forms: tuple[tuple[int, ...], ...]
     form_ids: tuple[int, ...]
-    on_shell: bool
 
 
 class BasisStage(NamedTuple):
@@ -987,7 +988,7 @@ def higher_windows(rank: int, c1: tuple, P: int):
                     if (tot - d) % rank:
                         continue
                     tops = ((tot - d) // rank, 0, 0)
-                    yield (f"r{rank}", *cfg), tops, wins, any(sum(w) > P - 2 for w in wins)
+                    yield (f"r{rank}", *cfg), tops, wins
 
 
 def _pool_assignment(classes: tuple, deltas: tuple) -> bool:
@@ -1021,14 +1022,14 @@ def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
     if K <= 0:
         return
 
-    def candidate(deltas, classes, shell=False):
+    def candidate(deltas, classes):
         d1, d2, d3, d4 = deltas
         p = d1 + a * d2 + d3
         q = d2 + d4
         if q < 1 or (p - f) % 2 or (q - z) % 2 or not _pool_assignment(classes, deltas):
             return []
         tops = ((p - f) // 2, 0, 0, (q - z) // 2)
-        return [(("r2", classes), tops, tuple((x,) for x in deltas), shell)]
+        return [(("r2", classes), tops, tuple((x,) for x in deltas))]
 
     zero_corr = [c for c in _r2_configs(4) if _config_opposite_or_generic(surface, c)]
     for q in range(1, K + 1):
@@ -1067,29 +1068,53 @@ def fa_r2_windows(surface, c1: tuple, c2: int, B: int):
                     deltas = [0] * 4
                     deltas[i], deltas[j], deltas[4 - odd] = di, dj, dk
                     deltas[2 - even] = u2 // 2 - d_even
-                    yield from candidate(tuple(deltas), classes, max(deltas) > B - 2)
+                    yield from candidate(tuple(deltas), classes)
 
 
 def fa_r2_box(surface, rank: int, c1: tuple, c2: int, B: int):
     """:func:`fa_r2_windows` shaped as the enumeration's generators: models, not model keys."""
-    for key, tops, windows, on_shell in fa_r2_windows(surface, c1, c2, B):
-        yield _model(key), tops, windows, on_shell
+    for key, tops, windows in fa_r2_windows(surface, c1, c2, B):
+        yield _model(key), tops, windows
+
+
+def fa_start_box(surface, c1: tuple, c2: int) -> int:
+    """``2K + 2a + 8`` (K = 4c2 - c1^2): the side of the adjacent-pair box at which the F_a
+    rank-2 search once started, and at which the tests' stage pins were recorded.  It lies
+    above the bounds that the enumeration's solve proves for every K only while a <= 6."""
+    return 2 * (4 * c2 - surface.pair(c1, c1)) + 2 * int(surface.name[1:]) + 8
+
+
+def p2_r2_scan(surface, rank: int, c1: tuple, c2: int):
+    """The rank-2 scan on the plane: every window triple in ``1..K`` that solves the quadratic
+    equation, shaped as the enumeration's generators."""
+    model = _model(("r2", (0, 1, 2)))
+    d = c1[0]
+    K = 4 * c2 - d * d
+    for x in range(1, K + 1):
+        for y in range(1, K + 1):
+            for z in range(1, K + 1):
+                total = x + y + z
+                if (total - d) % 2 or total * total - 2 * (x * x + y * y + z * z) != K:
+                    continue
+                yield model, ((total - d) // 2, 0, 0), ((x,), (y,), (z,))
 
 
 @lru_cache(maxsize=None)
-def unpruned_candidates(
-    surface_name: str, rank: int, c1: tuple, c2: int, bound: int
-) -> BasisStage:
-    """Every candidate of the window search at one bound that passes (c1, c2), in search order;
-    on F_a the box scan :func:`fa_r2_box`, not the enumeration's solve."""
+def unpruned_candidates(surface_name: str, rank: int, c1: tuple, c2: int, *P: int) -> BasisStage:
+    """Every candidate of the window search that passes (c1, c2), in search order; for rank 2
+    the scans :func:`p2_r2_scan` and :func:`fa_r2_box` (at :func:`fa_start_box`), not the
+    enumeration's solves, and for ranks 3 and 4 the enumeration's generator at ``P``."""
     surface = surface_by_name(surface_name)
-    generate, _start = _search(surface, rank, c1, c2)
-    if surface.picard_rank == 2:
-        generate = fa_r2_box
+    if rank == 2 and surface.picard_rank == 2:
+        generated = fa_r2_box(surface, rank, c1, c2, fa_start_box(surface, c1, c2))
+    elif rank == 2:
+        generated = p2_r2_scan(surface, rank, c1, c2)
+    else:
+        generated = _search(surface, rank)(surface, rank, c1, c2, *P)
     out = []
     form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
     pairs: dict[tuple, tuple] = {}  # level pairs per model
-    for model, tops, windows, on_shell in generate(surface, rank, c1, c2, bound):
+    for model, tops, windows in generated:
         if model.key not in pairs:
             pairs[model.key] = _level_pairs(surface, model)
         jumps = _jump_positions(tops, windows, rank)
@@ -1097,5 +1122,5 @@ def unpruned_candidates(
             continue
         forms = tuple(dict.fromkeys(stability_forms(surface, rank, windows, model.candidates)))
         ids = tuple(form_id.setdefault(v, len(form_id)) for v in forms)
-        out.append(BasisCandidate(model.key, tops, windows, forms, ids, on_shell))
+        out.append(BasisCandidate(model.key, tops, windows, forms, ids))
     return BasisStage(tuple(out), tuple(form_id))

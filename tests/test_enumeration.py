@@ -20,9 +20,11 @@ from oracles import (
     closed_chern,
     fa_r2_box,
     fa_r2_windows,
+    fa_start_box,
     higher_windows,
     is_stable,
     on_nef_rays,
+    p2_r2_scan,
     sign_table_stable,
     slope_times_rank,
     stability_forms,
@@ -308,8 +310,7 @@ def _candidate_sheaves(name, c1, c2):
     """The unpruned stage-1 candidates of a case, and (candidate, bundle,
     patterns, distinct reference forms) for each."""
     surface = surface_by_name(name)
-    _generate, bound = enumeration._search(surface, 2, c1, c2)
-    stage = unpruned_candidates(surface.name, 2, c1, c2, bound)
+    stage = unpruned_candidates(surface.name, 2, c1, c2)
     out = []
     for cand in stage.candidates:
         model = enumeration._model(cand.key)
@@ -330,7 +331,7 @@ def _table_forms(surface, model, windows):
 def _nef_verdict(surface, forms, H):
     """The per-H verdict of the enumeration at H of one candidate with these forms on the nef
     rays (or "tie")."""
-    cand = enumeration._Candidate(None, (), (), tuple(dict.fromkeys(forms)), False)
+    cand = enumeration._Candidate(None, (), (), tuple(dict.fromkeys(forms)))
     stage = enumeration._Stage((cand,), frozenset())
     return _verdict(lambda: enumeration._stable(stage, surface, H) == [cand])
 
@@ -424,55 +425,33 @@ class TestTwoStageSearch:
     def test_shell_check_fires_only_where_a_shell_candidate_is_stable(
         self, cold, monkeypatch, capsys
     ):
-        # started far too small (3 instead of 28), the box grows by 2 while a
-        # stable candidate sits on its outer shells; every chamber must give
-        # the default box's locus, or raise because the last allowed box
-        # (11, the last below 4x the start) still holds a stable shell
-        # candidate
-        f0 = surface_by_name("f0")
-        reps = chamber_representatives(f0, 2, (1, 1), 3)
-        default = [[sh.key() for sh in fixed_locus(f0, 2, (1, 1), 3, H)] for H in reps]
-        monkeypatch.setattr(enumeration, "_r2_box", lambda K, a: 3)
-
-        def shell_hit(H, bound):
-            cands = enumeration._candidates("F0", 2, (1, 1), 3, bound).candidates
-            return any(c.on_shell and stable_at(_basis_forms(f0, c), H) for c in cands)
-
-        for H, keys in zip(reps, default):
-            try:
-                locus = fixed_locus(f0, 2, (1, 1), 3, H)
-            except EnumerationError as exc:
-                assert "bound exhausted" in str(exc) and "(start 3)" in str(exc)
-                assert shell_hit(H, 11), H
-            else:
-                assert [sh.key() for sh in locus] == keys, H
-        grown = [H for H in reps if shell_hit(H, 3)]
-        assert grown and len(grown) < len(reps)
-
-        # with every candidate on the shell, the search raises exactly where
-        # some candidate is stable, and the CLI maps that to exit 3
-        generate = enumeration._fa_r2_windows
-
-        def all_on_shell(*args):
-            for model, tops, windows, _on_shell in generate(*args):
-                yield model, tops, windows, True
-
-        monkeypatch.setattr(enumeration, "_fa_r2_windows", all_on_shell)
-        _clear_memos()
+        # the rank-3 generator held at the default P = 6 and the search
+        # started at P = 1: every candidate lies on the outer shells at
+        # P = 1, the search reruns at P = 3 and stops there, so it raises
+        # exactly where a candidate stable at H has a profile sum above 1,
+        # and the CLI maps that to exit 3
+        p2 = surface_by_name("p2")
+        generate = enumeration._p2_higher_windows
+        monkeypatch.setattr(
+            enumeration, "_p2_higher_windows", lambda s, r, c1, c2, P: generate(s, r, c1, c2, 6)
+        )
+        monkeypatch.setattr(enumeration, "_P_START", 1)
+        cases = [((d,), c2) for d in (1, 2) for c2 in (1, 2, 3)]
         fired = []
-        for H in reps:
-            cands = enumeration._candidates("F0", 2, (1, 1), 3, 3).candidates
-            stable = any(stable_at(_basis_forms(f0, c), H) for c in cands)
+        for c1, c2 in cases:
+            stage = enumeration._candidates("P2", 3, c1, c2, 3).candidates
+            shell = [c for c in stage if any(sum(w) > 1 for w in c.windows)]
             try:
-                enumerate_bundles(f0, 2, (1, 1), 3, H)
+                enumerate_bundles(p2, 3, c1, c2, (1,))
             except EnumerationError as exc:
-                assert "at bound 11 (start 3)" in str(exc)
-                fired.append(H)
-            assert (H in fired) == stable, H
-        assert fired and len(fired) < len(reps)
-        H = ",".join(map(str, fired[0]))
-        argv = ["enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "3", "--H", H]
-        assert cli.main(argv) == 3
+                assert "at bound 3 (start 1)" in str(exc)
+                fired.append((c1, c2))
+            stable = any(stable_at(_basis_forms(p2, c), (1,)) for c in shell)
+            assert ((c1, c2) in fired) == stable, (c1, c2)
+        assert fired and len(fired) < len(cases)
+        (d,), c2 = fired[0]
+        argv = ["enumerate", "--surface", "p2", "--r", "3", "--delta", str(d), "--c2", str(c2)]
+        assert cli.main([*argv, "--H", "1"]) == 3
         assert "bound exhausted" in capsys.readouterr().err
 
     def test_a_small_rank_three_start_grows_to_the_default_locus(self, cold, monkeypatch):
@@ -480,8 +459,24 @@ class TestTwoStageSearch:
         default = [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))]
         monkeypatch.setattr(enumeration, "_P_START", 2)
         start = enumeration._candidates("P2", 3, (1,), 3, 2).candidates
-        assert any(c.on_shell and stable_at(_basis_forms(p2, c), (1,)) for c in start)
+        shell = [c for c in start if any(sum(w) > 0 for w in c.windows)]
+        assert any(stable_at(_basis_forms(p2, c), (1,)) for c in shell)
         assert [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))] == default
+
+    def test_rank_two_on_f11_finds_the_windows_above_the_old_start(self, cold):
+        # c2 = 11 on F11 (K = 44): two of the 24 stable bundles have a window
+        # of 121, above the box 2K + 2a + 8 = 118 where the search once
+        # started; each built bundle is stable at H under the oracle
+        f11 = surface_by_name("f11")
+        H = (28, 1)
+        bundles = enumerate_bundles(f11, 2, (1, 0), 11, H)
+        stable = enumeration._stable(enumeration._candidates("F11", 2, (1, 0), 11), f11, H)
+        assert len(bundles) == len(stable) == 24
+        above = {((121,), (11,), (1,), (11,)), ((1,), (11,), (121,), (11,))}
+        assert above <= {c.windows for c in stable}
+        for cand, sheaf in zip(stable, bundles):
+            patterns = tuple(_patterns(sheaf, enumeration._model(cand.key)))
+            assert stable_at(_reference_forms(sheaf, patterns), H), cand.windows
 
 
 @pytest.mark.parametrize(
@@ -530,7 +525,7 @@ def test_bundles_are_built_only_for_stable_candidates(cold, monkeypatch):
 
 
 def _keyed(generated):
-    return [(model.key, tops, windows, on_shell) for model, tops, windows, on_shell in generated]
+    return [(model.key, tops, windows) for model, tops, windows in generated]
 
 
 @pytest.mark.parametrize("rank, c1, P", [(3, (0,), 4), (3, (1,), 6), (3, (-1,), 8), (4, (1,), 4)])
@@ -549,18 +544,17 @@ def test_fa_windows_match_the_box_scan(name, c1, c2):
     # skips is dropped by the ample test without a tie, or ties at an H that
     # the stage already holds
     surface = surface_by_name(name)
-    _generate, B = enumeration._search(surface, 2, c1, c2)
-    got = _keyed(enumeration._fa_r2_windows(surface, 2, c1, c2, B))
-    box = list(fa_r2_windows(surface, c1, c2, B))
+    got = _keyed(enumeration._fa_r2_windows(surface, 2, c1, c2))
+    box = list(fa_r2_windows(surface, c1, c2, fa_start_box(surface, c1, c2)))
     scan = iter(box)
     assert got and all(row in scan for row in got)
-    stage = enumeration._candidates(surface.name, 2, c1, c2, B)
+    stage = enumeration._candidates(surface.name, 2, c1, c2)
 
     def ample_test(key, windows):
         return enumeration._ample_test(_table_forms(surface, enumeration._model(key), windows))
 
     kept = set(got)
-    for key, _tops, windows, _on_shell in got:
+    for key, _tops, windows in got:
         assert ample_test(key, windows) != (False, None), windows
     for row in box:
         if row not in kept:
@@ -568,23 +562,36 @@ def test_fa_windows_match_the_box_scan(name, c1, c2):
             assert not stable and tie in {None, *stage.ties}, row
 
 
-_FA_GRID = [(c1, c2) for c1 in [(0, 0), (1, 0), (0, 1), (1, 1)] for c2 in range(1, 5)]
+_FA_GRID = {
+    name: [(c1, c2) for c1 in [(0, 0), (1, 0), (0, 1), (1, 1)] for c2 in range(1, 5)]
+    for name in ("f0", "f1", "f2", "f3")
+}
+_FA_GRID["f20"] = [((0, 0), 4)]
 
 
-@pytest.mark.parametrize("name", ["f0", "f1", "f2", "f3"])
+@pytest.mark.parametrize("name", sorted(_FA_GRID))
 def test_fa_solved_stages_equal_the_box_scan_stages(name, monkeypatch):
     # the candidate stage (candidates, their order, ties) of the solved
-    # generator equals the one the same code builds from the box scan, at
-    # the starting bound, two above it, and a bound of 3
+    # generator equals the one the same code builds from the box scan at a
+    # box above the bounds the solve proves: the old start 2K + 2a + 8 on
+    # f0-f3, and (2 + a)K/4 + 2 = 90 on f20 at c2 = 4 (K = 16), where the
+    # old start 80 keeps 18 of the 20 candidates (f20 takes about 1 s)
     build = enumeration._candidates.__wrapped__
-    args = []
-    for c1, c2 in _FA_GRID:
-        *case, start = _start_bound(name, 2, c1, c2)
-        args += [(*case, bound) for bound in sorted({start, start + 2, 3})]
-    solved = [build(*a) for a in args]
-    monkeypatch.setattr(enumeration, "_fa_r2_windows", fa_r2_box)
-    for a, stage in zip(args, solved):
-        assert stage == build(*a), a
+    surface = surface_by_name(name)
+
+    def scan(c1, c2, B):
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_fa_r2_windows", lambda s, r, c1, c2: fa_r2_box(s, r, c1, c2, B))
+            return build(surface.name, 2, c1, c2)
+
+    for c1, c2 in _FA_GRID[name]:
+        start = fa_start_box(surface, c1, c2)
+        K = 4 * c2 - surface.pair(c1, c1)
+        box = max(start, (2 + int(name[1:])) * K // 4 + 2)
+        stage = build(surface.name, 2, c1, c2)
+        assert stage == scan(c1, c2, box), (c1, c2)
+        if box > start:
+            assert len(scan(c1, c2, start).candidates) < len(stage.candidates)
 
 
 def test_fa_window_solve_yields_are_pinned():
@@ -595,11 +602,18 @@ def test_fa_window_solve_yields_are_pinned():
     # 0 / 0 / 8 stable ones with one, and one tuple per x' = 0 tie family
     # (4 / 8 / 8)
     f0 = surface_by_name("f0")
-    counts = []
-    for c2 in (1, 2, 3):
-        bound = _start_bound("f0", 2, (1, 1), c2)[4]
-        counts.append(sum(1 for _ in enumeration._fa_r2_windows(f0, 2, (1, 1), c2, bound)))
+    counts = [sum(1 for _ in enumeration._fa_r2_windows(f0, 2, (1, 1), c2)) for c2 in (1, 2, 3)]
     assert counts == [8, 32, 56]
+
+
+def test_p2_solved_windows_equal_the_cube_scan():
+    # z solved from the quadratic gives the scan's yields in its order,
+    # 1728 of them over c1 = -1..2 and c2 = 0..10
+    p2 = surface_by_name("p2")
+    cases = [((d,), c2) for d in range(-1, 3) for c2 in range(11)]
+    solved = [_keyed(enumeration._p2_r2_windows(p2, 2, c1, c2)) for c1, c2 in cases]
+    assert solved == [_keyed(p2_r2_scan(p2, 2, c1, c2)) for c1, c2 in cases]
+    assert sum(map(len, solved)) == 1728
 
 
 _MODEL_CASES = [
@@ -670,9 +684,10 @@ def _windows_and_tops(surface, rank):
 # candidate stages, pinned
 
 # (candidates, distinct forms, first 16 hex digits of the sha256 of the repr
-# of every candidate's key, tops, windows, forms and on_shell, in order) at
-# the starting bound, recorded before the stage was compiled per model, with
-# the forms in the divisor basis; the unpruned stage is the oracle's
+# of every candidate's key, tops, windows, forms and shell flag, in order) at
+# the starting bound (:func:`_start_bound`), recorded before the stage was
+# compiled per model, with the forms in the divisor basis; the unpruned stage
+# is the oracle's
 _STAGES = {
     ("f0", 2, (1, 1), 1): (224, 88, "ea0018eee93c1209"),
     ("f0", 2, (1, 1), 2): (824, 258, "36b0331a7aa90bdf"),
@@ -692,24 +707,40 @@ _PRUNED_STAGES = {
 }
 
 
-def _stage_pin(surface, stage):
-    """The pin of a stage, with each candidate's basis forms recomputed from its key and windows."""
+def _stage_pin(surface, stage, bound):
+    """The pin of a stage, with each candidate's basis forms recomputed from its key and
+    windows, and the flag the pins recorded, a window (or profile) sum above ``bound - 2``,
+    from its windows."""
     rows = [
-        (c.key, c.tops, c.windows, _basis_forms(surface, c), c.on_shell) for c in stage.candidates
+        (
+            c.key, c.tops, c.windows, _basis_forms(surface, c),
+            bound is not None and any(sum(w) > bound - 2 for w in c.windows),
+        )
+        for c in stage.candidates
     ]
     distinct = {v for row in rows for v in row[3]}
     return len(rows), len(distinct), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
+def _stage_args(name, rank, c1, c2):
+    """The arguments of a case's candidate stage: ranks 3 and 4 take the starting ``P``."""
+    return surface_by_name(name).name, rank, c1, c2, *((enumeration._P_START,) if rank > 2 else ())
+
+
 def _start_bound(name, rank, c1, c2):
+    """The search bound at which a case's pins were recorded: the old start of the F_a box,
+    ``P`` for ranks 3 and 4, and none for rank 2 on the plane."""
     surface = surface_by_name(name)
-    return surface.name, rank, c1, c2, enumeration._search(surface, rank, c1, c2)[1]
+    if rank > 2:
+        return enumeration._P_START
+    return fa_start_box(surface, c1, c2) if surface.picard_rank == 2 else None
 
 
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_STAGES), ids=str)
 def test_candidate_stages_are_pinned(name, rank, c1, c2):
-    stage = unpruned_candidates(*_start_bound(name, rank, c1, c2))
-    assert _stage_pin(surface_by_name(name), stage) == _STAGES[name, rank, c1, c2]
+    stage = unpruned_candidates(*_stage_args(name, rank, c1, c2))
+    pin = _stage_pin(surface_by_name(name), stage, _start_bound(name, rank, c1, c2))
+    assert pin == _STAGES[name, rank, c1, c2]
 
 
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_PRUNED_STAGES), ids=str)
@@ -717,8 +748,8 @@ def test_pruned_candidate_stages_are_pinned(name, rank, c1, c2):
     # the recorded ties are H, which on F0 are their own nef coordinates;
     # each candidate's forms are its basis forms on the nef rays
     surface = surface_by_name(name)
-    stage = enumeration._candidates(*_start_bound(name, rank, c1, c2))
-    count, forms, digest = _stage_pin(surface, stage)
+    stage = enumeration._candidates(*_stage_args(name, rank, c1, c2))
+    count, forms, digest = _stage_pin(surface, stage, _start_bound(name, rank, c1, c2))
     ties = tuple(sorted(_from_nef(surface, tie) for tie in stage.ties))
     assert (count, forms, ties, digest) == _PRUNED_STAGES[name, rank, c1, c2]
     for c in stage.candidates:
@@ -727,7 +758,7 @@ def test_pruned_candidate_stages_are_pinned(name, rank, c1, c2):
 
 def _decision(stable):
     """A list of stable candidates as the data that both kinds of stage share, or "tie"."""
-    return _verdict(lambda: [(c.key, c.tops, c.windows, c.on_shell) for c in stable()])
+    return _verdict(lambda: [(c.key, c.tops, c.windows) for c in stable()])
 
 
 _EQUIVALENCE_CASES = [
@@ -749,7 +780,7 @@ def test_pruned_stage_decides_as_the_oracle(name, rank, c1, c2, data):
     surface = surface_by_name(name)
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
-    args = _start_bound(name, rank, c1, c2)
+    args = _stage_args(name, rank, c1, c2)
     pruned, oracle = enumeration._candidates(*args), unpruned_candidates(*args)
     want = _decision(lambda: sign_table_stable(oracle, H))
     assert _decision(lambda: enumeration._stable(pruned, surface, H)) == want
@@ -761,7 +792,7 @@ def test_a_dropped_candidate_still_ties_at_its_polarization(cold):
     # f0, c1 = F+Z, c2 = 1: no candidate is stable anywhere, but some tie at
     # H = F+Z, so the empty stage raises there, through the library as well
     f0 = surface_by_name("f0")
-    stage = enumeration._candidates(*_start_bound("f0", 2, (1, 1), 1))
+    stage = enumeration._candidates("F0", 2, (1, 1), 1)
     assert stage.candidates == () and stage.ties == {(1, 1)}
     for H in [(1, 1), (3, 3)]:
         with pytest.raises(SlopeTie):
