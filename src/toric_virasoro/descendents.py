@@ -31,17 +31,21 @@ generator rule of R+, identities among the ``T+`` elements and ``T+_{-1} =
 0``, and the rank cancels (the argument is in its docstring).
 
 On one monomial every operator part has integer coefficients, up to the one
-scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule,
-:func:`T_terms` the T element over the integers, and :func:`operator_terms`
-gives the three parts of ``L_k D`` as ``{monomial: int}`` dicts, which the
-zero-sum sweep reads.  ``apply_R`` and ``apply_S`` are the
-``Fraction``-linear extension of those rules to a :class:`DescPoly`;
-everything is exact, over the integers and ``fractions.Fraction``.
+scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule (the image
+of each symbol, extended as a derivation), :func:`T_terms` the T element
+over the integers, and :func:`operator_terms` gives the three parts of
+``L_k D`` as ``{monomial: int}`` dicts, which the zero-sum sweep reads.  The
+R rule keeps the image of each symbol per ``k``, and every term is built by
+inserting the new symbols into the sorted D.  ``apply_R`` and ``apply_S``
+are the ``Fraction``-linear extension of those rules to a
+:class:`DescPoly`; everything is exact, over the integers and
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -216,27 +220,65 @@ def _check_nonnegative(D: DescPoly, surface: Surface) -> None:
                 )
 
 
+class _Images(dict):
+    """R_k (plus=True: R+_k) of each symbol, computed on its first lookup.
+
+    ``images[ch_i(gamma)]`` is ``(ch_{i+k}(gamma), nonzero int)``, or None
+    where R_k kills the symbol.
+    """
+
+    def __init__(self, k: int, surface: Surface, plus: bool = False):
+        super().__init__()
+        self.k, self.surface, self.plus = k, surface, plus
+
+    def __missing__(self, sym: Symbol) -> tuple[Symbol, int] | None:
+        i, name = sym
+        k = self.k
+        f = _r_coeff(k, symbol_degree(sym, self.surface), self.plus) if i + k >= 0 else 0
+        self[sym] = image = ((i + k, name), f) if f else None
+        return image
+
+
+@lru_cache(maxsize=None)
+def _ch_images(k: int, surface: Surface) -> _Images:
+    """The :class:`_Images` of R_k, kept across calls: the sweep reads them for every monomial.
+
+    R+_k, which only the bracket proof reads, on generators, builds its
+    images per call.
+    """
+    return _Images(k, surface)
+
+
 def derivation_terms(
     k: int, mono: Monomial, surface: Surface, plus: bool = False
 ) -> dict[Monomial, int]:
-    """R_k (plus=True: R+_k) of one monomial: ``{monomial: nonzero int}``.
+    """R_k (plus=True: R+_k) of one sorted monomial: ``{monomial: nonzero int}``.
 
-    The derivation hits each distinct factor once, weighted by its
-    multiplicity.  This is the one R rule: :func:`apply_R` and the S
-    operators are its ``Fraction``-linear extension, and the sweep reads it
-    directly (:func:`operator_terms`).
+    This is the one R rule, the :class:`_Images` of the symbols extended as
+    a derivation: :func:`apply_R` and the S operators are its
+    ``Fraction``-linear extension, and the sweep reads it directly
+    (:func:`operator_terms`).  It hits each distinct factor once, at its
+    first position ``idx`` (repeats are adjacent), weighted by its
+    multiplicity.  The image symbol goes where it sorts in ``mono``: after
+    every copy of the hit symbol when it is not smaller (``j > idx``), else
+    before ``idx``.
     """
     if k < -1:
         raise ValueError("R_k is defined for k >= -1")
+    images = _Images(k, surface, plus) if plus else _ch_images(k, surface)
     out: dict[Monomial, int] = {}
     for idx, sym in enumerate(mono):
-        i, name = sym
-        if i + k < 0 or sym in mono[:idx]:
+        if idx and sym == mono[idx - 1]:
             continue
-        f = _r_coeff(k, symbol_degree(sym, surface), plus)
-        if f:
-            new = tuple(sorted(mono[:idx] + mono[idx + 1 :] + ((i + k, name),)))
-            out[new] = out.get(new, 0) + mono.count(sym) * f
+        hit = images[sym]
+        if hit:
+            new, f = hit
+            j = bisect_right(mono, new)
+            if j > idx:
+                key = mono[:idx] + mono[idx + 1 : j] + (new,) + mono[j:]
+            else:
+                key = mono[:j] + (new,) + mono[j:idx] + mono[idx + 1 :]
+            out[key] = out.get(key, 0) + mono.count(sym) * f
     return {m: c for m, c in out.items() if c}
 
 
@@ -371,10 +413,12 @@ def apply_T(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 
 
 def _s_terms(k: int, mono: Monomial, surface: Surface) -> dict[Monomial, int]:
-    """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale."""
+    """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale, for a sorted D."""
     if k < -1:
         raise ValueError("S_k is defined for k >= -1")
-    return derivation_terms(-1, tuple(sorted(mono + ((k + 1, "p"),))), surface)
+    sym = (k + 1, "p")
+    j = bisect_right(mono, sym)
+    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface)
 
 
 def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
@@ -385,13 +429,17 @@ def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
 def operator_terms(
     k: int, mono: Monomial, surface: Surface, rank: int
 ) -> tuple[dict[Monomial, int], dict[Monomial, int], dict[Monomial, int], Fraction]:
-    """R_k D, T_k D and S_k D of one monomial D, over the integers.
+    """R_k D, T_k D and S_k D of one sorted monomial D, over the integers.
 
     Returns ``(r, t, s, scale)``, each of ``r, t, s`` a ``{monomial:
     nonzero int}``: ``R_k D = r``, ``T_k D = t`` (the :func:`T_terms` times
-    D) and ``S_k D = scale * s`` with ``scale = (k+1)!/rank``.
+    D) and ``S_k D = scale * s`` with ``scale = (k+1)!/rank``.  Each term
+    is built by inserting its new symbols into the sorted D.
     """
-    t = {tuple(sorted(m + mono)): c for m, c in T_terms(k, surface).items()}
+    t = {}
+    for (a, b), c in T_terms(k, surface).items():  # a <= b
+        ja, jb = bisect_right(mono, a), bisect_right(mono, b)
+        t[mono[:ja] + (a,) + mono[ja:jb] + (b,) + mono[jb:]] = c
     return (
         derivation_terms(k, mono, surface),
         t,

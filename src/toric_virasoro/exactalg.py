@@ -1,8 +1,10 @@
 """Exact arithmetic in two variables ``s, t``: Laurent polynomials and integer forms.
 
-* **K-theory characters** are :class:`LaurentPoly` values, sparse mappings
-  ``(a, b) -> Fraction`` meaning ``sum c * s^a * t^b``; the exponents are
-  torus weights, e.g. ``s + s*t^-1``.  They also give readable views.
+* **K-theory characters** are integer exponent dicts (:data:`Character`),
+  ``{(a, b): c}`` meaning ``sum c * s^a * t^b``; the exponents are torus
+  weights, e.g. ``s + s*t^-1``.  :class:`LaurentPoly` values, sparse
+  mappings ``(a, b) -> Fraction``, hold the chart restrictions and give
+  readable views.
 * **Cohomology classes** are homogeneous polynomials in the degree-1
   generators ``s, t`` of a fixed-point chart, kept at ``s = 1`` as integer
   coefficient lists: ``f[j]`` belongs to ``s^(d-j) t^j`` in degree ``d``.
@@ -23,10 +25,11 @@ share one LCM factor.  One LCM rule (:func:`_lcm`) serves two types:
   :func:`divide_linear` divides by one canonical form by a recurrence that
   refuses any remainder; by Gauss's lemma an integer quotient exists
   exactly when a rational one does;
-* :class:`BinomialDenominator`, over characters, for ``e_q`` products of
-  binomials ``1 - chi^w`` with primitive ``w`` (a surface's chart
-  characters): :func:`divide_binomial` divides by one binomial as a
-  running sum along the lines parallel to ``w``.
+* :class:`BinomialDenominator`, over integer characters, for ``e_q``
+  products of binomials ``1 - chi^w`` with primitive ``w`` (a surface's
+  chart characters): the units are signed monomials, so the cofactors are
+  integer characters, and :func:`divide_binomial` divides by one binomial
+  as a running sum along the lines parallel to ``w``.
 
 Both raise :class:`NotDivisible` when a quotient does not exist.  The
 integration kernel multiplies integer forms by Kronecker substitution:
@@ -47,6 +50,8 @@ from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rat = Fraction
+# an integer character sum c * chi^(a, b), as {(a, b): c}
+Character = dict[tuple[int, int], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -210,12 +215,6 @@ class LaurentPoly:
         if any(c.denominator != 1 for c in self.coeffs.values()):
             raise ValueError(f"{self.render()} has a non-integral coefficient")
         return [(a, b, c.numerator) for (a, b), c in self.coeffs.items()]
-
-    def dual(self) -> "LaurentPoly":
-        """K-theory dual: s^a t^b -> s^-a t^-b."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {(-a, -b): c for (a, b), c in self.coeffs.items()}
-        return out
 
     def shift(self, da: int, db: int) -> "LaurentPoly":
         """Multiply by the monomial s^da t^db."""
@@ -519,41 +518,54 @@ def unpack(value: int, width: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# K-theoretic sums: binomial denominators
+# K-theoretic sums over the integers: binomial denominators
 # ---------------------------------------------------------------------------
 
 
-def divide_binomial(num: LaurentPoly, w: tuple[int, int]) -> LaurentPoly:
-    """The exact quotient of ``num`` by ``1 - chi^w``, for a primitive ``w``.
+def char_product(f: Character, g: Character) -> Character:
+    """The product of two integer characters, without zero coefficients."""
+    out: Character = {}
+    for (a, b), c in f.items():
+        for (x, y), d in g.items():
+            key = (a + x, b + y)
+            out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def divide_binomial(num: Character, w: tuple[int, int]) -> Character:
+    """The exact quotient of an integer character by ``1 - chi^w``, for a primitive ``w``.
 
     ``num = q - q * chi^w`` says that along every line parallel to ``w``,
     the coefficients of ``q`` are the partial sums of those of ``num``,
     taken in the direction of ``w``.  A line whose coefficients do not sum
-    to zero is a remainder and raises :class:`NotDivisible`.
+    to zero is a remainder and raises :class:`NotDivisible`.  ``num`` may
+    hold zero coefficients; the quotient holds none.
     """
     a, b = w
     step = a * a + b * b
     lines: dict[int, list] = {}
-    for (x, y), c in num.coeffs.items():
+    for (x, y), c in num.items():
         lines.setdefault(b * x - a * y, []).append((a * x + b * y, x, y, c))
-    out = {}
+    out: Character = {}
     for terms in lines.values():
         terms.sort()
         start, x, y, _c = terms[0]
         along = {(dot - start) // step: c for dot, _x, _y, c in terms}
-        total = ZERO
+        total = 0
         for k in range(max(along) + 1):
-            total += along.get(k, ZERO)
+            total += along.get(k, 0)
             if total:
                 out[(x + k * a, y + k * b)] = total
         if total:
             binomial = LaurentPoly.one() - LaurentPoly.monomial(a, b)
-            raise NotDivisible(f"{num.render()} is not divisible by {binomial.render()}")
-    return LaurentPoly(out)
+            raise NotDivisible(
+                f"{LaurentPoly(num).render()} is not divisible by {binomial.render()}"
+            )
+    return out
 
 
 class BinomialDenominator:
-    """The common denominator of sums over products of binomials ``1 - chi^w``.
+    """The common denominator of sums over products of binomials ``1 - chi^w``, over ZZ.
 
     ``duals_per_point[q]`` lists the primitive characters ``w`` with
     ``e_q = prod (1 - chi^w)``, with repeats: a surface's chart characters.
@@ -563,34 +575,39 @@ class BinomialDenominator:
 
     * ``forms``: the canonical ``f`` of the multiset LCM, in the order of
       :func:`_lcm`;
-    * ``cofactors``: ``LCM / e_q`` as characters, units included.
+    * ``cofactors``: ``LCM / e_q`` as integer characters, units included.
 
-    Then ``sum_q v_q / e_q == sum_q v_q * cofactors[q] / LCM`` exactly, and
-    :meth:`clear` divides the LCM out one binomial at a time.
+    Every unit is a signed monomial, so the cofactors, and the quotient of
+    an integer numerator by each binomial, are integer characters: the whole
+    clearing runs over the integers.  Then ``sum_q v_q / e_q == sum_q v_q *
+    cofactors[q] / LCM`` exactly, and :meth:`clear` divides the LCM out one
+    binomial at a time by the running sums of :func:`divide_binomial`.
     """
 
     __slots__ = ("forms", "cofactors")
 
     def __init__(self, duals_per_point: Iterable[Iterable[tuple[int, int]]]):
         self.forms, rest, splits = _lcm(duals_per_point)
-        self.cofactors = []
+        self.cofactors: list[Character] = []
         for missing, split in zip(rest, splits):
             if any(abs(u) != 1 for _f, u in split):
                 raise ValueError("binomial denominators need primitive characters")
             flipped = [f for f, u in split if u < 0]
-            co = LaurentPoly.monomial(
-                sum(f[0] for f in flipped), sum(f[1] for f in flipped), (-1) ** len(flipped)
-            )
+            co = {
+                (sum(f[0] for f in flipped), sum(f[1] for f in flipped)): (-1) ** len(flipped)
+            }
             for f in missing:
-                co = co * (LaurentPoly.one() - LaurentPoly.monomial(*f))
+                co = char_product(co, {(0, 0): 1, f: -1})
             self.cofactors.append(co)
 
-    def clear(self, values: Iterable[LaurentPoly]) -> LaurentPoly:
-        """``sum_q values[q] / e_q`` as a Laurent polynomial, or NotDivisible."""
-        num = LaurentPoly.zero()
+    def clear(self, values: Iterable[Character]) -> Character:
+        """``sum_q values[q] / e_q`` as an integer character, or NotDivisible."""
+        num: Character = {}
         for v, co in zip(values, self.cofactors, strict=True):
-            if v:
-                num = num + v * co
+            for (a, b), c in v.items():
+                for (x, y), d in co.items():
+                    key = (a + x, b + y)
+                    num[key] = num.get(key, 0) + c * d
         for f in self.forms:
             num = divide_binomial(num, f)
         return num

@@ -2,62 +2,67 @@
 
 A :class:`Case` bundles a toric surface, topological invariants, a
 polarization and the finite list of torus-fixed stable sheaves with those
-invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``.
-K-theoretic ones are cleared by the surface's ``character_denominator`` (a
-:class:`~toric_virasoro.exactalg.BinomialDenominator`, which divides by each
-binomial ``1 - chi^w`` as a running sum along ``w``), cohomological ones
-over the integers at ``s = 1`` by a
+invariants.  Every number here is a fixed-point sum ``sum_q v_q / e_q``,
+and every one is cleared over the integers: K-theoretic ones by the
+surface's ``character_denominator`` (a
+:class:`~toric_virasoro.exactalg.BinomialDenominator`, which divides an
+integer character by each binomial ``1 - chi^w`` as a running sum along
+``w``), cohomological ones at ``s = 1`` by a
 :class:`~toric_virasoro.exactalg.LinearDenominator`, built once per surface
-and once per case.
+and once per case.  ``Fraction`` appears only at the end: one per operator
+part.
 
 * ``tangent_representation`` computes the torus character of the tangent
-  space at a fixed point from the K-theoretic Euler characteristic
-  ``chi(E, E)``, and certifies isolation (no trivial weight) and the
-  expected dimension;
+  space at a fixed point, ``{weight: multiplicity}``, from the K-theoretic
+  Euler characteristic ``chi(E, E)``.  The products ``E_p^dual E_p`` are
+  formed from the chart restrictions' integer terms, so every multiplicity
+  is an integer by construction (a row with a non-integral coefficient is
+  refused before any clearing); it certifies that none is negative,
+  isolation (no trivial weight) and the expected dimension;
 * ``_integer_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
   moduli fixed point as a polynomial in the torus parameters ``s, t``:
   normalized Chern character slices of the sheaf's chart restrictions,
   summed over the surface points.  Each slice is a sum of powers of integer
-  linear forms (chart weights scaled by r), and the surface's
-  ``tangent_denominator`` clears the sum by exact integer division, one
-  canonical form at a time, into the ``(scale, rows)`` that the
-  integration kernel reads; ``realize_symbol`` is their readable view;
-* ``integrate`` sums over the case's ``tangent_denominator`` (the LCM of the
-  moduli tangent Euler classes), certifies that the sum clears (the
-  localization consistency check), and evaluates at the origin.  A
-  monomial's cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is one
-  exact bigint sum of Kronecker-packed products
-  (:func:`~toric_virasoro.exactalg.pack`), with a slot width set by an l1
-  bound so that decoding it is exact.  Each realized symbol keeps a bitmask
-  of the moduli points where its row is nonzero (where its l1 norm is).  No
-  cofactor vanishes, so when the masks of a monomial's factors have an
-  empty AND every term vanishes: the kernel returns 0 before any bound or
-  product, without a clearing, as for a numerator that sums to 0.
-  Otherwise the bound and the products run point by point in
-  ``map(operator.mul, ...)``.  Before the kernel runs, a degree-0 symbol
-  that is one nonzero constant ``c`` at every point (``ch_2(1)`` or
-  ``ch_0(p)``: a topological number) is taken out of the monomial as the
-  factor ``c``, so only the rest is cleared; one that vanishes at every
-  point (``ch_1`` of a divisor) stays in, for the empty-mask exit.
-  At the moduli dimension the numerator must be a constant times the LCM,
-  checked slot by slot; below it the numerator must vanish, and above it (a
-  value that must be 0) it is divided by every LCM form
-  (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
+  linear forms (chart weights scaled by r), computed once per degree ``i``
+  and shared by every class; the surface's ``tangent_denominator`` clears
+  the sum by exact integer division, one canonical form at a time, into
+  the ``(scale, rows)`` that the integration kernel reads;
+  ``realize_symbol`` is their readable view;
+* ``_integrate`` sums over the case's ``tangent_denominator`` (the LCM of
+  the moduli tangent Euler classes), certifies that the sum clears (the
+  localization consistency check), and evaluates at the origin, to an
+  integer pair ``(n, d)`` in lowest terms.  A monomial's cleared numerator
+  ``sum_q cofactor_q * prod_i v_iq`` is one exact bigint sum of
+  Kronecker-packed products (:func:`~toric_virasoro.exactalg.pack`), with a
+  slot width set by an l1 bound so that decoding it is exact.  Each
+  realized symbol keeps a bitmask of the moduli points where its row is
+  nonzero (where its l1 norm is).  No cofactor vanishes, so when the masks
+  of a monomial's factors have an empty AND every term vanishes: the
+  kernel returns 0 before any bound or product, without a clearing, as for
+  a numerator that sums to 0.  Otherwise the bound and the products run
+  point by point in ``map(operator.mul, ...)``.  Before the kernel runs, a
+  degree-0 symbol that is one nonzero constant ``c / S`` at every point
+  (``ch_2(1)`` or ``ch_0(p)``: a topological number) is taken out of the
+  monomial as the integers ``c`` and ``S``, so only the rest is cleared;
+  one that vanishes at every point (``ch_1`` of a divisor) stays in, for
+  the empty-mask exit.  At the moduli dimension the numerator must be a
+  constant times the LCM, checked slot by slot; below it the numerator
+  must vanish, and above it (a value that must be 0) it is divided by every
+  LCM form (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
 ``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it reads
 the integer terms of the three operator parts
-(:func:`~toric_virasoro.descendents.operator_terms`), sums ``int *
-integral`` over each, skipping zero integrals, and reports whether the
-parts sum to zero.
+(:func:`~toric_virasoro.descendents.operator_terms`), sums ``int * n`` over
+each per denominator ``d``, skipping zero integrals, forms one
+``Fraction`` per part and reports whether the parts sum to zero.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -71,10 +76,12 @@ from .descendents import (
 )
 from .enumeration import fixed_locus_cached
 from .exactalg import (
+    Character,
     LaurentPoly,
     LinearDenominator,
     NotDivisible,
     Rat,
+    char_product,
     convolve,
     homogenize,
     linform,
@@ -85,16 +92,26 @@ from .exactalg import (
 from .klyachko import NonIsolated
 from .surfaces import Surface, surface_by_name
 
-_ZERO = Fraction(0)
+_ZERO = (0, 1)  # an integral (n, d) that vanishes
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """``n / d`` as ``(n', d')`` in lowest terms with ``d' > 0``."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
 
 
 class TrivialWeight(ValueError):
     """A tangent character is not an honest representation of dimension vdim.
 
-    A multiplicity that is negative or not an integer, or a total dimension
-    other than vdim, means inconsistent fixed-point data (or a sheaf that is
-    not simple or not unobstructed).  A positive multiplicity at the trivial
-    weight is :class:`NonIsolated` instead: the fixed point is not isolated.
+    A negative multiplicity, or a total dimension other than vdim, means
+    inconsistent fixed-point data (or a sheaf that is not simple or not
+    unobstructed).  A positive multiplicity at the trivial weight is
+    :class:`NonIsolated` instead: the fixed point is not isolated.  No
+    multiplicity can fail to be an integer: ``chi(E, E)`` is cleared over
+    the integers from integer rows.
     """
 
 
@@ -103,42 +120,50 @@ class TrivialWeight(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def sheaf_euler_pairing(restrictions: Sequence[LaurentPoly], surface: Surface) -> LaurentPoly:
-    """chi(E, E) as a torus character, by K-theoretic fixed-point clearing.
+def sheaf_euler_pairing(restrictions: Sequence[LaurentPoly], surface: Surface) -> Character:
+    """chi(E, E) as an integer torus character, by K-theoretic fixed-point clearing.
 
     Each fixed point contributes ``E_p^dual * E_p / ((1 - u)(1 - v))`` where
-    ``u, v`` are the inverse tangent characters (= the chart characters); the
-    sum over points clears to a finite character sum, and a row that is not
-    a consistent K-class raises :class:`~toric_virasoro.exactalg.NotDivisible`.
+    ``u, v`` are the inverse tangent characters (= the chart characters).
+    The products ``E_p^dual * E_p`` are formed from the rows' integer terms
+    (a row with a non-integral coefficient raises ``ValueError``; none is
+    truncated), and the surface's ``character_denominator`` clears their
+    sum over the integers, by running sums along each chart character.  The
+    sum over the points is a finite character sum; a row that is not a
+    consistent K-class raises :class:`~toric_virasoro.exactalg.NotDivisible`.
     """
-    return surface.character_denominator.clear([poly.dual() * poly for poly in restrictions])
+    values = []
+    for poly in restrictions:
+        terms = poly.integer_terms()
+        values.append(
+            char_product({(-a, -b): c for a, b, c in terms}, {(a, b): c for a, b, c in terms})
+        )
+    return surface.character_denominator.clear(values)
 
 
 def tangent_representation(
     restrictions: Sequence[LaurentPoly], surface: Surface, vdim: int
-) -> LaurentPoly:
-    """Torus character of the tangent space at a moduli fixed point.
+) -> Character:
+    """Torus character of the tangent space at a moduli fixed point, ``{weight: multiplicity}``.
 
-    ``T = 1 - chi(E, E)``; the result is certified to be an honest
-    representation: nonnegative integer multiplicities (else
+    ``T = 1 - chi(E, E)``, over the integers; the result is certified to be
+    an honest representation: nonnegative multiplicities (else
     :class:`TrivialWeight`), no trivial weight (else :class:`NonIsolated`),
     and total dimension ``vdim`` (else :class:`TrivialWeight`).
     """
-    chi = sheaf_euler_pairing(restrictions, surface)
-    tangent = LaurentPoly.one() - chi
-    total = 0
-    for (a, b), c in tangent:
-        if c.denominator != 1 or c < 0:
-            raise TrivialWeight(
-                f"tangent multiplicity {c} at weight ({a},{b}) is not a"
-                " nonnegative integer"
-            )
-        total += int(c)
-    if (0, 0) in tangent.coeffs:
+    tangent = {(0, 0): 1}
+    for w, c in sheaf_euler_pairing(restrictions, surface).items():
+        tangent[w] = tangent.get(w, 0) - c
+    tangent = {w: c for w, c in tangent.items() if c}
+    for (a, b), c in tangent.items():
+        if c < 0:
+            raise TrivialWeight(f"tangent multiplicity {c} at weight ({a},{b}) is negative")
+    if (0, 0) in tangent:
         raise NonIsolated(
-            f"trivial weight with multiplicity {tangent.coeffs[(0, 0)]}"
+            f"trivial weight with multiplicity {tangent[(0, 0)]}"
             " in the tangent space at a fixed point"
         )
+    total = sum(tangent.values())
     if total != vdim:
         raise TrivialWeight(
             f"tangent dimension {total} differs from expected dimension {vdim}"
@@ -146,11 +171,11 @@ def tangent_representation(
     return tangent
 
 
-def euler_class(tangent: LaurentPoly) -> LaurentPoly:
+def euler_class(tangent: Character) -> LaurentPoly:
     """Product of the weight linear forms, with multiplicities."""
     out = LaurentPoly.one()
-    for (a, b), c in tangent:
-        out = out * linform((a, b)) ** int(c)
+    for w, c in tangent.items():
+        out = out * linform(w) ** c
     return out
 
 
@@ -173,12 +198,13 @@ class Case:
 
     def __post_init__(self):
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
-        self._tangents: list[LaurentPoly] | None = None
+        self._tangents: list[Character] | None = None
+        self._power_sums: dict[int, list[list[list[int]]]] = {}
         self._int_symbols: dict[tuple[int, str], tuple] = {}
         self._supports: dict[tuple[int, str], int] = {}
-        self._constants: dict[tuple[int, str], Fraction | None] = {}
+        self._constants: dict[tuple[int, str], tuple[int, int] | None] = {}
         self._packs: dict[tuple, tuple[int, ...]] = {}
-        self._integrals: dict[Monomial, Fraction] = {}
+        self._integrals: dict[Monomial, tuple[int, int]] = {}
         self.certified_clearings = 0
 
     # -- enumeration-facing -------------------------------------------------
@@ -187,7 +213,7 @@ class Case:
     def n_points(self) -> int:
         return len(self.restrictions)
 
-    def tangents(self) -> list[LaurentPoly]:
+    def tangents(self) -> list[Character]:
         if self._tangents is None:
             self._tangents = [
                 tangent_representation(rows, self.surface, self.vdim)
@@ -205,7 +231,7 @@ class Case:
     def tangent_denominator(self) -> LinearDenominator:
         """LCM and cofactors of the tangent Euler classes, one term per point."""
         return LinearDenominator(
-            [w for w, c in tangent for _ in range(int(c))] for tangent in self.tangents()
+            [w for w, c in tangent.items() for _ in range(c)] for tangent in self.tangents()
         )
 
     def scaffold(self):
@@ -257,12 +283,13 @@ class Case:
         """``(S, values, norms)``: ch_i(gamma) at every moduli point, at s = 1, scaled by S to ZZ.
 
         At a surface point ch_i of ``-E (x) det(E)^(-1/r)`` is
-        ``-power_sum(forms, i) / (i! r^i)`` over the :attr:`_chern_forms`.
-        Times the class lift, it is summed over the surface by the surface's
-        ``tangent_denominator``, so the scale is ``L * i! * r^i``, with ``L``
-        that denominator's scale, until the common gcd of the scale and
-        every value is divided out: S is then the least common denominator
-        of the values.
+        ``-power_sum(forms, i) / (i! r^i)`` over the :attr:`_chern_forms`
+        (one power sum per moduli point, surface point and ``i``, shared by
+        every class).  Times the class lift, it is summed over the surface
+        by the surface's ``tangent_denominator``, so the scale is ``L * i! *
+        r^i``, with ``L`` that denominator's scale, until the common gcd of
+        the scale and every value is divided out: S is then the least common
+        denominator of the values.
         """
         if sym not in self._int_symbols:
             i, name = sym
@@ -270,18 +297,19 @@ class Case:
             if i < 0:  # ch_i = 0
                 self._int_symbols[sym] = (1, [[] for _ in range(n)], [0] * n)
                 return self._int_symbols[sym]
+            if i not in self._power_sums:
+                self._power_sums[i] = [
+                    [power_sum(forms, i) for forms in per_point] for per_point in self._chern_forms
+                ]
             surface = self.surface
             den = surface.tangent_denominator
             lifts = [surface.class_lift(name, p) for p in surface.points]
             rows = [
                 den.clear(
-                    [
-                        convolve(power_sum(forms, i), lift) if lift else None
-                        for forms, lift in zip(per_point, lifts)
-                    ],
+                    [convolve(ps, lift) if lift else None for ps, lift in zip(sums, lifts)],
                     symbol_degree(sym, surface),
                 )
-                for per_point in self._chern_forms
+                for sums in self._power_sums[i]
             ]
             scale = den.scale * factorial(i) * self.rank**i
             g = gcd(scale, *(x for row in rows for x in row))
@@ -302,51 +330,62 @@ class Case:
             self._packs[key, width] = tuple(pack(row, width) for row in rows)
         return self._packs[key, width]
 
-    def _constant(self, sym: tuple[int, str]) -> Fraction | None:
-        """``c / S`` when the symbol has degree 0 and its rows are one nonzero ``[c]``, else None."""
+    def _constant(self, sym: tuple[int, str]) -> tuple[int, int] | None:
+        """``(c, S)`` when the symbol has degree 0 and its rows are one nonzero ``[c]``, else None.
+
+        S is the least common denominator of the rows, so ``c / S`` is in
+        lowest terms.
+        """
         if sym not in self._constants:
             self._constants[sym] = None
             if symbol_degree(sym, self.surface) == 0:
                 scale, rows, norms = self._integer_symbol(sym)
                 if norms[0] and all(row == rows[0] for row in rows):
-                    self._constants[sym] = Fraction(rows[0][0], scale)
+                    self._constants[sym] = (rows[0][0], scale)
         return self._constants[sym]
 
-    def integrate_monomial(self, mono: Monomial) -> Fraction:
-        """The integral of a monomial, memoized under its sorted key.
+    def _integral(self, mono: Monomial) -> tuple[int, int]:
+        """The integral of a sorted monomial as ``(n, d)``, in lowest terms with ``d > 0``.
 
-        Every degree-0 symbol that is the same nonzero constant ``c`` at
+        Memoized under the monomial; an empty locus integrates every
+        monomial to 0.
+        """
+        integrals = self._integrals
+        if mono not in integrals:
+            integrals[mono] = self._stripped(mono) if self.n_points else _ZERO
+        return integrals[mono]
+
+    def _stripped(self, mono: Monomial) -> tuple[int, int]:
+        """The integral of a sorted monomial, its constant degree-0 factors taken out.
+
+        Every degree-0 symbol that is the same nonzero constant ``c / S`` at
         every moduli point (see :meth:`_constant`) is taken out as a factor,
-        and only the rest goes through :meth:`_integrate`.  This is exact:
-        the cleared numerator of ``m = c * m'`` is ``c * N(m')`` as a
+        read as the integers ``c`` and ``S``, and only the rest goes through
+        :meth:`_integrate` (memoized under its own key).  This is exact: the
+        cleared numerator of ``m = c * m'`` is ``c * N(m')`` as a
         polynomial, with ``c != 0``, so ``m'`` clears (at, below or above
-        vdim) if and only if ``m`` does, is refused if and only if ``m``
-        is, and its value is ``1/c`` of ``m``'s.  A degree-0 symbol that
+        vdim) if and only if ``m`` does, is refused if and only if ``m`` is,
+        and its value is ``1/c`` of ``m``'s.  A degree-0 symbol that
         vanishes everywhere keeps the empty-mask exit of the kernel; one
         whose rows differ is cleared with the rest.
         """
-        # keyed by sorted monomials, as operator_terms yields them: only a miss sorts
-        integrals = self._integrals
-        if mono not in integrals:
-            mono = tuple(sorted(mono))
-            if mono not in integrals and self.n_points:
-                factor, rest = 1, []
-                for sym in mono:
-                    c = self._constant(sym)
-                    if c:
-                        factor *= c
-                    else:
-                        rest.append(sym)
-                rest = tuple(rest)  # still sorted
-                if rest not in integrals:
-                    integrals[rest] = self._integrate(rest, monomial_degree(rest, self.surface))
-                if rest != mono:
-                    integrals[mono] = factor * integrals[rest]
-            integrals.setdefault(mono, _ZERO)
-        return integrals[mono]
+        constants = self._constants
+        num, den, rest = 1, 1, []
+        for sym in mono:
+            c = constants[sym] if sym in constants else self._constant(sym)
+            if c:
+                num *= c[0]
+                den *= c[1]
+            else:
+                rest.append(sym)
+        rest = tuple(rest)  # still sorted
+        if rest == mono:
+            return self._integrate(mono)
+        n, d = self._integral(rest)
+        return _ratio(num * n, den * d)
 
-    def _integrate(self, mono: Monomial, deg: int) -> Fraction:
-        """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin.
+    def _integrate(self, mono: Monomial) -> tuple[int, int]:
+        """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin, as ``(n, d)``.
 
         The cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is formed as
         one bigint sum of Kronecker-packed products; its slot width is set by
@@ -355,12 +394,14 @@ class Case:
         AND of the factors' supports contributes 0; when no point is left,
         the sum is 0 without a bound, a product or a clearing.
         """
-        den = self.tangent_denominator
+        supports = self._supports
         support = (1 << self.n_points) - 1  # no cofactor vanishes: it is a product of forms
         for sym in mono:
-            support &= self._support(sym)
+            support &= supports[sym] if sym in supports else self._support(sym)
         if not support:  # every point has a vanishing factor
             return _ZERO
+        den = self.tangent_denominator
+        deg = monomial_degree(mono, self.surface)
         symbols = [self._integer_symbol(sym) for sym in mono]
         scale, bounds = 1, den.norms
         for sym_scale, _rows, norms in symbols:
@@ -385,7 +426,7 @@ class Case:
                     " locus or tangent data is inconsistent"
                 )
             self.certified_clearings += 1
-            return Fraction(n0, l0 * scale)  # den.scale cancels: poly is scaled too
+            return _ratio(n0, l0 * scale)  # den.scale cancels: poly is scaled too
         # below vdim the numerator must vanish; above it the cleared sum is a
         # polynomial of positive degree, so its value at the origin is 0
         den.divide(slots, deg - self.vdim)
@@ -393,17 +434,31 @@ class Case:
         return _ZERO
 
     def integrate(self, D) -> Fraction:
-        """The integral of a descendent polynomial D (a ``DescPoly``)."""
-        return self._integrate_terms(D.terms)
+        """The integral of a descendent polynomial D (a ``DescPoly``).
 
-    def _integrate_terms(self, terms) -> Fraction:
-        """``sum c * integral(mono)`` over ``{mono: c}``, skipping zero integrals."""
-        total = _ZERO
+        Its coefficients are brought to one denominator, and the integer
+        numerators are summed by :meth:`_part`.
+        """
+        den = lcm(*(c.denominator for c in D.terms.values()))
+        terms = {m: c.numerator * (den // c.denominator) for m, c in D.terms.items()}
+        return self._part(terms, 1, den)
+
+    def _part(self, terms: dict[Monomial, int], num: int = 1, den: int = 1) -> Fraction:
+        """``num / den * sum c * integral(mono)`` over the integer terms ``{mono: c}``.
+
+        The integrals are ``(n, d)`` in lowest terms; the products ``c * n``
+        are summed as integers per denominator ``d``, skipping zero
+        integrals, and the sums meet over the least common multiple of the
+        denominators, in the one ``Fraction`` of the part.
+        """
+        integrals = self._integrals
+        sums: dict[int, int] = {}
         for mono, c in terms.items():
-            value = self.integrate_monomial(mono)
-            if value:
-                total += c * value
-        return total
+            n, d = integrals.get(mono) or self._integral(mono)
+            if n:
+                sums[d] = sums.get(d, 0) + c * n
+        common = lcm(*sums)
+        return Fraction(num * sum(n * (common // d) for d, n in sums.items()), den * common)
 
     # -- operator parts ---------------------------------------------------
 
@@ -411,9 +466,9 @@ class Case:
         """(integral of R_k D, T_k D, S_k D) for the monomial D, from its integer terms."""
         r, t, s, s_scale = operator_terms(k, mono, self.surface, self.rank)
         return (
-            self._integrate_terms(r),
-            self._integrate_terms(t),
-            s_scale * self._integrate_terms(s),
+            self._part(r),
+            self._part(t),
+            self._part(s, s_scale.numerator, s_scale.denominator),
         )
 
     def twisted(self, weight: tuple[int, int]) -> "Case":

@@ -13,8 +13,18 @@ with them.
 :class:`CommonDenominator` and :func:`exact_div` clear a sum over any one-
 or two-term factors with rational monomial units, by lexicographic
 division.  They are also the reference for the K-theoretic clearing of
-``chi(E, E)``, which the package does with an
-``exactalg.BinomialDenominator`` (:func:`euler_pairing`).
+``chi(E, E)``, which the package does over integer characters with an
+``exactalg.BinomialDenominator`` (:func:`euler_pairing`, with the K-theory
+:func:`dual` that the package no longer needs).
+:func:`divide_binomial` and :func:`binomial_clear` are that clearing's
+running sums over ``Fraction`` Laurent polynomials, as the package ran
+them before it moved to integer characters, and
+:func:`binomial_euler_pairing` is ``chi(E, E)`` by them.
+
+:func:`integrate_terms` is the part sum that ``Case._part`` replaced: one
+``Fraction`` product and sum per nonzero term.  :func:`operator_parts`
+sums it over the ``DescPoly`` operators, the reference for
+``Case.operator_parts``.
 
 :func:`is_stable` is the slope comparison read from a built sheaf's flags.
 :func:`stability_forms` reads the same comparison as one integer form per
@@ -411,12 +421,89 @@ class CommonDenominator:
         return num
 
 
+def dual(p: LaurentPoly) -> LaurentPoly:
+    """K-theory dual: s^a t^b -> s^-a t^-b."""
+    return LaurentPoly({(-a, -b): c for (a, b), c in p.coeffs.items()})
+
+
 def euler_pairing(restrictions, surface) -> LaurentPoly:
     """``chi(E, E)`` of the chart restrictions, by a :class:`CommonDenominator` of ``1 - chi^w``."""
     den = CommonDenominator(
         [LaurentPoly.one() - LaurentPoly.monomial(*w) for w in p.duals] for p in surface.points
     )
-    return den.clear([poly.dual() * poly for poly in restrictions])
+    return den.clear([dual(poly) * poly for poly in restrictions])
+
+
+def divide_binomial(num: LaurentPoly, w: tuple[int, int]) -> LaurentPoly:
+    """The exact quotient of ``num`` by ``1 - chi^w``, for a primitive ``w``, over ``Fraction``.
+
+    Along every line parallel to ``w`` the coefficients of the quotient are
+    the partial sums of those of ``num``; a line that does not sum to zero
+    raises :class:`NotDivisible`.
+    """
+    a, b = w
+    step = a * a + b * b
+    lines: dict[int, list] = {}
+    for (x, y), c in num.coeffs.items():
+        lines.setdefault(b * x - a * y, []).append((a * x + b * y, x, y, c))
+    out = {}
+    for terms in lines.values():
+        terms.sort()
+        start, x, y, _c = terms[0]
+        along = {(dot - start) // step: c for dot, _x, _y, c in terms}
+        total = ZERO
+        for k in range(max(along) + 1):
+            total += along.get(k, ZERO)
+            if total:
+                out[(x + k * a, y + k * b)] = total
+        if total:
+            binomial = LaurentPoly.one() - LaurentPoly.monomial(a, b)
+            raise NotDivisible(f"{num.render()} is not divisible by {binomial.render()}")
+    return LaurentPoly(out)
+
+
+def binomial_clear(den, values: Iterable[LaurentPoly]) -> LaurentPoly:
+    """``sum_q values[q] / e_q`` for a ``BinomialDenominator``, over ``Fraction`` Laurent polynomials.
+
+    The package's integer cofactors are read as Laurent polynomials.
+    """
+    num = LaurentPoly.zero()
+    for v, co in zip(values, den.cofactors, strict=True):
+        if v:
+            num = num + v * LaurentPoly(co)
+    for f in den.forms:
+        num = divide_binomial(num, f)
+    return num
+
+
+def binomial_euler_pairing(restrictions, surface) -> LaurentPoly:
+    """``chi(E, E)`` by :func:`binomial_clear` over the surface's ``character_denominator``."""
+    return binomial_clear(surface.character_denominator, [dual(p) * p for p in restrictions])
+
+
+def integrate_terms(case, terms) -> Fraction:
+    """``sum c * integral(mono)`` over ``{mono: c}`` in ``Fraction`` arithmetic, skipping zero integrals.
+
+    Each integral is the package's value of the one monomial.
+    """
+    total = ZERO
+    for mono, c in terms.items():
+        value = case.integrate(DescPoly.monomial(mono))
+        if value:
+            total += c * value
+    return total
+
+
+def operator_parts(case, k: int, mono) -> tuple[Fraction, Fraction, Fraction]:
+    """The integrals of R_k D, T_k D and S_k D: :func:`integrate_terms` over the ``DescPoly`` operators."""
+    D = DescPoly.monomial(mono)
+    surface = case.surface
+    parts = (
+        apply_R(k, D, surface),
+        descendents.apply_T(k, D, surface),
+        apply_S(k, D, surface, case.rank),
+    )
+    return tuple(integrate_terms(case, P.terms) for P in parts)
 
 
 def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import factorial, gcd
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,7 +98,7 @@ class TestRing:
     @settings(deadline=None)
     @given(lpolys)
     def test_dual_involution(self, p):
-        assert p.dual().dual() == p
+        assert oracles.dual(oracles.dual(p)) == p
 
     @settings(deadline=None)
     @given(lpolys, st.integers(-2, 2), st.integers(-2, 2))
@@ -450,25 +451,38 @@ def _outcome(clear, values):
         return "NotDivisible"
 
 
+def ints(p: LaurentPoly) -> dict:
+    """The integer character of a Laurent polynomial (ValueError unless it has integer coefficients)."""
+    return {(a, b): c for a, b, c in p.integer_terms()}
+
+
 class TestDivideBinomial:
     @settings(deadline=None, max_examples=200)
     @given(integer_lpolys, primitive_characters, exponents, st.integers(-3, 3).filter(bool))
     def test_quotient_of_a_product_and_a_perturbed_product(self, f, w, m, c):
+        # over the integers and over the Fraction oracle; a zero coefficient
+        # in the numerator changes nothing
         product = f * kfactor(w)
-        assert divide_binomial(product, w) == f
+        assert divide_binomial(ints(product), w) == ints(f)
+        assert divide_binomial({m: 0, **ints(product)}, w) == ints(f)
+        assert oracles.divide_binomial(product, w) == f
         # every line parallel to w sums to zero in a product; one more term
         # breaks the sum of its line
+        broken = product + LaurentPoly.monomial(*m, c)
         with pytest.raises(NotDivisible):
-            divide_binomial(product + LaurentPoly.monomial(*m, c), w)
+            divide_binomial(ints(broken), w)
+        with pytest.raises(NotDivisible):
+            oracles.divide_binomial(broken, w)
 
     def test_running_sums_fill_the_gaps_of_a_line(self):
-        assert divide_binomial(parse_laurent("1 - s^3"), (1, 0)) == parse_laurent("1 + s + s^2")
-        assert divide_binomial(parse_laurent("1 - s^-2"), (-1, 0)) == parse_laurent("1 + s^-1")
-        assert divide_binomial(parse_laurent("s*t - s^3*t^-1"), (1, -1)) == parse_laurent(
-            "s*t + s^2"
-        )
+        for num, w, quotient in [
+            ("1 - s^3", (1, 0), "1 + s + s^2"),
+            ("1 - s^-2", (-1, 0), "1 + s^-1"),
+            ("s*t - s^3*t^-1", (1, -1), "s*t + s^2"),
+        ]:
+            assert divide_binomial(ints(parse_laurent(num)), w) == ints(parse_laurent(quotient))
         with pytest.raises(NotDivisible, match=r"is not divisible by -s\*t \+ 1$"):
-            divide_binomial(parse_laurent("1 - s"), (1, 1))
+            divide_binomial(ints(parse_laurent("1 - s")), (1, 1))
 
 
 class TestBinomialDenominator:
@@ -477,11 +491,11 @@ class TestBinomialDenominator:
         # moves into the first cofactor as -s
         den = BinomialDenominator([[(-1, 0)], [(1, 0)]])
         assert den.forms == ((1, 0),)
-        assert den.cofactors == [parse_laurent("-s"), LaurentPoly.one()]
-        one = LaurentPoly.one()
+        assert den.cofactors == [{(1, 0): -1}, {(0, 0): 1}]
+        one = {(0, 0): 1}
         assert den.clear([one, one]) == one
         with pytest.raises(NotDivisible):
-            den.clear([one, -one])
+            den.clear([one, {(0, 0): -1}])
 
     def test_characters_must_be_primitive(self):
         with pytest.raises(ValueError, match="primitive"):
@@ -492,24 +506,31 @@ class TestBinomialDenominator:
     @settings(deadline=None, max_examples=60)
     @given(
         nonzero_lpolys,
+        integer_lpolys.filter(bool),
         st.lists(st.lists(primitive_characters, max_size=3), min_size=1, max_size=4),
         st.lists(integer_lpolys, min_size=4, max_size=4),
     )
-    def test_agrees_with_the_fraction_oracle(self, P, raw, noise):
+    def test_agrees_with_the_fraction_oracle(self, P, Q, raw, noise):
         # the LCM has as many factors as CommonDenominator's; a sum of terms
-        # P * e_q / e_q clears to n * P on both, and a sum of arbitrary
-        # values either clears to the same value or is refused by both
+        # P * e_q / e_q clears to n * P on both Fraction paths (the running
+        # sums and lexicographic division), and so does the integer clearing
+        # for an integer Q; a sum of arbitrary integer values either clears
+        # to the same value on all three or is refused by all three
         den = BinomialDenominator(raw)
         ref = CommonDenominator([[kfactor(w) for w in ws] for ws in raw])
         assert len(den.forms) == len(ref.factors)
         lcm_poly = product(kfactor(f) for f in den.forms)
         es = [product(kfactor(w) for w in ws) for ws in raw]
         for e, co in zip(es, den.cofactors):
-            assert e * co == lcm_poly
+            assert e * LaurentPoly(co) == lcm_poly
         values = [P * e for e in es]
-        assert den.clear(values) == ref.clear(values) == P * len(es)
+        assert oracles.binomial_clear(den, values) == ref.clear(values) == P * len(es)
+        assert LaurentPoly(den.clear([ints(Q * e) for e in es])) == Q * len(es)
         noise = noise[: len(raw)]
-        assert _outcome(den.clear, noise) == _outcome(ref.clear, noise)
+        want = _outcome(ref.clear, noise)
+        assert _outcome(lambda values: oracles.binomial_clear(den, values), noise) == want
+        got = _outcome(den.clear, [ints(v) for v in noise])
+        assert (got if got == "NotDivisible" else LaurentPoly(got)) == want
 
 
 class TestKroneckerPacking:
