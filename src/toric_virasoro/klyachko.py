@@ -40,7 +40,12 @@ From this data the module computes
 All linear algebra runs over the integers.  A :class:`Subspace` keeps the
 reduced row echelon basis with each row scaled to primitive integers and a
 positive pivot (:func:`_echelon`), a canonical form, so subspaces are
-hashable values.  Intersections come by the Zassenhaus algorithm.
+hashable values.  A side of dimension 0, 1 or n decides a meet or a join
+directly: 0 and V are read off, a line meets a space in itself or in 0 as
+one containment test says, and a line inside a space joins it to that
+space (of equal dimensions, containment is equality of the canonical
+bases).  Every other intersection comes by the Zassenhaus algorithm, and
+every other sum by the echelon of both bases.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactalg import LaurentPoly, Rat, convolve, power_sum
+from .exactalg import LaurentPoly, Rat
 from .surfaces import FixedPoint, Surface
 
 # ---------------------------------------------------------------------------
@@ -108,17 +113,18 @@ def _pivot(row: Sequence[int]) -> int:
 class Subspace:
     """A linear subspace of Q^n in the canonical form of :func:`_echelon`; a hashable value."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows", "n", "dim")
 
     def __init__(self, n: int, rows: Iterable[Sequence[Rat]] = ()):
         self.n = n
         self.rows = _echelon(map(_integer_row, rows))
+        self.dim = len(self.rows)
 
     @classmethod
     def _canonical(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Subspace":
         """The subspace with these rows, which are already in canonical form."""
         space = object.__new__(cls)
-        space.n, space.rows = n, rows
+        space.n, space.rows, space.dim = n, rows, len(rows)
         return space
 
     @staticmethod
@@ -133,10 +139,6 @@ class Subspace:
     def span(n: int, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
         return Subspace(n, vectors)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.n == other.n and self.rows == other.rows
 
@@ -147,7 +149,10 @@ class Subspace:
         return f"Subspace({self.n}, {self.rows!r})"
 
     def __le__(self, other: "Subspace") -> bool:
-        return self.dim <= other.dim and all(map(other.contains, self.rows))
+        """Containment; of equal dimensions only equal (canonical) spaces contain each other."""
+        if self.dim >= other.dim:
+            return self.dim == other.dim and self.rows == other.rows
+        return other.dim == self.n or all(map(other.contains, self.rows))
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self <= other
@@ -164,19 +169,31 @@ class Subspace:
         return not any(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """A side of dimension 0 or n, or a line inside the other side, decides the join:
+        it is the larger side.  Otherwise it is the echelon of both bases."""
+        small, big = (self, other) if self.dim <= other.dim else (other, self)
+        if small.dim == 0 or big.dim == self.n or (small.dim == 1 and small <= big):
+            return big
         return Subspace._canonical(self.n, _echelon(self.rows + other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: the echelon of ``[a|a]`` over the rows a of self and ``[b|0]`` over
-        the rows b of other has the intersection as the right halves of its rows with
-        zero left half, and these are in canonical form already."""
+        """A side of dimension 0, 1 or n decides the meet: a line meets the other side
+        in itself if the other side contains it and in 0 if not.
+
+        Otherwise Zassenhaus: the echelon of ``[a|a]`` over the rows a of self
+        and ``[b|0]`` over the rows b of other has the intersection as the
+        right halves of its rows with zero left half, and these are in
+        canonical form already.
+        """
         n = self.n
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(n)
-        if self.dim == n:
-            return other
-        if other.dim == n:
+        if self.dim == 0 or other.dim == n:
             return self
+        if other.dim == 0 or self.dim == n:
+            return other
+        if self.dim == 1:
+            return self if self <= other else Subspace.zero(n)
+        if other.dim == 1:
+            return other if other <= self else Subspace.zero(n)
         zero = (0,) * n
         rows = _echelon([a + a for a in self.rows] + [b + zero for b in other.rows])
         return Subspace._canonical(n, tuple(r[n:] for r in rows if not any(r[:n])))
@@ -201,14 +218,15 @@ class Flag:
     steps: tuple[tuple[int, Subspace], ...]
 
     def __post_init__(self):
-        last_dim = 0
-        last_pos = None
+        last_pos, last = None, Subspace.zero(self.rank)
         for pos, space in self.steps:
             if last_pos is not None and pos <= last_pos:
                 raise ValueError("flag positions must strictly increase")
-            if space.dim <= last_dim:
+            if space.dim <= last.dim:
                 raise ValueError("flag dimensions must strictly increase")
-            last_pos, last_dim = pos, space.dim
+            if not last <= space:
+                raise ValueError("flag subspaces must be nested")
+            last_pos, last = pos, space
         if not self.steps or self.steps[-1][1].dim != self.rank:
             raise ValueError("flag must end in the full space")
 
@@ -352,34 +370,47 @@ def bundle_from_flags(surface: Surface, rank: int, flags: Sequence[Flag], config
 def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     """(rank, c1 in the divisor basis, c2), computed exactly by localization.
 
-    At a fixed point with chart character ``sum c * chi^(a, b)``, ``ch_k`` is
-    ``power_sum(terms, k) / k!``; the surface integrals of ``ch_2`` and of
-    ``ch_1`` times each basis divisor are degree-0 sums cleared over the
-    integers by the surface's ``tangent_denominator``.
+    One pass over the integer terms ``c * chi^(a, b)`` of each chart gives
+    the rank ``sum c`` and, at s = 1, ``ch_1 = sum c*(a*s + b*t)`` and
+    ``2*ch_2 = sum c*(a*s + b*t)^2``.  The surface integrals of ``ch_1``
+    times each basis divisor and of ``2*ch_2`` are degree-0 sums cleared over
+    the integers by the surface's ``tangent_denominator`` (each raises
+    ``NotDivisible`` when it does not clear).  c1 solves ``M c1 = dots``,
+    ``dots`` the pairings with the basis, by the integer adjugate and
+    determinant of the symmetric intersection matrix M, and
+    ``c2 = c1^2/2 - ch_2``; a non-integral c1 or c2 raises ``ValueError``.
     """
     S = sheaf.surface
     den = S.tangent_denominator
-    terms = [chart.integer_terms() for chart in sheaf.charts]
-    ranks = {power_sum(t, 0)[0] for t in terms}
+    ranks, ch1, two_ch2 = set(), [], []
+    for chart in sheaf.charts:
+        r = a1 = b1 = a2 = ab = b2 = 0
+        for a, b, c in chart.integer_terms():
+            ca, cb = c * a, c * b
+            r, a1, b1 = r + c, a1 + ca, b1 + cb
+            a2, ab, b2 = a2 + ca * a, ab + ca * b, b2 + cb * b
+        ranks.add(r)
+        ch1.append((a1, b1))
+        two_ch2.append((a2, 2 * ab, b2))
     if len(ranks) != 1:
         raise ValueError(f"inconsistent ranks at fixed points: {ranks}")
-
-    def integral(nums) -> Fraction:
-        (cleared,) = den.clear(nums, 0)
-        return Fraction(cleared, den.scale)
-
-    ch1 = [power_sum(t, 1) for t in terms]
-    # pair c1 with each basis divisor, then invert the intersection form
-    dots = [
-        integral([convolve(row, S.divisor_lift(name, p)) for row, p in zip(ch1, S.points)])
-        for name in S.divisor_names
-    ]
-    c1 = _solve_divisor_class(S, dots)
-    ch2 = integral([power_sum(t, 2) for t in terms]) / 2
-    c2 = Fraction(S.pair(c1, c1), 2) - ch2
-    if c2.denominator != 1:
-        raise ValueError(f"non-integral c2 = {c2}")
-    return ranks.pop(), c1, int(c2)
+    scale = den.scale
+    dots = []  # scale times the pairing of c1 with each basis divisor
+    for name in S.divisor_names:
+        lifts = (S.divisor_lift(name, p) for p in S.points)
+        nums = [(a * A, a * B + b * A, b * B) for (a, b), (A, B) in zip(ch1, lifts)]
+        dots.append(den.clear(nums, 0)[0])
+    c1, c1_den = [], S.intersection_det * scale
+    for adj_row in S.intersection_adjugate:
+        x, rem = divmod(sum(map(mul, adj_row, dots)), c1_den)
+        if rem:
+            pairings = [Fraction(d, scale) for d in dots]
+            raise ValueError(f"non-integral first Chern class for the pairings {pairings}")
+        c1.append(x)
+    c2_num = scale * S.pair(c1, c1) - den.clear(two_ch2, 0)[0]  # 2*scale*c2
+    if c2_num % (2 * scale):
+        raise ValueError(f"non-integral c2 = {Fraction(c2_num, 2 * scale)}")
+    return ranks.pop(), tuple(c1), c2_num // (2 * scale)
 
 
 def bundle_chern(
@@ -406,21 +437,6 @@ def bundle_chern(
     if two_c2 % 2:
         raise ValueError(f"non-integral c2 = {two_c2}/2")
     return c1, two_c2 // 2
-
-
-def _solve_divisor_class(surface: Surface, dots: Sequence[Rat]) -> tuple[int, ...]:
-    """Find integer coefficients x with intersection(x, basis_j) = dots_j."""
-    n = surface.picard_rank
-    # solve M^T x = dots for the (symmetric) intersection matrix M: in the
-    # echelon of the augmented system, row k reads row[k] * x_k = row[n]
-    rows = _echelon(
-        _integer_row([surface.intersection[i][j] for i in range(n)] + [dots[j]]) for j in range(n)
-    )
-    if len(rows) != n or any(_pivot(row) >= n for row in rows):
-        raise ValueError("degenerate intersection form")
-    if any(row[n] % row[k] for k, row in enumerate(rows)):
-        raise ValueError(f"non-integral first Chern class for the pairings {list(dots)}")
-    return tuple(row[n] // row[k] for k, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

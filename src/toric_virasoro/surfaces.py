@@ -123,6 +123,10 @@ class Surface:
         self.ray_classes = [tuple(c) for c in ray_classes]
         self.intersection = [list(row) for row in intersection]
         self.ray_squares = [self.pair(c, c) for c in self.ray_classes]  # D_i^2
+        # M x = y has the solution adj(M) y / det(M), for first Chern classes
+        self.intersection_adjugate, self.intersection_det = _adjugate(self.intersection)
+        if not self.intersection_det:
+            raise ValueError("degenerate intersection form")
         self.nef_rays = _nef_rays(
             [tuple(sum(map(mul, row, c)) for row in self.intersection) for c in self.ray_classes]
         )
@@ -211,6 +215,14 @@ class Surface:
     def c1_coeffs(self) -> tuple:
         """First Chern class of the surface (anticanonical), in the basis."""
         return tuple(-k for k in self.canonical)
+
+
+def _adjugate(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(adj, det)`` of an integer matrix of size 1 or 2 (the Picard ranks here), ``adj M = det I``."""
+    if len(m) == 1:
+        return ((1,),), m[0][0]
+    (p, q), (u, v) = m
+    return ((v, -q), (-u, p)), p * v - q * u
 
 
 def _nef_rays(forms: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

@@ -648,6 +648,14 @@ def test_closed_chern_matches_localization(name, rank, cfg, data):
     assert hirzebruch_ch2_check(sheaf)
 
 
+def test_verified_refuses_a_sheaf_with_other_invariants():
+    sheaf = fixed_locus_cached("f0", 2, (1, 1), 2, (2, 5))[0]
+    assert enumeration._verified(sheaf, 2, (1, 1), 2) is sheaf
+    for rank, c1, c2 in [(2, (1, 0), 2), (2, (1, 1), 3), (2, (0, 1), 1), (3, (1, 1), 2)]:
+        with pytest.raises(EnumerationError, match=r"has invariants \(2, \(1, 1\), 2\)"):
+            enumeration._verified(sheaf, rank, c1, c2)
+
+
 @pytest.mark.parametrize("name, rank, cfg", _MODEL_CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())

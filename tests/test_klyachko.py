@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import oracles
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import toric_virasoro
 from toric_virasoro import golden
 from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
+from toric_virasoro.exactalg import LaurentPoly, NotDivisible
 from toric_virasoro.klyachko import (
     Flag,
     Subspace,
@@ -26,7 +28,7 @@ from toric_virasoro.klyachko import (
     degeneration_colength,
     jump_pairs,
 )
-from toric_virasoro.surfaces import surface_by_name
+from toric_virasoro.surfaces import Surface, surface_by_name
 
 
 class TestSubspace:
@@ -74,6 +76,28 @@ def _rows(draw, n):
     return rows
 
 
+@st.composite
+def _side(draw, n, inside=()):
+    """Rows of a subspace that is often exactly 0, a line or V, a line in the
+    span of the rows ``inside``, or spanned by 2 to n - 1 rows, so that every
+    shortcut of ``sum`` and ``intersect`` runs, besides the rows of :func:`_rows`."""
+    kind = draw(st.sampled_from(["rows", "some", "zero", "line", "full", "inside"]))
+    if kind == "some":
+        row = st.lists(_entries, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=2, max_size=max(2, n - 1)))
+    if kind == "zero":
+        return [[0] * n] * draw(st.integers(0, 2))
+    if kind == "full":
+        return [[int(i == j) for j in range(n)] for i in range(n)] + draw(_rows(n))
+    if kind == "inside" and inside:
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(inside), max_size=len(inside)))
+        return [[sum(c * row[j] for c, row in zip(coefs, inside)) for j in range(n)]]
+    if kind in ("line", "inside"):
+        v = draw(st.lists(_entries, min_size=n, max_size=n).filter(any))
+        return [v] + [[2 * x for x in v]] * draw(st.integers(0, 1))
+    return draw(_rows(n))
+
+
 def _assert_scaled_rref(space, ref):
     """Each row is the primitive integer row that is a positive multiple of the RREF row."""
     assert len(space.rows) == len(ref.rows)
@@ -87,15 +111,18 @@ def _assert_scaled_rref(space, ref):
 @given(data=st.data())
 def test_subspace_operations_match_the_fraction_kernel(data):
     n = data.draw(st.integers(1, 5), label="n")
-    a_rows, b_rows = data.draw(_rows(n), label="A"), data.draw(_rows(n), label="B")
+    a_rows = data.draw(_side(n), label="A")
+    b_rows = data.draw(_side(n, a_rows), label="B")
     A, B = Subspace(n, a_rows), Subspace(n, b_rows)
     FA, FB = oracles.FractionSubspace(n, a_rows), oracles.FractionSubspace(n, b_rows)
     _assert_scaled_rref(A, FA)
     _assert_scaled_rref(B, FB)
     assert Subspace(n, FA.rows) == A
     S, I = A.sum(B), A.intersect(B)
-    _assert_scaled_rref(S, FA.sum(FB))
-    _assert_scaled_rref(I, FA.intersect(FB))
+    for got in (S, B.sum(A)):
+        _assert_scaled_rref(got, FA.sum(FB))
+    for got in (I, B.intersect(A)):
+        _assert_scaled_rref(got, FA.intersect(FB))
     assert I.dim + S.dim == A.dim + B.dim
     assert (A <= B, B <= A, I <= A, A <= S) == (FA <= FB, FB <= FA, True, True)
     vector = data.draw(st.lists(_entries, min_size=n, max_size=n), label="v")
@@ -124,6 +151,12 @@ class TestFlag:
             Flag(2, ((2, line), (1, Subspace.full(2))))  # positions decrease
         with pytest.raises(ValueError):
             Flag(2, ((0, Subspace.full(2)), (1, Subspace.full(2))))  # dims stall
+        e1, e2, e3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+        not_nested = ((0, Subspace.span(3, [e1])), (1, Subspace.span(3, [e2, e3])))
+        with pytest.raises(ValueError, match="nested"):
+            Flag(3, (*not_nested, (2, Subspace.full(3))))
+        nested = ((0, Subspace.span(3, [e1])), (1, Subspace.span(3, [e1, e3])))
+        assert Flag(3, (*nested, (2, Subspace.full(3)))).jumps == ((0, 1), (1, 1), (2, 1))
 
     def test_jump_sum_and_shift(self):
         line = Subspace.span(2, [[1, 0]])
@@ -223,6 +256,86 @@ class TestSheaves:
                 sheaves += case_of(case_id)[2]
         for sheaf in sheaves:
             assert chern_invariants(sheaf) == oracles.chern_invariants(sheaf)
+
+
+class _CountingDenominator:
+    """Delegates to a ``LinearDenominator`` and counts the ``clear`` calls."""
+
+    def __init__(self, den):
+        self.den, self.scale, self.calls = den, den.scale, 0
+
+    def clear(self, nums, deg):
+        self.calls += 1
+        return self.den.clear(nums, deg)
+
+
+def _surface_with(name, intersection=None):
+    """A fresh copy of a bundled surface, optionally with another intersection form."""
+    S = surface_by_name(name)
+    return Surface(
+        S.name,
+        S.rays,
+        S.cones,
+        S.divisor_names,
+        S.ray_classes,
+        intersection or S.intersection,
+        S.basis_reps,
+        S.kunneth,
+    )
+
+
+def _chart_data(surface, charts):
+    """Stands in for a sheaf: only the surface and the charts are read."""
+    return SimpleNamespace(surface=surface, charts=tuple(LaurentPoly(c) for c in charts))
+
+
+def _line_bundle(surface, positions):
+    flags = [Flag(1, ((d, Subspace.full(1)),)) for d in positions]
+    return bundle_from_flags(surface, 1, flags)
+
+
+class TestChernRefusals:
+    """Inputs that are no sheaf are refused, never given invariants."""
+
+    def test_inconsistent_ranks(self):
+        data = _chart_data(surface_by_name("f0"), [{(0, 0): 1}] * 3 + [{(0, 0): 2}])
+        with pytest.raises(ValueError, match="inconsistent ranks"):
+            chern_invariants(data)
+
+    def test_non_integral_chart_coefficient(self):
+        charts = [{(0, 0): 1}] * 3 + [{(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}]
+        with pytest.raises(ValueError, match="non-integral coefficient"):
+            chern_invariants(_chart_data(surface_by_name("f0"), charts))
+
+    # O on F0 with one chart moved off its character: each move breaks one
+    # surface sum, the pairing of ch_1 with F (call 1) or Z (call 2), or ch_2
+    @pytest.mark.parametrize("point,char,call", [(0, (1, 0), 1), (0, (0, 1), 2), (2, (1, 0), 3)])
+    def test_a_perturbed_chart_does_not_clear(self, point, char, call):
+        S = _surface_with("f0")
+        S.tangent_denominator = _CountingDenominator(S.tangent_denominator)
+        charts = [{(0, 0): 1}] * 4
+        charts[point] = {char: 1}
+        assert chern_invariants(_chart_data(S, [{(0, 0): 1}] * 4)) == (1, (0, 0), 0)
+        S.tangent_denominator.calls = 0
+        with pytest.raises(NotDivisible):
+            chern_invariants(_chart_data(S, charts))
+        assert S.tangent_denominator.calls == call
+
+    def test_non_integral_c1(self):
+        # O(F) pairs to (F, Z) = (0, 1); against the form F.Z = 2 that is F/2
+        S = _surface_with("f0", [[0, 2], [2, 0]])
+        sheaf = _line_bundle(S, (-1, 0, 0, 0))
+        with pytest.raises(ValueError, match="non-integral first Chern class"):
+            chern_invariants(sheaf)
+        assert chern_invariants(_line_bundle(S, (-2, 0, 0, 0))) == (1, (1, 0), 0)
+
+    def test_non_integral_c2(self):
+        # against the form F^2 = Z^2 = 1, F.Z = 0, O(F) has c1 = Z and
+        # c1^2 = 1, while ch_2 = 0 by localization: c2 = 1/2
+        S = _surface_with("f0", [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="non-integral c2 = 1/2"):
+            chern_invariants(_line_bundle(S, (-1, 0, 0, 0)))
+        assert chern_invariants(_line_bundle(S, (-1, -1, 0, 0))) == (1, (1, 1), 0)
 
 
 # ---------------------------------------------------------------------------
