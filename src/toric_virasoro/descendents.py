@@ -250,7 +250,7 @@ def _ch_images(k: int, surface: Surface) -> _Images:
 
 
 def derivation_terms(
-    k: int, mono: Monomial, surface: Surface, plus: bool = False
+    k: int, mono: Monomial, surface: Surface, plus: bool = False, zero=None
 ) -> dict[Monomial, int]:
     """R_k (plus=True: R+_k) of one sorted monomial: ``{monomial: nonzero int}``.
 
@@ -262,23 +262,40 @@ def derivation_terms(
     multiplicity.  The image symbol goes where it sorts in ``mono``: after
     every copy of the hit symbol when it is not smaller (``j > idx``), else
     before ``idx``.
+
+    With ``zero``, a predicate on symbols, no term with a factor ``s`` for
+    which ``zero(s)`` holds is built.  A term keeps every factor of
+    ``mono`` but one copy of its hit symbol, plus the image: it is skipped
+    when one of those is such a factor.  ``zero`` is asked only about
+    factors that some term keeps (not about the one hit symbol of a
+    monomial whose other factors are never hit, when it has one copy), and
+    about an image only when the kept factors pass.  A term's key fixes
+    whether it is skipped, so the rest is the unfiltered dict less those
+    keys.
     """
     if k < -1:
         raise ValueError("R_k is defined for k >= -1")
     images = _Images(k, surface, plus) if plus else _ch_images(k, surface)
-    out: dict[Monomial, int] = {}
+    hits = []
     for idx, sym in enumerate(mono):
         if idx and sym == mono[idx - 1]:
             continue
         hit = images[sym]
         if hit:
-            new, f = hit
-            j = bisect_right(mono, new)
-            if j > idx:
-                key = mono[:idx] + mono[idx + 1 : j] + (new,) + mono[j:]
-            else:
-                key = mono[:j] + (new,) + mono[j:idx] + mono[idx + 1 :]
-            out[key] = out.get(key, 0) + mono.count(sym) * f
+            hits.append((idx, sym, *hit))
+    if zero and hits:
+        only = hits[0][1] if len(hits) == 1 and mono.count(hits[0][1]) == 1 else None
+        zeros = sum(map(zero, mono if only is None else [sym for sym in mono if sym != only]))
+    out: dict[Monomial, int] = {}
+    for idx, sym, new, f in hits:
+        if zero and (zeros - (sym != only and zero(sym)) or zero(new)):
+            continue
+        j = bisect_right(mono, new)
+        if j > idx:
+            key = mono[:idx] + mono[idx + 1 : j] + (new,) + mono[j:]
+        else:
+            key = mono[:j] + (new,) + mono[j:idx] + mono[idx + 1 :]
+        out[key] = out.get(key, 0) + mono.count(sym) * f
     return {m: c for m, c in out.items() if c}
 
 
@@ -412,13 +429,13 @@ def apply_T(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 # ---------------------------------------------------------------------------
 
 
-def _s_terms(k: int, mono: Monomial, surface: Surface) -> dict[Monomial, int]:
+def _s_terms(k: int, mono: Monomial, surface: Surface, zero=None) -> dict[Monomial, int]:
     """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale, for a sorted D."""
     if k < -1:
         raise ValueError("S_k is defined for k >= -1")
     sym = (k + 1, "p")
     j = bisect_right(mono, sym)
-    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface)
+    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface, zero=zero)
 
 
 def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
@@ -427,23 +444,29 @@ def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
 
 
 def operator_terms(
-    k: int, mono: Monomial, surface: Surface, rank: int
+    k: int, mono: Monomial, surface: Surface, rank: int, zero=None
 ) -> tuple[dict[Monomial, int], dict[Monomial, int], dict[Monomial, int], Fraction]:
     """R_k D, T_k D and S_k D of one sorted monomial D, over the integers.
 
     Returns ``(r, t, s, scale)``, each of ``r, t, s`` a ``{monomial:
     nonzero int}``: ``R_k D = r``, ``T_k D = t`` (the :func:`T_terms` times
     D) and ``S_k D = scale * s`` with ``scale = (k+1)!/rank``.  Each term
-    is built by inserting its new symbols into the sorted D.
+    is built by inserting its new symbols into the sorted D.  With ``zero``,
+    a predicate on symbols, no term with a factor ``s`` for which
+    ``zero(s)`` holds is built (see :func:`derivation_terms`); the parts
+    are the unfiltered ones less exactly those terms.
     """
-    t = {}
-    for (a, b), c in T_terms(k, surface).items():  # a <= b
-        ja, jb = bisect_right(mono, a), bisect_right(mono, b)
-        t[mono[:ja] + (a,) + mono[ja:jb] + (b,) + mono[jb:]] = c
+    t, pairs = {}, T_terms(k, surface)
+    if pairs and not (zero and any(map(zero, mono))):  # else every T term keeps that factor of D
+        for (a, b), c in pairs.items():  # a <= b
+            if zero and (zero(a) or zero(b)):
+                continue
+            ja, jb = bisect_right(mono, a), bisect_right(mono, b)
+            t[mono[:ja] + (a,) + mono[ja:jb] + (b,) + mono[jb:]] = c
     return (
-        derivation_terms(k, mono, surface),
+        derivation_terms(k, mono, surface, zero=zero),
         t,
-        _s_terms(k, mono, surface),
+        _s_terms(k, mono, surface, zero),
         Fraction(factorial(k + 1), rank),
     )
 

@@ -21,10 +21,18 @@ cofactor, so ``s - t`` and ``t - s``, or ``1 - chi^w`` and ``1 - chi^-w``,
 share one LCM factor.  One LCM rule (:func:`_lcm`) serves two types:
 
 * :class:`LinearDenominator`, over integer forms, for ``e_q`` products of
-  linear forms: the cofactors and the LCM share one integer scale, and
-  :func:`divide_linear` divides by one canonical form by a recurrence that
-  refuses any remainder; by Gauss's lemma an integer quotient exists
-  exactly when a rational one does;
+  linear forms: the cofactors and the LCM share one integer scale, and a
+  sum is cleared by one packed division
+  (:meth:`~LinearDenominator.certify`): the numerator at ``t = 2^W`` is
+  divided by the LCM at ``t = 2^W``; a nonzero remainder refuses it, and
+  after a zero one the unpacked quotient ``Q`` is accepted only when
+  ``||Q||_1 * ||LCM||_1`` and the numerator's bound are below ``2^(W-1)``,
+  which makes ``Q * LCM`` equal to the numerator coefficient by
+  coefficient (else W doubles, up to an a priori bound on the quotient).
+  By Gauss's lemma an integer quotient exists exactly when a rational one
+  does.  A refused sum goes to :func:`divide_linear`, a recurrence that
+  divides by one canonical form at a time, to name the form that does not
+  divide in the :class:`NotDivisible` message;
 * :class:`BinomialDenominator`, over integer characters, for ``e_q``
   products of binomials ``1 - chi^w`` with primitive ``w`` (a surface's
   chart characters): the units are signed monomials, so the cofactors are
@@ -32,22 +40,24 @@ share one LCM factor.  One LCM rule (:func:`_lcm`) serves two types:
   as a running sum along the lines parallel to ``w``.
 
 Both raise :class:`NotDivisible` when a quotient does not exist.  The
-integration kernel multiplies integer forms by Kronecker substitution:
-:func:`pack` evaluates a list at ``t = 2^W``, one bigint product stands for
-a polynomial product, and :func:`unpack` reads the signed ``W``-bit slots
-back.  Decoding is exact when every coefficient of the result is below
-``2^(W-1)`` in absolute value, which the caller ensures by choosing ``W``
-above an l1 bound (``||f||_1`` is the sum of the absolute coefficients):
-every coefficient of ``f g`` is at most ``||f||_1 ||g||_1`` in absolute
-value, and norms of sums add.  There is no floating point anywhere.
+clearing and the integration kernel multiply integer forms by Kronecker
+substitution: :func:`pack` evaluates a list at ``t = 2^W``, one bigint
+product stands for a polynomial product, and :func:`unpack` reads the
+signed ``W``-bit slots back.  Decoding is exact when every coefficient of
+the result is below ``2^(W-1)`` in absolute value, which the caller
+ensures by choosing ``W`` above an l1 bound (:func:`slot_width`;
+``||f||_1`` is the sum of the absolute coefficients): every coefficient of
+``f g`` is at most ``||f||_1 ||g||_1`` in absolute value, and norms of
+sums add.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rat = Fraction
 # an integer character sum c * chi^(a, b), as {(a, b): c}
@@ -352,11 +362,6 @@ def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def power_sum(terms: Sequence[tuple[int, int, int]], i: int) -> list[int]:
-    """``sum c * (a*s + b*t)^i`` over the terms ``(a, b, c)``, at s = 1."""
-    return [comb(i, j) * sum(c * a ** (i - j) * b**j for a, b, c in terms) for j in range(i + 1)]
-
-
 def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
     """The exact quotient of a homogeneous form by ``a*s + b*t``, both at s = 1.
 
@@ -438,27 +443,40 @@ class LinearDenominator:
     * ``cofactors`` and ``poly``: ``L * LCM / e_q`` and ``L * LCM`` at s = 1,
       integer forms (``out[j]`` at ``s^(d-j) t^j``); a product of primitive
       forms is primitive, so ``L`` is their least common denominator;
-    * ``norms``: the l1 norms of the cofactors.
+    * ``norms``: the l1 norms of the cofactors, and ``lcm_norm`` that of
+      the LCM itself (the product of the forms, without ``L``).
 
-    Then ``sum_q v_q / e_q == sum_q v_q * cofactors[q] / poly`` exactly.
+    Then ``sum_q v_q / e_q == sum_q v_q * cofactors[q] / poly`` exactly, and
+    :meth:`certify` divides a numerator by the LCM in one packed division.
     """
 
-    __slots__ = ("forms", "scale", "cofactors", "poly", "norms")
+    __slots__ = ("forms", "scale", "cofactors", "poly", "norms", "lcm_norm", "_lcm", "_packs")
 
     def __init__(self, weights_per_point: Iterable[Iterable[tuple[int, int]]]):
         self.forms, rest, splits = _lcm(weights_per_point)
         units = [prod(u for _form, u in split) for split in splits]
         self.scale = lcm(1, *units)
-        self.poly = _form_product(self.forms, self.scale)
+        self._lcm = _form_product(self.forms, 1)
+        self.poly = [self.scale * c for c in self._lcm]
         self.cofactors = [_form_product(r, self.scale // u) for r, u in zip(rest, units)]
         self.norms = [sum(map(abs, co)) for co in self.cofactors]
+        self.lcm_norm = sum(map(abs, self._lcm))
+        self._packs: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def packed(self, width: int) -> tuple[int, tuple[int, ...]]:
+        """The LCM and the cofactors, packed ``width`` bits a slot (:func:`pack`), memoized."""
+        if width not in self._packs:
+            cofactors = tuple(pack(co, width) for co in self.cofactors)
+            self._packs[width] = (pack(self._lcm, width), cofactors)
+        return self._packs[width]
 
     def divide(self, total: Sequence[int], deg: int) -> list[int]:
-        """``total / LCM``, certified to be a form of degree ``deg``: its ``deg + 1`` coefficients.
+        """``total / LCM`` by the recurrence, certified to be a form of degree ``deg``.
 
         Below degree 0 the total must vanish; otherwise it is divided by
         every form with :func:`divide_linear`.  Either raises
-        :class:`NotDivisible` when no quotient exists.
+        :class:`NotDivisible` when no quotient exists.  :meth:`certify`
+        runs it on the sums that it refuses, to word the refusal.
         """
         if deg < 0:
             if any(total):
@@ -468,19 +486,89 @@ class LinearDenominator:
             total = divide_linear(total, a, b)
         return total
 
+    def certify(self, numerator: Callable[[int], int], bound: int, deg: int) -> list[int]:
+        """``N / LCM``, certified to be a form of degree ``deg``: its ``deg + 1`` coefficients.
+
+        ``N`` is a form of degree ``deg + len(forms)`` with ``||N||_1 <=
+        bound``, given packed: ``numerator(W)`` is ``N`` at ``t = 2^W``
+        (:func:`pack`).  At the first width ``W = slot_width(bound)`` every
+        coefficient of ``N`` is below ``2^(W-1)`` in absolute value, and so
+        at every width tried after it.  One ``divmod`` by the packed LCM
+        decides:
+
+        * a nonzero remainder proves that no quotient exists: ``N = Q *
+          LCM`` for a polynomial ``Q`` gives ``N(2^W) = Q(2^W) LCM(2^W)``;
+        * after a zero remainder, the quotient is read back in ``deg + 1``
+          signed slots (:func:`unpack`) as ``Q``.  If ``||Q||_1 * lcm_norm <
+          2^(W-1)``, every coefficient of ``Q * LCM`` is below ``2^(W-1)``
+          too, and ``Q * LCM`` packs to ``N(2^W)``.  Packing lists of one
+          length with such coefficients is injective, so ``Q * LCM == N``
+          coefficient by coefficient: ``Q`` is the quotient.
+        * Otherwise ``W`` may be too narrow for the quotient, and it is
+          doubled.  A quotient that exists is bounded beforehand: dividing
+          a form ``c`` by a canonical form ``(a, b)`` from the end where
+          ``|b| <= a`` (the ``s`` end) or ``a < |b|`` (the ``t`` end), the
+          recurrence of :func:`divide_linear` gives ``|q_j| <= |c_j| +
+          |q_(j-1)|``, so ``||q||_inf <= ||c||_1``, and over every form
+          ``||Q||_1 <= bound * (deg + n)! / deg!`` (``n`` forms).  Once
+          ``2^(W-1)`` exceeds that times ``lcm_norm``, a quotient that
+          exists passes, so a failure is a refusal.
+
+        Below degree 0 the quotient is empty, and ``N`` must vanish.  A
+        refused sum is unpacked (exactly, by the bound) and handed to the
+        recurrence of :meth:`divide`, whose only job then is to raise the
+        :class:`NotDivisible` that names the first form that does not
+        divide.
+        """
+        width = slot_width(bound)
+        cap = None
+        while True:
+            total = numerator(width)
+            if deg < 0:
+                if not total:
+                    return []
+                break
+            quotient, rem = divmod(total, self.packed(width)[0])
+            if rem:
+                break
+            try:
+                slots = unpack(quotient, width, deg + 1)
+            except OverflowError:
+                slots = None
+            if slots is not None and not (sum(map(abs, slots)) * self.lcm_norm) >> (width - 1):
+                return slots
+            if cap is None:
+                cap = bound * prod(range(deg + 1, deg + len(self.forms) + 1)) * self.lcm_norm
+            if not cap >> (width - 1):
+                break
+            width *= 2
+        return self.divide(unpack(total, width, deg + len(self.forms) + 1), deg)
+
     def clear(self, nums: Sequence[Sequence[int] | None], deg: int) -> list[int]:
         """``scale * sum_q nums[q] / e_q`` at s = 1, over the integers.
 
         ``nums[q]`` is an integer form of degree ``deg + len(e_q's forms)``
-        (falsy for zero).  The numerators times their cofactors are summed,
-        then :meth:`divide` certifies the degree-``deg`` quotient.
+        (falsy for zero).  The numerators times their cofactors are summed
+        packed, and :meth:`certify` clears the degree-``deg`` quotient.
         """
-        total = [0] * (deg + len(self.forms) + 1)
-        for num, co in zip(nums, self.cofactors, strict=True):
-            if num:
-                for j, x in enumerate(convolve(num, co)):
-                    total[j] += x
-        return self.divide(total, deg)
+        if len(nums) != len(self.cofactors):
+            raise ValueError(f"{len(nums)} numerators for {len(self.cofactors)} terms")
+        nums = [num or () for num in nums]
+        bound = sum(map(mul, [sum(map(abs, num)) for num in nums], self.norms))
+
+        def numerator(width: int) -> int:
+            return sum(map(mul, [pack(num, width) for num in nums], self.packed(width)[1]))
+
+        return self.certify(numerator, bound, deg)
+
+
+def slot_width(bound: int) -> int:
+    """A slot width for coefficients at most ``bound`` in absolute value.
+
+    A multiple of 64 with a sign bit above the bound, so that lists packed
+    for different bounds still share widths (and memoized packings).
+    """
+    return 64 * (bound.bit_length() // 64 + 1)
 
 
 def pack(coeffs: Sequence[int], width: int) -> int:

@@ -141,19 +141,32 @@ def load_case(case_id: str) -> GoldenCase:
 # fixed-locus comparison
 
 
+# one Fraction object per coefficient value seen in a row key, by (numerator, denominator)
+_COEFFICIENTS: dict[tuple[int, int], Fraction] = {}
+
+
 def canonical_row_key(charts) -> tuple:
     """Hashable key of a restriction row, stable under a global twist.
 
     Every chart is divided by the lexicographically smallest exponent
     monomial of the first chart, then each chart is flattened to a sorted
-    coefficient tuple.
+    coefficient tuple.  The coefficients are interned: equal values are one
+    ``Fraction`` object, so comparing and sorting keys finds equal entries by
+    identity, not through ``Fraction.__eq__``.  The key's ``repr`` is that
+    of plain ``Fraction`` values.
     """
     first = charts[0]
     if not first.coeffs:
         raise ValueError("empty chart in restriction row")
     a0, b0 = min(first.coeffs)
+    intern = _COEFFICIENTS.setdefault
     return tuple(
-        tuple(sorted((a - a0, b - b0, coeff) for (a, b), coeff in chart.coeffs.items()))
+        tuple(
+            sorted(
+                (a - a0, b - b0, intern(coeff.as_integer_ratio(), coeff))
+                for (a, b), coeff in chart.coeffs.items()
+            )
+        )
         for chart in charts
     )
 

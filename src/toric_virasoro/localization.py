@@ -23,10 +23,13 @@ part.
   moduli fixed point as a polynomial in the torus parameters ``s, t``:
   normalized Chern character slices of the sheaf's chart restrictions,
   summed over the surface points.  Each slice is a sum of powers of integer
-  linear forms (chart weights scaled by r), computed once per degree ``i``
-  and shared by every class; the surface's ``tangent_denominator`` clears
-  the sum by exact integer division, one canonical form at a time, into
-  the ``(scale, rows)`` that the integration kernel reads;
+  linear forms (chart weights scaled by r); at ``t = 2^W`` each form is one
+  bigint, and its powers are raised once per degree ``i`` and shared by
+  every class.  Per class the lift times each surface cofactor is packed
+  once, and per moduli point one product sum and one packed division by
+  the surface's ``tangent_denominator``
+  (:meth:`~toric_virasoro.exactalg.LinearDenominator.certify`) clear the
+  sum into the ``(scale, rows)`` that the integration kernel reads;
   ``realize_symbol`` is their readable view;
 * ``_integrate`` sums over the case's ``tangent_denominator`` (the LCM of
   the moduli tangent Euler classes), certifies that the sum clears (the
@@ -43,12 +46,15 @@ part.
   point by point in ``map(operator.mul, ...)``.  Before the kernel runs, a
   degree-0 symbol that is one nonzero constant ``c / S`` at every point
   (``ch_2(1)`` or ``ch_0(p)``: a topological number) is taken out of the
-  monomial as the integers ``c`` and ``S``, so only the rest is cleared;
-  one that vanishes at every point (``ch_1`` of a divisor) stays in, for
-  the empty-mask exit.  At the moduli dimension the numerator must be a
-  constant times the LCM, checked slot by slot; below it the numerator
-  must vanish, and above it (a value that must be 0) it is divided by every
-  LCM form (:meth:`~toric_virasoro.exactalg.LinearDenominator.divide`).
+  monomial as the integers ``c`` and ``S``, so only the rest is cleared.
+  At the moduli dimension the numerator must be an integer ``m`` times the
+  LCM: one ``divmod`` by the packed LCM and the bound ``|m| * ||LCM||_1 <
+  2^(W-1)`` certify it.  Below it the numerator must vanish, and above it
+  (a value that must be 0) it is divided by the LCM, in the packed
+  division of :meth:`~toric_virasoro.exactalg.LinearDenominator.certify`;
+* ``operator_parts`` never builds a term with a factor that vanishes at
+  every moduli point (normalized ``ch_1`` of a divisor or of ``p``): such a
+  term's integral is the kernel's empty-mask 0.
 
 ``verify_conjecture`` runs the full sweep: for every ``k`` in
 ``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it reads
@@ -86,13 +92,26 @@ from .exactalg import (
     homogenize,
     linform,
     pack,
-    power_sum,
-    unpack,
+    slot_width,
 )
 from .klyachko import NonIsolated
 from .surfaces import Surface, surface_by_name
 
 _ZERO = (0, 1)  # an integral (n, d) that vanishes
+
+
+class _Memo(dict):
+    """A dict that computes a missing value as ``compute(key)`` and keeps it."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        self[key] = value = self.compute(key)
+        return value
 
 
 def _ratio(n: int, d: int) -> tuple[int, int]:
@@ -199,10 +218,13 @@ class Case:
     def __post_init__(self):
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
         self._tangents: list[Character] | None = None
-        self._power_sums: dict[int, list[list[list[int]]]] = {}
+        self._powers: dict[int, tuple[int, list[int], list[int]]] = {}  # width -> (j, c * X^j, X)
+        self._power_sums: dict[tuple[int, int], list[list[int]]] = {}
+        self._power_sum_bounds = _Memo(self._power_sum_bound)
         self._int_symbols: dict[tuple[int, str], tuple] = {}
-        self._supports: dict[tuple[int, str], int] = {}
-        self._constants: dict[tuple[int, str], tuple[int, int] | None] = {}
+        self._supports = _Memo(self._support)
+        self._vanishing = _Memo(lambda sym: not self._supports[sym])
+        self._constants = _Memo(self._constant)
         self._packs: dict[tuple, tuple[int, ...]] = {}
         self._integrals: dict[Monomial, tuple[int, int]] = {}
         self.certified_clearings = 0
@@ -251,21 +273,54 @@ class Case:
     # -- realized symbols ----------------------------------------------------
 
     @cached_property
-    def _chern_forms(self) -> list[list[list[tuple[int, int, int]]]]:
-        """Per moduli and surface point: ``(r*a - A, r*b - B, c)`` per term ``c * chi^(a, b)``.
+    def _chern_forms(self) -> tuple[list[int], list[int], list[int], list[list[tuple[int, int]]]]:
+        """``(xs, ys, cs, spans)``: one term ``c * chi^(a, b)`` of every chart in each slot.
 
-        ``(A, B)`` is the weight sum, so each form is r times a weight of ``E (x) det(E)^(-1/r)``.
+        ``(x, y) = (r*a - A, r*b - B)``, with ``(A, B)`` the chart's weight
+        sum, is r times a weight of ``E (x) det(E)^(-1/r)``.  The terms of
+        moduli point ``q`` at surface point ``p`` fill ``spans[q][p] =
+        (start, end)``.
         """
         r = self.rank
-        forms = []
+        xs, ys, cs, spans = [], [], [], []
         for per_point in self.restrictions:
             row = []
             for poly in per_point:
                 terms = poly.integer_terms()
-                A, B = power_sum(terms, 1)
-                row.append([(r * a - A, r * b - B, c) for a, b, c in terms])
-            forms.append(row)
-        return forms
+                A = sum(c * a for a, _b, c in terms)
+                B = sum(c * b for _a, b, c in terms)
+                row.append((len(cs), len(cs) + len(terms)))
+                for a, b, c in terms:
+                    xs.append(r * a - A)
+                    ys.append(r * b - B)
+                    cs.append(c)
+            spans.append(row)
+        return xs, ys, cs, spans
+
+    def _packed_power_sums(self, i: int, width: int) -> list[list[int]]:
+        """Per moduli and surface point, ``sum c * (x*s + y*t)^i`` over its forms, packed.
+
+        At s = 1 and ``t = 2^width`` a form is ``X = x + (y << width)``.  Per
+        width, the terms ``c * X^j`` are raised one degree at a time and
+        summed at each degree on the way, so every degree and every class
+        shares them; only the highest degree's terms are kept.
+        """
+        if (i, width) not in self._power_sums:
+            xs, ys, cs, spans = self._chern_forms
+            j, terms, forms = self._powers.get(width) or (
+                -1, None, [x + (y << width) for x, y in zip(xs, ys)]
+            )
+            while j < i:
+                j, terms = j + 1, cs if j < 0 else list(map(mul, terms, forms))
+                self._power_sums[j, width] = [[sum(terms[a:b]) for a, b in row] for row in spans]
+            self._powers[width] = (j, terms, forms)
+        return self._power_sums[i, width]
+
+    def _power_sum_bound(self, i: int) -> list[list[int]]:
+        """Per moduli and surface point, ``sum |c| (|x| + |y|)^i``: an l1 bound on its power sum."""
+        xs, ys, cs, spans = self._chern_forms
+        norms = [abs(c) * (abs(x) + abs(y)) ** i for x, y, c in zip(xs, ys, cs)]
+        return [[sum(norms[a:b]) for a, b in row] for row in spans]
 
     def realize_symbol(self, i: int, name: str) -> tuple[LaurentPoly, ...]:
         """Per-moduli-point polynomial value of the symbol ch_i(gamma).
@@ -282,12 +337,16 @@ class Case:
     def _integer_symbol(self, sym: tuple[int, str]) -> tuple[int, list[list[int]], list[int]]:
         """``(S, values, norms)``: ch_i(gamma) at every moduli point, at s = 1, scaled by S to ZZ.
 
-        At a surface point ch_i of ``-E (x) det(E)^(-1/r)`` is
-        ``-power_sum(forms, i) / (i! r^i)`` over the :attr:`_chern_forms`
-        (one power sum per moduli point, surface point and ``i``, shared by
-        every class).  Times the class lift, it is summed over the surface
-        by the surface's ``tangent_denominator``, so the scale is ``L * i! *
-        r^i``, with ``L`` that denominator's scale, until the common gcd of
+        At a surface point ch_i of ``-E (x) det(E)^(-1/r)`` is ``-sum c * (x*s
+        + y*t)^i / (i! r^i)`` over the :attr:`_chern_forms`.  Times the class
+        lift, it is summed over the surface by the surface's
+        ``tangent_denominator``, in one packed product sum per moduli point:
+        the power sums (:meth:`_packed_power_sums`) times each surface
+        point's lift times cofactor, packed once per class.  One
+        :meth:`~toric_virasoro.exactalg.LinearDenominator.certify` clears the
+        sum, from the l1 bound ``sum_p sum |c| (|x| + |y|)^i * ||lift_p *
+        cofactor_p||_1`` (:meth:`_power_sum_bound`).  The scale is ``L * i!
+        * r^i``, with ``L`` that denominator's scale, until the common gcd of
         the scale and every value is divided out: S is then the least common
         denominator of the values.
         """
@@ -297,19 +356,27 @@ class Case:
             if i < 0:  # ch_i = 0
                 self._int_symbols[sym] = (1, [[] for _ in range(n)], [0] * n)
                 return self._int_symbols[sym]
-            if i not in self._power_sums:
-                self._power_sums[i] = [
-                    [power_sum(forms, i) for forms in per_point] for per_point in self._chern_forms
-                ]
             surface = self.surface
             den = surface.tangent_denominator
+            deg = symbol_degree(sym, surface)
             lifts = [surface.class_lift(name, p) for p in surface.points]
+            lifts = [convolve(lift, co) if lift else [] for lift, co in zip(lifts, den.cofactors)]
+            norms = [sum(map(abs, lift)) for lift in lifts]
+            bound = max((sum(map(mul, row, norms)) for row in self._power_sum_bounds[i]), default=0)
+            packed: dict[int, list[int]] = {}
+
+            def lifted(width: int) -> list[int]:
+                if width not in packed:
+                    packed[width] = [pack(lift, width) for lift in lifts]
+                return packed[width]
+
             rows = [
-                den.clear(
-                    [convolve(ps, lift) if lift else None for ps, lift in zip(sums, lifts)],
-                    symbol_degree(sym, surface),
+                den.certify(
+                    lambda w, q=q: sum(map(mul, self._packed_power_sums(i, w)[q], lifted(w))),
+                    bound,
+                    deg,
                 )
-                for sums in self._power_sums[i]
+                for q in range(n)
             ]
             scale = den.scale * factorial(i) * self.rank**i
             g = gcd(scale, *(x for row in rows for x in row))
@@ -319,10 +386,8 @@ class Case:
 
     def _support(self, sym: tuple[int, str]) -> int:
         """Bitmask of the moduli points where the symbol's row is nonzero (its l1 norm is)."""
-        if sym not in self._supports:
-            norms = self._integer_symbol(sym)[2]
-            self._supports[sym] = sum(1 << q for q, norm in enumerate(norms) if norm)
-        return self._supports[sym]
+        norms = self._integer_symbol(sym)[2]
+        return sum(1 << q for q, norm in enumerate(norms) if norm)
 
     def _packed(self, key, rows: list[list[int]], width: int) -> tuple[int, ...]:
         """The per-point integer polynomials ``rows`` packed ``width`` bits a slot."""
@@ -336,13 +401,11 @@ class Case:
         S is the least common denominator of the rows, so ``c / S`` is in
         lowest terms.
         """
-        if sym not in self._constants:
-            self._constants[sym] = None
-            if symbol_degree(sym, self.surface) == 0:
-                scale, rows, norms = self._integer_symbol(sym)
-                if norms[0] and all(row == rows[0] for row in rows):
-                    self._constants[sym] = (rows[0][0], scale)
-        return self._constants[sym]
+        if symbol_degree(sym, self.surface) == 0:
+            scale, rows, norms = self._integer_symbol(sym)
+            if norms[0] and all(row == rows[0] for row in rows):
+                return rows[0][0], scale
+        return None
 
     def _integral(self, mono: Monomial) -> tuple[int, int]:
         """The integral of a sorted monomial as ``(n, d)``, in lowest terms with ``d > 0``.
@@ -372,7 +435,7 @@ class Case:
         constants = self._constants
         num, den, rest = 1, 1, []
         for sym in mono:
-            c = constants[sym] if sym in constants else self._constant(sym)
+            c = constants[sym]
             if c:
                 num *= c[0]
                 den *= c[1]
@@ -393,11 +456,21 @@ class Case:
         every coefficient, so decoding it is exact.  A point outside the
         AND of the factors' supports contributes 0; when no point is left,
         the sum is 0 without a bound, a product or a clearing.
+
+        At the moduli dimension the numerator ``N`` must be ``c * L * LCM``
+        for a constant ``c``; the LCM is primitive, so then ``m = c * L`` is
+        an integer and ``||N||_1 = |m| * ||LCM||_1`` is within the bound.
+        One ``divmod`` of the packed ``N`` by the packed LCM decides it: a
+        nonzero remainder, or a quotient ``m`` with ``|m| * ||LCM||_1 >=
+        2^(W-1)``, is no such multiple; otherwise ``m * LCM`` and ``N`` pack
+        alike with every coefficient below ``2^(W-1)``, so they are equal,
+        and the value is ``m / (L * S)``, S the symbols' scales.  Below and
+        above it the packed division of ``LinearDenominator.certify`` runs.
         """
         supports = self._supports
         support = (1 << self.n_points) - 1  # no cofactor vanishes: it is a product of forms
         for sym in mono:
-            support &= supports[sym] if sym in supports else self._support(sym)
+            support &= supports[sym]
         if not support:  # every point has a vanishing factor
             return _ZERO
         den = self.tangent_denominator
@@ -407,29 +480,31 @@ class Case:
         for sym_scale, _rows, norms in symbols:
             bounds = map(mul, bounds, norms)
             scale *= sym_scale
-        width = 64 * (sum(bounds).bit_length() // 64 + 1)  # a sign bit above the bound
-        terms = self._packed("cofactors", den.cofactors, width)
-        for sym, (_s, rows, _n) in zip(mono, symbols):
-            terms = map(mul, terms, self._packed(sym, rows, width))
-        num = sum(terms)
+        bound = sum(bounds)
+
+        def numerator(width: int) -> int:
+            terms = den.packed(width)[1]
+            for sym, (_s, rows, _n) in zip(mono, symbols):
+                terms = map(mul, terms, self._packed(sym, rows, width))
+            return sum(terms)
+
+        width = slot_width(bound)
+        num = numerator(width)
         if not num:
             return _ZERO
-        slots = unpack(num, width, len(den.poly) - self.vdim + deg)
         if deg == self.vdim:
-            # the cleared quotient is a constant c: certify num == c * lcm
-            poly = den.poly
-            b0 = next(j for j, c in enumerate(poly) if c)
-            n0, l0 = slots[b0], poly[b0]
-            if any(n * l0 != l * n0 for n, l in zip(slots, poly)):
+            # the cleared sum is a constant c: certify num == m * LCM, m = c * L
+            m, rem = divmod(num, den.packed(width)[0])
+            if rem or (abs(m) * den.lcm_norm) >> (width - 1):
                 raise NotDivisible(
                     "fixed-point sum does not clear to a constant; the fixed"
                     " locus or tangent data is inconsistent"
                 )
             self.certified_clearings += 1
-            return _ratio(n0, l0 * scale)  # den.scale cancels: poly is scaled too
+            return _ratio(m, den.scale * scale)
         # below vdim the numerator must vanish; above it the cleared sum is a
         # polynomial of positive degree, so its value at the origin is 0
-        den.divide(slots, deg - self.vdim)
+        den.certify(lambda w: num if w == width else numerator(w), bound, deg - self.vdim)
         self.certified_clearings += 1
         return _ZERO
 
@@ -463,8 +538,20 @@ class Case:
     # -- operator parts ---------------------------------------------------
 
     def operator_parts(self, k: int, mono: Monomial) -> tuple[Fraction, Fraction, Fraction]:
-        """(integral of R_k D, T_k D, S_k D) for the monomial D, from its integer terms."""
-        r, t, s, s_scale = operator_terms(k, mono, self.surface, self.rank)
+        """(integral of R_k D, T_k D, S_k D) for the monomial D, from its integer terms.
+
+        No term with a vanishing factor is built: a symbol whose rows are 0
+        at every moduli point (normalized ``ch_1`` of a divisor or of ``p``)
+        is passed to :func:`~toric_virasoro.descendents.operator_terms` as
+        zero.  The parts are unchanged: such a term's integral has an empty
+        support AND, so it was the kernel's exact 0, with no clearing and
+        no count, and :meth:`_part` skips zero integrals.  Deciding that a
+        symbol vanishes realizes it, once, so its surface clearing still
+        runs, and a symbol that does not clear is still refused.
+        """
+        r, t, s, s_scale = operator_terms(
+            k, mono, self.surface, self.rank, self._vanishing.__getitem__
+        )
         return (
             self._part(r),
             self._part(t),

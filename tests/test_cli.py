@@ -518,6 +518,7 @@ def test_output_matches_recorded_transcript(capsys, transcript):
         "walls-f1-r2-c2-2.txt",
         "walls-f2-r2-c2-2.txt",
         "verify-f0-FZ-c2-2-H2F5Z.json.txt",
+        "verify-p2-r2-c2-3.txt",
         "enumerate-p2-r3-c2-3.txt",
     ],
 )

@@ -6,7 +6,7 @@ from unittest import mock
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_virasoro import descendents
@@ -230,6 +230,45 @@ class TestIntegerTerms:
         assert DescPoly(derivation_terms(k, mono, surface)) == oracles.apply_R(
             k, DescPoly.monomial(mono), surface
         )
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(SURFACES),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["1", "H", "F", "Z", "p"])), max_size=4),
+        st.tuples(st.integers(0, 5), st.sampled_from(["1", "H", "F", "Z", "p"])),
+        st.integers(0, 2),
+        st.booleans(),
+        st.integers(-1, 5),
+        st.integers(1, 3),
+    )
+    @example(P2, [(2, "H")], (1, "H"), 0, True, 0, 2)  # S_0 inserts the zero ch_1(p)
+    @example(P2, [(3, "1")], (1, "H"), 1, True, 0, 2)  # the zero factor at multiplicity 1
+    @example(P2, [(3, "H")], (1, "H"), 2, False, -1, 2)  # and 2
+    @example(P2, [(2, "H"), (3, "1")], (2, "H"), 1, False, -1, 2)  # R_-1 images are zero
+    @example(P2, [(0, "1"), (4, "1")], (1, "H"), 0, True, 0, 2)  # the R_0 hits cancel
+    def test_filtered_terms_are_the_unfiltered_less_those_with_a_zero_factor(
+        self, surface, syms, zero_sym, copies, with_ch1, k, rank
+    ):
+        # a random monomial with a zero symbol at multiplicity 0, 1 or 2; the
+        # normalized ch_1 of the divisors and of p are zero as well, now and then
+        names = {"1", "p", *surface.divisor_names}
+        mono = tuple(sorted(sym for sym in syms + [zero_sym] * copies if sym[1] in names))
+        zero = {zero_sym}
+        if with_ch1:
+            zero |= {(1, name) for name in (*surface.divisor_names, "p")}
+        asked = []
+
+        def is_zero(sym):
+            asked.append(sym)
+            return sym in zero
+
+        *parts, scale = operator_terms(k, mono, surface, rank)
+        *filtered, filtered_scale = operator_terms(k, mono, surface, rank, is_zero)
+        assert filtered_scale == scale
+        for part, kept in zip(parts, filtered):
+            assert kept == {m: c for m, c in part.items() if not zero.intersection(m)}
+        # only symbols of unfiltered terms are asked about
+        assert set(asked) <= {sym for part in parts for m in part for sym in m}
 
     def test_cancelled_hits_leave_no_term(self):
         # R_0 scales by the degree: ch_0(1) ch_4(1) has degree -2 + 2 = 0

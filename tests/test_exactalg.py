@@ -5,7 +5,7 @@ from math import factorial, gcd
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -36,6 +36,7 @@ from toric_virasoro.exactalg import (
     linform,
     pack,
     parse_laurent,
+    slot_width,
     unpack,
 )
 
@@ -402,6 +403,119 @@ class TestLinearDenominator:
         den = LinearDenominator([])
         assert (den.forms, den.scale, den.cofactors, den.poly) == ((), 1, [], [1])
         assert den.clear([], 0) == [0]
+
+
+# weights rich in forms a*s + b*t with a >= 2 (2s + t, 3s - t, 2s - 3t),
+# where alone divide_linear can leave a step remainder, with their associates
+clearing_weights = st.builds(
+    lambda w, k: (k * w[0], k * w[1]),
+    st.sampled_from([(1, 0), (0, 1), (1, -1), (1, 1), (2, 1), (3, -1), (2, -3), (1, 2)]),
+    st.integers(-2, 2).filter(bool),
+)
+clearing_coeffs = st.integers(-(10**3), 10**3) | st.integers(-(2**80), 2**80)
+
+
+def recurrence_clear(den, nums, deg):
+    """The clearing by products and the recurrence alone: the sum of
+    ``nums[q] * cofactors[q]``, divided form by form by ``divide_linear``."""
+    total = [0] * (deg + len(den.forms) + 1)
+    for num, co in zip(nums, den.cofactors, strict=True):
+        if num:
+            for j, x in enumerate(convolve(num, co)):
+                total[j] += x
+    return den.divide(total, deg)
+
+
+def clearing_outcome(clear, *args):
+    """The quotient, or the message of the NotDivisible that refused it."""
+    try:
+        return clear(*args)
+    except NotDivisible as exc:
+        return ("NotDivisible", str(exc))
+
+
+def form_product(forms):
+    out = [1]
+    for form in forms:
+        out = convolve(out, form)
+    return out
+
+
+class TestPackedClearing:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.lists(clearing_weights, max_size=4), min_size=1, max_size=4),
+        st.lists(st.lists(clearing_coeffs, min_size=1, max_size=4), min_size=4, max_size=4),
+        st.none() | st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(-3, 3).filter(bool)),
+    )
+    @example([[(2, 1)], [(3, -1)], [(2, 1), (3, -1)]], [[1, 2]] * 4, (0, 1, 1))
+    @example([[(2, 1)], [(3, -1)], [(2, 1), (3, -1)]], [[1, 2]] * 4, (2, 0, -1))
+    def test_clear_equals_the_recurrence_on_sums_of_form_products(self, raw, quotients, perturb):
+        # nums[q] = P_q * e_q, so the sum clears to L * sum_q P_q; one
+        # perturbed coefficient must give the recurrence's outcome, value
+        # or NotDivisible message alike
+        den = LinearDenominator(raw)
+        deg = max(len(P) for P in quotients) - 1
+        nums = []
+        for P, ws in zip(quotients, raw):
+            P = P + [0] * (deg + 1 - len(P))
+            nums.append(convolve(P, form_product(ws)))
+        assert den.clear(nums, deg) == recurrence_clear(den, nums, deg)
+        if perturb:
+            q, j, delta = perturb
+            q %= len(nums)
+            nums[q][j % len(nums[q])] += delta
+            got = clearing_outcome(den.clear, nums, deg)
+            assert got == clearing_outcome(recurrence_clear, den, nums, deg)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(clearing_weights, max_size=5),
+        st.lists(clearing_coeffs, max_size=5),
+        st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 3).filter(bool)), max_size=2),
+    )
+    def test_certify_equals_the_recurrence_on_any_total(self, weights, Q, bumps):
+        # a multiple Q * LCM, bumped or not: certify and the recurrence agree
+        # on the quotient or on the message; deg = -1 when Q is empty
+        den = LinearDenominator([weights])
+        deg = len(Q) - 1
+        total = convolve(Q, form_product(den.forms)) if Q else [0] * len(den.forms)
+        for j, delta in bumps if total else ():
+            total[j % len(total)] += delta
+        bound = sum(map(abs, total))
+        got = clearing_outcome(den.certify, lambda width: pack(total, width), bound, deg)
+        assert got == clearing_outcome(den.divide, total, deg)
+
+    def test_a_quotient_too_wide_for_the_first_width_widens_it(self):
+        # (s^2 - t^2)^40 / (s - t)^40: the numerator has ||N||_1 = 2^40, so
+        # the first width is 64, but ||(s + t)^40||_1 * ||(s - t)^40||_1 =
+        # 2^80, so only the second width, 128, certifies the quotient
+        den = LinearDenominator([[(1, -1)] * 40])
+        plus = form_product([(1, 1)] * 40)
+        total = convolve(plus, form_product(den.forms))
+        widths = []
+
+        def numerator(width):
+            widths.append(width)
+            return pack(total, width)
+
+        assert den.certify(numerator, sum(map(abs, total)), 40) == plus
+        assert widths == [64, 128] and slot_width(sum(map(abs, total))) == 64
+
+    def test_a_zero_remainder_is_not_enough(self):
+        # t^2 / s: the packed LCM s is 1, so the remainder is 0 at every
+        # width, but no quotient fits one linear slot: refused by the
+        # recurrence's message once the width passes the a priori bound
+        den = LinearDenominator([[(1, 0)]])
+        widths = []
+
+        def numerator(width):
+            widths.append(width)
+            return pack([0, 0, 1], width)
+
+        with pytest.raises(NotDivisible, match=r"leaves a remainder by s$"):
+            den.certify(numerator, 1, 1)
+        assert widths == [64]
 
 
 primitive_forms = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(

@@ -86,6 +86,21 @@ class TestRowKey:
         b = [parse_laurent(t) for t in ("s + t", "1 + t")]
         assert golden.canonical_row_key(a) != golden.canonical_row_key(b)
 
+    def test_key_repr_is_pinned_and_equal_coefficients_are_one_object(self):
+        # the benchmark's reference digests hash this repr, so it must not
+        # change; equal coefficients are interned, so sorting keys compares
+        # them by identity
+        texts = ("s*t + 2*s - 3/2*t", "1 - s^-1*t")
+        key = golden.canonical_row_key([parse_laurent(t) for t in texts])
+        assert repr(key) == (
+            "(((0, 0, Fraction(-3, 2)), (1, -1, Fraction(2, 1)), (1, 0, Fraction(1, 1))),"
+            " ((-1, 0, Fraction(-1, 1)), (0, -1, Fraction(1, 1))))"
+        )
+        again = golden.canonical_row_key([parse_laurent(t) for t in texts])
+        assert again == key
+        assert all(x[2] is y[2] for cx, cy in zip(key, again) for x, y in zip(cx, cy))
+        assert key[0][2][2] is key[1][1][2]  # the 1 of both charts
+
 
 class TestReproduction:
     @pytest.mark.parametrize("case_id", ALL_IDS)

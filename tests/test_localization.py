@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import CommonDenominator, exact_div
-from toric_virasoro.descendents import DescPoly, monomial_basis, monomial_degree, parse_monomial
+from toric_virasoro.descendents import (
+    DescPoly,
+    monomial_basis,
+    monomial_degree,
+    operator_terms,
+    parse_monomial,
+)
 from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
 from toric_virasoro.exactalg import LaurentPoly, NotDivisible, linform, parse_laurent
 from toric_virasoro.klyachko import Flag, NonIsolated, Subspace, bundle_from_flags
@@ -390,6 +396,9 @@ class TestIntegerKernel:
     @example([(1, 2)], [Fraction(2**63)] * 6, [0], None)  # 2^63 needs a sign bit above it
     @example([(1, 0), (0, 1), (1, 1)], [ONE] * 6, [2], (2, 0, 1))  # not a constant at vdim
     @example([(3, -2), (0, 0), (1, 0), (1, 1)], [Fraction(2**80)] * 6, [3, 3], (3, 1, 1))
+    # the LCM is s, which packs to 1: every remainder is 0, and only the
+    # bound on the quotient refuses s - (s + t), no constant times s
+    @example([(1, 0), (0, 0)], [ONE] * 6, [1], (1, 1, 1))
     def test_agrees_with_the_fraction_oracle(self, weights, cs, ks, perturb):
         # weights such as (0, 0) give zero values, (1, 0) and (1, 1) an LCM
         # factor t; the degree sum(ks) falls below, at and above vdim
@@ -571,7 +580,10 @@ class TestDegreeZeroFactors:
         _, case, _ = case_of("p2-r2-c2-3")
         sweep, kernel = fresh(case), fresh(case)
         verify_conjecture(sweep)
-        assert len(sweep._integrals) == 3993
+        # 2088 of the 3993 distinct monomials have a factor that vanishes at
+        # every point; their terms are never built
+        assert len(sweep._integrals) == 3993 - 2088
+        assert not any(sweep._vanishing[sym] for mono in sweep._integrals for sym in mono)
         for mono, value in sweep._integrals.items():
             assert kernel_integral(kernel, mono) == Fraction(*value), mono
         # the unstripped monomials take a clearing each that the stripped
@@ -706,3 +718,36 @@ class TestIntegerRealization:
                     )
                     checked += 1
         assert checked >= 360
+
+
+class TestVanishingFactors:
+    def test_no_bundled_sweep_builds_a_term_with_a_vanishing_factor(
+        self, case_of, all_case_ids, is_built
+    ):
+        # the filtered operator terms are the unfiltered ones less every term
+        # with a factor that vanishes at every point, and the parts are those
+        # of the unfiltered terms: each dropped integral is the kernel's 0,
+        # with no clearing.  The rank-4 case joins when already built
+        dropped = 0
+        for case_id in all_case_ids:
+            if case_id == "p2-r4-c2-3" and not is_built(case_id):
+                continue
+            _, case, _ = case_of(case_id)
+            filtered, whole = fresh(case), fresh(case)
+            zero = filtered._vanishing
+            for k in range(-1, case.vdim + 1):
+                for mono in monomial_basis(case.surface, case.vdim - k):
+                    *parts, scale = operator_terms(k, mono, case.surface, case.rank)
+                    *kept, _ = operator_terms(k, mono, case.surface, case.rank, zero.__getitem__)
+                    for part, part_kept in zip(parts, kept):
+                        nonzero = {m: c for m, c in part.items() if not any(zero[s] for s in m)}
+                        assert part_kept == nonzero, (case_id, k, mono)
+                        dropped += len(part) - len(nonzero)
+                    r, t, s = parts
+                    assert filtered.operator_parts(k, mono) == (
+                        whole._part(r),
+                        whole._part(t),
+                        whole._part(s, scale.numerator, scale.denominator),
+                    ), (case_id, k, mono)
+            assert filtered.certified_clearings == whole.certified_clearings, case_id
+        assert dropped >= 4405  # the p2-r2-c2-3 sweep alone drops 4405 terms
