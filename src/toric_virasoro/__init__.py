@@ -12,13 +12,14 @@ polynomials over them, with the fixed-point sums over the integers at
 
 Subpackage map:
 
-``exactalg``      sparse Laurent polynomials, integer forms at s = 1, and the
-                  common denominators of fixed-point sums: linear forms over
-                  the integers, binomials 1 - chi^w by running sums
+``exactalg``      integer characters, integer forms at s = 1, the common
+                  denominators of fixed-point sums (linear forms over the
+                  integers, binomials 1 - chi^w by running sums), and sparse
+                  Laurent polynomials as the parsed and readable view
 ``surfaces``      toric surface data (fans, fixed points, tangent and
                   divisor weights, intersection theory)
 ``klyachko``      flagged filtration data for equivariant sheaves and their
-                  K-theoretic restrictions to fixed points
+                  K-theoretic restrictions to fixed points (integer characters)
 ``enumeration``   the stable fixed-point loci themselves
 ``descendents``   the descendent algebra, Virasoro operators, and brackets
 ``localization``  the integration engine and sum-rule checker

@@ -51,7 +51,7 @@ from .enumeration import (
     polarization_gcd,
     wall_slopes,
 )
-from .exactalg import NotDivisible
+from .exactalg import LaurentPoly, NotDivisible
 from .golden import canonical_row_key
 from .klyachko import NonIsolated, SlopeTie
 from .localization import TrivialWeight, make_case, verify_conjecture
@@ -257,8 +257,9 @@ def _resolve_jobs(args) -> int:
 # enumerate
 
 
-def _sorted_rows(case):
-    return sorted(case.restrictions, key=canonical_row_key)
+def _sorted_rows(case) -> list[list[LaurentPoly]]:
+    """The case's restriction rows in key order, as readable Laurent polynomials."""
+    return [list(map(LaurentPoly, row)) for row in sorted(case.restrictions, key=canonical_row_key)]
 
 
 def _chart_headers(surface) -> list[str]:
@@ -548,9 +549,8 @@ def cmd_dump_golden(args) -> int:
         print(f"  note: {note}")
     print("fixed sheaves:")
     for row in gold.k_rows:
-        rendered = " | ".join(
-            chart.render_tex() if tex else chart.render() for chart in row.charts
-        )
+        charts = map(LaurentPoly, row.charts)
+        rendered = " | ".join(chart.render_tex() if tex else chart.render() for chart in charts)
         flag = "  [sign slip]" if row.sign_corrupt else ""
         print(f"  {rendered}{flag}")
     if gold.integrals:

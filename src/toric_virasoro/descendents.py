@@ -330,50 +330,38 @@ def structure_sheaf_euler(surface: Surface) -> int:
 
 
 @lru_cache(maxsize=None)
-def T_element(k: int, surface: Surface) -> DescPoly:
-    """The element whose multiplication is T_k (two-sum form).
+def T_terms(k: int, surface: Surface) -> dict[Monomial, int]:
+    """The element whose multiplication is T_k (two-sum form), as ``{monomial: nonzero int}``.
 
     First sum: over Kunneth components ``gl (x) gr`` of the diagonal
     pushforward of 1, the term
     ``-(-1)^((dl+1)(dr+1)) (a+dl-2)! (b+dr-2)! ch_a(gl) ch_b(gr)`` summed
     over ``a + b = k + 2`` (factorials of negative numbers are zero).
-    Second sum: ``chi(O) * sum_{a+b=k} a! b! ch_a(p) ch_b(p)``.
+    Second sum: ``chi(O) * sum_{a+b=k} a! b! ch_a(p) ch_b(p)``.  Every
+    coefficient is an integer; the dict is shared, so it is never mutated.
     """
     if k < -1:
         raise ValueError("T_k is defined for k >= -1")
-    out = DescPoly.zero()
+    out: dict[Monomial, int] = {}
     for gl, gr, kc in surface.kunneth:
         dl = surface.class_degree(gl)
         dr = surface.class_degree(gr)
         sign = -((-1) ** ((dl + 1) * (dr + 1)))
-        for a in range(k + 3):
-            b = k + 2 - a
-            fa, fb = a + dl - 2, b + dr - 2
-            if fa < 0 or fb < 0:
-                continue
-            c = Fraction(sign * kc * factorial(fa) * factorial(fb))
-            out += DescPoly.monomial(tuple(sorted(((a, gl), (b, gr)))), c)
+        for a in range(2 - dl, k + dr + 1):  # (a+dl-2)! and (b+dr-2)! defined
+            mono = tuple(sorted(((a, gl), (k + 2 - a, gr))))
+            c = sign * kc * factorial(a + dl - 2) * factorial(k - a + dr)
+            out[mono] = out.get(mono, 0) + c
     chi = structure_sheaf_euler(surface)
     for a in range(k + 1):
-        b = k - a
-        c = Fraction(chi * factorial(a) * factorial(b))
-        out += DescPoly.monomial(tuple(sorted(((a, "p"), (b, "p")))), c)
-    return out
+        mono = tuple(sorted(((a, "p"), (k - a, "p"))))
+        out[mono] = out.get(mono, 0) + chi * factorial(a) * factorial(k - a)
+    return {mono: c for mono, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
-def T_terms(k: int, surface: Surface) -> dict[Monomial, int]:
-    """The coefficients of :func:`T_element` as integers (a shared dict: do not mutate).
-
-    A coefficient that is not an integer raises ``ValueError``; none is ever
-    truncated.
-    """
-    out = {}
-    for mono, c in T_element(k, surface).terms.items():
-        if c.denominator != 1:
-            raise ValueError(f"T_{k} on {surface.name} has the non-integral coefficient {c}")
-        out[mono] = c.numerator
-    return out
+def T_element(k: int, surface: Surface) -> DescPoly:
+    """:func:`T_terms` as a descendent polynomial, for :func:`apply_T`."""
+    return DescPoly(T_terms(k, surface))
 
 
 def _todd_kunneth(surface: Surface) -> list[tuple[str, str, Fraction]]:

@@ -2,9 +2,10 @@
 
 * **K-theory characters** are integer exponent dicts (:data:`Character`),
   ``{(a, b): c}`` meaning ``sum c * s^a * t^b``; the exponents are torus
-  weights, e.g. ``s + s*t^-1``.  :class:`LaurentPoly` values, sparse
-  mappings ``(a, b) -> Fraction``, hold the chart restrictions and give
-  readable views.
+  weights, e.g. ``s + s*t^-1``.  The chart restrictions are such dicts.
+  :class:`LaurentPoly` values, sparse mappings ``(a, b) -> Fraction``, are
+  the parsed and readable view (:func:`parse_laurent`, ``render``) and
+  the ring of the cohomological views (``linform``, :func:`homogenize`).
 * **Cohomology classes** are homogeneous polynomials in the degree-1
   generators ``s, t`` of a fixed-point chart, kept at ``s = 1`` as integer
   coefficient lists: ``f[j]`` belongs to ``s^(d-j) t^j`` in degree ``d``.
@@ -217,20 +218,6 @@ class LaurentPoly:
             if n:
                 base = base * base
         return result
-
-    # -- structure ------------------------------------------------------
-
-    def integer_terms(self) -> list[tuple[int, int, int]]:
-        """The terms ``c * s^a t^b`` as ``(a, b, c)``; ValueError unless each c is an integer."""
-        if any(c.denominator != 1 for c in self.coeffs.values()):
-            raise ValueError(f"{self.render()} has a non-integral coefficient")
-        return [(a, b, c.numerator) for (a, b), c in self.coeffs.items()]
-
-    def shift(self, da: int, db: int) -> "LaurentPoly":
-        """Multiply by the monomial s^da t^db."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {(a + da, b + db): c for (a, b), c in self.coeffs.items()}
-        return out
 
     # -- rendering ------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Each JSON file under ``data/golden`` records one moduli case: the surface,
 the Chern data, a polarization inside a known chamber, the expected
-torus-fixed locus (as one restriction row per fixed sheaf, one Laurent
-character per fixed point), and a table of operator integrals
+torus-fixed locus (as one restriction row per fixed sheaf, one character
+per fixed point, written as a Laurent polynomial and loaded as an integer
+character ``{(a, b): c}``), and a table of operator integrals
 ``(int R_k D, int T_k D, int S_k D)`` for selected descendent monomials.
 
 Fixed-locus rows are compared as multisets after a twist normalization:
@@ -27,8 +28,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .descendents import Monomial, monomial_degree, parse_monomial
-from .exactalg import LaurentPoly, parse_laurent
-from .localization import Case
+from .exactalg import Character, parse_laurent
+from .localization import Case, _Memo
 
 __all__ = [
     "GoldenCase",
@@ -48,7 +49,7 @@ __all__ = [
 class GoldenKRow:
     """One recorded fixed sheaf: its restriction character at every point."""
 
-    charts: tuple[LaurentPoly, ...]
+    charts: tuple[Character, ...]
     sign_corrupt: bool = False
 
 
@@ -93,15 +94,22 @@ def list_cases() -> list[str]:
     )
 
 
+def _character(case_id: str, text: str) -> Character:
+    """A recorded chart as an integer character; a fractional coefficient raises ``ValueError``."""
+    coeffs = parse_laurent(text).coeffs
+    if any(c.denominator != 1 for c in coeffs.values()):
+        raise ValueError(f"case {case_id!r}: the chart {text!r} has a non-integral coefficient")
+    return {w: c.numerator for w, c in coeffs.items()}
+
+
 def load_case(case_id: str) -> GoldenCase:
-    path = _data_dir().joinpath(case_id + ".json")
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise KeyError(f"no recorded case named {case_id!r}") from None
+    """The recorded case named ``case_id``; ``KeyError`` unless it is one of :func:`list_cases`."""
+    if case_id not in list_cases():
+        raise KeyError(f"no recorded case named {case_id!r}")
+    raw = json.loads(_data_dir().joinpath(case_id + ".json").read_text())
     k_rows = tuple(
         GoldenKRow(
-            charts=tuple(parse_laurent(chart) for chart in row["charts"]),
+            charts=tuple(_character(case_id, chart) for chart in row["charts"]),
             sign_corrupt=bool(row.get("sign_corrupt", False)),
         )
         for row in raw["k_rows"]
@@ -142,29 +150,30 @@ def load_case(case_id: str) -> GoldenCase:
 
 
 # one Fraction object per coefficient value seen in a row key, by (numerator, denominator)
-_COEFFICIENTS: dict[tuple[int, int], Fraction] = {}
+_COEFFICIENTS = _Memo(lambda ratio: Fraction(*ratio))
 
 
 def canonical_row_key(charts) -> tuple:
     """Hashable key of a restriction row, stable under a global twist.
 
-    Every chart is divided by the lexicographically smallest exponent
-    monomial of the first chart, then each chart is flattened to a sorted
-    coefficient tuple.  The coefficients are interned: equal values are one
-    ``Fraction`` object, so comparing and sorting keys finds equal entries by
-    identity, not through ``Fraction.__eq__``.  The key's ``repr`` is that
-    of plain ``Fraction`` values.
+    The charts are mappings ``{(a, b): c}`` with ``int`` or ``Fraction``
+    coefficients.  Every chart is divided by the lexicographically smallest
+    exponent monomial of the first chart, then each chart is flattened to a
+    sorted coefficient tuple.  The coefficients are interned: equal values
+    are one ``Fraction`` object, so comparing and sorting keys finds equal
+    entries by identity, not through ``Fraction.__eq__``.  The key's
+    ``repr`` is that of plain ``Fraction`` values.
     """
     first = charts[0]
-    if not first.coeffs:
+    if not first:
         raise ValueError("empty chart in restriction row")
-    a0, b0 = min(first.coeffs)
-    intern = _COEFFICIENTS.setdefault
+    a0, b0 = min(first)
+    intern = _COEFFICIENTS
     return tuple(
         tuple(
             sorted(
-                (a - a0, b - b0, intern(coeff.as_integer_ratio(), coeff))
-                for (a, b), coeff in chart.coeffs.items()
+                (a - a0, b - b0, intern[coeff.as_integer_ratio()])
+                for (a, b), coeff in chart.items()
             )
         )
         for chart in charts

@@ -15,7 +15,8 @@ From this data the module computes
   per pair of jump positions, ``mu`` the second difference of
   ``dim(S_l n T_m)`` over their steps (Klyachko, *Equivariant bundles on
   toral varieties*, Math. USSR Izv. 35, 1990),
-* the K-theory restriction to each fixed point (a Laurent character): the
+* the K-theory restriction to each fixed point, an integer character
+  ``{(a, b): mu}`` (:data:`~toric_virasoro.exactalg.Character`): the
   bundle's ``sum mu * chi^(p, q)`` over the jump pairs of the cone's two
   flags, corrected at each site of the local family,
 * rank, first Chern class, and second Chern class — by exact localization on
@@ -57,7 +58,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactalg import LaurentPoly, Rat
+from .exactalg import Character, Rat
 from .surfaces import FixedPoint, Surface
 
 # ---------------------------------------------------------------------------
@@ -317,10 +318,11 @@ class TorusSheaf:
 
     # -- K-theory restriction ---------------------------------------------
 
-    def restriction(self, point: FixedPoint) -> LaurentPoly:
+    def restriction(self, point: FixedPoint) -> Character:
         """K-class at the fixed point: ``sum mu * chi^(p, q)`` over the jump pairs,
         minus ``delta * chi^s * (1 - chi^w1) * (1 - chi^w2)`` for each family
-        site s whose space is ``delta`` below the bundle's (terms in chart order)."""
+        site s whose space is ``delta`` below the bundle's, as an integer
+        character without zero terms (in chart order)."""
         i, j = point.ray_indices
         mult = {(p, q): mu for p, q, mu in jump_pairs(self.flags[i], self.flags[j])}
         for (n1, n2), space in self.families[point.index] or ():
@@ -328,10 +330,10 @@ class TorusSheaf:
             for d1, d2, sign in ((0, 0, -1), (1, 0, 1), (0, 1, 1), (1, 1, -1)):
                 cell = (n1 + d1, n2 + d2)
                 mult[cell] = mult.get(cell, 0) + sign * delta
-        return LaurentPoly({point.char_from_pair(*cell): c for cell, c in sorted(mult.items())})
+        return {point.char_from_pair(*cell): c for cell, c in sorted(mult.items()) if c}
 
     @cached_property
-    def charts(self) -> tuple[LaurentPoly, ...]:
+    def charts(self) -> tuple[Character, ...]:
         """The restriction at every surface point, in point order, computed once per sheaf.
 
         The values are shared by every case built from the sheaf, so they
@@ -370,7 +372,7 @@ def bundle_from_flags(surface: Surface, rank: int, flags: Sequence[Flag], config
 def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     """(rank, c1 in the divisor basis, c2), computed exactly by localization.
 
-    One pass over the integer terms ``c * chi^(a, b)`` of each chart gives
+    One pass over the terms ``c * chi^(a, b)`` of each chart gives
     the rank ``sum c`` and, at s = 1, ``ch_1 = sum c*(a*s + b*t)`` and
     ``2*ch_2 = sum c*(a*s + b*t)^2``.  The surface integrals of ``ch_1``
     times each basis divisor and of ``2*ch_2`` are degree-0 sums cleared over
@@ -385,7 +387,7 @@ def chern_invariants(sheaf: TorusSheaf) -> tuple[int, tuple[int, ...], int]:
     ranks, ch1, two_ch2 = set(), [], []
     for chart in sheaf.charts:
         r = a1 = b1 = a2 = ab = b2 = 0
-        for a, b, c in chart.integer_terms():
+        for (a, b), c in chart.items():
             ca, cb = c * a, c * b
             r, a1, b1 = r + c, a1 + ca, b1 + cb
             a2, ab, b2 = a2 + ca * a, ab + ca * b, b2 + cb * b

@@ -15,10 +15,10 @@ part.
 * ``tangent_representation`` computes the torus character of the tangent
   space at a fixed point, ``{weight: multiplicity}``, from the K-theoretic
   Euler characteristic ``chi(E, E)``.  The products ``E_p^dual E_p`` are
-  formed from the chart restrictions' integer terms, so every multiplicity
-  is an integer by construction (a row with a non-integral coefficient is
-  refused before any clearing); it certifies that none is negative,
-  isolation (no trivial weight) and the expected dimension;
+  formed from the chart restrictions, integer characters (a :class:`Case`
+  refuses a non-integral coefficient when it is built), so every
+  multiplicity is an integer by construction; it certifies that none is
+  negative, isolation (no trivial weight) and the expected dimension;
 * ``_integer_symbol`` evaluates a formal symbol ``ch_i(gamma)`` at each
   moduli fixed point as a polynomial in the torus parameters ``s, t``:
   normalized Chern character slices of the sheaf's chart restrictions,
@@ -139,29 +139,25 @@ class TrivialWeight(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def sheaf_euler_pairing(restrictions: Sequence[LaurentPoly], surface: Surface) -> Character:
+def sheaf_euler_pairing(restrictions: Sequence[Character], surface: Surface) -> Character:
     """chi(E, E) as an integer torus character, by K-theoretic fixed-point clearing.
 
     Each fixed point contributes ``E_p^dual * E_p / ((1 - u)(1 - v))`` where
     ``u, v`` are the inverse tangent characters (= the chart characters).
-    The products ``E_p^dual * E_p`` are formed from the rows' integer terms
-    (a row with a non-integral coefficient raises ``ValueError``; none is
-    truncated), and the surface's ``character_denominator`` clears their
-    sum over the integers, by running sums along each chart character.  The
-    sum over the points is a finite character sum; a row that is not a
-    consistent K-class raises :class:`~toric_virasoro.exactalg.NotDivisible`.
+    The products ``E_p^dual * E_p`` of the integer chart characters are
+    cleared by the surface's ``character_denominator``, over the integers,
+    by running sums along each chart character.  The sum over the points is
+    a finite character sum; a row that is not a consistent K-class raises
+    :class:`~toric_virasoro.exactalg.NotDivisible`.
     """
-    values = []
-    for poly in restrictions:
-        terms = poly.integer_terms()
-        values.append(
-            char_product({(-a, -b): c for a, b, c in terms}, {(a, b): c for a, b, c in terms})
-        )
+    values = [
+        char_product({(-a, -b): c for (a, b), c in chart.items()}, chart) for chart in restrictions
+    ]
     return surface.character_denominator.clear(values)
 
 
 def tangent_representation(
-    restrictions: Sequence[LaurentPoly], surface: Surface, vdim: int
+    restrictions: Sequence[Character], surface: Surface, vdim: int
 ) -> Character:
     """Torus character of the tangent space at a moduli fixed point, ``{weight: multiplicity}``.
 
@@ -205,17 +201,23 @@ def euler_class(tangent: Character) -> LaurentPoly:
 
 @dataclass
 class Case:
-    """A moduli problem with its fixed locus and all localization caches."""
+    """A moduli problem with its fixed locus and all localization caches.
+
+    Building one refuses a restriction coefficient that is no ``int`` (``ValueError``).
+    """
 
     surface: Surface
     rank: int
     c1: tuple
     c2: int
     H: tuple
-    restrictions: tuple[tuple[LaurentPoly, ...], ...]  # per moduli point, per surface point
+    restrictions: tuple[tuple[Character, ...], ...]  # per moduli point, per surface point
     vdim: int = field(init=False)
 
     def __post_init__(self):
+        for q, row in enumerate(self.restrictions):
+            if not all(isinstance(c, int) for chart in row for c in chart.values()):
+                raise ValueError(f"the row {row} of fixed point {q} has a non-integral coefficient")
         self.vdim = self.surface.vdim(self.rank, self.c1, self.c2)
         self._tangents: list[Character] | None = None
         self._powers: dict[int, tuple[int, list[int], list[int]]] = {}  # width -> (j, c * X^j, X)
@@ -285,12 +287,11 @@ class Case:
         xs, ys, cs, spans = [], [], [], []
         for per_point in self.restrictions:
             row = []
-            for poly in per_point:
-                terms = poly.integer_terms()
-                A = sum(c * a for a, _b, c in terms)
-                B = sum(c * b for _a, b, c in terms)
-                row.append((len(cs), len(cs) + len(terms)))
-                for a, b, c in terms:
+            for chart in per_point:
+                A = sum(c * a for (a, _b), c in chart.items())
+                B = sum(c * b for (_a, b), c in chart.items())
+                row.append((len(cs), len(cs) + len(chart)))
+                for (a, b), c in chart.items():
                     xs.append(r * a - A)
                     ys.append(r * b - B)
                     cs.append(c)
@@ -560,8 +561,9 @@ class Case:
 
     def twisted(self, weight: tuple[int, int]) -> "Case":
         """The same case with every chart value multiplied by one character (twist invariance)."""
+        da, db = weight
         rows = tuple(
-            tuple(poly.shift(*weight) for poly in per_point)
+            tuple({(a + da, b + db): c for (a, b), c in chart.items()} for chart in per_point)
             for per_point in self.restrictions
         )
         return Case(self.surface, self.rank, self.c1, self.c2, self.H, rows)

@@ -86,6 +86,15 @@ the candidates come from the scans.
 H and records where a dropped one ties; the tests require
 ``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
 unpruned stage at every ample H.
+
+The package's chart restrictions are integer characters ``{(a, b): c}``;
+the oracles read them as ``LaurentPoly`` values.  :func:`character` is the
+integer character of a Laurent polynomial (refusing a fractional
+coefficient), :func:`shift` multiplies one by a monomial, and
+:func:`canonical_row_key` is the row key over ``LaurentPoly`` rows as the
+package computed it before its rows became integer characters.
+:func:`T_element` is the T element summed as a ``DescPoly``, the reference
+for ``descendents.T_terms``, which sums it over the integers.
 """
 
 from __future__ import annotations
@@ -302,11 +311,11 @@ def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
     nb = min(b for (_a, b) in num.coeffs)
     da = min(a for (a, _b) in div.coeffs)
     db = min(b for (_a, b) in div.coeffs)
-    n = num.shift(-na, -nb)
-    d = div.shift(-da, -db)
+    n = shift(num, -na, -nb)
+    d = shift(div, -da, -db)
     if len(d) == 1:
         ((ka, kb), dc), = d.coeffs.items()
-        return n.shift(-ka, -kb).shift(na - da, nb - db) * (ONE / dc)
+        return shift(n, na - da - ka, nb - db - kb) * (ONE / dc)
     dk = max(d.coeffs)  # lex-leading key
     dc = d.coeffs[dk]
     rest = {k: c for k, c in d.coeffs.items() if k != dk}
@@ -329,7 +338,7 @@ def exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
                 work[nk] = nc
             else:
                 work.pop(nk, None)
-    return LaurentPoly(q).shift(na - da, nb - db)
+    return shift(LaurentPoly(q), na - da, nb - db)
 
 
 def _product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -358,7 +367,7 @@ def _associate(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     c = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
     if coeffs[max(coeffs)] < 0:
         c = -c
-    return f.shift(-a, -b) * (ONE / c), LaurentPoly.monomial(a, b, c)
+    return shift(f, -a, -b) * (ONE / c), LaurentPoly.monomial(a, b, c)
 
 
 class CommonDenominator:
@@ -421,9 +430,43 @@ class CommonDenominator:
         return num
 
 
+def shift(p: LaurentPoly, da: int, db: int) -> LaurentPoly:
+    """``p`` times the monomial ``s^da t^db``."""
+    return LaurentPoly({(a + da, b + db): c for (a, b), c in p.coeffs.items()})
+
+
+def character(p: LaurentPoly) -> dict[tuple[int, int], int]:
+    """The integer character ``{(a, b): c}`` of ``p``; ``ValueError`` unless every c is an integer."""
+    if any(c.denominator != 1 for c in p.coeffs.values()):
+        raise ValueError(f"{p.render()} has a non-integral coefficient")
+    return {key: c.numerator for key, c in p.coeffs.items()}
+
+
+def canonical_row_key(charts) -> tuple:
+    """The row key of ``LaurentPoly`` charts, stable under a global twist.
+
+    Every chart is divided by the lexicographically smallest exponent
+    monomial of the first chart, then each chart is flattened to a sorted
+    coefficient tuple of ``Fraction`` values.
+    """
+    first = charts[0]
+    if not first.coeffs:
+        raise ValueError("empty chart in restriction row")
+    a0, b0 = min(first.coeffs)
+    return tuple(
+        tuple(sorted((a - a0, b - b0, coeff) for (a, b), coeff in chart.coeffs.items()))
+        for chart in charts
+    )
+
+
 def dual(p: LaurentPoly) -> LaurentPoly:
     """K-theory dual: s^a t^b -> s^-a t^-b."""
     return LaurentPoly({(-a, -b): c for (a, b), c in p.coeffs.items()})
+
+
+def _squares(restrictions) -> list[LaurentPoly]:
+    """``E_p^dual * E_p`` of every chart, the charts read as Laurent polynomials."""
+    return [dual(poly) * poly for poly in map(LaurentPoly, restrictions)]
 
 
 def euler_pairing(restrictions, surface) -> LaurentPoly:
@@ -431,7 +474,7 @@ def euler_pairing(restrictions, surface) -> LaurentPoly:
     den = CommonDenominator(
         [LaurentPoly.one() - LaurentPoly.monomial(*w) for w in p.duals] for p in surface.points
     )
-    return den.clear([dual(poly) * poly for poly in restrictions])
+    return den.clear(_squares(restrictions))
 
 
 def divide_binomial(num: LaurentPoly, w: tuple[int, int]) -> LaurentPoly:
@@ -478,7 +521,7 @@ def binomial_clear(den, values: Iterable[LaurentPoly]) -> LaurentPoly:
 
 def binomial_euler_pairing(restrictions, surface) -> LaurentPoly:
     """``chi(E, E)`` by :func:`binomial_clear` over the surface's ``character_denominator``."""
-    return binomial_clear(surface.character_denominator, [dual(p) * p for p in restrictions])
+    return binomial_clear(surface.character_denominator, _squares(restrictions))
 
 
 def integrate_terms(case, terms) -> Fraction:
@@ -637,7 +680,7 @@ def as_constant(p: LaurentPoly) -> Fraction:
 
 def chern_series(case, q: int, p: int, cap: int) -> LaurentPoly:
     """Truncated ch of -E_p (x) det(E_p)^(-1/r) at moduli point q."""
-    poly = case.restrictions[q][p]
+    poly = LaurentPoly(case.restrictions[q][p])
     A = B = ZERO
     for (a, b), c in poly:
         A += c * a
@@ -966,6 +1009,37 @@ def apply_S(k: int, D: DescPoly, surface, r: int, plus: bool = False) -> DescPol
     """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D) (plus=True: S+_k, through R+_{-1})."""
     inner = DescPoly.symbol(k + 1, "p") * D
     return apply_R(-1, inner, surface, plus) * Fraction(factorial(k + 1), r)
+
+
+def T_element(k: int, surface) -> DescPoly:
+    """The element whose multiplication is T_k (two-sum form), summed as a ``DescPoly``.
+
+    First sum: over Kunneth components ``gl (x) gr`` of the diagonal
+    pushforward of 1, the term
+    ``-(-1)^((dl+1)(dr+1)) (a+dl-2)! (b+dr-2)! ch_a(gl) ch_b(gr)`` summed
+    over ``a + b = k + 2`` (factorials of negative numbers are zero).
+    Second sum: ``chi(O) * sum_{a+b=k} a! b! ch_a(p) ch_b(p)``.
+    """
+    if k < -1:
+        raise ValueError("T_k is defined for k >= -1")
+    out = DescPoly.zero()
+    for gl, gr, kc in surface.kunneth:
+        dl = surface.class_degree(gl)
+        dr = surface.class_degree(gr)
+        sign = -((-1) ** ((dl + 1) * (dr + 1)))
+        for a in range(k + 3):
+            b = k + 2 - a
+            fa, fb = a + dl - 2, b + dr - 2
+            if fa < 0 or fb < 0:
+                continue
+            c = Fraction(sign * kc * factorial(fa) * factorial(fb))
+            out += DescPoly.monomial(tuple(sorted(((a, gl), (b, gr)))), c)
+    chi = descendents.structure_sheaf_euler(surface)
+    for a in range(k + 1):
+        b = k - a
+        c = Fraction(chi * factorial(a) * factorial(b))
+        out += DescPoly.monomial(tuple(sorted(((a, "p"), (b, "p")))), c)
+    return out
 
 
 def apply_L(k: int, D: DescPoly, surface, r: int) -> DescPoly:

@@ -470,6 +470,14 @@ class TestDumpGolden:
         assert code == 0
         assert "recorded in source as" in out
 
+    def test_a_path_outside_the_bundled_cases_is_a_config_error(self, capsys):
+        # the path names a bundled file, but only a listed case id is read
+        code = main(["dump-golden", "--case", "../golden/p2-r2-c2-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no recorded case named '../golden/p2-r2-c2-3'" in captured.err
+
 
 TRANSCRIPT_DIR = Path(__file__).parent / "data" / "cli"
 _VERIFY = ("verify", "--case", "f0-FZ-c2-2-H2F5Z")
@@ -487,10 +495,13 @@ TRANSCRIPTS = {
         "enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "3",
         "--H", "all-chambers",
     ),
+    "enumerate-f0-r2-c2-2-H2F5Z.json.txt": ("enumerate", *_F0_R2, "--H", "2,5", "--format", "json"),
     "enumerate-p2-r2-c2-2.md.txt": ("enumerate", *_P2_R2, "--format", "markdown"),
     "enumerate-p2-r3-c2-2.txt": ("enumerate", *_P2_R3, "--c2", "2"),
     "enumerate-p2-r3-c2-3.txt": ("enumerate", *_P2_R3, "--c2", "3"),
     "walls-f0-r2-c2-2.txt": ("walls", *_F0_R2),
+    "dump-golden-p2-r2-c2-3.txt": ("dump-golden", "--case", "p2-r2-c2-3"),
+    "dump-golden-p2-r2-c2-3.md.txt": ("dump-golden", "--case", "p2-r2-c2-3", "--format", "markdown"),
     "walls-f1-r2-c2-2.txt": ("walls", "--surface", "f1", "--r", "2", "--delta", "0,1", "--c2", "2"),
     "walls-f2-r2-c2-2.txt": ("walls", "--surface", "f2", "--r", "2", "--delta", "0,1", "--c2", "2"),
     "bracket-k4-d6-p2-f0-f1-f2.txt": (

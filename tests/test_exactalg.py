@@ -12,6 +12,7 @@ from oracles import (
     CommonDenominator,
     as_constant,
     char_to_chern,
+    character,
     degrees,
     dehomogenize,
     exact_div,
@@ -19,6 +20,7 @@ from oracles import (
     integer_rows,
     is_homogeneous,
     linear_denominator,
+    shift,
     substitute_st,
     truncate,
     truncated_exp,
@@ -76,7 +78,7 @@ def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
     (ga, gb), gc = max(g.coeffs.items())
     if len(f) == 1 and (fa, fb) != (ga, gb):
         return False
-    return f == g.shift(fa - ga, fb - gb) * (fc / gc)
+    return f == shift(g, fa - ga, fb - gb) * (fc / gc)
 
 
 class TestRing:
@@ -104,7 +106,7 @@ class TestRing:
     @settings(deadline=None)
     @given(lpolys, st.integers(-2, 2), st.integers(-2, 2))
     def test_shift_is_monomial_multiplication(self, p, da, db):
-        assert p.shift(da, db) == p * LaurentPoly.monomial(da, db)
+        assert shift(p, da, db) == p * LaurentPoly.monomial(da, db)
 
     def test_zero_coefficients_dropped(self):
         assert LaurentPoly({(1, 0): Fraction(0)}) == LaurentPoly.zero()
@@ -296,7 +298,7 @@ class TestCommonDenominator:
 
         def scaled(f):
             c, a, b = data.draw(units)
-            return f.shift(a, b) * c if len(f) > 1 else f * c
+            return shift(f, a, b) * c if len(f) > 1 else f * c
 
         dressed = [[scaled(f) for f in fs] for fs in plain]
         den, ref = CommonDenominator(dressed), CommonDenominator(plain)
@@ -565,11 +567,6 @@ def _outcome(clear, values):
         return "NotDivisible"
 
 
-def ints(p: LaurentPoly) -> dict:
-    """The integer character of a Laurent polynomial (ValueError unless it has integer coefficients)."""
-    return {(a, b): c for a, b, c in p.integer_terms()}
-
-
 class TestDivideBinomial:
     @settings(deadline=None, max_examples=200)
     @given(integer_lpolys, primitive_characters, exponents, st.integers(-3, 3).filter(bool))
@@ -577,14 +574,14 @@ class TestDivideBinomial:
         # over the integers and over the Fraction oracle; a zero coefficient
         # in the numerator changes nothing
         product = f * kfactor(w)
-        assert divide_binomial(ints(product), w) == ints(f)
-        assert divide_binomial({m: 0, **ints(product)}, w) == ints(f)
+        assert divide_binomial(character(product), w) == character(f)
+        assert divide_binomial({m: 0, **character(product)}, w) == character(f)
         assert oracles.divide_binomial(product, w) == f
         # every line parallel to w sums to zero in a product; one more term
         # breaks the sum of its line
         broken = product + LaurentPoly.monomial(*m, c)
         with pytest.raises(NotDivisible):
-            divide_binomial(ints(broken), w)
+            divide_binomial(character(broken), w)
         with pytest.raises(NotDivisible):
             oracles.divide_binomial(broken, w)
 
@@ -594,9 +591,9 @@ class TestDivideBinomial:
             ("1 - s^-2", (-1, 0), "1 + s^-1"),
             ("s*t - s^3*t^-1", (1, -1), "s*t + s^2"),
         ]:
-            assert divide_binomial(ints(parse_laurent(num)), w) == ints(parse_laurent(quotient))
+            assert divide_binomial(character(parse_laurent(num)), w) == character(parse_laurent(quotient))
         with pytest.raises(NotDivisible, match=r"is not divisible by -s\*t \+ 1$"):
-            divide_binomial(ints(parse_laurent("1 - s")), (1, 1))
+            divide_binomial(character(parse_laurent("1 - s")), (1, 1))
 
 
 class TestBinomialDenominator:
@@ -639,11 +636,11 @@ class TestBinomialDenominator:
             assert e * LaurentPoly(co) == lcm_poly
         values = [P * e for e in es]
         assert oracles.binomial_clear(den, values) == ref.clear(values) == P * len(es)
-        assert LaurentPoly(den.clear([ints(Q * e) for e in es])) == Q * len(es)
+        assert LaurentPoly(den.clear([character(Q * e) for e in es])) == Q * len(es)
         noise = noise[: len(raw)]
         want = _outcome(ref.clear, noise)
         assert _outcome(lambda values: oracles.binomial_clear(den, values), noise) == want
-        got = _outcome(den.clear, [ints(v) for v in noise])
+        got = _outcome(den.clear, [character(v) for v in noise])
         assert (got if got == "NotDivisible" else LaurentPoly(got)) == want
 
 

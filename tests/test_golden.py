@@ -1,11 +1,15 @@
 """Bundled reference tables: loading, comparison semantics, reproduction."""
 
+import json
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_virasoro import golden
-from toric_virasoro.exactalg import parse_laurent
+from toric_virasoro.exactalg import LaurentPoly, parse_laurent
 
 ALL_IDS = golden.list_cases()
 
@@ -29,12 +33,26 @@ class TestFixtureFiles:
         with pytest.raises(KeyError):
             golden.load_case("p2-r9-c2-99")
 
+    def test_an_id_outside_the_bundled_list_is_refused(self):
+        # the path below names a bundled file, but the id is no bundled case
+        with pytest.raises(KeyError, match="no recorded case named '../golden/p2-r2-c2-3'"):
+            golden.load_case("../golden/p2-r2-c2-3")
+
+    def test_a_fractional_recorded_coefficient_is_refused(self, tmp_path, monkeypatch):
+        raw = json.loads(golden._data_dir().joinpath("p2-r2-c2-1.json").read_text())
+        raw["k_rows"][0]["charts"][1] = "1/2*s + t"
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        monkeypatch.setattr(golden, "_data_dir", lambda: tmp_path)
+        with pytest.raises(ValueError, match="case 'bad': the chart '1/2.s . t' has a non-integral"):
+            golden.load_case("bad")
+
     def test_chart_strings_roundtrip(self):
         for case_id in ALL_IDS:
             gold = golden.load_case(case_id)
             for row in gold.k_rows:
                 for chart in row.charts:
-                    assert parse_laurent(chart.render()) == chart
+                    assert all(type(c) is int and c for c in chart.values())
+                    assert oracles.character(parse_laurent(LaurentPoly(chart).render())) == chart
 
     def test_sign_slips_only_where_recorded(self):
         flagged = {
@@ -75,31 +93,60 @@ class TestRecordedIntegrals:
                     assert not row.printed
 
 
+def _characters(*texts):
+    return [oracles.character(parse_laurent(t)) for t in texts]
+
+
+def _twist(chart, da, db):
+    return {(a + da, b + db): c for (a, b), c in chart.items()}
+
+
+# an integer restriction row: a nonempty first chart, no zero coefficients
+_charts = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool), max_size=5
+)
+_rows = st.tuples(_charts.filter(bool), st.lists(_charts, max_size=3)).map(
+    lambda row: [row[0], *row[1]]
+)
+
+
 class TestRowKey:
     def test_twist_invariance(self):
-        charts = [parse_laurent(t) for t in ("st + s + t", "1 + s^-1t", "t + 2")]
-        shifted = [c.shift(3, -2) for c in charts]
+        charts = _characters("st + s + t", "1 + s^-1t", "t + 2")
+        shifted = [_twist(c, 3, -2) for c in charts]
         assert golden.canonical_row_key(charts) == golden.canonical_row_key(shifted)
 
     def test_distinct_rows_distinct_keys(self):
-        a = [parse_laurent(t) for t in ("s + t", "1 + s")]
-        b = [parse_laurent(t) for t in ("s + t", "1 + t")]
+        a = _characters("s + t", "1 + s")
+        b = _characters("s + t", "1 + t")
         assert golden.canonical_row_key(a) != golden.canonical_row_key(b)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_rows, st.integers(-4, 4), st.integers(-4, 4))
+    def test_key_of_integer_rows_is_the_laurent_oracle_key(self, row, da, db):
+        # the same repr as the key of the same rows as LaurentPoly values,
+        # which the benchmark's reference digests were made from
+        key = golden.canonical_row_key(row)
+        assert repr(key) == repr(oracles.canonical_row_key([LaurentPoly(c) for c in row]))
+        assert golden.canonical_row_key([_twist(c, da, db) for c in row]) == key
 
     def test_key_repr_is_pinned_and_equal_coefficients_are_one_object(self):
         # the benchmark's reference digests hash this repr, so it must not
         # change; equal coefficients are interned, so sorting keys compares
         # them by identity
         texts = ("s*t + 2*s - 3/2*t", "1 - s^-1*t")
-        key = golden.canonical_row_key([parse_laurent(t) for t in texts])
+        key = golden.canonical_row_key([parse_laurent(t).coeffs for t in texts])
         assert repr(key) == (
             "(((0, 0, Fraction(-3, 2)), (1, -1, Fraction(2, 1)), (1, 0, Fraction(1, 1))),"
             " ((-1, 0, Fraction(-1, 1)), (0, -1, Fraction(1, 1))))"
         )
-        again = golden.canonical_row_key([parse_laurent(t) for t in texts])
+        again = golden.canonical_row_key([parse_laurent(t).coeffs for t in texts])
         assert again == key
         assert all(x[2] is y[2] for cx, cy in zip(key, again) for x, y in zip(cx, cy))
         assert key[0][2][2] is key[1][1][2]  # the 1 of both charts
+        # an integer coefficient is interned as the Fraction of the same value
+        (((_a, _b, one),),) = golden.canonical_row_key([{(5, 5): 1}])
+        assert one is key[0][2][2] and repr(one) == "Fraction(1, 1)"
 
 
 class TestReproduction:
