@@ -31,15 +31,13 @@ generator rule of R+, identities among the ``T+`` elements and ``T+_{-1} =
 0``, and the rank cancels (the argument is in its docstring).
 
 On one monomial every operator part has integer coefficients, up to the one
-scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule (the image
-of each symbol, extended as a derivation), :func:`T_terms` the T element
-over the integers, and :func:`operator_terms` gives the three parts of
-``L_k D`` as ``{monomial: int}`` dicts, which the zero-sum sweep reads.  The
-R rule keeps the image of each symbol per ``k``, and every term is built by
-inserting the new symbols into the sorted D.  ``apply_R`` and ``apply_S``
-are the ``Fraction``-linear extension of those rules to a
-:class:`DescPoly`; everything is exact, over the integers and
-``fractions.Fraction``.
+scale ``(k+1)!/r`` of S: :func:`derivation_terms` is the R rule (the image of
+each symbol, kept per ``k``, extended as a derivation) and :func:`T_terms` the
+T element over the integers; ``apply_R`` and ``apply_S`` are their exact
+``Fraction``-linear extension to a :class:`DescPoly`.  The zero-sum sweep
+reads the same rules on packed exponent keys (:class:`Packing`): a monomial
+is an integer with one byte per symbol, and a term of ``L_k D`` is D's key
+plus symbol units, with no tuple built.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 from .exactalg import _as_rat
 from .surfaces import Surface
@@ -169,11 +168,6 @@ class DescPoly:
     def __repr__(self) -> str:
         return f"DescPoly({render_poly(self)})"
 
-    # -- inspection -------------------------------------------------------
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), _ZERO)
-
 
 # ---------------------------------------------------------------------------
 # degrees
@@ -241,55 +235,33 @@ class _Images(dict):
 
 @lru_cache(maxsize=None)
 def _ch_images(k: int, surface: Surface) -> _Images:
-    """The :class:`_Images` of R_k, kept across calls: the sweep reads them for every monomial.
-
-    R+_k, which only the bracket proof reads, on generators, builds its
-    images per call.
-    """
+    """The :class:`_Images` of R_k, kept across calls (R+_k builds its images per call)."""
     return _Images(k, surface)
 
 
-def derivation_terms(
-    k: int, mono: Monomial, surface: Surface, plus: bool = False, zero=None
-) -> dict[Monomial, int]:
+def derivation_terms(k: int, mono: Monomial, surface: Surface, plus: bool = False) -> dict[Monomial, int]:
     """R_k (plus=True: R+_k) of one sorted monomial: ``{monomial: nonzero int}``.
 
     This is the one R rule, the :class:`_Images` of the symbols extended as
     a derivation: :func:`apply_R` and the S operators are its
-    ``Fraction``-linear extension, and the sweep reads it directly
-    (:func:`operator_terms`).  It hits each distinct factor once, at its
+    ``Fraction``-linear extension, and :meth:`Packing.derivation` reads the
+    same images on packed keys.  It hits each distinct factor once, at its
     first position ``idx`` (repeats are adjacent), weighted by its
     multiplicity.  The image symbol goes where it sorts in ``mono``: after
     every copy of the hit symbol when it is not smaller (``j > idx``), else
     before ``idx``.
-
-    With ``zero``, a predicate on symbols, no term with a factor ``s`` for
-    which ``zero(s)`` holds is built.  A term keeps every factor of
-    ``mono`` but one copy of its hit symbol, plus the image: it is skipped
-    when one of those is such a factor.  ``zero`` is asked only about
-    factors that some term keeps (not about the one hit symbol of a
-    monomial whose other factors are never hit, when it has one copy), and
-    about an image only when the kept factors pass.  A term's key fixes
-    whether it is skipped, so the rest is the unfiltered dict less those
-    keys.
     """
     if k < -1:
         raise ValueError("R_k is defined for k >= -1")
     images = _Images(k, surface, plus) if plus else _ch_images(k, surface)
-    hits = []
+    out: dict[Monomial, int] = {}
     for idx, sym in enumerate(mono):
         if idx and sym == mono[idx - 1]:
             continue
         hit = images[sym]
-        if hit:
-            hits.append((idx, sym, *hit))
-    if zero and hits:
-        only = hits[0][1] if len(hits) == 1 and mono.count(hits[0][1]) == 1 else None
-        zeros = sum(map(zero, mono if only is None else [sym for sym in mono if sym != only]))
-    out: dict[Monomial, int] = {}
-    for idx, sym, new, f in hits:
-        if zero and (zeros - (sym != only and zero(sym)) or zero(new)):
+        if not hit:
             continue
+        new, f = hit
         j = bisect_right(mono, new)
         if j > idx:
             key = mono[:idx] + mono[idx + 1 : j] + (new,) + mono[j:]
@@ -413,17 +385,17 @@ def apply_T(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 
 
 # ---------------------------------------------------------------------------
-# S_k and the integer operator terms
+# S_k
 # ---------------------------------------------------------------------------
 
 
-def _s_terms(k: int, mono: Monomial, surface: Surface, zero=None) -> dict[Monomial, int]:
+def _s_terms(k: int, mono: Monomial, surface: Surface) -> dict[Monomial, int]:
     """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale, for a sorted D."""
     if k < -1:
         raise ValueError("S_k is defined for k >= -1")
     sym = (k + 1, "p")
     j = bisect_right(mono, sym)
-    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface, zero=zero)
+    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface)
 
 
 def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
@@ -431,32 +403,75 @@ def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
     return _extend(D, lambda mono: _s_terms(k, mono, surface)) * Fraction(factorial(k + 1), r)
 
 
-def operator_terms(
-    k: int, mono: Monomial, surface: Surface, rank: int, zero=None
-) -> tuple[dict[Monomial, int], dict[Monomial, int], dict[Monomial, int], Fraction]:
-    """R_k D, T_k D and S_k D of one sorted monomial D, over the integers.
+# ---------------------------------------------------------------------------
+# packed exponent keys
+# ---------------------------------------------------------------------------
 
-    Returns ``(r, t, s, scale)``, each of ``r, t, s`` a ``{monomial:
-    nonzero int}``: ``R_k D = r``, ``T_k D = t`` (the :func:`T_terms` times
-    D) and ``S_k D = scale * s`` with ``scale = (k+1)!/rank``.  Each term
-    is built by inserting its new symbols into the sorted D.  With ``zero``,
-    a predicate on symbols, no term with a factor ``s`` for which
-    ``zero(s)`` holds is built (see :func:`derivation_terms`); the parts
-    are the unfiltered ones less exactly those terms.
+# the most copies of a symbol in a key: an operator term has at most two more
+# than D (T_k's ch_a(p)^2, or S_k's ch_{k+1}(p) and an image), so none carries
+MAX_COPIES = 253
+
+
+class Packing(dict):
+    """The packed exponent encoding of monomials over one surface: ``{symbol: unit}``.
+
+    ``ch_i(gamma)`` owns byte ``j = i * C + c`` of an integer key (``C`` basis
+    classes, ``gamma`` the c-th by name), so bytes ascend as sorted symbols
+    do; a key is the sum of its factors' units ``2^(8j)``.  R_k D is ``c * (D
+    + delta)`` per :meth:`derivation` term, T_k D is ``c * (D + pair)`` per
+    :meth:`pairs` term, and S_k D is R_{-1} of ``D + ch_{k+1}(p)``.
     """
-    t, pairs = {}, T_terms(k, surface)
-    if pairs and not (zero and any(map(zero, mono))):  # else every T term keeps that factor of D
-        for (a, b), c in pairs.items():  # a <= b
-            if zero and (zero(a) or zero(b)):
-                continue
-            ja, jb = bisect_right(mono, a), bisect_right(mono, b)
-            t[mono[:ja] + (a,) + mono[ja:jb] + (b,) + mono[jb:]] = c
-    return (
-        derivation_terms(k, mono, surface, zero=zero),
-        t,
-        _s_terms(k, mono, surface, zero),
-        Fraction(factorial(k + 1), rank),
-    )
+
+    def __init__(self, surface: Surface):
+        super().__init__()
+        self.surface = surface
+        self.classes = tuple(sorted(("1", *surface.divisor_names, "p")))
+        self._rules: dict[int, dict] = {}
+        self._pairs: dict[int, list[tuple[int, int]]] = {}
+
+    def __missing__(self, sym: Symbol) -> int:
+        i, name = sym
+        if i < 0:
+            raise ValueError(f"ch_{i}({name}) is 0 and has no field")
+        self[sym] = unit = 1 << 8 * (i * len(self.classes) + self.classes.index(name))
+        return unit
+
+    def key(self, mono: Monomial) -> int:
+        """The key of a monomial (in any order); more than MAX_COPIES of a symbol raise."""
+        if len(mono) > MAX_COPIES and max(map(mono.count, mono)) > MAX_COPIES:
+            raise OverflowError(f"more than {MAX_COPIES} copies of one symbol do not fit a field")
+        return sum(map(self.__getitem__, mono))
+
+    def factors(self, key: int) -> list[tuple[Symbol, int]]:
+        """``(symbol, copies)`` of every nonzero field of a key, in sorted symbol order."""
+        C, classes = len(self.classes), self.classes
+        data = key.to_bytes((key.bit_length() + 7) // 8, "little")
+        return [((j // C, classes[j % C]), m) for j, m in enumerate(data) if m]
+
+    def derivation(self, k: int, mono: Monomial) -> list[tuple[int, int]]:
+        """R_k of a monomial by the :class:`_Images`: ``(unit(image) - unit(sym), copies * f)``.
+
+        The deltas are distinct but at k = 0, where every hit lands on D:
+        there they are summed to one term ``(0, deg(D))``, none if that is 0.
+        """
+        rule, out = self._rules.setdefault(k, {}), []
+        for sym in dict.fromkeys(mono):
+            if sym not in rule:
+                image = _ch_images(k, self.surface)[sym]
+                rule[sym] = image and (self[image[0]] - self[sym], image[1])
+            hit = rule[sym]
+            if hit:
+                out.append((hit[0], mono.count(sym) * hit[1]))
+        if not k and out:
+            c = sum(c for _delta, c in out)
+            return [(0, c)] if c else []
+        return out
+
+    def pairs(self, k: int) -> list[tuple[int, int]]:
+        """The :func:`T_terms` of k as ``(key, c)``: T_k D is ``c * (D + key)`` per pair."""
+        if k not in self._pairs:
+            self._pairs[k] = [(self[a] + self[b], c) for (a, b), c in T_terms(k, self.surface).items()]
+        return self._pairs[k]
 
 
 # ---------------------------------------------------------------------------
@@ -491,29 +506,28 @@ def basis_symbols(surface: Surface, degree: int) -> list[Symbol]:
 
 
 def monomial_basis(surface: Surface, degree: int) -> list[Monomial]:
-    """All restricted monomials of the given total degree.
+    """All restricted monomials of the given total degree, sorted.
 
     Factors are symbols ch_i(gamma) over the surface basis with positive
-    degree and i != 1, deduplicated as multisets; degree 0 gives the unit.
+    degree and i != 1, chosen in ascending order, so each multiset comes
+    once, and (no monomial being a prefix of another) in sorted order.
     """
     if degree < 0:
         return []
-    if degree == 0:
-        return [()]
+    syms = sorted(s for d in range(1, degree + 1) for s in basis_symbols(surface, d))
+    degs = [symbol_degree(s, surface) for s in syms]
     out: list[Monomial] = []
 
-    def rec(remaining: int, min_deg: int, chosen: tuple[Symbol, ...], last: Symbol | None):
-        if remaining == 0:
-            out.append(tuple(sorted(chosen)))
+    def rec(start: int, remaining: int, chosen: Monomial) -> None:
+        if not remaining:
+            out.append(chosen)
             return
-        for d in range(min_deg, remaining + 1):
-            for sym in basis_symbols(surface, d):
-                if d == min_deg and last is not None and sym < last:
-                    continue
-                rec(remaining - d, d, chosen + (sym,), sym)
+        for j in range(start, len(syms)):
+            if degs[j] <= remaining:
+                rec(j, remaining - degs[j], chosen + (syms[j],))
 
-    rec(degree, 1, (), None)
-    return sorted(set(out))
+    rec(0, degree, ())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +536,13 @@ def monomial_basis(surface: Surface, degree: int) -> list[Monomial]:
 
 
 def render_monomial(mono: Monomial) -> str:
-    """Compact product string, highest index first: ``ch_3(1)ch_2(H)``."""
+    """Compact product string, highest index first (then by name): ``ch_3(1)ch_2(H)``."""
     if not mono:
         return "1"
-    groups: list[tuple[Symbol, int]] = []
-    for sym in sorted(mono, key=lambda s: (-s[0], s[1])):
-        if groups and groups[-1][0] == sym:
-            groups[-1] = (sym, groups[-1][1] + 1)
-        else:
-            groups.append((sym, 1))
-    parts = []
-    for (i, name), mult in groups:
-        base = f"ch_{i}({name})"
-        parts.append(base if mult == 1 else f"{base}^{mult}")
-    return "".join(parts)
+    return "".join(
+        f"ch_{i}({name})" if (mult := mono.count((i, name))) == 1 else f"ch_{i}({name})^{mult}"
+        for i, name in sorted(dict.fromkeys(sorted(mono)), key=itemgetter(0), reverse=True)
+    )
 
 
 def render_poly(poly: DescPoly) -> str:

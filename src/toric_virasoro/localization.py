@@ -34,34 +34,23 @@ part.
 * ``_integrate`` sums over the case's ``tangent_denominator`` (the LCM of
   the moduli tangent Euler classes), certifies that the sum clears (the
   localization consistency check), and evaluates at the origin, to an
-  integer pair ``(n, d)`` in lowest terms.  A monomial's cleared numerator
-  ``sum_q cofactor_q * prod_i v_iq`` is one exact bigint sum of
-  Kronecker-packed products (:func:`~toric_virasoro.exactalg.pack`), with a
-  slot width set by an l1 bound so that decoding it is exact.  Each
-  realized symbol keeps a bitmask of the moduli points where its row is
-  nonzero (where its l1 norm is).  No cofactor vanishes, so when the masks
-  of a monomial's factors have an empty AND every term vanishes: the
-  kernel returns 0 before any bound or product, without a clearing, as for
-  a numerator that sums to 0.  Otherwise the bound and the products run
-  point by point in ``map(operator.mul, ...)``.  Before the kernel runs, a
-  degree-0 symbol that is one nonzero constant ``c / S`` at every point
-  (``ch_2(1)`` or ``ch_0(p)``: a topological number) is taken out of the
-  monomial as the integers ``c`` and ``S``, so only the rest is cleared.
-  At the moduli dimension the numerator must be an integer ``m`` times the
-  LCM: one ``divmod`` by the packed LCM and the bound ``|m| * ||LCM||_1 <
-  2^(W-1)`` certify it.  Below it the numerator must vanish, and above it
-  (a value that must be 0) it is divided by the LCM, in the packed
-  division of :meth:`~toric_virasoro.exactalg.LinearDenominator.certify`;
-* ``operator_parts`` never builds a term with a factor that vanishes at
-  every moduli point (normalized ``ch_1`` of a divisor or of ``p``): such a
-  term's integral is the kernel's empty-mask 0.
+  integer pair ``(n, d)`` in lowest terms.  The cleared numerator is one
+  bigint sum of Kronecker-packed products
+  (:func:`~toric_virasoro.exactalg.pack`), its slot width set by an l1
+  bound, and the products of the last few monomial prefixes are kept.  An
+  empty AND of the factors' support bitmasks gives 0 without a clearing.
 
-``verify_conjecture`` runs the full sweep: for every ``k`` in
-``[-1, vdim]`` and every restricted monomial of degree ``vdim - k`` it reads
-the integer terms of the three operator parts
-(:func:`~toric_virasoro.descendents.operator_terms`), sums ``int * n`` over
-each per denominator ``d``, skipping zero integrals, forms one
-``Fraction`` per part and reports whether the parts sum to zero.
+Integrals are memoized under packed exponent keys
+(:class:`~toric_virasoro.descendents.Packing`).  The first key that holds a
+symbol realizes it and marks its byte in a zero mask if it vanishes at
+every moduli point (normalized ``ch_1`` of a divisor or of ``p``: one AND
+skips a term) or in a constant mask if it is one nonzero degree-0 ``c / S``
+there (``ch_2(1)``, ``ch_0(p)``: one AND takes them out as integers).
+``verify_conjecture`` runs the full sweep: for every ``k`` in ``[-1,
+vdim]`` and every restricted monomial D of degree ``vdim - k``,
+``operator_parts`` adds the packed operator rules to D's key, sums ``c *
+n`` per denominator ``d`` from the memo and forms one ``Fraction`` per
+part; the conjecture is that the parts sum to zero.
 """
 from __future__ import annotations
 
@@ -72,14 +61,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .descendents import (
-    Monomial,
-    monomial_basis,
-    monomial_degree,
-    operator_terms,
-    render_monomial,
-    symbol_degree,
-)
+from .descendents import Monomial, Packing, monomial_basis, render_monomial, symbol_degree
 from .enumeration import fixed_locus_cached
 from .exactalg import (
     Character,
@@ -98,6 +80,9 @@ from .klyachko import NonIsolated
 from .surfaces import Surface, surface_by_name
 
 _ZERO = (0, 1)  # an integral (n, d) that vanishes
+_NO_PART = Fraction(0)  # a part without a nonzero integral
+# packed per-point products of the most recent monomial prefixes that the kernel keeps
+_PREFIXES = 4
 
 
 class _Memo(dict):
@@ -225,11 +210,14 @@ class Case:
         self._power_sum_bounds = _Memo(self._power_sum_bound)
         self._int_symbols: dict[tuple[int, str], tuple] = {}
         self._supports = _Memo(self._support)
-        self._vanishing = _Memo(lambda sym: not self._supports[sym])
         self._constants = _Memo(self._constant)
+        self._packing = Packing(self.surface)
+        self._admitted = self._zero_mask = self._constant_mask = 0  # fields, see _admit
+        self._constant_factors = _Memo(self._constant_factor)
         self._packs: dict[tuple, tuple[int, ...]] = {}
-        self._integrals: dict[Monomial, tuple[int, int]] = {}
-        self.certified_clearings = 0
+        self._prefixes: dict[tuple[int, int], list[int]] = {}  # (prefix key, width) -> products
+        self._integrals: dict[int, tuple[int, int]] = {}  # packed key -> (n, d)
+        self.certified_clearings = self.kernel_calls = self.factor_passes = 0
 
     # -- enumeration-facing -------------------------------------------------
 
@@ -408,84 +396,114 @@ class Case:
                 return rows[0][0], scale
         return None
 
-    def _integral(self, mono: Monomial) -> tuple[int, int]:
-        """The integral of a sorted monomial as ``(n, d)``, in lowest terms with ``d > 0``.
+    def _admit(self, key: int) -> None:
+        """Realize the key's new symbols, marking their fields in the zero or the constant mask.
 
-        Memoized under the monomial; an empty locus integrates every
-        monomial to 0.
+        It stops at a symbol that vanishes at every point: the key integrates
+        to 0, and the symbols after it wait for a key that needs them.
+        """
+        for sym, _m in self._packing.factors(key & ~self._admitted):
+            field = self._packing[sym] * 0xFF
+            self._admitted |= field
+            if not self._supports[sym]:
+                self._zero_mask |= field
+                return
+            if self._constants[sym]:
+                self._constant_mask |= field
+
+    def _constant_factor(self, key: int) -> tuple[int, int]:
+        """``(c, S)``: the product of the constant symbols of a key, ``c / S`` each."""
+        num = den = 1
+        for sym, m in self._packing.factors(key):
+            c, scale = self._constants[sym]
+            num *= c**m
+            den *= scale**m
+        return num, den
+
+    def _integral(self, key: int) -> tuple[int, int]:
+        """The integral of a packed monomial as ``(n, d)`` in lowest terms, ``d > 0``, memoized.
+
+        A key with a factor that vanishes at every point is the kernel's
+        empty-mask 0 and is not kept; an empty locus integrates all to 0.
         """
         integrals = self._integrals
-        if mono not in integrals:
-            integrals[mono] = self._stripped(mono) if self.n_points else _ZERO
-        return integrals[mono]
+        if key not in integrals:
+            if key & ~self._admitted:
+                self._admit(key)
+            if key & self._zero_mask:
+                return _ZERO
+            integrals[key] = self._stripped(key) if self.n_points else _ZERO
+        return integrals[key]
 
-    def _stripped(self, mono: Monomial) -> tuple[int, int]:
-        """The integral of a sorted monomial, its constant degree-0 factors taken out.
+    def _stripped(self, key: int) -> tuple[int, int]:
+        """The integral of a packed monomial, its constant degree-0 factors taken out.
 
-        Every degree-0 symbol that is the same nonzero constant ``c / S`` at
-        every moduli point (see :meth:`_constant`) is taken out as a factor,
-        read as the integers ``c`` and ``S``, and only the rest goes through
-        :meth:`_integrate` (memoized under its own key).  This is exact: the
-        cleared numerator of ``m = c * m'`` is ``c * N(m')`` as a
-        polynomial, with ``c != 0``, so ``m'`` clears (at, below or above
-        vdim) if and only if ``m`` does, is refused if and only if ``m`` is,
-        and its value is ``1/c`` of ``m``'s.  A degree-0 symbol that
-        vanishes everywhere keeps the empty-mask exit of the kernel; one
-        whose rows differ is cleared with the rest.
+        Its symbols that are one nonzero ``c / S`` at every point
+        (:meth:`_constant`) leave by one AND with the constant mask, and only
+        the rest is integrated, memoized under its own key.  This is exact:
+        the cleared numerator of ``m = c * m'`` is ``c * N(m')``, ``c != 0``,
+        so ``m'`` clears if and only if ``m`` does, with ``1/c`` of its value.
         """
-        constants = self._constants
-        num, den, rest = 1, 1, []
-        for sym in mono:
-            c = constants[sym]
-            if c:
-                num *= c[0]
-                den *= c[1]
-            else:
-                rest.append(sym)
-        rest = tuple(rest)  # still sorted
-        if rest == mono:
-            return self._integrate(mono)
-        n, d = self._integral(rest)
+        constant = key & self._constant_mask
+        if not constant:
+            return self._integrate(key)
+        num, den = self._constant_factors[constant]
+        n, d = self._integral(key ^ constant)
         return _ratio(num * n, den * d)
 
-    def _integrate(self, mono: Monomial) -> tuple[int, int]:
+    def _integrate(self, key: int) -> tuple[int, int]:
         """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin, as ``(n, d)``.
 
-        The cleared numerator ``sum_q cofactor_q * prod_i v_iq`` is formed as
-        one bigint sum of Kronecker-packed products; its slot width is set by
-        the l1 bound ``sum_q ||cofactor_q|| * prod_i ||v_iq||``, which bounds
-        every coefficient, so decoding it is exact.  A point outside the
-        AND of the factors' supports contributes 0; when no point is left,
-        the sum is 0 without a bound, a product or a clearing.
+        The cleared numerator ``N = sum_q cofactor_q * prod_i v_iq`` is one
+        bigint sum of packed products, its slot width set by the l1 bound
+        ``sum_q ||cofactor_q|| * prod_i ||v_iq||``.  Points outside the AND of
+        the factors' supports contribute 0; with none left the sum is 0
+        without a clearing.  The factor copies are multiplied in sorted
+        order, one pass each (:attr:`factor_passes`), from the longest of the
+        last ``_PREFIXES`` proper prefixes whose products are kept.
 
-        At the moduli dimension the numerator ``N`` must be ``c * L * LCM``
-        for a constant ``c``; the LCM is primitive, so then ``m = c * L`` is
-        an integer and ``||N||_1 = |m| * ||LCM||_1`` is within the bound.
-        One ``divmod`` of the packed ``N`` by the packed LCM decides it: a
-        nonzero remainder, or a quotient ``m`` with ``|m| * ||LCM||_1 >=
-        2^(W-1)``, is no such multiple; otherwise ``m * LCM`` and ``N`` pack
-        alike with every coefficient below ``2^(W-1)``, so they are equal,
-        and the value is ``m / (L * S)``, S the symbols' scales.  Below and
-        above it the packed division of ``LinearDenominator.certify`` runs.
+        At the moduli dimension ``N`` must be ``c * L * LCM``; the LCM is
+        primitive, so ``m = c * L`` is an integer and ``||N||_1 = |m| *
+        ||LCM||_1`` is within the bound.  One ``divmod`` by the packed LCM
+        decides it: a nonzero remainder, or ``|m| * ||LCM||_1 >= 2^(W-1)``,
+        refuses; otherwise ``m * LCM`` and ``N`` pack alike with coefficients
+        below ``2^(W-1)``, so they are equal, and the value is ``m / (L *
+        S)``, S the symbols' scales.  Below and above it ``certify`` runs.
         """
-        supports = self._supports
+        factors = self._packing.factors(key)
         support = (1 << self.n_points) - 1  # no cofactor vanishes: it is a product of forms
-        for sym in mono:
-            support &= supports[sym]
+        for sym, _m in factors:
+            support &= self._supports[sym]
         if not support:  # every point has a vanishing factor
             return _ZERO
+        self.kernel_calls += 1
         den = self.tangent_denominator
-        deg = monomial_degree(mono, self.surface)
-        symbols = [self._integer_symbol(sym) for sym in mono]
-        scale, bounds = 1, den.norms
-        for sym_scale, _rows, norms in symbols:
-            bounds = map(mul, bounds, norms)
-            scale *= sym_scale
+        deg, scale, bounds, prefix, chain = 0, 1, den.norms, 0, []
+        for sym, m in factors:
+            sym_scale, rows, norms = self._integer_symbol(sym)
+            deg += m * symbol_degree(sym, self.surface)
+            scale *= sym_scale**m
+            for _ in range(m):  # one link per copy: its rows and the prefix key it ends
+                bounds = map(mul, bounds, norms)
+                prefix += self._packing[sym]
+                chain.append((sym, rows, prefix))
         bound = sum(bounds)
 
         def numerator(width: int) -> int:
-            terms = den.packed(width)[1]
-            for sym, (_s, rows, _n) in zip(mono, symbols):
+            kept, start, terms = self._prefixes, 0, den.packed(width)[1]
+            for j in range(len(chain) - 1, 0, -1):
+                hit = kept.pop((chain[j - 1][2], width), None)
+                if hit is not None:
+                    kept[chain[j - 1][2], width] = hit  # now the most recent
+                    start, terms = j, hit
+                    break
+            for sym, rows, after in chain[start:-1]:
+                terms = kept[after, width] = list(map(mul, terms, self._packed(sym, rows, width)))
+                if len(kept) > _PREFIXES:
+                    del kept[next(iter(kept))]
+            self.factor_passes += len(chain) - start
+            if chain:
+                sym, rows, _after = chain[-1]
                 terms = map(mul, terms, self._packed(sym, rows, width))
             return sum(terms)
 
@@ -509,54 +527,59 @@ class Case:
         self.certified_clearings += 1
         return _ZERO
 
+    def _sum(self, base: int, terms, num: int = 1, den: int = 1) -> Fraction:
+        """``num / den * sum c * integral(base + delta)`` over the terms ``(delta, c)``.
+
+        A term with a factor in the zero mask is skipped; ``c * n`` is summed
+        per denominator ``d`` over the nonzero integrals ``(n, d)`` and the
+        sums meet in one ``Fraction``.
+        """
+        integrals, zero = self._integrals, self._zero_mask
+        sums: dict[int, int] = {}
+        for delta, c in terms:
+            key = base + delta
+            if key & zero:
+                continue
+            n, d = integrals.get(key) or self._integral(key)
+            if n:
+                sums[d] = sums.get(d, 0) + c * n
+        if not sums:
+            return _NO_PART
+        common = lcm(*sums)
+        return Fraction(num * sum(n * (common // d) for d, n in sums.items()), den * common)
+
     def integrate(self, D) -> Fraction:
         """The integral of a descendent polynomial D (a ``DescPoly``).
 
-        Its coefficients are brought to one denominator, and the integer
-        numerators are summed by :meth:`_part`.
+        Its coefficients are brought to one denominator and summed by
+        :meth:`_sum` over the keys of its monomials.  A monomial whose first
+        (lowest) index is negative holds a ``ch_{<0} = 0``.
         """
         den = lcm(*(c.denominator for c in D.terms.values()))
-        terms = {m: c.numerator * (den // c.denominator) for m, c in D.terms.items()}
-        return self._part(terms, 1, den)
-
-    def _part(self, terms: dict[Monomial, int], num: int = 1, den: int = 1) -> Fraction:
-        """``num / den * sum c * integral(mono)`` over the integer terms ``{mono: c}``.
-
-        The integrals are ``(n, d)`` in lowest terms; the products ``c * n``
-        are summed as integers per denominator ``d``, skipping zero
-        integrals, and the sums meet over the least common multiple of the
-        denominators, in the one ``Fraction`` of the part.
-        """
-        integrals = self._integrals
-        sums: dict[int, int] = {}
-        for mono, c in terms.items():
-            n, d = integrals.get(mono) or self._integral(mono)
-            if n:
-                sums[d] = sums.get(d, 0) + c * n
-        common = lcm(*sums)
-        return Fraction(num * sum(n * (common // d) for d, n in sums.items()), den * common)
+        key = self._packing.key
+        terms = [
+            (key(mono), c.numerator * (den // c.denominator))
+            for mono, c in D.terms.items()
+            if not mono or mono[0][0] >= 0
+        ]
+        return self._sum(0, terms, 1, den)
 
     # -- operator parts ---------------------------------------------------
 
     def operator_parts(self, k: int, mono: Monomial) -> tuple[Fraction, Fraction, Fraction]:
-        """(integral of R_k D, T_k D, S_k D) for the monomial D, from its integer terms.
+        """(integral of R_k D, T_k D, S_k D) for the monomial D, from its packed terms.
 
-        No term with a vanishing factor is built: a symbol whose rows are 0
-        at every moduli point (normalized ``ch_1`` of a divisor or of ``p``)
-        is passed to :func:`~toric_virasoro.descendents.operator_terms` as
-        zero.  The parts are unchanged: such a term's integral has an empty
-        support AND, so it was the kernel's exact 0, with no clearing and
-        no count, and :meth:`_part` skips zero integrals.  Deciding that a
-        symbol vanishes realizes it, once, so its surface clearing still
-        runs, and a symbol that does not clear is still refused.
+        The terms are D's key plus the R_k deltas, plus the T_k pairs, and
+        ``D + ch_{k+1}(p)`` plus the R_{-1} deltas, times ``(k+1)!/rank``
+        (:class:`~toric_virasoro.descendents.Packing`).  A term skipped for a
+        vanishing factor is the kernel's exact 0, with no clearing.
         """
-        r, t, s, s_scale = operator_terms(
-            k, mono, self.surface, self.rank, self._vanishing.__getitem__
-        )
+        packing, p = self._packing, (k + 1, "p")
+        base, s = packing.key(mono), packing.derivation(-1, mono + (p,))
         return (
-            self._part(r),
-            self._part(t),
-            self._part(s, s_scale.numerator, s_scale.denominator),
+            self._sum(base, packing.derivation(k, mono)),
+            self._sum(base, packing.pairs(k)),
+            self._sum(base + packing[p], s, factorial(k + 1), self.rank),
         )
 
     def twisted(self, weight: tuple[int, int]) -> "Case":

@@ -24,7 +24,14 @@ them before it moved to integer characters, and
 :func:`integrate_terms` is the part sum that ``Case._part`` replaced: one
 ``Fraction`` product and sum per nonzero term.  :func:`operator_parts`
 sums it over the ``DescPoly`` operators, the reference for
-``Case.operator_parts``.
+``Case.operator_parts``.  :func:`operator_terms` and :func:`part` are the
+tuple-keyed terms and the per-denominator part sum that the sweep ran
+before it moved to packed exponent keys (``descendents.Packing``);
+:func:`integrals` reads a case's int-keyed integral memo back under sorted
+monomials (:func:`monomial` decodes one key).  :func:`unpack` is the slot-by-slot decoding that
+``exactalg.unpack`` replaced, and :func:`monomial_basis` and
+:func:`render_monomial` are the basis (a set, then a sort) and the label
+(a keyed sort) as the package built them before.
 
 :func:`is_stable` is the slope comparison read from a built sheaf's flags.
 :func:`stability_forms` reads the same comparison as one integer form per
@@ -99,6 +106,7 @@ for ``descendents.T_terms``, which sums it over the integers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -547,6 +555,117 @@ def operator_parts(case, k: int, mono) -> tuple[Fraction, Fraction, Fraction]:
         apply_S(k, D, surface, case.rank),
     )
     return tuple(integrate_terms(case, P.terms) for P in parts)
+
+
+def operator_terms(k: int, mono, surface, rank: int):
+    """R_k D, T_k D and S_k D of one sorted monomial D as tuple-keyed integer terms.
+
+    Returns ``(r, t, s, scale)``, each of ``r, t, s`` a ``{monomial: nonzero
+    int}``, with ``S_k D = scale * s`` and ``scale = (k+1)!/rank``: the
+    package's :func:`~toric_virasoro.descendents.derivation_terms`, the
+    :func:`~toric_virasoro.descendents.T_terms` times D, and R_{-1} of
+    ``ch_{k+1}(p) D``.  The sweep read these before it moved to packed keys
+    (``descendents.Packing``).
+    """
+    t = {}
+    for (a, b), c in descendents.T_terms(k, surface).items():  # a <= b
+        ja, jb = bisect_right(mono, a), bisect_right(mono, b)
+        t[mono[:ja] + (a,) + mono[ja:jb] + (b,) + mono[jb:]] = c
+    return (
+        descendents.derivation_terms(k, mono, surface),
+        t,
+        descendents._s_terms(k, mono, surface),
+        Fraction(factorial(k + 1), rank),
+    )
+
+
+def part(case, terms, num: int = 1, den: int = 1) -> Fraction:
+    """``num / den * sum c * integral(mono)`` over tuple-keyed ``{mono: c}``, per denominator.
+
+    The part sum that ``Case.operator_parts`` ran on :func:`operator_terms`:
+    the integrals ``(n, d)`` in lowest terms, ``c * n`` summed per ``d``,
+    zero integrals skipped, one ``Fraction`` at the end.
+    """
+    sums: dict[int, int] = {}
+    for mono, c in terms.items():
+        n, d = case._integral(case._packing.key(mono))
+        if n:
+            sums[d] = sums.get(d, 0) + c * n
+    common = lcm(*sums)
+    return Fraction(num * sum(n * (common // d) for d, n in sums.items()), den * common)
+
+
+def monomial(packing, key: int) -> tuple:
+    """The sorted monomial of a packed key (``descendents.Packing``)."""
+    return tuple(sym for sym, m in packing.factors(key) for _ in range(m))
+
+
+def integrals(case) -> dict:
+    """The case's memoized integrals under their sorted monomials, in memo order."""
+    return {monomial(case._packing, key): value for key, value in case._integrals.items()}
+
+
+def unpack(value: int, width: int, count: int) -> list[int]:
+    """The ``count`` signed ``width``-bit slots of a packed value, slot by slot.
+
+    The loop that ``exactalg.unpack`` replaced: each slot is read off the
+    bottom and the rest of the value shifted down; a value left after
+    ``count`` slots raises ``OverflowError``.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        c = value & mask
+        if c >= half:
+            c -= 1 << width
+        out.append(c)
+        value = (value - c) >> width
+    if value:
+        raise OverflowError(f"packed value carries past slot {count}")
+    return out
+
+
+def monomial_basis(surface, degree: int) -> list:
+    """The restricted monomials of a degree, as ``descendents.monomial_basis`` built them.
+
+    Every ordered choice of factors by nondecreasing degree, each sorted,
+    deduplicated by a set and sorted at the end.
+    """
+    if degree < 0:
+        return []
+    if degree == 0:
+        return [()]
+    out = []
+
+    def rec(remaining, min_deg, chosen, last):
+        if remaining == 0:
+            out.append(tuple(sorted(chosen)))
+            return
+        for d in range(min_deg, remaining + 1):
+            for sym in descendents.basis_symbols(surface, d):
+                if d == min_deg and last is not None and sym < last:
+                    continue
+                rec(remaining - d, d, chosen + (sym,), sym)
+
+    rec(degree, 1, (), None)
+    return sorted(set(out))
+
+
+def render_monomial(mono) -> str:
+    """``descendents.render_monomial`` as it was: a sort by ``(-index, name)``, then runs."""
+    if not mono:
+        return "1"
+    groups = []
+    for sym in sorted(mono, key=lambda s: (-s[0], s[1])):
+        if groups and groups[-1][0] == sym:
+            groups[-1] = (sym, groups[-1][1] + 1)
+        else:
+            groups.append((sym, 1))
+    parts = []
+    for (i, name), mult in groups:
+        base = f"ch_{i}({name})"
+        parts.append(base if mult == 1 else f"{base}^{mult}")
+    return "".join(parts)
 
 
 def dehomogenize(p: LaurentPoly, deg: int) -> list[Fraction]:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from toric_virasoro import descendents
 from toric_virasoro.descendents import (
+    MAX_COPIES,
     BracketMismatch,
     DescPoly,
+    Packing,
     T_element,
     T_terms,
     Tplus_element,
@@ -24,7 +26,6 @@ from toric_virasoro.descendents import (
     h_poly,
     monomial_basis,
     monomial_degree,
-    operator_terms,
     parse_monomial,
     render_monomial,
     render_poly,
@@ -196,7 +197,7 @@ class TestIntegerTerms:
         # product with T_element
         surface, mono = surface_mono
         D = DescPoly.monomial(mono)
-        r, t, s, scale = operator_terms(k, mono, surface, rank)
+        r, t, s, scale = oracles.operator_terms(k, mono, surface, rank)
         assert scale == Fraction(factorial(k + 1), rank)
         assert all(type(c) is int and c for part in (r, t, s) for c in part.values())
         assert r == oracles.apply_R(k, D, surface).terms
@@ -256,19 +257,23 @@ class TestIntegerTerms:
         zero = {zero_sym}
         if with_ch1:
             zero |= {(1, name) for name in (*surface.divisor_names, "p")}
-        asked = []
-
-        def is_zero(sym):
-            asked.append(sym)
-            return sym in zero
-
-        *parts, scale = operator_terms(k, mono, surface, rank)
-        *filtered, filtered_scale = operator_terms(k, mono, surface, rank, is_zero)
-        assert filtered_scale == scale
-        for part, kept in zip(parts, filtered):
+        packing = Packing(surface)
+        mask = sum(packing[sym] * 0xFF for sym in zero if sym[1] in names)
+        base = packing.key(mono)
+        p = (k + 1, "p")
+        packed = (
+            [(base + delta, c) for delta, c in packing.derivation(k, mono)],
+            [(base + pair, c) for pair, c in packing.pairs(k)],
+            [(base + packing[p] + delta, c) for delta, c in packing.derivation(-1, mono + (p,))],
+        )
+        *parts, scale = oracles.operator_terms(k, mono, surface, rank)
+        assert scale == Fraction(factorial(k + 1), rank)
+        for part, terms in zip(parts, packed):
+            kept = {oracles.monomial(packing, key): c for key, c in terms if not key & mask}
+            assert len(kept) == len([key for key, _c in terms if not key & mask])
             assert kept == {m: c for m, c in part.items() if not zero.intersection(m)}
-        # only symbols of unfiltered terms are asked about
-        assert set(asked) <= {sym for part in parts for m in part for sym in m}
+            # unfiltered, the packed terms are the oracle's
+            assert {oracles.monomial(packing, key): c for key, c in terms} == part
 
     def test_cancelled_hits_leave_no_term(self):
         # R_0 scales by the degree: ch_0(1) ch_4(1) has degree -2 + 2 = 0
@@ -288,6 +293,32 @@ class TestIntegerTerms:
             T_terms(-2, surface)
 
 
+class TestPacking:
+    def test_fields_ascend_as_sorted_symbols_and_decode_back(self):
+        packing = Packing(F0)
+        syms = sorted((i, name) for i in range(6) for name in ("1", "F", "Z", "p"))
+        units = [packing[sym] for sym in syms]
+        assert units == sorted(units) and units[0] == 1 and units[1] == 1 << 8
+        mono = parse_monomial("ch_5(Z)^3ch_2(F)ch_0(1)^2")
+        assert packing.key(mono[::-1]) == packing.key(mono)
+        assert oracles.monomial(packing, packing.key(mono)) == mono
+        assert packing.factors(packing.key(mono)) == [((0, "1"), 2), ((2, "F"), 1), ((5, "Z"), 3)]
+        with pytest.raises(ValueError):
+            packing[(-1, "p")]
+
+    def test_too_many_copies_of_one_symbol_raise_instead_of_carrying(self):
+        # 256 copies would carry into the next field, ch_2(H); so do 254,
+        # once an operator term adds two more copies of the symbol
+        packing = Packing(P2)
+        sym = (2, "1")
+        assert packing.key((sym,) * MAX_COPIES) == MAX_COPIES * packing[sym]
+        for copies in (MAX_COPIES + 1, 256):
+            with pytest.raises(OverflowError):
+                packing.key((sym,) * copies)
+        with pytest.raises(OverflowError):
+            packing.key(((3, "p"),) + (sym,) * 256)
+
+
 class TestBasisAndParsing:
     def test_p2_basis_counts(self):
         assert monomial_basis(P2, 0) == [()]
@@ -305,6 +336,16 @@ class TestBasisAndParsing:
         for text in ["ch_3(1)^2ch_2(H)", "ch_2(p)", "1", "ch_4(1)ch_2(H)^3"]:
             mono = parse_monomial(text)
             assert parse_monomial(render_monomial(mono)) == mono
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.name)
+    def test_basis_and_labels_are_the_oracle_ones(self, surface):
+        # the basis is built sorted, and a label sorts without a key function
+        for degree in range(-1, 11):
+            basis = monomial_basis(surface, degree)
+            assert basis == oracles.monomial_basis(surface, degree)
+            for mono in basis:
+                assert render_monomial(mono) == oracles.render_monomial(mono)
+                assert render_monomial(mono[::-1]) == oracles.render_monomial(mono[::-1])
 
     def test_parse_tex_flavour(self):
         assert parse_monomial(r"\ch_3(\mathbf{p})") == parse_monomial("ch_3(p)")

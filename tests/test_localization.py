@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from oracles import CommonDenominator, exact_div
 from toric_virasoro.descendents import (
     DescPoly,
+    basis_symbols,
     monomial_basis,
     monomial_degree,
-    operator_terms,
     parse_monomial,
 )
 from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
@@ -256,6 +256,50 @@ class TestOperatorRows:
         assert parts == _outcome(oracles.operator_parts, case, k, mono)
         if off == 0:
             assert sum(parts) == ZERO
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.sampled_from(["p2-r2-c2-3", "f0-FZ-c2-2-H2F5Z", "p2-r3-c2-2", "f1-Z-c2-1", "empty"]),
+        st.integers(-1, 4),
+        st.data(),
+    )
+    @example("p2-r2-c2-3", 0, "ch_3(1)^2ch_2(H)ch_0(p)")  # k = 0: R hits land on D's own key
+    @example("p2-r2-c2-3", 1, "ch_3(1)ch_1(H)")  # R_1 ch_1(H) = ch_2(H) does not vanish
+    @example("f0-FZ-c2-2-H2F5Z", -1, "ch_2(Z)ch_1(p)^2ch_2(1)")
+    @example("empty", 1, "ch_3(1)ch_2(H)")
+    def test_packed_operator_parts_are_the_tuple_oracle(self, case_of, case_id, k, data):
+        # a random monomial of the basis symbols, with the vanishing ch_1(D)
+        # and ch_1(p) and the constants ch_2(1) and ch_0(p) at multiplicity
+        # 0, 1 or 2: the packed parts on one fresh copy against the tuple
+        # terms of the oracle summed per denominator on another
+        if case_id == "empty":
+            _, base, _ = case_of("p2-r2-c2-2")
+            copy, oracle_copy = (Case(base.surface, 2, (-1,), 9, (1,), ()) for _ in range(2))
+        else:
+            _, base, _ = case_of(case_id)
+            copy, oracle_copy = fresh(base), fresh(base)
+        surface = copy.surface
+        factors = ["1", "p", *surface.divisor_names]
+        special = [(1, name) for name in factors[1:]] + [(2, "1"), (0, "p")]
+        if isinstance(data, str):
+            mono = parse_monomial(data)
+        else:
+            symbols = [sym for d in (1, 2, 3) for sym in basis_symbols(surface, d)]
+            mono = data.draw(st.lists(st.sampled_from(symbols), max_size=3))
+            for sym in special:
+                mono += [sym] * data.draw(st.integers(0, 2))
+        mono = tuple(sorted(mono))
+        *parts, scale = oracles.operator_terms(k, mono, surface, copy.rank)
+        want = _outcome(
+            lambda case: (
+                oracles.part(case, parts[0]),
+                oracles.part(case, parts[1]),
+                oracles.part(case, parts[2], scale.numerator, scale.denominator),
+            ),
+            oracle_copy,
+        )
+        assert _outcome(Case.operator_parts, copy, k, mono) == want
+        assert copy.certified_clearings == oracle_copy.certified_clearings
 
     def test_readme_example_values(self, case_of):
         _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
@@ -524,10 +568,20 @@ class TestIntegerKernel:
         assert case.certified_clearings == before
         assert oracle_integral(case, mono) == ZERO
 
+    def test_a_symbol_of_negative_index_integrates_to_zero(self, case_of):
+        # ch_{<0} = 0 has no field of a packed key; its monomials are 0
+        _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
+        copy = fresh(case)
+        mono = ((-1, "p"), (2, "F"), (2, "Z"))
+        assert integral(copy, mono) == ZERO == oracle_integral(copy, mono)
+        assert copy.integrate(DescPoly.monomial(mono) + DescPoly.monomial(((2, "F"),) * 3)) == Fraction(
+            27, 8
+        )
+
     def test_an_unsorted_monomial_is_stored_under_its_sorted_key(self, case_of):
-        # the memo is keyed by sorted monomials, as operator_terms yields them
-        # and as a DescPoly stores its keys: D written in any order finds,
-        # and fills, the one entry of the sorted key
+        # the memo is keyed by packed keys, which do not see the order of the
+        # factors, and a DescPoly stores its keys sorted: D written in any
+        # order finds, and fills, the one entry of the sorted key
         _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
         copy = Case(case.surface, case.rank, case.c1, case.c2, case.H, case.restrictions)
         copy._tangents = case.tangents()
@@ -536,7 +590,7 @@ class TestIntegerKernel:
         assert value == oracle_integral(copy, mono)
         assert integral(copy, mono) == value
         assert integral(copy, mono[::-1]) == value
-        assert list(copy._integrals) == [mono]
+        assert list(oracles.integrals(copy)) == [mono]
 
     @pytest.mark.parametrize("case_id", ["p2-r3-c2-2", "f0-FZ-c2-2-H2F5Z"])
     def test_basis_integrals_match_the_oracle(self, case_of, case_id):
@@ -556,7 +610,7 @@ def fresh(case):
 
 def kernel_integral(case, mono):
     """The kernel alone on the whole, unstripped monomial."""
-    return Fraction(*case._integrate(mono))
+    return Fraction(*case._integrate(case._packing.key(mono)))
 
 
 def degree_zero_symbols(surface):
@@ -586,8 +640,12 @@ class TestDegreeZeroFactors:
         assert outcome == _outcome(kernel_integral, fresh(case), mono)
         assert outcome == _outcome(oracle_integral, case, mono)
         if extra and all(stripped._constant(sym) for sym in extra):
-            # the constants leave as one factor; only the rest is cleared
-            assert set(stripped._integrals) == {mono, tuple(sorted(rest))}
+            # the constants leave as one factor; only the rest is cleared.  A
+            # monomial with a factor that vanishes everywhere (ch_3(1) on f0)
+            # integrates to 0 by the zero mask and is not kept
+            vanishes = stripped._packing.key(mono) & stripped._zero_mask
+            want = set() if vanishes else {mono, tuple(sorted(rest))}
+            assert set(oracles.integrals(stripped)) == want
 
     def test_every_sweep_integral_equals_the_kernel_on_the_whole_monomial(self, case_of):
         _, case, _ = case_of("p2-r2-c2-3")
@@ -596,12 +654,34 @@ class TestDegreeZeroFactors:
         # 2088 of the 3993 distinct monomials have a factor that vanishes at
         # every point; their terms are never built
         assert len(sweep._integrals) == 3993 - 2088
-        assert not any(sweep._vanishing[sym] for mono in sweep._integrals for sym in mono)
-        for mono, value in sweep._integrals.items():
+        assert not any(key & sweep._zero_mask for key in sweep._integrals)
+        for mono, value in oracles.integrals(sweep).items():
             assert kernel_integral(kernel, mono) == Fraction(*value), mono
         # the unstripped monomials take a clearing each that the stripped
         # sweep shares between the monomials with the same rest
         assert (sweep.certified_clearings, kernel.certified_clearings) == (322, 1610)
+
+    def test_the_sweep_work_counts(self, case_of):
+        # p2-r2-c2-3: 1905 distinct integrals, 381 of them reach the kernel,
+        # and 322 clearings; the kept prefix products cut the 1650 factor
+        # passes of one pass per factor copy to 608.  The sweep realizes the
+        # 27 symbols that some kept term or vanishing test needs, no more
+        _, case, _ = case_of("p2-r2-c2-3")
+        sweep = fresh(case)
+        verify_conjecture(sweep)
+        assert (len(sweep._integrals), sweep.kernel_calls, sweep.certified_clearings) == (
+            1905,
+            381,
+            322,
+        )
+        assert len(sweep._int_symbols) == 27
+        # the kernel ran on the integrals without a constant factor, one pass
+        # per copy each would be 1650 passes
+        kernel = [key for key in sweep._integrals if not key & sweep._constant_mask]
+        assert len(kernel) == 381
+        assert sum(len(oracles.monomial(sweep._packing, key)) for key in kernel) == 1650
+        assert sweep.factor_passes <= 608
+        assert len(sweep._prefixes) <= 4  # only the last few prefixes are kept
 
     @pytest.mark.parametrize("off", [-2, 5])
     def test_a_symbol_is_factored_only_where_it_is_one_constant(self, case_of, off):
@@ -620,7 +700,7 @@ class TestDegreeZeroFactors:
         assert value == -2 * Fraction(-45, 32) == oracle_integral(copy, mono)
         assert (copy._constant(sym) is None) == (off != -2)
         assert copy.certified_clearings == 1
-        assert set(copy._integrals) == ({mono} if off != -2 else {mono, rest})
+        assert set(oracles.integrals(copy)) == ({mono} if off != -2 else {mono, rest})
 
     def test_a_symbol_that_differs_between_points_is_refused_as_by_the_oracle(self, case_of):
         _, case, _ = case_of("p2-r2-c2-3")
@@ -737,30 +817,30 @@ class TestVanishingFactors:
     def test_no_bundled_sweep_builds_a_term_with_a_vanishing_factor(
         self, case_of, all_case_ids, is_built
     ):
-        # the filtered operator terms are the unfiltered ones less every term
-        # with a factor that vanishes at every point, and the parts are those
-        # of the unfiltered terms: each dropped integral is the kernel's 0,
-        # with no clearing.  The rank-4 case joins when already built
+        # the packed parts skip every term with a factor that vanishes at
+        # every point, and they equal the oracle's parts of the unfiltered
+        # tuple terms: each dropped integral is the kernel's 0, with no
+        # clearing.  The rank-4 case joins when already built
         dropped = 0
         for case_id in all_case_ids:
             if case_id == "p2-r4-c2-3" and not is_built(case_id):
                 continue
             _, case, _ = case_of(case_id)
             filtered, whole = fresh(case), fresh(case)
-            zero = filtered._vanishing
             for k in range(-1, case.vdim + 1):
                 for mono in monomial_basis(case.surface, case.vdim - k):
-                    *parts, scale = operator_terms(k, mono, case.surface, case.rank)
-                    *kept, _ = operator_terms(k, mono, case.surface, case.rank, zero.__getitem__)
-                    for part, part_kept in zip(parts, kept):
-                        nonzero = {m: c for m, c in part.items() if not any(zero[s] for s in m)}
-                        assert part_kept == nonzero, (case_id, k, mono)
-                        dropped += len(part) - len(nonzero)
+                    *parts, scale = oracles.operator_terms(k, mono, case.surface, case.rank)
                     r, t, s = parts
                     assert filtered.operator_parts(k, mono) == (
-                        whole._part(r),
-                        whole._part(t),
-                        whole._part(s, scale.numerator, scale.denominator),
+                        oracles.part(whole, r),
+                        oracles.part(whole, t),
+                        oracles.part(whole, s, scale.numerator, scale.denominator),
                     ), (case_id, k, mono)
+                    dropped += sum(
+                        not all(map(whole._supports.__getitem__, m)) for part in parts for m in part
+                    )
             assert filtered.certified_clearings == whole.certified_clearings, case_id
+            # the packed sweep memoizes exactly the integrals without a vanishing factor
+            kept = {key for key in whole._integrals if not key & whole._zero_mask}
+            assert set(filtered._integrals) == kept, case_id
         assert dropped >= 4405  # the p2-r2-c2-3 sweep alone drops 4405 terms
