@@ -389,18 +389,13 @@ def apply_T(k: int, D: DescPoly, surface: Surface) -> DescPoly:
 # ---------------------------------------------------------------------------
 
 
-def _s_terms(k: int, mono: Monomial, surface: Surface) -> dict[Monomial, int]:
-    """``R_{-1}(ch_{k+1}(p) * D)``: S_k D without its scale, for a sorted D."""
-    if k < -1:
-        raise ValueError("S_k is defined for k >= -1")
-    sym = (k + 1, "p")
-    j = bisect_right(mono, sym)
-    return derivation_terms(-1, mono[:j] + (sym,) + mono[j:], surface)
-
-
 def apply_S(k: int, D: DescPoly, surface: Surface, r: int) -> DescPoly:
     """S_k D = (k+1)!/r * R_{-1}(ch_{k+1}(p) * D)."""
-    return _extend(D, lambda mono: _s_terms(k, mono, surface)) * Fraction(factorial(k + 1), r)
+    if k < -1:
+        raise ValueError("S_k is defined for k >= -1")
+    p = (k + 1, "p")
+    terms = _extend(D, lambda mono: derivation_terms(-1, tuple(sorted((*mono, p))), surface))
+    return terms * Fraction(factorial(k + 1), r)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,8 @@ sums add.  There is no floating point anywhere.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -573,31 +571,25 @@ def pack(coeffs: Sequence[int], width: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _slots(width: int, count: int) -> tuple[int, int, struct.Struct | None]:
-    """``(h, h in every slot, a reader of 64-bit slots)`` for :func:`unpack`, ``h = 2^(width-1)``."""
-    if width % 64:
-        raise ValueError(f"slot width {width} is not a multiple of 64")
-    half = 1 << (width - 1)
-    offset = int.from_bytes(half.to_bytes(width // 8, "little") * count, "little")
-    return half, offset, struct.Struct(f"<{count}Q") if width == 64 else None
-
-
 def unpack(value: int, width: int, count: int) -> list[int]:
     """The ``count`` signed ``width``-bit slots of a packed polynomial.
 
-    Exact when every slot is below ``2^(width-1)`` in magnitude (the l1
-    bound in the module docstring ensures it).  Adding ``2^(width-1)`` to
-    every slot puts the value in ``[0, 2^(width * count))`` exactly when it
-    is ``count`` signed slots, and its bytes are the biased digits; a value
-    left over (the nominal degree was wrong) raises ``OverflowError``.
+    Exact when every coefficient is below ``2^(width-1)`` in absolute value
+    (the l1 bound in the module docstring ensures it).  A value left over
+    after ``count`` slots means the nominal degree was wrong; it raises
+    ``OverflowError``.
     """
-    half, offset, reader = _slots(width, count)
-    data = (value + offset).to_bytes(width // 8 * count, "little")
-    if reader:
-        return [w - half for w in reader.unpack(data)]
-    step = width // 8
-    return [int.from_bytes(data[j : j + step], "little") - half for j in range(0, len(data), step)]
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        c = value & mask
+        if c >= half:
+            c -= 1 << width
+        out.append(c)
+        value = (value - c) >> width
+    if value:
+        raise OverflowError(f"packed value carries past slot {count}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,12 @@ part.
   empty AND of the factors' support bitmasks gives 0 without a clearing.
 
 Integrals are memoized under packed exponent keys
-(:class:`~toric_virasoro.descendents.Packing`).  The first key that holds a
-symbol realizes it and marks its byte in a zero mask if it vanishes at
-every moduli point (normalized ``ch_1`` of a divisor or of ``p``: one AND
-skips a term) or in a constant mask if it is one nonzero degree-0 ``c / S``
-there (``ch_2(1)``, ``ch_0(p)``: one AND takes them out as integers).
+(:class:`~toric_virasoro.descendents.Packing`).  The first term that holds a
+symbol, skipped or not, realizes it and marks its byte in a zero mask if it
+vanishes at every moduli point (normalized ``ch_1`` of a divisor or of
+``p``: one AND skips a term) or in a constant mask if it is one nonzero
+degree-0 ``c / S`` there (``ch_2(1)``, ``ch_0(p)``: one AND takes them out
+as integers).
 ``verify_conjecture`` runs the full sweep: for every ``k`` in ``[-1,
 vdim]`` and every restricted monomial D of degree ``vdim - k``,
 ``operator_parts`` adds the packed operator rules to D's key, sums ``c *
@@ -171,14 +172,6 @@ def tangent_representation(
     return tangent
 
 
-def euler_class(tangent: Character) -> LaurentPoly:
-    """Product of the weight linear forms, with multiplicities."""
-    out = LaurentPoly.one()
-    for w, c in tangent.items():
-        out = out * linform(w) ** c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
@@ -216,7 +209,7 @@ class Case:
         self._constant_factors = _Memo(self._constant_factor)
         self._packs: dict[tuple, tuple[int, ...]] = {}
         self._prefixes: dict[tuple[int, int], list[int]] = {}  # (prefix key, width) -> products
-        self._integrals: dict[int, tuple[int, int]] = {}  # packed key -> (n, d)
+        self._integrals = _Memo(self._integrate)  # admitted packed key -> (n, d), see _sum
         self.certified_clearings = self.kernel_calls = self.factor_passes = 0
 
     # -- enumeration-facing -------------------------------------------------
@@ -232,10 +225,6 @@ class Case:
                 for rows in self.restrictions
             ]
         return self._tangents
-
-    def euler_classes(self) -> list[LaurentPoly]:
-        """The tangent Euler classes, one per fixed point: the tangent data in readable form."""
-        return [euler_class(t) for t in self.tangents()]
 
     # -- the common denominator of moduli integrals ------------------------
 
@@ -399,16 +388,15 @@ class Case:
     def _admit(self, key: int) -> None:
         """Realize the key's new symbols, marking their fields in the zero or the constant mask.
 
-        It stops at a symbol that vanishes at every point: the key integrates
-        to 0, and the symbols after it wait for a key that needs them.
+        Every symbol of every term is realized once, so its surface clearing
+        (the consistency check) runs even when the term is skipped.
         """
         for sym, _m in self._packing.factors(key & ~self._admitted):
             field = self._packing[sym] * 0xFF
             self._admitted |= field
             if not self._supports[sym]:
                 self._zero_mask |= field
-                return
-            if self._constants[sym]:
+            elif self._constants[sym]:
                 self._constant_mask |= field
 
     def _constant_factor(self, key: int) -> tuple[int, int]:
@@ -420,39 +408,14 @@ class Case:
             den *= scale**m
         return num, den
 
-    def _integral(self, key: int) -> tuple[int, int]:
-        """The integral of a packed monomial as ``(n, d)`` in lowest terms, ``d > 0``, memoized.
+    def _integrate(self, key: int) -> tuple[int, int]:
+        """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin, as ``(n, d)``.
 
-        A key with a factor that vanishes at every point is the kernel's
-        empty-mask 0 and is not kept; an empty locus integrates all to 0.
-        """
-        integrals = self._integrals
-        if key not in integrals:
-            if key & ~self._admitted:
-                self._admit(key)
-            if key & self._zero_mask:
-                return _ZERO
-            integrals[key] = self._stripped(key) if self.n_points else _ZERO
-        return integrals[key]
-
-    def _stripped(self, key: int) -> tuple[int, int]:
-        """The integral of a packed monomial, its constant degree-0 factors taken out.
-
-        Its symbols that are one nonzero ``c / S`` at every point
+        The key's symbols that are one nonzero ``c / S`` at every point
         (:meth:`_constant`) leave by one AND with the constant mask, and only
         the rest is integrated, memoized under its own key.  This is exact:
         the cleared numerator of ``m = c * m'`` is ``c * N(m')``, ``c != 0``,
         so ``m'`` clears if and only if ``m`` does, with ``1/c`` of its value.
-        """
-        constant = key & self._constant_mask
-        if not constant:
-            return self._integrate(key)
-        num, den = self._constant_factors[constant]
-        n, d = self._integral(key ^ constant)
-        return _ratio(num * n, den * d)
-
-    def _integrate(self, key: int) -> tuple[int, int]:
-        """``sum_q prod(mono)_q / e_q``, certified to clear, evaluated at the origin, as ``(n, d)``.
 
         The cleared numerator ``N = sum_q cofactor_q * prod_i v_iq`` is one
         bigint sum of packed products, its slot width set by the l1 bound
@@ -470,6 +433,11 @@ class Case:
         below ``2^(W-1)``, so they are equal, and the value is ``m / (L *
         S)``, S the symbols' scales.  Below and above it ``certify`` runs.
         """
+        constant = key & self._constant_mask
+        if constant:
+            num, den = self._constant_factors[constant]
+            n, d = self._integrals[key ^ constant]
+            return _ratio(num * n, den * d)
         factors = self._packing.factors(key)
         support = (1 << self.n_points) - 1  # no cofactor vanishes: it is a product of forms
         for sym, _m in factors:
@@ -530,17 +498,22 @@ class Case:
     def _sum(self, base: int, terms, num: int = 1, den: int = 1) -> Fraction:
         """``num / den * sum c * integral(base + delta)`` over the terms ``(delta, c)``.
 
-        A term with a factor in the zero mask is skipped; ``c * n`` is summed
-        per denominator ``d`` over the nonzero integrals ``(n, d)`` and the
-        sums meet in one ``Fraction``.
+        A term's new symbols are admitted (:meth:`_admit`) and a term with a
+        factor in the zero mask is skipped: its integral is the kernel's
+        exact 0, with no clearing, and is not kept.  ``c * n`` is summed per
+        denominator ``d`` over the nonzero integrals ``(n, d)`` and the sums
+        meet in one ``Fraction``.
         """
-        integrals, zero = self._integrals, self._zero_mask
+        integrals, new, zero = self._integrals, ~self._admitted, self._zero_mask
         sums: dict[int, int] = {}
         for delta, c in terms:
             key = base + delta
+            if key & new:
+                self._admit(key)
+                new, zero = ~self._admitted, self._zero_mask
             if key & zero:
                 continue
-            n, d = integrals.get(key) or self._integral(key)
+            n, d = integrals[key]
             if n:
                 sums[d] = sums.get(d, 0) + c * n
         if not sums:

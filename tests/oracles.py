@@ -28,8 +28,7 @@ sums it over the ``DescPoly`` operators, the reference for
 tuple-keyed terms and the per-denominator part sum that the sweep ran
 before it moved to packed exponent keys (``descendents.Packing``);
 :func:`integrals` reads a case's int-keyed integral memo back under sorted
-monomials (:func:`monomial` decodes one key).  :func:`unpack` is the slot-by-slot decoding that
-``exactalg.unpack`` replaced, and :func:`monomial_basis` and
+monomials (:func:`monomial` decodes one key).  :func:`monomial_basis` and
 :func:`render_monomial` are the basis (a set, then a sort) and the label
 (a keyed sort) as the package built them before.
 
@@ -102,6 +101,8 @@ coefficient), :func:`shift` multiplies one by a monomial, and
 package computed it before its rows became integer characters.
 :func:`T_element` is the T element summed as a ``DescPoly``, the reference
 for ``descendents.T_terms``, which sums it over the integers.
+:func:`euler_classes` is the tangent data of a case as products of weight
+forms, read only by the tests.
 """
 
 from __future__ import annotations
@@ -574,7 +575,7 @@ def operator_terms(k: int, mono, surface, rank: int):
     return (
         descendents.derivation_terms(k, mono, surface),
         t,
-        descendents._s_terms(k, mono, surface),
+        descendents.derivation_terms(-1, tuple(sorted((*mono, (k + 1, "p")))), surface),
         Fraction(factorial(k + 1), rank),
     )
 
@@ -584,11 +585,14 @@ def part(case, terms, num: int = 1, den: int = 1) -> Fraction:
 
     The part sum that ``Case.operator_parts`` ran on :func:`operator_terms`:
     the integrals ``(n, d)`` in lowest terms, ``c * n`` summed per ``d``,
-    zero integrals skipped, one ``Fraction`` at the end.
+    zero integrals skipped, one ``Fraction`` at the end.  Every term is
+    integrated, one with a vanishing factor too (to the kernel's 0, kept).
     """
     sums: dict[int, int] = {}
     for mono, c in terms.items():
-        n, d = case._integral(case._packing.key(mono))
+        key = case._packing.key(mono)
+        case._admit(key)
+        n, d = case._integrals[key]
         if n:
             sums[d] = sums.get(d, 0) + c * n
     common = lcm(*sums)
@@ -603,26 +607,6 @@ def monomial(packing, key: int) -> tuple:
 def integrals(case) -> dict:
     """The case's memoized integrals under their sorted monomials, in memo order."""
     return {monomial(case._packing, key): value for key, value in case._integrals.items()}
-
-
-def unpack(value: int, width: int, count: int) -> list[int]:
-    """The ``count`` signed ``width``-bit slots of a packed value, slot by slot.
-
-    The loop that ``exactalg.unpack`` replaced: each slot is read off the
-    bottom and the rest of the value shifted down; a value left after
-    ``count`` slots raises ``OverflowError``.
-    """
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        c = value & mask
-        if c >= half:
-            c -= 1 << width
-        out.append(c)
-        value = (value - c) >> width
-    if value:
-        raise OverflowError(f"packed value carries past slot {count}")
-    return out
 
 
 def monomial_basis(surface, degree: int) -> list:
@@ -809,6 +793,21 @@ def chern_series(case, q: int, p: int, cap: int) -> LaurentPoly:
     for (a, b), c in poly:
         series = series + truncated_exp_rat(Fraction(a) - A / r, Fraction(b) - B / r, cap) * (-c)
     return series
+
+
+def euler_classes(case) -> list[LaurentPoly]:
+    """The tangent Euler classes of a case, one per fixed point: products of weight forms.
+
+    The readable tangent data that ``Case.euler_classes`` gave before it left
+    the package; the package clears by ``Case.tangent_denominator``.
+    """
+    out = []
+    for tangent in case.tangents():
+        value = LaurentPoly.one()
+        for w, c in tangent.items():
+            value = value * linform(w) ** c
+        out.append(value)
+    return out
 
 
 def realize_symbol(case, i: int, name: str) -> tuple[LaurentPoly, ...]:

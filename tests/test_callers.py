@@ -10,7 +10,6 @@ ROOT = PACKAGE.parents[1]
 
 # definitions kept without a caller in the program, each with its reason
 ALLOWED = {
-    "Case.euler_classes": "readable tangent data for the tests",
     "Case.twisted": "the twist invariance that the tests check",
     "Case.drop_point": "the broken case whose certificate the tests refuse",
 }

@@ -644,14 +644,6 @@ class TestBinomialDenominator:
         assert (got if got == "NotDivisible" else LaurentPoly(got)) == want
 
 
-def _outcome_of(decode, value, width, count):
-    """The slots ``decode`` reads, or the name of the exception it raises."""
-    try:
-        return decode(value, width, count)
-    except OverflowError:
-        return "OverflowError"
-
-
 class TestKroneckerPacking:
     @settings(deadline=None)
     @given(st.sampled_from([64, 128, 192]), st.data())
@@ -670,28 +662,6 @@ class TestKroneckerPacking:
             for j, b in enumerate(g):
                 prod[i + j] += a * b
         assert unpack(pack(f, width) * pack(g, width), width, len(prod)) == prod
-
-    @settings(deadline=None, max_examples=300)
-    @given(st.sampled_from([64, 128, 192]), st.integers(0, 8), st.data())
-    @example(64, 1, None)
-    def test_unpack_decodes_as_the_slot_loop(self, width, count, data):
-        # any value, at or near the slot limits: negative slots, borrows
-        # between slots, and values that carry past the last slot (refused)
-        top = 1 << (width - 1)
-        slot = st.sampled_from([top - 1, -top, top, -top - 1, 0, -1]) | st.integers(-top, top - 1)
-        if data is None:
-            value = 1 << 63  # one slot past its top
-        else:
-            coeffs = data.draw(st.lists(slot, max_size=count + 1))
-            value = pack(coeffs, width)
-        want = _outcome_of(oracles.unpack, value, width, count)
-        assert _outcome_of(unpack, value, width, count) == want
-        if data is None:
-            assert want == "OverflowError"
-
-    def test_unpack_refuses_a_width_that_is_no_multiple_of_64(self):
-        with pytest.raises(ValueError):
-            unpack(5, 32, 1)
 
     def test_carry_past_the_last_slot_is_refused(self):
         with pytest.raises(OverflowError):

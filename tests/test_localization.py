@@ -23,6 +23,7 @@ from toric_virasoro.klyachko import Flag, NonIsolated, Subspace, bundle_from_fla
 from toric_virasoro.localization import (
     Case,
     TrivialWeight,
+    _Memo,
     sheaf_euler_pairing,
     tangent_representation,
     verify_conjecture,
@@ -61,7 +62,7 @@ class TestTangentsAndEuler:
         ]
         assert case.vdim == 3
         assert [LaurentPoly(t) for t in case.tangents()] == [parse_laurent(t) for t, _ in expected]
-        assert case.euler_classes() == [parse_laurent(e) for _, e in expected]
+        assert oracles.euler_classes(case) == [parse_laurent(e) for _, e in expected]
 
     def test_euler_pairing_matches_the_oracle(self, case_of, all_case_ids, is_built):
         # chi(E, E) by integer running sums along the chart characters equals
@@ -114,7 +115,7 @@ class TestTangentsAndEuler:
         rows = (({(0, 0): 2},) * 3,)
         broken = Case(p2, 2, (0,), 0, (1,), rows)
         with pytest.raises(TrivialWeight):
-            broken.euler_classes()
+            oracles.euler_classes(broken)
 
     def test_a_positive_trivial_multiplicity_is_not_isolated(self):
         # one fixed point of f1, c1 = F, c2 = 2, H = 4F + 3Z (the locus the
@@ -517,7 +518,7 @@ class TestIntegerKernel:
         _, case, _ = case_of("p2-r2-c2-3")
         sym, form = (case.vdim + 1, "p"), linform((3, -1))
         R = parse_laurent("-s^2 - 2*s*t + t^2")
-        euler = case.euler_classes()
+        euler = oracles.euler_classes(case)
         rests = {q: exact_div(euler[q], form) for q in (18, 31)}
         content = gcd(*(c.numerator for _key, c in rests[18]))
         values = [LaurentPoly.zero()] * case.n_points
@@ -609,7 +610,8 @@ def fresh(case):
 
 
 def kernel_integral(case, mono):
-    """The kernel alone on the whole, unstripped monomial."""
+    """The kernel alone on the whole monomial: a case that admitted no symbol strips none."""
+    assert not case._constant_mask
     return Fraction(*case._integrate(case._packing.key(mono)))
 
 
@@ -665,7 +667,7 @@ class TestDegreeZeroFactors:
         # p2-r2-c2-3: 1905 distinct integrals, 381 of them reach the kernel,
         # and 322 clearings; the kept prefix products cut the 1650 factor
         # passes of one pass per factor copy to 608.  The sweep realizes the
-        # 27 symbols that some kept term or vanishing test needs, no more
+        # 27 symbols of its terms, skipped ones too, no more
         _, case, _ = case_of("p2-r2-c2-3")
         sweep = fresh(case)
         verify_conjecture(sweep)
@@ -813,20 +815,74 @@ class TestIntegerRealization:
         assert checked >= 360
 
 
+# the symbols each bundled sweep realized when it ran on tuple terms
+REALIZED_SYMBOLS = {
+    "f0-F-c2-1": 8,
+    "f0-F-c2-2-H2F7Z": 24,
+    "f0-F-c2-2-H3F5Z": 24,
+    "f0-FZ-c2-2-H2F5Z": 16,
+    "f0-FZ-c2-2-H5F2Z": 16,
+    "f1-F-c2-1": 8,
+    "f1-FZ-c2-1": 4,
+    "f1-Z-c2-1": 12,
+    "f2-F-c2-1": 8,
+    "f2-FZ-c2-1": 8,
+    "f2-Z-c2-1": 16,
+    "p2-r2-c2-1": 3,
+    "p2-r2-c2-2": 15,
+    "p2-r2-c2-3": 27,
+    "p2-r3-c2-2": 9,
+    "p2-r4-c2-3": 21,
+}
+
+
+class _Lookups(_Memo):
+    """An integral memo that counts the terms ``Case._sum`` looks up (every one it does not skip).
+
+    A lookup made while an integral is computed (a monomial less its
+    constant factors) is not a term and is not counted.
+    """
+
+    gets = depth = 0
+
+    def __getitem__(self, key):
+        self.gets += not self.depth
+        return super().__getitem__(key)
+
+    def __missing__(self, key):
+        self.depth += 1
+        try:
+            return super().__missing__(key)
+        finally:
+            self.depth -= 1
+
+
 class TestVanishingFactors:
+    def test_a_skipped_term_still_realizes_every_symbol(self, case_of):
+        # ch_1(H) vanishes at every point and sorts before ch_3(1): the
+        # term is skipped, but both symbols run their surface clearing
+        _, case, _ = case_of("p2-r2-c2-3")
+        copy = fresh(case)
+        assert integral(copy, parse_monomial("ch_3(1)ch_1(H)")) == 0
+        assert set(copy._int_symbols) == {(1, "H"), (3, "1")}
+        assert not copy._integrals and copy.certified_clearings == 0
+
     def test_no_bundled_sweep_builds_a_term_with_a_vanishing_factor(
         self, case_of, all_case_ids, is_built
     ):
-        # the packed parts skip every term with a factor that vanishes at
-        # every point, and they equal the oracle's parts of the unfiltered
-        # tuple terms: each dropped integral is the kernel's 0, with no
-        # clearing.  The rank-4 case joins when already built
+        # the packed parts skip exactly the terms with a factor that
+        # vanishes at every point, and they equal the oracle's parts of the
+        # unfiltered tuple terms: each skipped integral is the kernel's 0,
+        # with no clearing.  Every symbol of every term is still realized.
+        # The rank-4 case joins when already built
         dropped = 0
         for case_id in all_case_ids:
             if case_id == "p2-r4-c2-3" and not is_built(case_id):
                 continue
             _, case, _ = case_of(case_id)
             filtered, whole = fresh(case), fresh(case)
+            filtered._integrals = lookups = _Lookups(filtered._integrate)
+            terms, skipped, symbols = 0, 0, set()
             for k in range(-1, case.vdim + 1):
                 for mono in monomial_basis(case.surface, case.vdim - k):
                     *parts, scale = oracles.operator_terms(k, mono, case.surface, case.rank)
@@ -836,11 +892,17 @@ class TestVanishingFactors:
                         oracles.part(whole, t),
                         oracles.part(whole, s, scale.numerator, scale.denominator),
                     ), (case_id, k, mono)
-                    dropped += sum(
-                        not all(map(whole._supports.__getitem__, m)) for part in parts for m in part
-                    )
+                    for m in (m for part in parts for m in part):
+                        terms += 1
+                        skipped += not all(map(whole._supports.__getitem__, m))
+                        symbols.update(m)
+            assert terms - lookups.gets == skipped, case_id
             assert filtered.certified_clearings == whole.certified_clearings, case_id
-            # the packed sweep memoizes exactly the integrals without a vanishing factor
+            # the oracle kept the vanishing integrals; the packed sweep kept the rest
             kept = {key for key in whole._integrals if not key & whole._zero_mask}
+            assert len(kept) < len(whole._integrals) or not skipped, case_id
             assert set(filtered._integrals) == kept, case_id
+            assert set(filtered._int_symbols) == symbols, case_id
+            assert len(symbols) == REALIZED_SYMBOLS[case_id], case_id
+            dropped += skipped
         assert dropped >= 4405  # the p2-r2-c2-3 sweep alone drops 4405 terms
