@@ -1,7 +1,7 @@
 """Exact verification of Virasoro constraints on moduli of stable sheaves.
 
-Everything here is exact: integers, ``fractions.Fraction`` and Laurent
-polynomials over them, with the fixed-point sums over the integers at
+Everything here is exact: integers and ``fractions.Fraction``, with the
+charts as integer characters and the fixed-point sums over the integers at
 ``s = 1``; no floating point is used anywhere.  The package
 
 * enumerates torus-fixed points of moduli spaces of slope-stable rank 2/3/4
@@ -12,10 +12,10 @@ polynomials over them, with the fixed-point sums over the integers at
 
 Subpackage map:
 
-``exactalg``      integer characters, integer forms at s = 1, the common
-                  denominators of fixed-point sums (linear forms over the
-                  integers, binomials 1 - chi^w by running sums), and sparse
-                  Laurent polynomials as the parsed and readable view
+``exactalg``      integer characters (parsed from and rendered to text),
+                  integer forms at s = 1, and the common denominators of
+                  fixed-point sums (linear forms over the integers,
+                  binomials 1 - chi^w by running sums)
 ``surfaces``      toric surface data (fans, fixed points, tangent and
                   divisor weights, intersection theory)
 ``klyachko``      flagged filtration data for equivariant sheaves and their
@@ -37,7 +37,7 @@ from .enumeration import (
     hirzebruch_ch2_check,
     wall_slopes,
 )
-from .exactalg import LaurentPoly, NotDivisible, Rat, parse_laurent
+from .exactalg import NotDivisible, Rat, parse_character
 from .golden import list_cases, load_case, verify_case
 from .localization import Case, make_case, verify_conjecture
 from .surfaces import Surface, surface_by_name
@@ -53,10 +53,9 @@ __all__ = [
     "fixed_locus_cached",
     "hirzebruch_ch2_check",
     "wall_slopes",
-    "LaurentPoly",
     "NotDivisible",
     "Rat",
-    "parse_laurent",
+    "parse_character",
     "list_cases",
     "load_case",
     "verify_case",

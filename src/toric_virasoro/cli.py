@@ -51,7 +51,7 @@ from .enumeration import (
     polarization_gcd,
     wall_slopes,
 )
-from .exactalg import LaurentPoly, NotDivisible
+from .exactalg import NotDivisible, render_character
 from .golden import canonical_row_key
 from .klyachko import NonIsolated, SlopeTie
 from .localization import TrivialWeight, make_case, verify_conjecture
@@ -257,9 +257,10 @@ def _resolve_jobs(args) -> int:
 # enumerate
 
 
-def _sorted_rows(case) -> list[list[LaurentPoly]]:
-    """The case's restriction rows in key order, as readable Laurent polynomials."""
-    return [list(map(LaurentPoly, row)) for row in sorted(case.restrictions, key=canonical_row_key)]
+def _sorted_rows(case, tex: bool) -> list[list[str]]:
+    """The case's restriction rows in key order, each chart rendered (:func:`render_character`)."""
+    rows = sorted(case.restrictions, key=canonical_row_key)
+    return [[render_character(chart, tex) for chart in row] for row in rows]
 
 
 def _chart_headers(surface) -> list[str]:
@@ -273,7 +274,7 @@ def cmd_enumerate(args) -> int:
     for H in cfg.polarizations():
         case = make_case(cfg.surface, cfg.rank, cfg.delta, cfg.c2, H)
         case.tangents()  # certifies isolation: NonIsolated exits 2
-        rows = _sorted_rows(case)
+        rows = _sorted_rows(case, cfg.fmt == "markdown")
         sections.append((H, case, rows))
     if cfg.fmt == "json":
         payload = [
@@ -281,7 +282,7 @@ def cmd_enumerate(args) -> int:
                 "case": cfg.label(H),
                 "dim": case.vdim,
                 "fixed_points": len(rows),
-                "rows": [[chart.render() for chart in row] for row in rows],
+                "rows": rows,
             }
             for H, case, rows in sections
         ]
@@ -294,17 +295,17 @@ def cmd_enumerate(args) -> int:
             print("| " + " | ".join(f"$F\\vert_{{X_{q+1}}}$" for q in range(len(headers))) + " |")
             print("|" + "---|" * len(headers))
             for row in rows:
-                print("| " + " | ".join(f"${chart.render_tex()}$" for chart in row) + " |")
+                print("| " + " | ".join(f"${chart}$" for chart in row) + " |")
         else:
             widths = [
-                max([len(h)] + [len(row[i].render()) for row in rows])
+                max([len(h)] + [len(row[i]) for row in rows])
                 for i, h in enumerate(headers)
             ]
             print("  " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)))
             for row in rows:
                 print(
                     "  "
-                    + " | ".join(row[i].render().ljust(widths[i]) for i in range(len(headers)))
+                    + " | ".join(row[i].ljust(widths[i]) for i in range(len(headers)))
                 )
         print()
     return EXIT_PASS
@@ -549,8 +550,7 @@ def cmd_dump_golden(args) -> int:
         print(f"  note: {note}")
     print("fixed sheaves:")
     for row in gold.k_rows:
-        charts = map(LaurentPoly, row.charts)
-        rendered = " | ".join(chart.render_tex() if tex else chart.render() for chart in charts)
+        rendered = " | ".join(render_character(chart, tex) for chart in row.charts)
         flag = "  [sign slip]" if row.sign_corrupt else ""
         print(f"  {rendered}{flag}")
     if gold.integrals:

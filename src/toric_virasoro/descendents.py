@@ -58,7 +58,6 @@ Symbol = tuple[int, str]
 Monomial = tuple[Symbol, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NegativeDegreeInput(ValueError):
@@ -84,10 +83,6 @@ class DescPoly:
     @staticmethod
     def zero() -> "DescPoly":
         return DescPoly()
-
-    @staticmethod
-    def one() -> "DescPoly":
-        return DescPoly({(): _ONE})
 
     @staticmethod
     def const(c) -> "DescPoly":

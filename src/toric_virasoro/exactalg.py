@@ -1,11 +1,10 @@
-"""Exact arithmetic in two variables ``s, t``: Laurent polynomials and integer forms.
+"""Exact arithmetic in two variables ``s, t``: integer characters and integer forms.
 
 * **K-theory characters** are integer exponent dicts (:data:`Character`),
   ``{(a, b): c}`` meaning ``sum c * s^a * t^b``; the exponents are torus
   weights, e.g. ``s + s*t^-1``.  The chart restrictions are such dicts.
-  :class:`LaurentPoly` values, sparse mappings ``(a, b) -> Fraction``, are
-  the parsed and readable view (:func:`parse_laurent`, ``render``) and
-  the ring of the cohomological views (``linform``, :func:`homogenize`).
+  :func:`parse_character` reads one from its text, e.g. a recorded chart,
+  and :func:`render_character` writes it back, plain or in TeX.
 * **Cohomology classes** are homogeneous polynomials in the degree-1
   generators ``s, t`` of a fixed-point chart, kept at ``s = 1`` as integer
   coefficient lists: ``f[j]`` belongs to ``s^(d-j) t^j`` in degree ``d``.
@@ -54,18 +53,16 @@ sums add.  There is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 Rat = Fraction
 # an integer character sum c * chi^(a, b), as {(a, b): c}
 Character = dict[tuple[int, int], int]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NotDivisible(ArithmeticError):
@@ -85,258 +82,71 @@ def _as_rat(c) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in s, t with Fraction coefficients.
+_SPLIT = re.compile(r"(?<=[^-+*/^])(?=[-+])")  # before a sign that starts a term
+_TERM = re.compile(r"([-+]*)(?:(\d+)(?:/(\d+))?)?\*?((?:[st](?:\^-?\d+)?\*?)*)")
+_FACTOR = re.compile(r"([st])(?:\^(-?\d+))?")
 
-    Immutable by convention: all operations return new instances and never
-    mutate ``self.coeffs``.  Zero coefficients are never stored.
+
+def parse_character(text: str) -> Character:
+    """The integer character written in the :func:`render_character` format.
+
+    Terms such as ``-3*s^2*t^-1`` may leave out the ``*`` and put ``s`` and
+    ``t`` in either order; like terms are summed, and ``"0"`` is the empty
+    character.  A coefficient that is no integer, or a term that is not of
+    this form, raises ``ValueError``.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
-        d: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (a, b), c in coeffs.items():
-                c = _as_rat(c)
-                if c:
-                    d[(int(a), int(b))] = c
-        self.coeffs = d
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({(0, 0): ONE})
-
-    @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({(0, 0): _as_rat(c)})
-
-    @staticmethod
-    def monomial(a: int, b: int, c=1) -> "LaurentPoly":
-        return LaurentPoly({(a, b): _as_rat(c)})
-
-    # -- basic protocol -----------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self.coeffs.items())
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        d = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            nc = d.get(k, ZERO) + c
-            if nc:
-                d[k] = nc
-            else:
-                d.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
+    body = text.replace(" ", "")
+    out: Character = {}
+    if body in ("", "0"):
         return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_rat(other)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = {} if not c else {k: v * c for k, v in self.coeffs.items()}
-            return out
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        d: dict[tuple[int, int], Fraction] = {}
-        for (x1, y1), c1 in a.items():
-            for (x2, y2), c2 in b.items():
-                k = (x1 + x2, y1 + y2)
-                nc = d.get(k, ZERO) + c1 * c2
-                if nc:
-                    d[k] = nc
-                else:
-                    d.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            if len(self.coeffs) != 1:
-                raise ValueError("negative powers only for single monomials")
-            ((a, b), c), = self.coeffs.items()
-            return LaurentPoly.monomial(a * n, b * n, ONE / c ** (-n))
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    # -- rendering ------------------------------------------------------
-
-    def render(self) -> str:
-        """Human/goldenfile form, e.g. ``-s^2*t + 2*s*t^-1 + 1``.
-
-        Monomials are ordered by complex degree descending, then lexicographic
-        descending on (a, b), which matches the bundled reference tables.
-        """
-        return self._render("{}^{}", "*")
-
-    def render_tex(self) -> str:
-        """TeX form of :meth:`render`, e.g. ``-s^{2}t + 2st^{-1} + 1``."""
-        return self._render("{}^{{{}}}", "")
-
-    def _render(self, power: str, times: str) -> str:
-        if not self.coeffs:
-            return "0"
-        keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k), reverse=True)
-        parts: list[str] = []
-        for a, b in keys:
-            c = self.coeffs[(a, b)]
-            vars_ = [
-                var if e == 1 else power.format(var, e) for var, e in (("s", a), ("t", b)) if e
-            ]
-            body = times.join(vars_)
-            if not body:
-                mag = str(abs(c))
-            elif abs(c) == 1:
-                mag = body
-            else:
-                mag = f"{abs(c)}{times}{body}"
-            if not parts:
-                parts.append(mag if c > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.render()})"
+    for term in _SPLIT.split(body):
+        match = _TERM.fullmatch(term)
+        if not match or not (match[2] or match[4]):
+            raise ValueError(f"cannot parse monomial {term.lstrip('+-')!r} in {text!r}")
+        coeff, rest = divmod(int(match[2] or 1), int(match[3] or 1))
+        if rest:
+            raise ValueError(f"the chart {text!r} has a non-integral coefficient")
+        exps = {"s": 0, "t": 0}
+        for var, exp in _FACTOR.findall(match[4]):
+            exps[var] += int(exp or 1)
+        key = (exps["s"], exps["t"])
+        out[key] = out.get(key, 0) + (-1) ** match[1].count("-") * coeff
+    return {key: c for key, c in out.items() if c}
 
 
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the ``render`` format (and minor variants) back into a polynomial.
+def render_character(chart: Character, tex: bool = False) -> str:
+    """The readable form of an integer character, e.g. ``-s^2*t + 2*s*t^-1 + 1``.
 
-    Accepts optional ``*`` between factors, ``s^-2`` style exponents, and
-    rational coefficients like ``3/2``.
+    Terms run by total degree descending, then by ``(a, b)`` descending,
+    which matches the bundled reference tables; zero terms are left out and
+    the empty character is ``"0"``.  ``tex`` gives the TeX form, e.g.
+    ``-s^{2}t + 2st^{-1} + 1``.
     """
-    s = text.replace(" ", "")
-    if not s or s == "0":
-        return LaurentPoly.zero()
-    # split into signed terms
-    terms: list[str] = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and cur and cur[-1] not in "^+-*/":
-            terms.append(cur)
-            cur = ch
+    power, times = ("{}^{{{}}}", "") if tex else ("{}^{}", "*")
+    parts: list[str] = []
+    for a, b in sorted(chart, key=lambda k: (k[0] + k[1], k), reverse=True):
+        c = chart[(a, b)]
+        if not c:
+            continue
+        body = times.join(
+            var if e == 1 else power.format(var, e) for var, e in (("s", a), ("t", b)) if e
+        )
+        if not body:
+            mag = str(abs(c))
+        elif abs(c) == 1:
+            mag = body
         else:
-            cur += ch
-    terms.append(cur)
-    out = LaurentPoly.zero()
-    for term in terms:
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        coeff = Fraction(sign)
-        a = b = 0
-        i = 0
-        n = len(term)
-        num = ""
-        while i < n and (term[i].isdigit() or term[i] == "/"):
-            num += term[i]
-            i += 1
-        if num:
-            coeff *= Fraction(num)
-        while i < n:
-            ch = term[i]
-            if ch == "*":
-                i += 1
-                continue
-            if ch not in "st":
-                raise ValueError(f"cannot parse monomial {term!r} in {text!r}")
-            i += 1
-            exp = 1
-            if i < n and term[i] == "^":
-                i += 1
-                j = i
-                if i < n and term[i] == "-":
-                    j += 1
-                while j < n and term[j].isdigit():
-                    j += 1
-                exp = int(term[i:j])
-                i = j
-            if ch == "s":
-                a += exp
-            else:
-                b += exp
-        out = out + LaurentPoly.monomial(a, b, coeff)
-    return out
+            mag = f"{abs(c)}{times}{body}"
+        if parts:
+            parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
+        else:
+            parts.append(mag if c > 0 else f"-{mag}")
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
 # homogeneous polynomials over the integers, Kronecker-packed
 # ---------------------------------------------------------------------------
-
-
-def linform(v: tuple[int, int]) -> LaurentPoly:
-    """The degree-1 cohomology class a*s + b*t."""
-    return LaurentPoly({(1, 0): Fraction(v[0]), (0, 1): Fraction(v[1])})
-
-
-def homogenize(coeffs: Iterable[int], deg: int, scale: int) -> LaurentPoly:
-    """The form ``coeffs`` (``coeffs[j]`` at ``s^(deg-j) t^j``) as a polynomial, divided by ``scale``."""
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.coeffs = {(deg - j, j): Fraction(c, scale) for j, c in enumerate(coeffs) if c}
-    return out
 
 
 def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -361,7 +171,7 @@ def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
     rational quotient is integral by Gauss's lemma, so a step that does not
     divide over ZZ proves that no quotient exists.
     """
-    form, work = (a, b), coeffs
+    form, work = {(1, 0): a, (0, 1): b}, coeffs
     if not a:
         if not b:
             raise ZeroDivisionError("division by the zero form")
@@ -370,10 +180,10 @@ def divide_linear(coeffs: Sequence[int], a: int, b: int) -> list[int]:
     for c in work[:-1]:
         prev, rem = divmod(c - b * prev, a)
         if rem:
-            raise NotDivisible(f"{list(coeffs)} is not divisible by {linform(form).render()}")
+            raise NotDivisible(f"{list(coeffs)} is not divisible by {render_character(form)}")
         quotient.append(prev)
     if work[-1] != b * prev:
-        raise NotDivisible(f"{list(coeffs)} leaves a remainder by {linform(form).render()}")
+        raise NotDivisible(f"{list(coeffs)} leaves a remainder by {render_character(form)}")
     return quotient if work is coeffs else quotient[::-1]
 
 
@@ -632,10 +442,8 @@ def divide_binomial(num: Character, w: tuple[int, int]) -> Character:
             if total:
                 out[(x + k * a, y + k * b)] = total
         if total:
-            binomial = LaurentPoly.one() - LaurentPoly.monomial(a, b)
-            raise NotDivisible(
-                f"{LaurentPoly(num).render()} is not divisible by {binomial.render()}"
-            )
+            binomial = render_character({(0, 0): 1, (a, b): -1})
+            raise NotDivisible(f"{render_character(num)} is not divisible by {binomial}")
     return out
 
 

@@ -3,8 +3,8 @@
 Each JSON file under ``data/golden`` records one moduli case: the surface,
 the Chern data, a polarization inside a known chamber, the expected
 torus-fixed locus (as one restriction row per fixed sheaf, one character
-per fixed point, written as a Laurent polynomial and loaded as an integer
-character ``{(a, b): c}``), and a table of operator integrals
+per fixed point, written as text such as ``s^2*t^-1 - 3`` and loaded as an
+integer character ``{(a, b): c}``), and a table of operator integrals
 ``(int R_k D, int T_k D, int S_k D)`` for selected descendent monomials.
 
 Fixed-locus rows are compared as multisets after a twist normalization:
@@ -28,7 +28,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .descendents import Monomial, monomial_degree, parse_monomial
-from .exactalg import Character, parse_laurent
+from .exactalg import Character, parse_character
 from .localization import Case, _Memo
 
 __all__ = [
@@ -95,11 +95,15 @@ def list_cases() -> list[str]:
 
 
 def _character(case_id: str, text: str) -> Character:
-    """A recorded chart as an integer character; a fractional coefficient raises ``ValueError``."""
-    coeffs = parse_laurent(text).coeffs
-    if any(c.denominator != 1 for c in coeffs.values()):
-        raise ValueError(f"case {case_id!r}: the chart {text!r} has a non-integral coefficient")
-    return {w: c.numerator for w, c in coeffs.items()}
+    """A recorded chart as an integer character; a chart it cannot read raises ``ValueError``.
+
+    That is a fractional coefficient or a malformed term (:func:`parse_character`);
+    the message names the case.
+    """
+    try:
+        return parse_character(text)
+    except ValueError as err:
+        raise ValueError(f"case {case_id!r}: {err}") from None
 
 
 def load_case(case_id: str) -> GoldenCase:

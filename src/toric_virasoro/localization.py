@@ -66,14 +66,11 @@ from .descendents import Monomial, Packing, monomial_basis, render_monomial, sym
 from .enumeration import fixed_locus_cached
 from .exactalg import (
     Character,
-    LaurentPoly,
     LinearDenominator,
     NotDivisible,
     Rat,
     char_product,
     convolve,
-    homogenize,
-    linform,
     pack,
     slot_width,
 )
@@ -106,6 +103,11 @@ def _ratio(n: int, d: int) -> tuple[int, int]:
     if d < 0:
         g = -g
     return n // g, d // g
+
+
+def _homogeneous(coeffs: Sequence[int], deg: int, scale: int) -> dict[tuple[int, int], Fraction]:
+    """The form ``coeffs`` (``coeffs[j]`` at ``s^(deg-j) t^j``) over ``scale``, as nonzero terms."""
+    return {(deg - j, j): Fraction(c, scale) for j, c in enumerate(coeffs) if c}
 
 
 class TrivialWeight(ValueError):
@@ -239,14 +241,15 @@ class Case:
         """``(lcm_poly, lcm_factors, cofactors)`` of :attr:`tangent_denominator`, readable.
 
         Any fixed-point sum ``sum_q v_q / e_q`` equals
-        ``(sum_q v_q * cofactors[q]) / lcm_poly`` exactly.
+        ``(sum_q v_q * cofactors[q]) / lcm_poly`` exactly.  Each is a
+        polynomial ``{(a, b): c}`` of its nonzero terms (:func:`_homogeneous`).
         """
         den = self.tangent_denominator
         n = len(den.forms)
         return (
-            homogenize(den.poly, n, den.scale),
-            tuple(linform(f) for f in den.forms),
-            [homogenize(co, n - self.vdim, den.scale) for co in den.cofactors],
+            _homogeneous(den.poly, n, den.scale),
+            tuple(_homogeneous(f, 1, 1) for f in den.forms),
+            [_homogeneous(co, n - self.vdim, den.scale) for co in den.cofactors],
         )
 
     # -- realized symbols ----------------------------------------------------
@@ -300,15 +303,15 @@ class Case:
         norms = [abs(c) * (abs(x) + abs(y)) ** i for x, y, c in zip(xs, ys, cs)]
         return [[sum(norms[a:b]) for a, b in row] for row in spans]
 
-    def realize_symbol(self, i: int, name: str) -> tuple[LaurentPoly, ...]:
+    def realize_symbol(self, i: int, name: str) -> tuple[dict[tuple[int, int], Fraction], ...]:
         """Per-moduli-point polynomial value of the symbol ch_i(gamma).
 
-        The rows of :meth:`_integer_symbol`, homogenized: each value is a
-        polynomial homogeneous of the symbol's degree (or zero).
+        The rows of :meth:`_integer_symbol`, homogenized (:func:`_homogeneous`):
+        each value is a polynomial homogeneous of the symbol's degree (or zero).
         """
         scale, rows, _norms = self._integer_symbol((i, name))
         sdeg = symbol_degree((i, name), self.surface)
-        return tuple(homogenize(row, sdeg, scale) for row in rows)
+        return tuple(_homogeneous(row, sdeg, scale) for row in rows)
 
     # -- exact integration ----------------------------------------------------
 

@@ -1,5 +1,16 @@
 """Reference paths over ``Fraction`` Laurent polynomials, kept for the tests.
 
+:class:`LaurentPoly` is the ring of every path here: sparse Laurent
+polynomials in ``s, t`` with ``Fraction`` coefficients, read from text by
+:func:`parse_laurent` and written by ``render`` and ``render_tex``.  The
+package once parsed and printed its charts through it; it now reads and
+writes integer characters ``{(a, b): c}`` directly
+(``exactalg.parse_character`` and ``exactalg.render_character``), and the
+tests require both to agree with this ring.  :func:`linform` is the degree-1
+class ``a*s + b*t`` and :func:`homogenize` an integer form at s = 1 as a
+polynomial.  A package value, an int or a mapping ``{(a, b): c}``, enters
+the ring's operations and comparisons as the polynomial it stands for.
+
 The package clears every cohomological fixed-point sum over the integers at
 s = 1, with an ``exactalg.LinearDenominator``: on the surface (descendent
 symbols, Chern invariants) and on the moduli space (integrals).  The
@@ -93,8 +104,8 @@ H and records where a dropped one ties; the tests require
 ``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
 unpruned stage at every ample H.
 
-The package's chart restrictions are integer characters ``{(a, b): c}``;
-the oracles read them as ``LaurentPoly`` values.  :func:`character` is the
+The oracles read the package's chart restrictions as ``LaurentPoly``
+values.  :func:`character` is the
 integer character of a Laurent polynomial (refusing a fractional
 coefficient), :func:`shift` multiplies one by a monomial, and
 :func:`canonical_row_key` is the row key over ``LaurentPoly`` rows as the
@@ -114,11 +125,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from toric_virasoro import descendents
 from toric_virasoro.descendents import DescPoly, NegativeDegreeInput, symbol_degree
-from toric_virasoro.exactalg import LaurentPoly, NotDivisible, convolve, linform
+from toric_virasoro.exactalg import NotDivisible, _as_rat, convolve
 from toric_virasoro.enumeration import (
     _COINCIDENCE_CODIM,
     _flag_dim,
@@ -143,6 +154,270 @@ from toric_virasoro.surfaces import surface_by_name
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Laurent ring that the package parsed and printed charts with
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial in s, t with Fraction coefficients.
+
+    Immutable by convention: all operations return new instances and never
+    mutate ``self.coeffs``.  Zero coefficients are never stored.  An int, a
+    ``Fraction`` or a mapping ``{(a, b): c}``, such as a package character,
+    takes part in the ring operations and comparisons as the polynomial it
+    stands for.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
+        d: dict[tuple[int, int], Fraction] = {}
+        if coeffs:
+            for (a, b), c in coeffs.items():
+                c = _as_rat(c)
+                if c:
+                    d[(int(a), int(b))] = c
+        self.coeffs = d
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero() -> "LaurentPoly":
+        return LaurentPoly()
+
+    @staticmethod
+    def one() -> "LaurentPoly":
+        return LaurentPoly({(0, 0): ONE})
+
+    @staticmethod
+    def const(c) -> "LaurentPoly":
+        return LaurentPoly({(0, 0): _as_rat(c)})
+
+    @staticmethod
+    def monomial(a: int, b: int, c=1) -> "LaurentPoly":
+        return LaurentPoly({(a, b): _as_rat(c)})
+
+    @staticmethod
+    def _coerce(other) -> "LaurentPoly | None":
+        if isinstance(other, LaurentPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(other)
+        if isinstance(other, Mapping):
+            return LaurentPoly(other)
+        return None
+
+    # -- basic protocol -----------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        other = LaurentPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        return iter(self.coeffs.items())
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other) -> "LaurentPoly":
+        other = LaurentPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        d = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            nc = d.get(k, ZERO) + c
+            if nc:
+                d[k] = nc
+            else:
+                d.pop(k, None)
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = d
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "LaurentPoly":
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = {k: -c for k, c in self.coeffs.items()}
+        return out
+
+    def __sub__(self, other) -> "LaurentPoly":
+        other = LaurentPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "LaurentPoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "LaurentPoly":
+        if isinstance(other, (int, Fraction)):
+            c = _as_rat(other)
+            out = LaurentPoly.__new__(LaurentPoly)
+            out.coeffs = {} if not c else {k: v * c for k, v in self.coeffs.items()}
+            return out
+        other = LaurentPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        d: dict[tuple[int, int], Fraction] = {}
+        for (x1, y1), c1 in a.items():
+            for (x2, y2), c2 in b.items():
+                k = (x1 + x2, y1 + y2)
+                nc = d.get(k, ZERO) + c1 * c2
+                if nc:
+                    d[k] = nc
+                else:
+                    d.pop(k, None)
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = d
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "LaurentPoly":
+        if n < 0:
+            if len(self.coeffs) != 1:
+                raise ValueError("negative powers only for single monomials")
+            ((a, b), c), = self.coeffs.items()
+            return LaurentPoly.monomial(a * n, b * n, ONE / c ** (-n))
+        result = LaurentPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- rendering ------------------------------------------------------
+
+    def render(self) -> str:
+        """Human/goldenfile form, e.g. ``-s^2*t + 2*s*t^-1 + 1``.
+
+        Monomials are ordered by complex degree descending, then lexicographic
+        descending on (a, b), which matches the bundled reference tables.
+        """
+        return self._render("{}^{}", "*")
+
+    def render_tex(self) -> str:
+        """TeX form of :meth:`render`, e.g. ``-s^{2}t + 2st^{-1} + 1``."""
+        return self._render("{}^{{{}}}", "")
+
+    def _render(self, power: str, times: str) -> str:
+        if not self.coeffs:
+            return "0"
+        keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k), reverse=True)
+        parts: list[str] = []
+        for a, b in keys:
+            c = self.coeffs[(a, b)]
+            vars_ = [
+                var if e == 1 else power.format(var, e) for var, e in (("s", a), ("t", b)) if e
+            ]
+            body = times.join(vars_)
+            if not body:
+                mag = str(abs(c))
+            elif abs(c) == 1:
+                mag = body
+            else:
+                mag = f"{abs(c)}{times}{body}"
+            if not parts:
+                parts.append(mag if c > 0 else f"-{mag}")
+            else:
+                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self.render()})"
+
+
+def parse_laurent(text: str) -> LaurentPoly:
+    """Parse the ``render`` format (and minor variants) back into a polynomial.
+
+    Accepts optional ``*`` between factors, ``s^-2`` style exponents, and
+    rational coefficients like ``3/2``.
+    """
+    s = text.replace(" ", "")
+    if not s or s == "0":
+        return LaurentPoly.zero()
+    # split into signed terms
+    terms: list[str] = []
+    cur = ""
+    for i, ch in enumerate(s):
+        if ch in "+-" and cur and cur[-1] not in "^+-*/":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    terms.append(cur)
+    out = LaurentPoly.zero()
+    for term in terms:
+        sign = 1
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        coeff = Fraction(sign)
+        a = b = 0
+        i = 0
+        n = len(term)
+        num = ""
+        while i < n and (term[i].isdigit() or term[i] == "/"):
+            num += term[i]
+            i += 1
+        if num:
+            coeff *= Fraction(num)
+        while i < n:
+            ch = term[i]
+            if ch == "*":
+                i += 1
+                continue
+            if ch not in "st":
+                raise ValueError(f"cannot parse monomial {term!r} in {text!r}")
+            i += 1
+            exp = 1
+            if i < n and term[i] == "^":
+                i += 1
+                j = i
+                if i < n and term[i] == "-":
+                    j += 1
+                while j < n and term[j].isdigit():
+                    j += 1
+                exp = int(term[i:j])
+                i = j
+            if ch == "s":
+                a += exp
+            else:
+                b += exp
+        out = out + LaurentPoly.monomial(a, b, coeff)
+    return out
+
+
+def linform(v: tuple[int, int]) -> LaurentPoly:
+    """The degree-1 cohomology class a*s + b*t."""
+    return LaurentPoly({(1, 0): Fraction(v[0]), (0, 1): Fraction(v[1])})
+
+
+def homogenize(coeffs: Iterable[int], deg: int, scale: int) -> LaurentPoly:
+    """The form ``coeffs`` (``coeffs[j]`` at ``s^(deg-j) t^j``) as a polynomial, divided by ``scale``."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = {(deg - j, j): Fraction(c, scale) for j, c in enumerate(coeffs) if c}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
+from oracles import LaurentPoly, parse_laurent
 
 from toric_virasoro import golden
 from toric_virasoro.descendents import (
@@ -24,7 +25,7 @@ from toric_virasoro.enumeration import (
     fixed_locus_cached,
     hirzebruch_ch2_check,
 )
-from toric_virasoro.exactalg import LaurentPoly, NotDivisible, parse_laurent
+from toric_virasoro.exactalg import NotDivisible
 from toric_virasoro.golden import canonical_row_key
 from toric_virasoro.localization import verify_conjecture
 from toric_virasoro.surfaces import surface_by_name

@@ -83,6 +83,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports to re-export, through __all__
     package, _used = _program()
+    oracles = ROOT / "tests" / "oracles.py"
+    package[oracles] = ast.parse(oracles.read_text())
     unused = [
         f"{path.name}: {name}"
         for path, tree in package.items()

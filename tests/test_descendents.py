@@ -351,6 +351,6 @@ class TestBasisAndParsing:
         assert parse_monomial(r"\ch_3(\mathbf{p})") == parse_monomial("ch_3(p)")
 
     def test_render_poly(self):
-        D = DescPoly.symbol(3, "1", Fraction(-1, 2)) + DescPoly.one()
+        D = DescPoly.symbol(3, "1", Fraction(-1, 2)) + DescPoly.const(1)
         text = render_poly(D)
         assert "ch_3(1)" in text and "1/2" in text

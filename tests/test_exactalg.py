@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     CommonDenominator,
+    LaurentPoly,
     as_constant,
     char_to_chern,
     character,
     degrees,
     dehomogenize,
     exact_div,
+    homogenize,
     homogeneous_part,
     integer_rows,
     is_homogeneous,
     linear_denominator,
+    linform,
+    parse_laurent,
     shift,
     substitute_st,
     truncate,
@@ -28,16 +32,14 @@ from oracles import (
 )
 from toric_virasoro.exactalg import (
     BinomialDenominator,
-    LaurentPoly,
     LinearDenominator,
     NotDivisible,
     convolve,
     divide_binomial,
     divide_linear,
-    homogenize,
-    linform,
     pack,
-    parse_laurent,
+    parse_character,
+    render_character,
     slot_width,
     unpack,
 )
@@ -140,6 +142,54 @@ class TestRing:
 
     def test_parse_repeated_terms_accumulate(self):
         assert parse_laurent("1 + s + 1") == parse_laurent("s + 2")
+
+
+# integer characters with exponents in -6..6; units often, the empty one too
+unit_or_integer = st.sampled_from([1, -1]) | st.integers(-40, 40).filter(bool)
+characters = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), unit_or_integer)
+
+
+class TestCharacterText:
+    @settings(deadline=None, max_examples=300)
+    @given(characters)
+    def test_parse_inverts_render(self, chart):
+        assert parse_character(render_character(chart)) == chart
+        tex = render_character(chart, tex=True)
+        assert parse_character(tex.replace("{", "").replace("}", "")) == chart
+
+    @settings(deadline=None, max_examples=300)
+    @given(characters, st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    def test_render_is_the_oracle_render(self, chart, zeros):
+        # zero terms are left out, as the ring never stores them
+        padded = {**dict.fromkeys(zeros, 0), **chart}
+        assert render_character(padded) == LaurentPoly(chart).render()
+        assert render_character(padded, tex=True) == LaurentPoly(chart).render_tex()
+
+    def test_examples(self):
+        assert render_character({}) == "0" == render_character({(1, 2): 0})
+        assert parse_character("0") == {} == parse_character("s - s")
+        chart = {(2, 1): -1, (1, -1): 2, (0, 0): 1}
+        assert render_character(chart) == "-s^2*t + 2*s*t^-1 + 1"
+        assert render_character(chart, tex=True) == "-s^{2}t + 2st^{-1} + 1"
+        for text in ("-s^2t + 2st^-1 + 1", "1 - t*s^2 + 2 * t^-1 * s", "-ts^2+2t^-1s+1"):
+            assert parse_character(text) == chart
+        assert parse_character("1 + s + 1") == {(0, 0): 2, (1, 0): 1}
+        assert parse_character("4/2*s^-3") == {(-3, 0): 2}
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3/2*s", "the chart '3/2*s' has a non-integral coefficient"),
+            ("s + 1/2", "the chart 's + 1/2' has a non-integral coefficient"),
+            ("s^x", "cannot parse monomial 's^x' in 's^x'"),
+            ("1 - 2u", "cannot parse monomial '2u' in '1 - 2u'"),
+            ("s +", "cannot parse monomial '' in 's +'"),
+        ],
+    )
+    def test_refusals(self, text, message):
+        with pytest.raises(ValueError) as refusal:
+            parse_character(text)
+        assert str(refusal.value) == message
 
 
 class TestTruncatedExp:

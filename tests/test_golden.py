@@ -7,9 +7,10 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import LaurentPoly, parse_laurent
 
 from toric_virasoro import golden
-from toric_virasoro.exactalg import LaurentPoly, parse_laurent
+from toric_virasoro.exactalg import parse_character
 
 ALL_IDS = golden.list_cases()
 
@@ -38,14 +39,6 @@ class TestFixtureFiles:
         with pytest.raises(KeyError, match="no recorded case named '../golden/p2-r2-c2-3'"):
             golden.load_case("../golden/p2-r2-c2-3")
 
-    def test_a_fractional_recorded_coefficient_is_refused(self, tmp_path, monkeypatch):
-        raw = json.loads(golden._data_dir().joinpath("p2-r2-c2-1.json").read_text())
-        raw["k_rows"][0]["charts"][1] = "1/2*s + t"
-        (tmp_path / "bad.json").write_text(json.dumps(raw))
-        monkeypatch.setattr(golden, "_data_dir", lambda: tmp_path)
-        with pytest.raises(ValueError, match="case 'bad': the chart '1/2.s . t' has a non-integral"):
-            golden.load_case("bad")
-
     def test_chart_strings_roundtrip(self):
         for case_id in ALL_IDS:
             gold = golden.load_case(case_id)
@@ -53,6 +46,36 @@ class TestFixtureFiles:
                 for chart in row.charts:
                     assert all(type(c) is int and c for c in chart.values())
                     assert oracles.character(parse_laurent(LaurentPoly(chart).render())) == chart
+
+    def test_chart_texts_parse_as_the_oracle_reads_them(self):
+        files = [golden._data_dir().joinpath(case_id + ".json") for case_id in ALL_IDS]
+        texts = [
+            chart
+            for path in files
+            for row in json.loads(path.read_text())["k_rows"]
+            for chart in row["charts"]
+        ]
+        assert len(texts) == 430
+        for text in texts:
+            assert parse_character(text) == oracles.character(parse_laurent(text)), text
+
+    @pytest.mark.parametrize(
+        "chart,message",
+        [
+            ("1/2*s + t", "case 'bad': the chart '1/2*s + t' has a non-integral coefficient"),
+            ("3/2*s", "case 'bad': the chart '3/2*s' has a non-integral coefficient"),
+            ("s^x", "case 'bad': cannot parse monomial 's^x' in 's^x'"),
+        ],
+        ids=["fraction-in-a-sum", "fraction", "unparsable"],
+    )
+    def test_a_malformed_recorded_chart_is_refused(self, tmp_path, monkeypatch, chart, message):
+        raw = json.loads(golden._data_dir().joinpath("p2-r2-c2-1.json").read_text())
+        raw["k_rows"][0]["charts"][1] = chart
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        monkeypatch.setattr(golden, "_data_dir", lambda: tmp_path)
+        with pytest.raises(ValueError) as refusal:
+            golden.load_case("bad")
+        assert str(refusal.value) == message
 
     def test_sign_slips_only_where_recorded(self):
         flagged = {

@@ -13,11 +13,12 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import LaurentPoly
 
 import toric_virasoro
 from toric_virasoro import golden
 from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
-from toric_virasoro.exactalg import LaurentPoly, NotDivisible
+from toric_virasoro.exactalg import NotDivisible
 from toric_virasoro.klyachko import (
     Flag,
     Subspace,

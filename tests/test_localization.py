@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import CommonDenominator, exact_div
+from oracles import CommonDenominator, LaurentPoly, exact_div, linform, parse_laurent
 from toric_virasoro.descendents import (
     DescPoly,
     basis_symbols,
@@ -18,7 +18,7 @@ from toric_virasoro.descendents import (
     parse_monomial,
 )
 from toric_virasoro.enumeration import chamber_representatives, fixed_locus_cached
-from toric_virasoro.exactalg import LaurentPoly, NotDivisible, linform, parse_laurent
+from toric_virasoro.exactalg import NotDivisible
 from toric_virasoro.klyachko import Flag, NonIsolated, Subspace, bundle_from_flags
 from toric_virasoro.localization import (
     Case,

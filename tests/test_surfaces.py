@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from toric_virasoro.exactalg import LaurentPoly, convolve, linform, parse_laurent
+from oracles import LaurentPoly, linform, parse_laurent
+from toric_virasoro.exactalg import convolve
 from toric_virasoro.golden import list_cases, load_case
 from toric_virasoro.surfaces import surface_by_name
 
