@@ -21,32 +21,31 @@ points, adding colength to c2).  This module enumerates them:
 * **One search, in two stages.**  Each supported (surface, rank) has a
   window generator that yields ``(model, tops, windows)``:
 
-  - rank 2 on the plane solves a quadratic in a proven box
+  - rank 2 on the plane solves a quadratic for the third window
     (:func:`_p2_r2_windows`);
   - rank 2 on F_a solves the divisor equation q*m = K + 4*d_i*d_j,
     K = 4c2 - c1^2 (d_i, d_j the windows of an adjacent coincident pair,
     else 0), for the tuples that the ample test keeps, with each window
     loop run to a bound of order K proven in :func:`_fa_r2_windows`;
-  - ranks 3 and 4 on the plane take window profiles of sum at most ``P``
-    and visit only the rigid triples (:func:`_p2_higher_windows`).
+  - ranks 3 and 4 on the plane visit only the rigid triples of window
+    profiles (:func:`_p2_higher_windows`).
 
-  The first stage, memoized per (surface, rank, c1, c2), and per ``P`` in
-  ranks 3 and 4, for the life of the process, keeps every generated candidate whose
-  closed-form (c1, c2) matches and that is stable on an open set of ample
-  H (the *ample test*, below), with its distinct stability forms on the
-  nef rays.  The rank-2 generators solve the (c1, c2) equation, so there
-  the ample test runs first and (c1, c2) only on its survivors; most
-  rank-3/4 triples fail (c1, c2), so there (c1, c2) runs first.  Either
-  order decides the same stage.  The second stage, per H, is the sign
-  test, then the shell rule, then one memoized builder that builds and
-  verifies each stable bundle, so a chamber sweep runs the search once,
-  and rank 2, with no bound to grow, builds its stage once per (c1, c2).
-  *Shell rule*, for ``P`` alone (no proof bounds it yet): while a
-  candidate that is stable at H has a profile sum above ``P - 2``, ``P``
-  grows by 2 and the search reruns; once it passes 4x its start 6,
-  :class:`EnumerationError`.  This rule is the only guard of ranks 3 and
-  4: nothing here certifies that their loci are complete, and only the
-  bundled cases are compared with reference rows.
+  On the plane every window sum of one ray runs to the discriminant bound
+  ``2r*m <= Delta + r - 1``, Delta = 2r*c2 - (r - 1)*c1^2, which every
+  strictly stable candidate meets (:func:`_p2_window_bound`, proven in
+  rank 2 in its docstring and in ranks 3 and 4 by certificates that the
+  tests check exactly).  So no search bound is guessed or grown.
+
+  The first stage, memoized per (surface, rank, c1, c2) for the life of
+  the process, keeps every generated candidate whose closed-form (c1, c2)
+  matches and that is stable on an open set of ample H (the *ample test*,
+  below), with its distinct stability forms on the nef rays.  The rank-2
+  generators solve the (c1, c2) equation, so there the ample test runs
+  first and (c1, c2) only on its survivors; most rank-3/4 triples fail
+  (c1, c2), so there (c1, c2) runs first.  Either order decides the same
+  stage.  The second stage, per H, is the sign test, then one memoized
+  builder that builds and verifies each stable bundle, so a chamber sweep
+  runs the search once.
 * **Stability in nef coordinates.**  Each side of the slope test is linear
   in H, so each candidate destabilizing subspace W of the model gives one
   integer *stability form* v with ``v . H = r*deg_H(W) - dim W*deg_H(E)``,
@@ -67,9 +66,8 @@ points, adding colength to c2).  This module enumerates them:
   :class:`~.klyachko.SlopeTie`, negative (or no form at all) means stable,
   and only then is a bundle built.  So at every ample H the pruned stage
   gives the same stable candidates, or ``SlopeTie``, as the unpruned one
-  (``tests/oracles.py``), and the shell rule sees the same hits.  It is
-  exact only for ample H, so :func:`enumerate_bundles` and
-  :func:`fixed_locus` refuse any other H.
+  (``tests/oracles.py``).  It is exact only for ample H, so
+  :func:`enumerate_bundles` and :func:`fixed_locus` refuse any other H.
 * **Every fixed point is verified**: chern invariants are recomputed by
   exact localization on the surface (once per process for each stable
   bundle and each degeneration tree), and isolatedness is certified later
@@ -484,23 +482,54 @@ def _p2_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int):
     survives.  With K = 4c2 - c1^2, its windows x, y, z satisfy
     ``(x + y + z)^2 - 2(x^2 + y^2 + z^2) = K``, that is
     ``z^2 - 2(x + y)z + (x - y)^2 + K = 0``: z = x + y +- sqrt(4xy - K),
-    in ascending order.  The loops stop at K, which bounds every stable
-    tuple: stability puts each window below half their sum, so
-    b = x + z - y and c = x + y - z are at least 1, as is
-    a = y + z - x, and K = ab + bc + ca >= b + c = 2x (y, z alike).
+    in ascending order.  Every window runs to :func:`_p2_window_bound`.
     """
     model = r2_model(3, (0, 1, 2))
     d = c1[0]
     K = 4 * c2 - d * d
-    for x in range(1, K + 1):
-        for y in range(1, K + 1):
+    top = _p2_window_bound(rank, c1, c2)
+    for x in range(1, top + 1):
+        for y in range(1, top + 1):
             disc = 4 * x * y - K
             root = isqrt(max(disc, 0))
             if root * root != disc:
                 continue
             for z in sorted({x + y - root, x + y + root}):
-                if 1 <= z <= K and (x + y + z - d) % 2 == 0:
+                if 1 <= z <= top and (x + y + z - d) % 2 == 0:
                     yield model, ((x + y + z - d) // 2, 0, 0), ((x,), (y,), (z,))
+
+
+def _p2_window_bound(rank: int, c1: tuple, c2: int) -> int:
+    """The largest window sum m of one ray at a strictly stable candidate on the plane:
+    ``floor((Delta + r - 1) / (2r))`` with ``Delta = 2r*c2 - (r - 1)*c1^2``, for r = 2, 3, 4.
+
+    *Rank 2.*  Delta = K, and the windows x, y, z of a stable candidate
+    each lie below half their sum, so a = y + z - x, b = x + z - y and
+    c = x + y - z are at least 1, with K = ab + bc + ca and b + c = 2x.
+    Then ``K + 1 - 4x = (a - 1)(b + c) + (b - 1)(c - 1) >= 0``, and y, z
+    alike.
+
+    *Ranks 3 and 4.*  Delta is a twist-invariant quadratic form in the
+    windows (:func:`~.klyachko.bundle_chern` on the model's level pairs),
+    and a candidate stable at H gives ``v . w <= -1`` for every compiled
+    :func:`~.klyachko.stability_table` row v.  For each configuration, each
+    rigid zero pattern that :func:`_p2_higher_windows` can yield, and each
+    ray, ``Delta + c - 2r*m`` is a positive rational combination of
+    products of at most two nonnegative integers: 1, ``-v . w - 1`` and
+    ``w_k - 1`` for an open window k, with a constant c < 3r - 1.  Those
+    501 certificates (42 in rank 3, 459 in rank 4) are checked exactly in
+    ``tests/test_window_bound.py``.  The proof reads only compiled rows,
+    each a necessary condition of stability, so it holds whatever the
+    capped :func:`_closure` leaves out.
+
+    With gcd(r, c1) = 1, Delta + r - 1 is a multiple of 2r (Delta is 4 mod
+    6 for r = 3 and 5 mod 8 for r = 4), so ``2r*m < Delta + r - 1 + 2r``
+    gives ``2r*m <= Delta + r - 1``.  Every rank needs strict stability
+    here, so :func:`enumerate_bundles` refuses gcd(r, c1) != 1 on the
+    plane.
+    """
+    delta = 2 * rank * c2 - (rank - 1) * c1[0] ** 2
+    return (delta + rank - 1) // (2 * rank)
 
 
 def _fa_r2_windows(surface: Surface, rank: int, c1: tuple, c2: int):
@@ -669,8 +698,9 @@ def _section_index(surface: Surface) -> int:
     return -surface.pair((0, 1), (0, 1))
 
 
-def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):
-    """Ranks 3 and 4 on the plane: window profiles of sum at most ``P``, indexed by rigidity.
+def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int):
+    """Ranks 3 and 4 on the plane: window profiles of sum at most :func:`_p2_window_bound`,
+    indexed by rigidity.
 
     An isolated stable fixed point needs stabiliser-free rigid flag data:
     the flag-variety dimensions of the three rays, minus the coincidence
@@ -682,7 +712,7 @@ def _p2_higher_windows(surface: Surface, rank: int, c1: tuple, c2: int, P: int):
     congruent to c1.
     """
     d = c1[0]
-    profiles = _window_profiles(rank, P)
+    profiles = _window_profiles(rank, _p2_window_bound(rank, c1, c2))
     # a window at level L is crossed by the jumps of levels 1..L, so it
     # enters c1 with weight L
     weight = {w: sum(lvl * x for lvl, x in enumerate(w, 1)) for w in profiles}
@@ -742,11 +772,9 @@ def _flag_dim(rank: int, win: tuple) -> int:
 
 _COINCIDENCE_CODIM = {"generic": 0, "incidence": 1, "concurrent": 1, "collinear": 1}
 
-_P_START = 6  # starting window-sum bound of the rank-3/4 search
-
 
 # ---------------------------------------------------------------------------
-# the search: H-independent candidates, then per-H sign tests (and the rank-3/4 shell rule)
+# the search: H-independent candidates, then per-H sign tests
 # ---------------------------------------------------------------------------
 
 
@@ -830,9 +858,8 @@ def _ample_test(values) -> tuple[bool, tuple | None]:
 
 
 @lru_cache(maxsize=None)
-def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, *P: int) -> _Stage:
-    """The candidates of the window search that are stable at some ample H, in search order;
-    ``P``, given for ranks 3 and 4 alone, is the window-sum bound of their search.
+def _candidates(surface_name: str, rank: int, c1: tuple, c2: int) -> _Stage:
+    """The candidates of the window search that are stable at some ample H, in search order.
 
     This stage does not depend on the polarization: it runs the case's
     window generator with the closed-form (c1, c2) filter and the ample
@@ -853,7 +880,7 @@ def _candidates(surface_name: str, rank: int, c1: tuple, c2: int, *P: int) -> _S
     def chern_matches(tops, windows, pairs):
         return bundle_chern(surface, _jump_positions(tops, windows, rank), pairs) == (c1, c2)
 
-    for model, tops, windows in generate(surface, rank, c1, c2, *P):
+    for model, tops, windows in generate(surface, rank, c1, c2):
         if model.key not in compiled:
             compiled[model.key] = (
                 _level_pairs(surface, model),
@@ -915,25 +942,16 @@ def _stable(stage: _Stage, surface: Surface, H: tuple) -> list[_Candidate]:
 
 
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """The stable bundles at an ample H, by the sign test (and, for ranks 3 and 4, the shell
-    rule) of the module docstring."""
+    """The stable bundles at an ample H, by the sign test of the module docstring.
+
+    On the plane, gcd(rank, c1) != 1 is refused: the window bound of the
+    search (:func:`_p2_window_bound`) holds for strictly stable candidates.
+    """
     _require_ample(surface, H)
+    if surface.picard_rank == 1:
+        _require_coprime(surface, rank, c1)
     c1 = tuple(c1)
-    if rank == 2:
-        stable = _stable(_candidates(surface.name, rank, c1, c2), surface, H)
-    else:
-        P = _P_START
-        while True:
-            stable = _stable(_candidates(surface.name, rank, c1, c2, P), surface, H)
-            hits = [c.windows for c in stable if any(sum(w) > P - 2 for w in c.windows)]
-            if not hits:
-                break
-            P += 2
-            if P > 4 * _P_START:
-                raise EnumerationError(
-                    f"window search bound exhausted: stable candidates on the outer shells "
-                    f"at bound {P - 2} (start {_P_START}): {hits[:3]}"
-                )
+    stable = _stable(_candidates(surface.name, rank, c1, c2), surface, H)
     return [_bundle(surface.name, c1, c2, c.key, c.tops, c.windows) for c in stable]
 
 
@@ -1038,6 +1056,11 @@ def polarization_gcd(surface: Surface, rank: int, c1: tuple) -> int:
     return gcd(rank, *(surface.pair(c1, [int(i == j) for j in range(n)]) for i in range(n)))
 
 
+def _require_coprime(surface: Surface, rank: int, c1: tuple) -> None:
+    if polarization_gcd(surface, rank, c1) != 1:
+        raise ValueError("gcd(rank, c1.H) > 1 for every polarization H")
+
+
 def chamber_representatives(
     surface: Surface, rank: int, c1: tuple, c2: int
 ) -> list[tuple]:
@@ -1049,8 +1072,7 @@ def chamber_representatives(
     numerator, subject to gcd(rank, c1.H) = 1 so slope stability has no
     ties.  Raises ValueError when no H meets that (:func:`polarization_gcd`).
     """
-    if polarization_gcd(surface, rank, c1) != 1:
-        raise ValueError("gcd(rank, c1.H) > 1 for every polarization H")
+    _require_coprime(surface, rank, c1)
     if surface.picard_rank == 1:
         return [(1,)]
     walls = wall_slopes(surface, rank, c1, c2)

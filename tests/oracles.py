@@ -97,8 +97,8 @@ of the plane's rank-2 windows that the enumeration now solves for.
 
 :func:`unpruned_candidates` is the candidate stage before the ample test: every
 generated candidate that passes the (c1, c2) filter, stable at some ample H
-or not, as a :class:`BasisStage` of its distinct basis forms; in rank 2
-the candidates come from the scans.
+or not, as a :class:`BasisStage` of its distinct basis forms; the
+candidates come from the scans.
 ``enumeration._candidates`` keeps only those stable on an open set of ample
 H and records where a dropped one ties; the tests require
 ``enumeration._stable`` on it to decide as :func:`sign_table_stable` on the
@@ -139,7 +139,6 @@ from toric_virasoro.enumeration import (
     _r2_configs,
     _r3_configs,
     _r4_configs,
-    _search,
     _window_profiles,
 )
 from toric_virasoro.klyachko import (
@@ -1655,16 +1654,17 @@ def p2_r2_scan(surface, rank: int, c1: tuple, c2: int):
 
 @lru_cache(maxsize=None)
 def unpruned_candidates(surface_name: str, rank: int, c1: tuple, c2: int, *P: int) -> BasisStage:
-    """Every candidate of the window search that passes (c1, c2), in search order; for rank 2
-    the scans :func:`p2_r2_scan` and :func:`fa_r2_box` (at :func:`fa_start_box`), not the
-    enumeration's solves, and for ranks 3 and 4 the enumeration's generator at ``P``."""
+    """Every candidate of the window search that passes (c1, c2), in search order; the scans,
+    not the enumeration's generators: :func:`p2_r2_scan` and :func:`fa_r2_box` (at
+    :func:`fa_start_box`) for rank 2, and :func:`higher_windows` at ``P``, given for ranks 3
+    and 4 alone, for those."""
     surface = surface_by_name(surface_name)
     if rank == 2 and surface.picard_rank == 2:
         generated = fa_r2_box(surface, rank, c1, c2, fa_start_box(surface, c1, c2))
     elif rank == 2:
         generated = p2_r2_scan(surface, rank, c1, c2)
     else:
-        generated = _search(surface, rank)(surface, rank, c1, c2, *P)
+        generated = ((_model(key), tops, wins) for key, tops, wins in higher_windows(rank, c1, *P))
     out = []
     form_id: dict[tuple, int] = {}  # distinct forms, in order of first appearance
     pairs: dict[tuple, tuple] = {}  # level pairs per model

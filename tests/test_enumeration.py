@@ -32,7 +32,7 @@ from oracles import (
     unpruned_candidates,
 )
 import toric_virasoro
-from toric_virasoro import cli, enumeration
+from toric_virasoro import enumeration
 from toric_virasoro.enumeration import (
     EnumerationError,
     _bogomolov_floor,
@@ -422,47 +422,6 @@ class TestTwoStageSearch:
         assert warm_keys == cold_keys
         assert [len(keys) for keys in cold_keys] == [0, 8, 8, 40, 40, 40, 40, 8, 8, 0]
 
-    def test_shell_check_fires_only_where_a_shell_candidate_is_stable(
-        self, cold, monkeypatch, capsys
-    ):
-        # the rank-3 generator held at the default P = 6 and the search
-        # started at P = 1: every candidate lies on the outer shells at
-        # P = 1, the search reruns at P = 3 and stops there, so it raises
-        # exactly where a candidate stable at H has a profile sum above 1,
-        # and the CLI maps that to exit 3
-        p2 = surface_by_name("p2")
-        generate = enumeration._p2_higher_windows
-        monkeypatch.setattr(
-            enumeration, "_p2_higher_windows", lambda s, r, c1, c2, P: generate(s, r, c1, c2, 6)
-        )
-        monkeypatch.setattr(enumeration, "_P_START", 1)
-        cases = [((d,), c2) for d in (1, 2) for c2 in (1, 2, 3)]
-        fired = []
-        for c1, c2 in cases:
-            stage = enumeration._candidates("P2", 3, c1, c2, 3).candidates
-            shell = [c for c in stage if any(sum(w) > 1 for w in c.windows)]
-            try:
-                enumerate_bundles(p2, 3, c1, c2, (1,))
-            except EnumerationError as exc:
-                assert "at bound 3 (start 1)" in str(exc)
-                fired.append((c1, c2))
-            stable = any(stable_at(_basis_forms(p2, c), (1,)) for c in shell)
-            assert ((c1, c2) in fired) == stable, (c1, c2)
-        assert fired and len(fired) < len(cases)
-        (d,), c2 = fired[0]
-        argv = ["enumerate", "--surface", "p2", "--r", "3", "--delta", str(d), "--c2", str(c2)]
-        assert cli.main([*argv, "--H", "1"]) == 3
-        assert "bound exhausted" in capsys.readouterr().err
-
-    def test_a_small_rank_three_start_grows_to_the_default_locus(self, cold, monkeypatch):
-        p2 = surface_by_name("p2")
-        default = [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))]
-        monkeypatch.setattr(enumeration, "_P_START", 2)
-        start = enumeration._candidates("P2", 3, (1,), 3, 2).candidates
-        shell = [c for c in start if any(sum(w) > 0 for w in c.windows)]
-        assert any(stable_at(_basis_forms(p2, c), (1,)) for c in shell)
-        assert [sh.key() for sh in fixed_locus(p2, 3, (1,), 3, (1,))] == default
-
     def test_rank_two_on_f11_finds_the_windows_above_the_old_start(self, cold):
         # c2 = 11 on F11 (K = 44): two of the 24 stable bundles have a window
         # of 121, above the box 2K + 2a + 8 = 118 where the search once
@@ -528,11 +487,14 @@ def _keyed(generated):
     return [(model.key, tops, windows) for model, tops, windows in generated]
 
 
-@pytest.mark.parametrize("rank, c1, P", [(3, (0,), 4), (3, (1,), 6), (3, (-1,), 8), (4, (1,), 4)])
-def test_higher_rank_windows_match_the_triple_scan(rank, c1, P):
+@pytest.mark.parametrize("rank, c1, c2", [(3, (0,), 4), (3, (1,), 6), (3, (-1,), 8), (4, (1,), 4)])
+def test_higher_rank_windows_match_the_triple_scan(rank, c1, c2):
     # the rigidity-indexed generator yields the full scan's survivors, in
-    # its order, for every configuration of the rank
-    got = _keyed(enumeration._p2_higher_windows(surface_by_name("p2"), rank, c1, 0, P))
+    # its order, for every configuration of the rank, at its window bound
+    # (here c2 itself)
+    P = enumeration._p2_window_bound(rank, c1, c2)
+    assert P == c2
+    got = _keyed(enumeration._p2_higher_windows(surface_by_name("p2"), rank, c1, c2))
     assert got and got == list(higher_windows(rank, c1, P))
 
 
@@ -606,14 +568,26 @@ def test_fa_window_solve_yields_are_pinned():
     assert counts == [8, 32, 56]
 
 
-def test_p2_solved_windows_equal_the_cube_scan():
-    # z solved from the quadratic gives the scan's yields in its order,
-    # 1728 of them over c1 = -1..2 and c2 = 0..10
+def test_p2_solved_windows_equal_the_cube_scan(monkeypatch):
+    # z solved from the quadratic gives the scan's yields within the window
+    # bound in its order, 252 of them over c1 = -1..2 and c2 = 0..10; for
+    # odd c1, where the bound holds, the candidate stage built from the
+    # solve equals the one the same code builds from the whole scan to K
     p2 = surface_by_name("p2")
     cases = [((d,), c2) for d in range(-1, 3) for c2 in range(11)]
+
+    def bounded(c1, c2):
+        top = enumeration._p2_window_bound(2, c1, c2)
+        return [row for row in p2_r2_scan(p2, 2, c1, c2) if max(map(sum, row[2])) <= top]
+
     solved = [_keyed(enumeration._p2_r2_windows(p2, 2, c1, c2)) for c1, c2 in cases]
-    assert solved == [_keyed(p2_r2_scan(p2, 2, c1, c2)) for c1, c2 in cases]
-    assert sum(map(len, solved)) == 1728
+    assert solved == [_keyed(bounded(c1, c2)) for c1, c2 in cases]
+    assert sum(map(len, solved)) == 252
+    build = enumeration._candidates.__wrapped__
+    monkeypatch.setattr(enumeration, "_p2_r2_windows", p2_r2_scan)
+    for c1, c2 in cases:
+        if c1[0] % 2:
+            assert build(p2.name, 2, c1, c2) == enumeration._candidates(p2.name, 2, c1, c2), c1
 
 
 _MODEL_CASES = [
@@ -730,23 +704,29 @@ def _stage_pin(surface, stage, bound):
     return len(rows), len(distinct), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def _stage_args(name, rank, c1, c2):
-    """The arguments of a case's candidate stage: ranks 3 and 4 take the starting ``P``."""
-    return surface_by_name(name).name, rank, c1, c2, *((enumeration._P_START,) if rank > 2 else ())
+# the window-sum bound at which the rank-3 pins were recorded, and at
+# which the oracle stage runs: the start of the rank-3/4 search before the
+# discriminant bounded it
+_PIN_P = 6
+
+
+def _oracle_args(name, rank, c1, c2):
+    """The arguments of a case's unpruned oracle stage: ranks 3 and 4 take ``_PIN_P``."""
+    return surface_by_name(name).name, rank, c1, c2, *((_PIN_P,) if rank > 2 else ())
 
 
 def _start_bound(name, rank, c1, c2):
     """The search bound at which a case's pins were recorded: the old start of the F_a box,
-    ``P`` for ranks 3 and 4, and none for rank 2 on the plane."""
+    ``_PIN_P`` for ranks 3 and 4, and none for rank 2 on the plane."""
     surface = surface_by_name(name)
     if rank > 2:
-        return enumeration._P_START
+        return _PIN_P
     return fa_start_box(surface, c1, c2) if surface.picard_rank == 2 else None
 
 
 @pytest.mark.parametrize("name, rank, c1, c2", sorted(_STAGES), ids=str)
 def test_candidate_stages_are_pinned(name, rank, c1, c2):
-    stage = unpruned_candidates(*_stage_args(name, rank, c1, c2))
+    stage = unpruned_candidates(*_oracle_args(name, rank, c1, c2))
     pin = _stage_pin(surface_by_name(name), stage, _start_bound(name, rank, c1, c2))
     assert pin == _STAGES[name, rank, c1, c2]
 
@@ -756,7 +736,7 @@ def test_pruned_candidate_stages_are_pinned(name, rank, c1, c2):
     # the recorded ties are H, which on F0 are their own nef coordinates;
     # each candidate's forms are its basis forms on the nef rays
     surface = surface_by_name(name)
-    stage = enumeration._candidates(*_stage_args(name, rank, c1, c2))
+    stage = enumeration._candidates(surface.name, rank, c1, c2)
     count, forms, digest = _stage_pin(surface, stage, _start_bound(name, rank, c1, c2))
     ties = tuple(sorted(_from_nef(surface, tie) for tie in stage.ties))
     assert (count, forms, ties, digest) == _PRUNED_STAGES[name, rank, c1, c2]
@@ -788,8 +768,8 @@ def test_pruned_stage_decides_as_the_oracle(name, rank, c1, c2, data):
     surface = surface_by_name(name)
     strategy = _P2_POLARIZATIONS if name == "p2" else _polarizations(int(name[1:]))
     H = data.draw(strategy, label="H")
-    args = _stage_args(name, rank, c1, c2)
-    pruned, oracle = enumeration._candidates(*args), unpruned_candidates(*args)
+    pruned = enumeration._candidates(surface.name, rank, c1, c2)
+    oracle = unpruned_candidates(*_oracle_args(name, rank, c1, c2))
     want = _decision(lambda: sign_table_stable(oracle, H))
     assert _decision(lambda: enumeration._stable(pruned, surface, H)) == want
     for tie in pruned.ties:
@@ -866,6 +846,16 @@ def test_a_non_ample_polarization_is_refused(name, c1, H, call):
     srf = surface_by_name(name)
     with pytest.raises(ValueError, match=re.escape(f"H = {H} is not ample on {srf.name}")):
         call(srf, 2, c1, 2, H)
+
+
+@pytest.mark.parametrize("rank, c1, c2", [(2, (0,), 2), (3, (0,), 2), (4, (2,), 3)])
+@pytest.mark.parametrize("call", [enumerate_bundles, fixed_locus])
+def test_a_plane_case_that_can_tie_is_refused(rank, c1, c2, call):
+    # the plane's window bound holds for strictly stable candidates only, so
+    # a case where every polarization can tie is refused before any search
+    p2 = surface_by_name("p2")
+    with pytest.raises(ValueError, match=re.escape("gcd(rank, c1.H) > 1 for every polarization H")):
+        call(p2, rank, c1, c2, (1,))
 
 
 # ---------------------------------------------------------------------------
