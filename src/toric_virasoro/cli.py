@@ -18,15 +18,10 @@ determinant pairing, polarization on a wall, a fixed locus that is not
 isolated); 3 internal inconsistency (a localization sum failed to clear to
 a polynomial).
 
-The environment variable ``TORIC_VIRASORO_JOBS`` (or ``verify --jobs``) sets
-the number of worker processes for ``verify --case``/``--all``, at most one
-per case; reports are merged in case order, so the output is byte-identical
-for any job count.
-A ``--surface``/``--config`` run is one process: ``verify --jobs`` there is
-a configuration error, and the environment variable is not read.  A
-``--config`` JSON file may hold only the keys ``surface``, ``rank`` (or
-``r``, but not both), ``delta``, ``c2`` and ``H``; any other key is a
-configuration error.  ``verify --case``/``--all`` runs the bundled
+Every command runs in one process; ``verify`` reports its cases in case
+order.  A ``--config`` JSON file may hold only the keys ``surface``,
+``rank`` (or ``r``, but not both), ``delta``, ``c2`` and ``H``; any other
+key is a configuration error.  ``verify --case``/``--all`` runs the bundled
 configurations, so the case flags (``--surface``, ``--r``, ``--delta``,
 ``--c2``, ``--H``, ``--config``) are a configuration error there.
 """
@@ -35,9 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -108,11 +101,7 @@ class CaseConfig:
     def validate(self) -> None:
         _check_surface(self.surface)
         srf = surface_by_name(self.surface)
-        if self.rank == 2:
-            pass
-        elif self.rank in (3, 4) and self.surface == "p2":
-            pass
-        else:
+        if not (self.rank == 2 or (self.rank in (3, 4) and self.surface == "p2")):
             raise ConfigError(
                 f"rank {self.rank} on {self.surface} is not supported "
                 "(rank 2 everywhere; ranks 3 and 4 on p2 only)"
@@ -240,19 +229,6 @@ def _config_from_args(args) -> CaseConfig:
     return cfg
 
 
-def _resolve_jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = os.environ.get("TORIC_VIRASORO_JOBS", "1")
-    try:
-        jobs = int(jobs)
-    except ValueError:
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}") from None
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -337,22 +313,16 @@ def _summarize(case, sheaves, config: str, report: golden.CaseReport) -> dict:
     }
 
 
-def _verify_bundled(case_id: str) -> dict:
-    """Recompute one bundled reference case and check its recorded tables."""
-    gold = golden.load_case(case_id)
-    sheaves = fixed_locus_cached(gold.surface, gold.rank, gold.delta, gold.c2, gold.H)
-    case = make_case(gold.surface, gold.rank, gold.delta, gold.c2, gold.H, sheaves=sheaves)
-    report = golden.verify_case(gold, case)
-    config = f"{gold.surface} r={gold.rank} delta={gold.delta} c2={gold.c2} H={gold.H}"
-    return _summarize(case, sheaves, config, report)
-
-
-def _verify_config(cfg_fields: tuple, H: tuple[int, ...]) -> dict:
-    surface, rank, delta, c2 = cfg_fields
+def _verify(surface: str, rank: int, delta: tuple, c2: int, H: tuple, gold=None) -> dict:
+    """Recompute one case; with a bundled reference case ``gold``, check its recorded tables."""
     sheaves = fixed_locus_cached(surface, rank, delta, c2, H)
     case = make_case(surface, rank, delta, c2, H, sheaves=sheaves)
     config = f"{surface} r={rank} delta={delta} c2={c2} H={H}"
-    return _summarize(case, sheaves, config, golden.CaseReport(config, k_status="no recorded rows"))
+    if gold is None:
+        report = golden.CaseReport(config, k_status="no recorded rows")
+    else:
+        report = golden.verify_case(gold, case)
+    return _summarize(case, sheaves, config, report)
 
 
 def _render_case_summary(summary: dict, fmt: str) -> str:
@@ -401,23 +371,14 @@ def cmd_verify(args) -> int:
         unknown = [cid for cid in ids if cid not in golden.list_cases()]
         if unknown:
             raise ConfigError(f"unknown case id(s): {', '.join(unknown)}")
-        # the pool starts all its workers at once, so never more than there are cases
-        jobs = min(_resolve_jobs(args), len(ids))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                summaries = list(pool.map(_verify_bundled, ids))
-        else:
-            summaries = [_verify_bundled(cid) for cid in ids]
+        summaries = [
+            _verify(g.surface, g.rank, g.delta, g.c2, g.H, g) for g in map(golden.load_case, ids)
+        ]
     else:
-        if args.jobs is not None:
-            raise ConfigError(
-                "--jobs applies to --case/--all; a --surface/--config run is one process"
-            )
         cfg = _config_from_args(args)
         fmt = cfg.fmt
         summaries = [
-            _verify_config((cfg.surface, cfg.rank, cfg.delta, cfg.c2), H)
-            for H in cfg.polarizations()
+            _verify(cfg.surface, cfg.rank, cfg.delta, cfg.c2, H) for H in cfg.polarizations()
         ]
     summaries.sort(key=lambda s: s["case"])
     if fmt == "json":
@@ -593,12 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="verify zero sums and recorded tables")
     ver.add_argument("--case", help="bundled case id (see dump-golden)")
     ver.add_argument("--all", action="store_true", help="verify every bundled case")
-    ver.add_argument(
-        "--jobs",
-        type=int,
-        help="processes for --case/--all (default $TORIC_VIRASORO_JOBS or 1);"
-        " refused with --surface/--config",
-    )
     _add_config_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
@@ -629,19 +584,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SlopeTie) as exc:
+    except (ConfigError, SlopeTie, KeyError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (KeyError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EnumerationError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except NonIsolated as exc:
         print(f"configuration error: the fixed locus is not isolated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotDivisible, TrivialWeight) as exc:
+    except (EnumerationError, NotDivisible, TrivialWeight) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

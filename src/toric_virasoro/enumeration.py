@@ -525,8 +525,8 @@ def _p2_window_bound(rank: int, c1: tuple, c2: int) -> int:
     With gcd(r, c1) = 1, Delta + r - 1 is a multiple of 2r (Delta is 4 mod
     6 for r = 3 and 5 mod 8 for r = 4), so ``2r*m < Delta + r - 1 + 2r``
     gives ``2r*m <= Delta + r - 1``.  Every rank needs strict stability
-    here, so :func:`enumerate_bundles` refuses gcd(r, c1) != 1 on the
-    plane.
+    here, so :func:`enumerate_bundles` and :func:`fixed_locus` refuse
+    gcd(r, c1) != 1 on the plane.
     """
     delta = 2 * rank * c2 - (rank - 1) * c1[0] ** 2
     return (delta + rank - 1) // (2 * rank)
@@ -944,21 +944,25 @@ def _stable(stage: _Stage, surface: Surface, H: tuple) -> list[_Candidate]:
 def enumerate_bundles(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
     """The stable bundles at an ample H, by the sign test of the module docstring.
 
-    On the plane, gcd(rank, c1) != 1 is refused: the window bound of the
-    search (:func:`_p2_window_bound`) holds for strictly stable candidates.
+    Refuses what :func:`_require_searchable` refuses.
     """
-    _require_ample(surface, H)
-    if surface.picard_rank == 1:
-        _require_coprime(surface, rank, c1)
+    _require_searchable(surface, rank, c1, H)
     c1 = tuple(c1)
     stable = _stable(_candidates(surface.name, rank, c1, c2), surface, H)
     return [_bundle(surface.name, c1, c2, c.key, c.tops, c.windows) for c in stable]
 
 
-def _require_ample(surface: Surface, H: tuple) -> None:
-    """Refuse a polarization that is not ample: the candidate stage is exact only there."""
+def _require_searchable(surface: Surface, rank: int, c1: tuple, H: tuple) -> None:
+    """Refuse the inputs that the search is not exact for.
+
+    A polarization that is not ample: the candidate stage is exact only
+    there.  On the plane, gcd(rank, c1) != 1: the window bound of the search
+    (:func:`_p2_window_bound`) holds for strictly stable candidates.
+    """
     if not surface.is_ample(H):
         raise ValueError(f"H = {tuple(H)} is not ample on {surface.name}")
+    if surface.picard_rank == 1:
+        _require_coprime(surface, rank, c1)
 
 
 def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:
@@ -967,8 +971,12 @@ def _bogomolov_floor(surface: Surface, rank: int, c1: tuple) -> int:
 
 
 def fixed_locus(surface: Surface, rank: int, c1: tuple, c2: int, H: tuple):
-    """All torus-fixed stable sheaves at an ample H: bundles + torsion-free degenerations."""
-    _require_ample(surface, H)
+    """All torus-fixed stable sheaves at an ample H: bundles + torsion-free degenerations.
+
+    Refuses what :func:`_require_searchable` refuses, whatever c2 is: below
+    the Bogomolov floor no bundle search runs to refuse it.
+    """
+    _require_searchable(surface, rank, c1, H)
     c1 = tuple(c1)
     out = []
     for c2p in range(_bogomolov_floor(surface, rank, c1), c2 + 1):

@@ -558,15 +558,6 @@ class Case:
             self._sum(base + packing[p], s, factorial(k + 1), self.rank),
         )
 
-    def twisted(self, weight: tuple[int, int]) -> "Case":
-        """The same case with every chart value multiplied by one character (twist invariance)."""
-        da, db = weight
-        rows = tuple(
-            tuple({(a + da, b + db): c for (a, b), c in chart.items()} for chart in per_point)
-            for per_point in self.restrictions
-        )
-        return Case(self.surface, self.rank, self.c1, self.c2, self.H, rows)
-
     def drop_point(self, q: int) -> "Case":
         """A deliberately broken case missing one fixed point (negative test)."""
         rows = tuple(r for i, r in enumerate(self.restrictions) if i != q)

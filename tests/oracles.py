@@ -113,7 +113,8 @@ package computed it before its rows became integer characters.
 :func:`T_element` is the T element summed as a ``DescPoly``, the reference
 for ``descendents.T_terms``, which sums it over the integers.
 :func:`euler_classes` is the tangent data of a case as products of weight
-forms, read only by the tests.
+forms, read only by the tests.  :func:`twisted` is a case with every chart
+multiplied by one character, for the twist invariance that the tests check.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ from toric_virasoro.klyachko import (
     bundle_chern,
     jump_pairs,
 )
+from toric_virasoro.localization import Case
 from toric_virasoro.surfaces import surface_by_name
 
 ZERO = Fraction(0)
@@ -881,6 +883,16 @@ def monomial(packing, key: int) -> tuple:
 def integrals(case) -> dict:
     """The case's memoized integrals under their sorted monomials, in memo order."""
     return {monomial(case._packing, key): value for key, value in case._integrals.items()}
+
+
+def twisted(case, weight: tuple[int, int]) -> Case:
+    """The same case with every chart value multiplied by one character (twist invariance)."""
+    da, db = weight
+    rows = tuple(
+        tuple({(a + da, b + db): c for (a, b), c in chart.items()} for chart in per_point)
+        for per_point in case.restrictions
+    )
+    return Case(case.surface, case.rank, case.c1, case.c2, case.H, rows)
 
 
 def monomial_basis(surface, degree: int) -> list:

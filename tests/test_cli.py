@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toric_virasoro
-from toric_virasoro import cli, golden
+from toric_virasoro import cli
 from toric_virasoro.cli import main
 from toric_virasoro.enumeration import EnumerationError
 from toric_virasoro.klyachko import SlopeTie
@@ -106,35 +106,6 @@ class TestVerify:
         assert "PASS" in out
 
 
-    def test_jobs_start_at_most_one_worker_per_case(self, capsys, monkeypatch):
-        # the pool starts all of its workers at once; an in-process stand-in
-        # records how many were asked for, so no process is started here
-        workers = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(golden, "list_cases", lambda: ["f1-FZ-c2-1", "p2-r2-c2-1"])
-        serial = run(capsys, "verify", "--all", "--jobs", "1")
-        assert workers == []
-        assert run(capsys, "verify", "--all", "--jobs", "64") == serial
-        assert workers == [2]
-        assert serial[0] == 0 and "across 2 case(s)" in serial[1]
-        assert run(capsys, "verify", "--case", "p2-r2-c2-1", "--jobs", "64")[0] == 0
-        assert workers == [2]
-
-
 class TestExitCodes:
     def test_unknown_case_is_config_error(self, capsys):
         code, _ = run(capsys, "verify", "--case", "no-such-case")
@@ -213,10 +184,12 @@ class TestExitCodes:
              "--H", "2,5", "--cap", "1"),
             ("enumerate", *("--surface", "p2", "--r", "2", "--delta", "1", "--c2", "1"),
              "--jobs", "2"),
+            ("verify", "--all", "--jobs", "2"),
+            ("verify", "--case", "p2-r2-c2-1", "--jobs", "1"),
         ],
     )
     def test_removed_options_are_rejected(self, capsys, argv):
-        # the series cap is derived (vdim + 2), and enumerate runs in one process
+        # the series cap is derived (vdim + 2), and enumerate and verify run in one process
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -239,24 +212,6 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "unknown key(s) " + key in captured.err
-
-    @pytest.mark.parametrize("source", ["flags", "config"])
-    def test_jobs_on_a_configured_run_is_config_error(self, capsys, tmp_path, source):
-        # only --case/--all run in a process pool
-        if source == "flags":
-            argv = ["verify", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "2",
-                    "--H", "2,5"]
-        else:
-            cfg = tmp_path / "case.json"
-            cfg.write_text(json.dumps(
-                {"surface": "f0", "r": 2, "delta": [1, 1], "c2": 2, "H": [2, 5]}
-            ))
-            argv = ["verify", "--config", str(cfg)]
-        code = main([*argv, "--jobs", "2"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "--jobs applies to --case/--all" in captured.err
 
     def test_config_with_rank_and_r_is_config_error(self, capsys, tmp_path):
         # taking one and dropping the other once ran rank 2 for "r": 3
@@ -490,6 +445,8 @@ TRANSCRIPTS = {
     "verify-f0-FZ-c2-2-H2F5Z.json.txt": (*_VERIFY, "--format", "json"),
     "verify-f0-FZ-c2-2-H2F5Z.md.txt": (*_VERIFY, "--format", "markdown"),
     "verify-p2-r2-c2-3.txt": ("verify", "--case", "p2-r2-c2-3"),
+    "verify-all.txt": ("verify", "--all"),
+    "verify-all.md.txt": ("verify", "--all", "--format", "markdown"),
     "enumerate-f0-r2-all-chambers.txt": ("enumerate", *_F0_R2, "--H", "all-chambers"),
     "enumerate-f0-r2-c2-3-all-chambers.txt": (
         "enumerate", "--surface", "f0", "--r", "2", "--delta", "1,1", "--c2", "3",

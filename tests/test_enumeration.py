@@ -848,11 +848,14 @@ def test_a_non_ample_polarization_is_refused(name, c1, H, call):
         call(srf, 2, c1, 2, H)
 
 
-@pytest.mark.parametrize("rank, c1, c2", [(2, (0,), 2), (3, (0,), 2), (4, (2,), 3)])
+@pytest.mark.parametrize(
+    "rank, c1, c2", [(2, (0,), 2), (3, (0,), 2), (4, (2,), 3), (3, (0,), -1)]
+)
 @pytest.mark.parametrize("call", [enumerate_bundles, fixed_locus])
 def test_a_plane_case_that_can_tie_is_refused(rank, c1, c2, call):
     # the plane's window bound holds for strictly stable candidates only, so
-    # a case where every polarization can tie is refused before any search
+    # a case where every polarization can tie is refused before any search,
+    # also below the Bogomolov floor, where fixed_locus runs no search at all
     p2 = surface_by_name("p2")
     with pytest.raises(ValueError, match=re.escape("gcd(rank, c1.H) > 1 for every polarization H")):
         call(p2, rank, c1, c2, (1,))

@@ -452,7 +452,7 @@ def test_cases_share_the_memoized_charts_and_leave_them_unchanged(case_of, case_
     _assert_charts_are_the_memoized_grid_walk(sheaves)
     assert all(row is sheaf.charts for row, sheaf in zip(case.restrictions, sheaves))
     before = _chart_values(sheaves)
-    case.twisted((1, -2)).tangents()
+    oracles.twisted(case, (1, -2)).tangents()
     if case.n_points:
         case.drop_point(0).tangents()
     assert _chart_values(sheaves) == before

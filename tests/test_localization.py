@@ -228,7 +228,7 @@ class TestOperatorRows:
 
     def test_twist_invariance(self, case_of):
         _, case, _ = case_of("f0-FZ-c2-2-H2F5Z")
-        twisted = case.twisted((1, -2))
+        twisted = oracles.twisted(case, (1, -2))
         for k, text in [(0, "ch_3(p)"), (1, "ch_2(Z)"), (2, "ch_3(1)")]:
             mono = parse_monomial(text)
             assert twisted.operator_parts(k, mono) == case.operator_parts(k, mono)
@@ -246,7 +246,7 @@ class TestOperatorRows:
         # vdim - k + off, on a copy of the case and on twisted copies
         _, case, _ = case_of(case_id)
         if (case_id, twist) not in _COPIES:
-            _COPIES[case_id, twist] = case.twisted(twist) if twist else fresh(case)
+            _COPIES[case_id, twist] = oracles.twisted(case, twist) if twist else fresh(case)
         case = _COPIES[case_id, twist]
         k = data.draw(st.integers(-1, case.vdim + 1))
         basis = monomial_basis(case.surface, case.vdim - k + off)
